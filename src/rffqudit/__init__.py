@@ -48,7 +48,8 @@ from .encoder import (
     encode_povm,
     encode_state,
     encoded_entropy_check,
-    hws_commutation_residual,
+    hws_relations_residual,
+    isometry_residuals,
 )
 from .errors import (
     ConsistencyError,
@@ -114,14 +115,14 @@ __all__ = [
     "coupling_fingerprint", "decode_payload", "decode_state",
     "encode_povm", "encode_state", "encoded_entropy_check", "entropy_bits",
     "fourier_coupling", "get_max_constituents", "gram_residual",
-    "haar_su2", "hws_commutation_residual", "kron_power",
-    "matrix_from_json", "matrix_from_json_dict", "matrix_to_json",
+    "haar_su2", "hws_relations_residual", "isometry_residuals",
+    "kron_power", "matrix_from_json", "matrix_from_json_dict", "matrix_to_json",
     "matrix_to_json_dict", "multiplicity", "n3_pauli", "n3_q_operators",
     "n3_sector_projector", "n3_trine", "n4_akl", "n4_hws",
     "n4_q_operators", "n4_sector_projectors", "n4_singlet_layer",
     "n4_to_n3_reduction", "omega_minus", "partial_trace",
-    "permutation_operator", "product_ket", "random_density",
-    "random_povm", "random_pure_density", "run_channel", "run_suite",
+    "permutation_operator",
+    "product_ket", "random_density", "random_povm", "random_pure_density", "run_channel", "run_suite",
     "sector_census", "sector_index_set", "sector_membership_residual",
     "set_max_constituents", "sigma", "singlet_projector", "swap",
     "symmetric_singlets", "total_J", "trace_distance", "uhlmann_fidelity",

@@ -11,7 +11,7 @@ Subcommands:
 
 Global flags may appear before or after the subcommand; the value closest to
 the subcommand wins. Exit codes: 0 success, 1 verification/claim failure,
-2 usage or validation error.
+2 usage or validation error, or running out of memory.
 """
 
 from __future__ import annotations
@@ -483,6 +483,10 @@ def main(argv=None) -> int:
     except RffError as exc:  # ConsistencyError, NumericalError: claim failures
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a size the machine cannot hold, not a failed claim
+        print(f"error: out of memory ({type(exc).__name__}: {exc}); "
+              "try a smaller --n", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

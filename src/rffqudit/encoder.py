@@ -1,26 +1,29 @@
 """The logical-qudit layer: Q operators, encoding, decoding, HWS unitaries.
 
-The d**2 operators
+The logical sector is one 2**n x d**2 isometry K whose columns are the kets
+|j2, m2; lambda>, ordered (lambda, m2). Its column blocks K_lambda give the
+d**2 operators Q_{lambda lambda'} = K_lambda K_lambda'^dag = sum_{m2}
+|j2, m2; lambda><j2, m2; lambda'|: a matrix-unit algebra commuting with the
+total angular momentum. Both facts are checked on K alone: K^dag K = I, and
+J_a K = K (I_d (x) J_a^(j2)), i.e. a collective rotation acts on m2 only.
+A logical d-dimensional state rho encodes into the 2**n-dimensional,
+collective-rotation-invariant payload
 
-    Q_{lambda, lambda'} = sum_{m2} |j2, m2; lambda> <j2, m2; lambda'|
-
-form a matrix-unit algebra that commutes with every component of the total
-angular momentum. A logical d-dimensional state rho encodes into the
-2**n-dimensional, collective-rotation-invariant payload
-
-    payload = (1/d) * sum_{lambda, lambda'} rho_{lambda lambda'} Q_{lambda lambda'},
+    payload = K (rho (x) I_d / d) K^dag
+            = (1/d) * sum_{lambda, lambda'} rho_{lambda lambda'} Q_{lambda lambda'},
 
 (trace one: the rotation-sensitive degree of freedom is held maximally
 mixed), and POVM elements encode without the 1/d so that a logical POVM sums
-to the sector projector sum_lambda Q_{lambda lambda}. Decoding inverts both:
-rho_{lambda lambda'} = Tr(Q_{lambda' lambda} payload). Outcome probabilities
-and (up to the additive log2(d) from the mixed factor) entropies survive the
-round trip, which is what makes the construction a faithful qudit.
+to the sector projector K K^dag. Decoding inverts both: rho is the partial
+trace over m2 of K^dag payload K. Outcome probabilities and (up to the
+additive log2(d) from the mixed factor) entropies survive the round trip,
+which is what makes the construction a faithful qudit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import log2
 from typing import NamedTuple
 
@@ -35,80 +38,91 @@ from .linalg import (
     max_abs_diff,
     entropy_bits,
 )
-from .spinsys import SpinRegister, total_J
+from .spinsys import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    SpinRegister,
+    collective_apply,
+    spin_matrices,
+)
 
 PSD_TOL = 1e-10
+ISOMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class QOperatorSet:
-    """The verified matrix-unit family Q_{lambda lambda'} for one register."""
+    """The verified sector isometry K and its projector K K^dag.
+
+    qs(lambda, lambda') builds the dense Q_{lambda lambda'} on first use and
+    keeps it, so callers that need every Q build each one once.
+    """
 
     n: int
     d: int
     fingerprint: str
-    q: dict = field(repr=False)
+    isometry: np.ndarray = field(repr=False)
     sector_projector: np.ndarray = field(repr=False)
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def q(self) -> dict:
+        """The arrays the set holds besides the projector, by name."""
+        return {"isometry": self.isometry}
 
     def __call__(self, lam: int, lamp: int) -> np.ndarray:
-        return self.q[(lam, lamp)]
+        if (lam, lamp) not in self._views:
+            blocks = np.split(self.isometry, self.d, axis=1)  # K_1 .. K_d
+            self._views[(lam, lamp)] = blocks[lam - 1] @ dagger(blocks[lamp - 1])
+        return self._views[(lam, lamp)]
 
 
 def build_q_set(basis: CoupledBasis) -> QOperatorSet:
-    """Build all Q operators from a coupled basis and verify their algebra."""
+    """Stack the coupled kets into K and verify its Gram and covariance checks."""
     d = basis.d
-    dim = 2 ** basis.n
-    q: dict = {}
-    for lam in range(1, d + 1):
-        for lamp in range(1, d + 1):
-            acc = np.zeros((dim, dim), dtype=complex)
-            for m2 in basis.m2_values():
-                acc += np.outer(basis.ket(m2, lam), basis.ket(m2, lamp).conj())
-            q[(lam, lamp)] = acc
-
-    _verify_q_algebra(basis, q)
-    sector = sum(q[(lam, lam)] for lam in range(1, d + 1))
+    k = np.column_stack(
+        [basis.ket(m2, lam) for lam in range(1, d + 1) for m2 in basis.m2_values()]
+    )
+    residuals = isometry_residuals(basis.n, k)
+    if residuals["gram"] > ISOMETRY_TOL:
+        raise ConsistencyError(
+            f"K^dag K != I (residual {residuals['gram']:.3e}): "
+            "the Q operators are not matrix units"
+        )
+    if residuals["covariance"] > ISOMETRY_TOL:
+        raise ConsistencyError(
+            f"J K != K (I (x) J^(j2)) (residual {residuals['covariance']:.3e}): "
+            "the Q operators do not commute with J"
+        )
     return QOperatorSet(
-        n=basis.n, d=d, fingerprint=basis.fingerprint, q=q, sector_projector=sector
+        n=basis.n, d=d, fingerprint=basis.fingerprint, isometry=k,
+        sector_projector=k @ dagger(k),
     )
 
 
-def _verify_q_algebra(basis: CoupledBasis, q: dict) -> None:
-    d = basis.d
-    pairs = [(lam, lamp) for lam in range(1, d + 1) for lamp in range(1, d + 1)]
+def isometry_residuals(n: int, k: np.ndarray) -> dict:
+    """Residuals of a sector isometry K (columns ordered (lambda, m2)).
 
-    for lam, lamp in pairs:
-        if max_abs_diff(dagger(q[(lam, lamp)]), q[(lamp, lam)]) > 1e-12:
-            raise ConsistencyError(
-                f"dagger symmetry violated: Q({lam},{lamp})^† != Q({lamp},{lam})"
-            )
-
-    for lam, lamp in pairs:
-        trace = np.trace(q[(lam, lamp)])
-        expected = d if lam == lamp else 0.0
-        if abs(trace - expected) > 1e-10:
-            raise ConsistencyError(
-                f"trace violated: Tr Q({lam},{lamp}) = {trace:.3e}, expected {expected}"
-            )
-
-    zero = np.zeros_like(q[(1, 1)])
-    for lam, lamp in pairs:
-        for mu, mup in pairs:
-            product = q[(lam, lamp)] @ q[(mu, mup)]
-            expected = q[(lam, mup)] if lamp == mu else zero
-            if max_abs_diff(product, expected) > 1e-10:
-                raise ConsistencyError(
-                    f"closure violated: Q({lam},{lamp})Q({mu},{mup}) "
-                    f"!= delta*Q({lam},{mup})"
-                )
-
-    js = total_J(SpinRegister(basis.n))
-    for lam, lamp in pairs:
-        for name, j_op in (("Jx", js.jx), ("Jy", js.jy), ("Jz", js.jz)):
-            if max_abs_diff(q[(lam, lamp)] @ j_op, j_op @ q[(lam, lamp)]) > 1e-10:
-                raise ConsistencyError(
-                    f"[Q({lam},{lamp}), {name}] != 0"
-                )
+    gram:       max |K^dag K - I|, equivalent to Q Q' = delta Q
+    trace:      max |Tr Q_{lambda lambda'} - d delta|, from the Gram blocks
+    covariance: max over a = x, y, z of |J_a K - K (I_d (x) J_a^(j2))|,
+                equivalent to [Q, J_a] = 0
+    """
+    d = n - 1
+    reg = SpinRegister(n)
+    gram = dagger(k) @ k
+    traces = _partial_trace_m2(d, gram)  # [lambda', lambda] = Tr Q_{lambda lambda'}
+    spins = spin_matrices(Fraction(n, 2) - 1)
+    covariance = max(
+        max_abs_diff(collective_apply(reg, pauli / 2, k), k @ np.kron(identity(d), j_a))
+        for pauli, j_a in zip((SIGMA_X, SIGMA_Y, SIGMA_Z), spins)
+    )
+    return {
+        "gram": max_abs_diff(gram, identity(d * d)),
+        "trace": max_abs_diff(traces, d * identity(d)),
+        "covariance": covariance,
+    }
 
 
 @dataclass(frozen=True)
@@ -124,11 +138,9 @@ class QuditState:
             raise ValidationError(
                 f"state must be {self.d}x{self.d}, got {rho.shape}"
             )
-        if max_abs_diff(rho, dagger(rho)) > 1e-12:
-            raise ValidationError(
-                f"state is not hermitian (deviation "
-                f"{max_abs_diff(rho, dagger(rho)):.3e})"
-            )
+        deviation = max_abs_diff(rho, dagger(rho))
+        if deviation > 1e-12:
+            raise ValidationError(f"state is not hermitian (deviation {deviation:.3e})")
         trace = np.trace(rho)
         if abs(trace - 1) > 1e-12:
             raise ValidationError(f"state trace is {trace:.15g}, expected 1")
@@ -165,10 +177,10 @@ class QuditPovm:
                     f"POVM element {k} is not PSD: min eigenvalue {w.min():.3e}"
                 )
             total += e
-        if max_abs_diff(total, identity(self.d)) > 1e-10:
+        deviation = max_abs_diff(total, identity(self.d))
+        if deviation > 1e-10:
             raise ValidationError(
-                f"POVM elements sum to the identity only within "
-                f"{max_abs_diff(total, identity(self.d)):.3e} (> 1e-10)"
+                f"POVM elements sum to the identity only within {deviation:.3e} (> 1e-10)"
             )
         object.__setattr__(self, "elements", elems)
 
@@ -184,34 +196,41 @@ class EncodedOperator:
     payload: np.ndarray = field(repr=False)
 
 
+def _lift(qs: QOperatorSet, m: np.ndarray) -> np.ndarray:
+    """K (m (x) I_d) K^dag: a logical operator placed on the sector."""
+    k = qs.isometry
+    return k @ np.kron(m, identity(qs.d)) @ dagger(k)
+
+
+def _sector_frame(qs: QOperatorSet, payload) -> tuple[np.ndarray, float]:
+    """(K^dag payload K, max |payload - K K^dag payload K K^dag|)."""
+    k = qs.isometry
+    payload = np.asarray(payload, dtype=complex)
+    inner = dagger(k) @ payload @ k
+    return inner, max_abs_diff(k @ inner @ dagger(k), payload)
+
+
 def encode_matrix(qs: QOperatorSet, m) -> np.ndarray:
-    """The state-normalized linear encoding (1/d) sum m_{ll'} Q_{ll'}."""
+    """The state-normalized linear encoding K (m (x) I_d / d) K^dag."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (qs.d, qs.d):
         raise ValidationError(f"expected a {qs.d}x{qs.d} matrix, got {m.shape}")
-    dim = 2 ** qs.n
-    acc = np.zeros((dim, dim), dtype=complex)
-    for lam in range(1, qs.d + 1):
-        for lamp in range(1, qs.d + 1):
-            acc += m[lam - 1, lamp - 1] * qs(lam, lamp)
-    return acc / qs.d
+    return _lift(qs, m / qs.d)
+
+
+def _partial_trace_m2(d: int, inner: np.ndarray) -> np.ndarray:
+    """Trace out m2 from a d**2 x d**2 operator with indices (lambda, m2)."""
+    return np.trace(inner.reshape(d, d, d, d), axis1=1, axis2=3)
 
 
 def decode_matrix(qs: QOperatorSet, payload) -> np.ndarray:
-    """Inverse of encode_matrix: m_{ll'} = Tr(Q_{l'l} payload)."""
-    payload = np.asarray(payload, dtype=complex)
-    return np.array(
-        [
-            [np.trace(qs(lamp, lam) @ payload) for lamp in range(1, qs.d + 1)]
-            for lam in range(1, qs.d + 1)
-        ]
-    )
+    """Inverse of encode_matrix: the partial trace over m2 of K^dag payload K."""
+    return _partial_trace_m2(qs.d, _sector_frame(qs, payload)[0])
 
 
 def sector_support_residual(qs: QOperatorSet, payload) -> float:
     """How far the payload sticks out of the logical sector."""
-    p = qs.sector_projector
-    return max_abs_diff(p @ payload @ p, payload)
+    return _sector_frame(qs, payload)[1]
 
 
 def encode_state(qs: QOperatorSet, state: QuditState) -> EncodedOperator:
@@ -223,13 +242,15 @@ def encode_state(qs: QOperatorSet, state: QuditState) -> EncodedOperator:
     trace = np.trace(payload)
     if abs(trace - 1) > 1e-10:
         raise ConsistencyError(f"encoded state trace {trace:.15g} != 1")
-    w, _ = hermitian_eig(payload)
+    # On the sector the payload's nonzero spectrum is that of K^dag payload K.
+    inner, leak = _sector_frame(qs, payload)
+    if leak > 1e-10:
+        raise ConsistencyError("encoded state leaks out of the logical sector")
+    w, _ = hermitian_eig(inner)
     if w.min() < -PSD_TOL:
         raise ConsistencyError(
             f"encoded state is not PSD: min eigenvalue {w.min():.3e}"
         )
-    if sector_support_residual(qs, payload) > 1e-10:
-        raise ConsistencyError("encoded state leaks out of the logical sector")
     return EncodedOperator(
         n=qs.n, d=qs.d, kind="state", fingerprint=qs.fingerprint, payload=payload
     )
@@ -246,13 +267,13 @@ def decode_state(qs: QOperatorSet, enc: EncodedOperator) -> QuditState:
 
 def decode_payload(qs: QOperatorSet, payload, sector_tol: float = 1e-9) -> QuditState:
     """Decode a raw payload matrix, insisting it lives on the logical sector."""
-    residual = sector_support_residual(qs, payload)
+    inner, residual = _sector_frame(qs, payload)
     if residual > sector_tol:
         raise ValidationError(
             f"payload is not supported on the logical sector "
             f"(residual {residual:.3e} > {sector_tol:g})"
         )
-    rho = decode_matrix(qs, payload)
+    rho = _partial_trace_m2(qs.d, inner)
     rho = (rho + dagger(rho)) / 2
     return QuditState(d=qs.d, rho=rho)
 
@@ -265,22 +286,17 @@ def encode_povm(qs: QOperatorSet, povm: QuditPovm) -> list[EncodedOperator]:
     encoded = []
     total = np.zeros_like(qs.sector_projector)
     for element in povm.elements:
-        payload = qs.d * encode_matrix(qs, element)  # no 1/d for POVM elements
-        w, _ = hermitian_eig(payload)
+        payload = _lift(qs, element)  # no 1/d for POVM elements
+        w, _ = hermitian_eig(dagger(qs.isometry) @ payload @ qs.isometry)
         if w.min() < -PSD_TOL:
             raise ConsistencyError(
                 f"encoded POVM element is not PSD: min eigenvalue {w.min():.3e}"
             )
         total += payload
-        encoded.append(
-            EncodedOperator(
-                n=qs.n,
-                d=qs.d,
-                kind="povm-element",
-                fingerprint=qs.fingerprint,
-                payload=payload,
-            )
-        )
+        encoded.append(EncodedOperator(
+            n=qs.n, d=qs.d, kind="povm-element", fingerprint=qs.fingerprint,
+            payload=payload,
+        ))
     if max_abs_diff(total, qs.sector_projector) > 1e-10:
         raise ConsistencyError(
             "encoded POVM elements do not sum to the sector projector"
@@ -303,13 +319,18 @@ def encoded_entropy_check(state: QuditState, enc: EncodedOperator) -> EntropyChe
 
 @dataclass(frozen=True)
 class HwsPair:
-    """The unitary clock/shift pair on the logical sector."""
+    """The unitary clock/shift pair on the logical sector.
+
+    clock and shift are the d x d logical pair; u and v are K (clock (x) I) K^dag
+    and K (shift (x) I) K^dag.
+    """
 
     d: int
     omega: complex
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
-    sector_projector: np.ndarray = field(repr=False)
+    clock: np.ndarray = field(repr=False)
+    shift: np.ndarray = field(repr=False)
 
 
 def build_hws(qs: QOperatorSet) -> HwsPair:
@@ -318,47 +339,35 @@ def build_hws(qs: QOperatorSet) -> HwsPair:
     if d < 2:
         raise ContractViolationError(f"the HWS pair needs d >= 2, got d={d}")
     omega = np.exp(2j * np.pi / d)
-    u = sum(omega**lam * qs(lam, lam) for lam in range(1, d + 1))
-    v = sum(qs(lam, lam + 1) for lam in range(1, d)) + qs(d, 1)
-    pair = HwsPair(d=d, omega=omega, u=u, v=v, sector_projector=qs.sector_projector)
-    _verify_hws(pair)
+    clock = np.diag(omega ** np.arange(1, d + 1))
+    shift = np.roll(identity(d), 1, axis=1)  # |lambda><lambda+1|, |d><1|
+    pair = HwsPair(d=d, omega=omega, u=_lift(qs, clock), v=_lift(qs, shift),
+                   clock=clock, shift=shift)
+    residual = hws_relations_residual(pair)
+    if residual > 1e-10:
+        raise ConsistencyError(
+            f"clock/shift relations fail: U**d, V**d != I or "
+            f"U^j V^k != omega^(-jk) V^k U^j (residual {residual:.3e})"
+        )
     return pair
 
 
-def _matrix_power(m: np.ndarray, k: int) -> np.ndarray:
-    out = np.eye(m.shape[0], dtype=complex)
-    for _ in range(k):
-        out = out @ m
-    return out
+def hws_relations_residual(pair: HwsPair) -> float:
+    """Worst residual of U**d = V**d = I and U^j V^k = omega^(-jk) V^k U^j.
 
-
-def _verify_hws(pair: HwsPair, tol: float = 1e-10) -> None:
-    sector = pair.sector_projector
-    if max_abs_diff(_matrix_power(pair.u, pair.d), sector) > tol:
-        raise ConsistencyError(f"U**{pair.d} != sector identity")
-    if max_abs_diff(_matrix_power(pair.v, pair.d), sector) > tol:
-        raise ConsistencyError(f"V**{pair.d} != sector identity")
+    Evaluated on the d x d logical pair: U^j = K clock^j (x) I K^dag because
+    K^dag K = I is verified when the Q set is built, so the sector pair obeys
+    exactly the relations its logical pair does.
+    """
+    eye = identity(pair.d)
+    u_pow, v_pow = [eye], [eye]
+    for _ in range(pair.d):
+        u_pow.append(u_pow[-1] @ pair.clock)
+        v_pow.append(v_pow[-1] @ pair.shift)
+    worst = max(max_abs_diff(u_pow[-1], eye), max_abs_diff(v_pow[-1], eye))
     for j in range(1, pair.d + 1):
         for k in range(1, pair.d + 1):
-            uj = _matrix_power(pair.u, j)
-            vk = _matrix_power(pair.v, k)
-            lhs = uj @ vk
-            rhs = pair.omega ** (-j * k) * (vk @ uj)
-            if max_abs_diff(lhs, rhs) > tol:
-                raise ConsistencyError(
-                    f"U^{j} V^{k} != omega^(-{j}*{k}) V^{k} U^{j}"
-                )
-
-
-def hws_commutation_residual(pair: HwsPair) -> float:
-    """Worst-case residual of the omega-commutation relation (diagnostics)."""
-    worst = 0.0
-    for j in range(1, pair.d + 1):
-        for k in range(1, pair.d + 1):
-            uj = _matrix_power(pair.u, j)
-            vk = _matrix_power(pair.v, k)
-            worst = max(
-                worst,
-                max_abs_diff(uj @ vk, pair.omega ** (-j * k) * (vk @ uj)),
-            )
+            lhs = u_pow[j] @ v_pow[k]
+            rhs = pair.omega ** (-j * k) * (v_pow[k] @ u_pow[j])
+            worst = max(worst, max_abs_diff(lhs, rhs))
     return worst

@@ -199,6 +199,16 @@ def entropy_bits(rho, clip_tol: float = 1e-10) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
+def _drop_round_off(w: np.ndarray, scale: float) -> np.ndarray:
+    """Zero the eigenvalues below eigh's round-off floor, dim * eps * scale.
+
+    Such values are zero to working precision; their square roots (3e-9 for
+    1e-17) would otherwise add a spurious rank to a square root.
+    """
+    floor = len(w) * np.finfo(float).eps * scale
+    return np.where(w > floor, w, 0.0)
+
+
 def sqrtm_psd(a, clip_tol: float = 1e-10) -> np.ndarray:
     """Principal square root of a PSD hermitian matrix."""
     w, v = hermitian_eig(a)
@@ -206,17 +216,19 @@ def sqrtm_psd(a, clip_tol: float = 1e-10) -> np.ndarray:
         raise ContractViolationError(
             f"matrix is not PSD: min eigenvalue {w.min():.3e}"
         )
-    w = np.clip(w, 0.0, None)
+    w = _drop_round_off(w, float(np.abs(w).max()))
     return (v * np.sqrt(w)) @ v.conj().T
 
 
 def uhlmann_fidelity(rho, sigma) -> float:
     """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2."""
     r = sqrtm_psd(rho)
-    inner = r @ as_matrix(sigma) @ r
-    # Round-off can leave tiny negative eigenvalues in the product.
+    s = as_matrix(sigma)
+    inner = r @ s @ r
+    # Round-off leaves eigenvalues of either sign near zero in the product;
+    # its scale is ||r||**2 ||sigma|| (Frobenius norms bound the 2-norms).
     w, _ = hermitian_eig((inner + inner.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
+    w = _drop_round_off(w, float(np.linalg.norm(r) ** 2 * np.linalg.norm(s)))
     return float(np.sqrt(w).sum() ** 2)
 
 

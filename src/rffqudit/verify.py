@@ -26,8 +26,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import reference as ref
+from .channel import born_rule_harness, random_density
 from .coupling import (
-    basis_overlap_blocks,
+    block_mixing_residual,
     build_coupled_basis,
     fourier_coupling,
     gram_residual,
@@ -43,10 +44,11 @@ from .encoder import (
     decode_state,
     encode_state,
     encoded_entropy_check,
-    hws_commutation_residual,
+    hws_relations_residual,
+    isometry_residuals,
 )
 from .errors import ConsistencyError, ValidationError
-from .linalg import dagger, identity, max_abs_diff
+from .linalg import dagger, max_abs_diff
 from .spinsys import (
     SpinRegister,
     all_permutations,
@@ -54,7 +56,6 @@ from .spinsys import (
     haar_su2,
     kron_power,
     permutation_operator,
-    total_J,
 )
 
 DEFAULT_SEED = 1234
@@ -98,26 +99,16 @@ def _failure(id: str, description: str, default_tol: float,
 # ---------------------------------------------------------------------------
 
 def q_algebra_residuals(qs: QOperatorSet) -> dict:
-    """Worst residual of each matrix-unit property, recomputed from scratch."""
+    """Worst residual of each matrix-unit property, recomputed from scratch.
+
+    Closure and [Q, J] = 0 are the Gram and covariance checks on K; the trace
+    comes from the Gram blocks, and the pairing compares the dense views.
+    """
     pairs = [(l, lp) for l in range(1, qs.d + 1) for lp in range(1, qs.d + 1)]
     herm = max(max_abs_diff(dagger(qs(l, lp)), qs(lp, l)) for l, lp in pairs)
-    trace = max(
-        abs(np.trace(qs(l, lp)) - (qs.d if l == lp else 0.0)) for l, lp in pairs
-    )
-    zero = np.zeros_like(qs(1, 1))
-    closure = 0.0
-    for l, lp in pairs:
-        for m, mp in pairs:
-            expected = qs(l, mp) if lp == m else zero
-            closure = max(closure, max_abs_diff(qs(l, lp) @ qs(m, mp), expected))
-    js = total_J(SpinRegister(qs.n))
-    commute = max(
-        max_abs_diff(qs(l, lp) @ j_op, j_op @ qs(l, lp))
-        for l, lp in pairs
-        for j_op in (js.jx, js.jy, js.jz)
-    )
-    return {"hermitian-pairing": herm, "trace": trace,
-            "closure": closure, "j-commutation": commute}
+    isometry = isometry_residuals(qs.n, qs.isometry)
+    return {"hermitian-pairing": herm, "trace": isometry["trace"],
+            "closure": isometry["gram"], "j-commutation": isometry["covariance"]}
 
 
 def rotation_invariance_residual(qs: QOperatorSet, trials: int,
@@ -135,18 +126,18 @@ def rotation_invariance_residual(qs: QOperatorSet, trials: int,
     return worst
 
 
+def _random_states(qs: QOperatorSet, trials: int, seed: int) -> list[QuditState]:
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return [QuditState(d=qs.d, rho=random_density(rng, qs.d)) for _ in range(trials)]
+
+
 def round_trip_residual(qs: QOperatorSet, trials: int,
                         seed: int = DEFAULT_SEED) -> float:
     """Worst encode -> decode deviation over random logical states."""
-    from .channel import random_density
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    worst = 0.0
-    for _ in range(trials):
-        state = QuditState(d=qs.d, rho=random_density(rng, qs.d))
-        decoded = decode_state(qs, encode_state(qs, state))
-        worst = max(worst, max_abs_diff(state.rho, decoded.rho))
-    return worst
+    return max((
+        max_abs_diff(state.rho, decode_state(qs, encode_state(qs, state)).rho)
+        for state in _random_states(qs, trials, seed)
+    ), default=0.0)
 
 
 def born_probability_residual(qs: QOperatorSet, trials: int,
@@ -154,8 +145,6 @@ def born_probability_residual(qs: QOperatorSet, trials: int,
     """Worst |encoded probability - logical probability| over random pairs,
 
     with and without a random collective rotation in between."""
-    from .channel import born_rule_harness
-
     report = born_rule_harness(qs, trials, seed)
     return max(report.max_encoded_deviation, report.max_rotated_deviation)
 
@@ -163,15 +152,10 @@ def born_probability_residual(qs: QOperatorSet, trials: int,
 def entropy_defect_residual(qs: QOperatorSet, trials: int,
                             seed: int = DEFAULT_SEED) -> float:
     """Worst |S(payload) - S(logical) - log2 d| over random logical states."""
-    from .channel import random_density
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    worst = 0.0
-    for _ in range(trials):
-        state = QuditState(d=qs.d, rho=random_density(rng, qs.d))
-        check = encoded_entropy_check(state, encode_state(qs, state))
-        worst = max(worst, abs(check.defect))
-    return worst
+    return max((
+        abs(encoded_entropy_check(state, encode_state(qs, state)).defect)
+        for state in _random_states(qs, trials, seed)
+    ), default=0.0)
 
 
 def cyclic_invariance_residual(n: int) -> float:
@@ -183,13 +167,8 @@ def cyclic_invariance_residual(n: int) -> float:
     reg = SpinRegister(n)
     basis = build_coupled_basis(reg)
     c = permutation_operator(reg, cyclic_permutation(n))
-    worst = 0.0
-    for m2 in basis.m2_values():
-        for lam in range(1, basis.d + 1):
-            ket = basis.ket(m2, lam)
-            proj = np.outer(ket, ket.conj())
-            worst = max(worst, max_abs_diff(c @ proj @ dagger(c), proj))
-    return worst
+    projectors = [np.outer(ket, ket.conj()) for ket in basis.kets.values()]
+    return max(max_abs_diff(c @ p @ dagger(c), p) for p in projectors)
 
 
 def coupling_independence_residual(n: int) -> float:
@@ -204,16 +183,7 @@ def coupling_independence_residual(n: int) -> float:
     mix = np.eye(n, dtype=complex)
     mix[: n - 1, : n - 1] = fourier_coupling(n - 1)
     other = build_coupled_basis(reg, mix @ fourier_coupling(n))
-    blocks = basis_overlap_blocks(base, other)
-    first = None
-    worst = 0.0
-    for block in blocks.values():
-        worst = max(worst, max_abs_diff(block @ block.conj().T, identity(base.d)))
-        if first is None:
-            first = block
-        else:
-            worst = max(worst, max_abs_diff(block, first))
-    return worst
+    return block_mixing_residual(base, other)
 
 
 def singlet_covariance_residuals() -> tuple[float, float]:
@@ -262,27 +232,23 @@ def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
             results.append(_failure(cid, f"{desc}: {exc}", 0.0, tol))
     for n in n_values:
         basis = build_coupled_basis(SpinRegister(n))
-        results.append(_check(
-            f"coupling:gram:n={n}",
-            f"sector basis for n={n} is orthonormal",
-            gram_residual(basis), 1e-10, tol,
-        ))
-        results.append(_check(
-            f"coupling:sector-membership:n={n}",
-            f"sector basis for n={n} satisfies the J^2 and Jz eigenvalue equations",
-            sector_membership_residual(basis), 1e-10, tol,
-        ))
-        results.append(_check(
-            f"coupling:independence:n={n}",
-            "changing the coupling only remixes the degeneracy label unitarily",
-            coupling_independence_residual(n), 1e-10, tol,
-        ))
+        checks = [
+            ("gram", f"sector basis for n={n} is orthonormal", gram_residual(basis)),
+            ("sector-membership",
+             f"sector basis for n={n} satisfies the J^2 and Jz eigenvalue equations",
+             sector_membership_residual(basis)),
+            ("independence",
+             "changing the coupling only remixes the degeneracy label unitarily",
+             coupling_independence_residual(n)),
+        ]
         if n <= 6:
-            results.append(_check(
-                f"coupling:cyclic-invariance:n={n}",
+            checks.append((
+                "cyclic-invariance",
                 "Fourier-coupled sector projectors survive the cyclic shift",
-                cyclic_invariance_residual(n), 1e-10, tol,
+                cyclic_invariance_residual(n),
             ))
+        results += [_check(f"coupling:{name}:n={n}", desc, residual, 1e-10, tol)
+                    for name, desc, residual in checks]
     return results
 
 
@@ -293,44 +259,26 @@ def suite_encoder(n_values=(3, 4, 5, 6), rotation_trials=20,
     for n in n_values:
         qs = build_q_set(build_coupled_basis(SpinRegister(n)))
         algebra = q_algebra_residuals(qs)
-        results.append(_check(
-            f"encoder:q-hermitian:n={n}",
-            f"Q(l,l')^dag = Q(l',l) for n={n}", algebra["hermitian-pairing"],
-            1e-12, tol,
-        ))
-        results.append(_check(
-            f"encoder:q-trace:n={n}",
-            f"Tr Q(l,l') = d delta for n={n}", algebra["trace"], 1e-10, tol,
-        ))
-        results.append(_check(
-            f"encoder:q-closure:n={n}",
-            f"Q(l,l')Q(m,m') = delta Q(l,m') for n={n}", algebra["closure"],
-            1e-10, tol,
-        ))
-        results.append(_check(
-            f"encoder:q-commute-J:n={n}",
-            f"[Q, J] = 0 for n={n}", algebra["j-commutation"], 1e-10, tol,
-        ))
-        results.append(_check(
-            f"encoder:rotation-invariance:n={n}",
-            f"Q operators survive {rotation_trials} random collective rotations",
-            rotation_invariance_residual(qs, rotation_trials, seed), 1e-9, tol,
-        ))
-        results.append(_check(
-            f"encoder:round-trip:n={n}",
-            "encode -> decode returns the logical state",
-            round_trip_residual(qs, 5, seed), 1e-10, tol,
-        ))
-        results.append(_check(
-            f"encoder:born:n={n}",
-            "encoded probabilities match logical ones, rotated or not",
-            born_probability_residual(qs, 5, seed), 1e-10, tol,
-        ))
-        results.append(_check(
-            f"encoder:entropy:n={n}",
-            "encoded entropy exceeds logical entropy by exactly log2(d) bits",
-            entropy_defect_residual(qs, 5, seed), 1e-8, tol,
-        ))
+        checks = (
+            ("q-hermitian", f"Q(l,l')^dag = Q(l',l) for n={n}",
+             algebra["hermitian-pairing"], 1e-12),
+            ("q-trace", f"Tr Q(l,l') = d delta for n={n}", algebra["trace"], 1e-10),
+            ("q-closure", f"K^dag K = I, so Q(l,l')Q(m,m') = delta Q(l,m') for n={n}",
+             algebra["closure"], 1e-10),
+            ("q-commute-J", f"J K = K (I (x) J^(j2)), so [Q, J] = 0 for n={n}",
+             algebra["j-commutation"], 1e-10),
+            ("rotation-invariance",
+             f"Q operators survive {rotation_trials} random collective rotations",
+             rotation_invariance_residual(qs, rotation_trials, seed), 1e-9),
+            ("round-trip", "encode -> decode returns the logical state",
+             round_trip_residual(qs, 5, seed), 1e-10),
+            ("born", "encoded probabilities match logical ones, rotated or not",
+             born_probability_residual(qs, 5, seed), 1e-10),
+            ("entropy", "encoded entropy exceeds logical entropy by exactly log2(d) bits",
+             entropy_defect_residual(qs, 5, seed), 1e-8),
+        )
+        for name, desc, residual, default_tol in checks:
+            results.append(_check(f"encoder:{name}:n={n}", desc, residual, default_tol, tol))
     return results
 
 
@@ -478,15 +426,7 @@ def suite_hws(n_values=(3, 4, 5, 6), tol: float | None = None) -> list[CheckResu
         except ConsistencyError as exc:
             results.append(_failure(cid, f"{desc}: {exc}", 1e-10, tol))
             continue
-        sector = qs.sector_projector
-        ud = np.linalg.matrix_power(pair.u, d)
-        vd = np.linalg.matrix_power(pair.v, d)
-        residual = max(
-            max_abs_diff(ud, sector),
-            max_abs_diff(vd, sector),
-            hws_commutation_residual(pair),
-        )
-        results.append(_check(cid, desc, residual, 1e-10, tol))
+        results.append(_check(cid, desc, hws_relations_residual(pair), 1e-10, tol))
         if d == 2:
             pauli = ref.n3_pauli()
             results.append(_check(
@@ -499,31 +439,6 @@ def suite_hws(n_values=(3, 4, 5, 6), tol: float | None = None) -> list[CheckResu
                 1e-12, tol,
             ))
     return results
-
-
-def _n_kwargs(n_values) -> dict:
-    if n_values is None:
-        return {}
-    return {"n_values": tuple(n for n in n_values if n >= 3)}
-
-
-def _coupling_kwargs(n_values) -> dict:
-    if n_values is None:
-        return {}
-    return {
-        "n_values": tuple(n for n in n_values if n >= 3),
-        "census_n_values": tuple(n for n in n_values if n >= 2),
-    }
-
-
-def suite_all(tol: float | None = None, seed: int = DEFAULT_SEED,
-              n_values=None) -> list[CheckResult]:
-    return (
-        suite_coupling(tol=tol, **_coupling_kwargs(n_values))
-        + suite_encoder(seed=seed, tol=tol, **_n_kwargs(n_values))
-        + suite_reference(tol=tol)
-        + suite_hws(tol=tol, **_n_kwargs(n_values))
-    )
 
 
 SUITES = ("all", "coupling", "encoder", "reference", "hws")
@@ -539,12 +454,17 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
         raise ValidationError(
             f"unknown suite {name!r}; expected one of {sorted(SUITES)}"
         )
-    if name == "all":
-        return suite_all(tol=tol, seed=seed, n_values=n_values)
-    if name == "coupling":
-        return suite_coupling(tol=tol, **_coupling_kwargs(n_values))
-    if name == "encoder":
-        return suite_encoder(seed=seed, tol=tol, **_n_kwargs(n_values))
-    if name == "hws":
-        return suite_hws(tol=tol, **_n_kwargs(n_values))
-    return suite_reference(tol=tol)
+    sized, census = {}, {}
+    if n_values is not None:
+        sized = {"n_values": tuple(n for n in n_values if n >= 3)}
+        census = {"census_n_values": tuple(n for n in n_values if n >= 2)}
+    results = []
+    if name in ("all", "coupling"):
+        results += suite_coupling(tol=tol, **sized, **census)
+    if name in ("all", "encoder"):
+        results += suite_encoder(seed=seed, tol=tol, **sized)
+    if name in ("all", "reference"):
+        results += suite_reference(tol=tol)
+    if name in ("all", "hws"):
+        results += suite_hws(tol=tol, **sized)
+    return results

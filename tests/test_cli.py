@@ -2,13 +2,16 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rffqudit import cli
+from rffqudit.channel import random_pure_density
 from rffqudit.coupling import build_coupled_basis, fourier_coupling
 from rffqudit.encoder import build_q_set
 from rffqudit.linalg import (
@@ -398,6 +401,13 @@ def test_usage_errors_exit_two(capsys):
 # installed entry point and environment ceiling
 # ---------------------------------------------------------------------------
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.skipif(
+    shutil.which("rffqudit") is None,
+    reason="the rffqudit console script is not installed on PATH",
+)
 def test_console_script_census_runs():
     proc = subprocess.run(
         ["rffqudit", "census", "--n", "3"],
@@ -405,6 +415,39 @@ def test_console_script_census_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["agreement"] is True
+
+
+def test_python_m_rffqudit_census_runs():
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), path])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rffqudit", "census", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["agreement"] is True
+
+
+def test_memory_error_exits_two(capsys, monkeypatch):
+    def exhausted(ns):
+        raise MemoryError("Unable to allocate 32.0 GiB")
+
+    monkeypatch.setitem(cli._DISPATCH, "channel", exhausted)
+    code, out, err = run_cli(capsys, "channel", "--n", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "memory" in err
+    assert "Traceback" not in err
+
+
+def test_channel_accepts_a_random_pure_state(capsys, tmp_path):
+    rho = random_pure_density(np.random.default_rng(20261018), 2)
+    state = write_json(tmp_path / "pure.json", matrix_to_json_dict(rho))
+    code, out, err = run_cli(
+        capsys, "channel", "--n", "3", "--trials", "300", "--state", state
+    )
+    assert code == 0, err
+    fidelity = json.loads(out)["aggregate"]["fidelity"]
+    assert 1 - 1e-12 <= fidelity["min"] <= fidelity["max"] <= 1 + 1e-12
 
 
 def test_env_var_raises_ceiling_in_fresh_process():

@@ -21,7 +21,7 @@ from rffqudit.encoder import (
     encode_povm,
     encode_state,
     encoded_entropy_check,
-    hws_commutation_residual,
+    hws_relations_residual,
     sector_support_residual,
 )
 from rffqudit.errors import ValidationError
@@ -211,7 +211,12 @@ def test_hws_pair_relations(n):
     v_power = np.linalg.matrix_power(pair.v, d)
     np.testing.assert_allclose(u_power, qs.sector_projector, atol=1e-11)
     np.testing.assert_allclose(v_power, qs.sector_projector, atol=1e-11)
-    assert hws_commutation_residual(pair) < 1e-11
+    assert hws_relations_residual(pair) < 1e-11
+    for j in range(1, d + 1):
+        for k in range(1, d + 1):
+            uj = np.linalg.matrix_power(pair.u, j)
+            vk = np.linalg.matrix_power(pair.v, k)
+            assert max_abs_diff(uj @ vk, pair.omega ** (-j * k) * (vk @ uj)) < 1e-11
 
 
 def test_hws_qubit_pair_is_pauli_pair(qs3):

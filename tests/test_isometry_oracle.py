@@ -1,0 +1,180 @@
+"""The sector isometry K against the dense Q_{lambda lambda'} it replaces.
+
+For n = 3..6 the dense matrix units are rebuilt here from the coupled kets,
+checked with the full d**4 closure and [Q, J] loops, and compared with every
+object the package now derives from K alone.
+"""
+
+import dataclasses
+from math import factorial, sqrt
+
+import numpy as np
+import pytest
+
+from rffqudit.channel import random_density, random_povm
+from rffqudit.coupling import build_coupled_basis, omega_minus
+from rffqudit.encoder import (
+    QuditState,
+    build_hws,
+    build_q_set,
+    decode_payload,
+    encode_povm,
+    encode_state,
+    isometry_residuals,
+    sector_support_residual,
+)
+from rffqudit.errors import ConsistencyError
+from rffqudit.linalg import max_abs_diff
+from rffqudit.spinsys import (
+    SpinRegister,
+    haar_su2,
+    kron_power,
+    product_ket,
+    total_J,
+)
+
+SEED = 20261018
+SMALL_N = (3, 4, 5, 6)
+
+
+def dense_q_set(basis) -> dict:
+    q = {}
+    for lam in range(1, basis.d + 1):
+        for lamp in range(1, basis.d + 1):
+            q[(lam, lamp)] = sum(
+                np.outer(basis.ket(m2, lam), basis.ket(m2, lamp).conj())
+                for m2 in basis.m2_values()
+            )
+    return q
+
+
+def dense_encode(q, d, m):
+    return sum(m[l - 1, lp - 1] * q[(l, lp)] for l in range(1, d + 1)
+               for lp in range(1, d + 1))
+
+
+@pytest.fixture(scope="module", params=SMALL_N)
+def case(request):
+    n = request.param
+    basis = build_coupled_basis(SpinRegister(n))
+    return n, basis, build_q_set(basis), dense_q_set(basis)
+
+
+def test_kets_match_the_dense_lowering_operators(case):
+    # |j2, m2; lambda> = c_k Omega_minus(lambda) J_minus**k |0...0>, k = j2 - m2,
+    # with the dense matrices Omega_minus(lambda) and J_minus.
+    n, basis, _, _ = case
+    reg = SpinRegister(n)
+    j_minus = total_J(reg).j_minus
+    two_j2 = n - 2
+    for k, m2 in enumerate(basis.m2_values()):
+        lowered = np.linalg.matrix_power(j_minus, k) @ product_ket("0" * n)
+        prefactor = sqrt(factorial(two_j2 - k) / (factorial(two_j2) * factorial(k)))
+        for lam in range(1, basis.d + 1):
+            omega = omega_minus(reg, basis.coupling, lam)
+            assert max_abs_diff(basis.ket(m2, lam), prefactor * omega @ lowered) < 1e-13
+
+
+def test_dense_oracle_is_a_matrix_unit_algebra_commuting_with_j(case):
+    n, basis, _, q = case
+    d = basis.d
+    pairs = list(q)
+    zero = np.zeros_like(q[(1, 1)])
+    for lam, lamp in pairs:
+        for mu, mup in pairs:
+            expected = q[(lam, mup)] if lamp == mu else zero
+            assert max_abs_diff(q[(lam, lamp)] @ q[(mu, mup)], expected) < 1e-10
+    js = total_J(SpinRegister(n))
+    for key in pairs:
+        for j_op in (js.jx, js.jy, js.jz):
+            assert max_abs_diff(q[key] @ j_op, j_op @ q[key]) < 1e-10
+        lam, lamp = key
+        assert abs(np.trace(q[key]) - (d if lam == lamp else 0)) < 1e-10
+
+
+def test_views_and_projector_match_the_dense_set(case):
+    _, basis, qs, q = case
+    for key, dense in q.items():
+        assert max_abs_diff(qs(*key), dense) < 1e-12
+    projector = sum(q[(lam, lam)] for lam in range(1, basis.d + 1))
+    assert max_abs_diff(qs.sector_projector, projector) < 1e-12
+
+
+def test_encode_and_decode_match_the_dense_forms(case):
+    n, basis, qs, q = case
+    d = basis.d
+    rng = np.random.default_rng([SEED, n])
+    state = QuditState(d, random_density(rng, d))
+    payload = encode_state(qs, state).payload
+    assert max_abs_diff(payload, dense_encode(q, d, state.rho) / d) < 1e-12
+
+    povm = random_povm(rng, d, d + 1)
+    for element, encoded in zip(povm.elements, encode_povm(qs, povm)):
+        assert max_abs_diff(encoded.payload, dense_encode(q, d, element)) < 1e-12
+
+    big = kron_power(SpinRegister(n), haar_su2(rng))
+    rotated = big @ payload @ big.conj().T
+    dense_rho = np.array([[np.trace(q[(lp, l)] @ rotated) for lp in range(1, d + 1)]
+                          for l in range(1, d + 1)])
+    assert max_abs_diff(decode_payload(qs, rotated).rho, dense_rho) < 1e-12
+
+    stray = np.zeros_like(payload)
+    stray[0, 0] = 1.0  # the all-up ket lies in the largest-j sector
+    leaky = 0.9 * payload + 0.1 * stray
+    projector = qs.sector_projector
+    dense_leak = max_abs_diff(projector @ leaky @ projector, leaky)
+    assert sector_support_residual(qs, leaky) == pytest.approx(dense_leak, abs=1e-12)
+
+
+def test_hws_pair_matches_the_dense_sums_and_relations(case):
+    _, basis, qs, q = case
+    d = basis.d
+    pair = build_hws(qs)
+    u = sum(pair.omega ** lam * q[(lam, lam)] for lam in range(1, d + 1))
+    v = sum(q[(lam, lam + 1)] for lam in range(1, d)) + q[(d, 1)]
+    assert max_abs_diff(pair.u, u) < 1e-12
+    assert max_abs_diff(pair.v, v) < 1e-12
+    sector = qs.sector_projector
+    assert max_abs_diff(np.linalg.matrix_power(u, d), sector) < 1e-10
+    assert max_abs_diff(np.linalg.matrix_power(v, d), sector) < 1e-10
+    for j in range(1, d + 1):
+        for k in range(1, d + 1):
+            uj = np.linalg.matrix_power(u, j)
+            vk = np.linalg.matrix_power(v, k)
+            assert max_abs_diff(uj @ vk, pair.omega ** (-j * k) * (vk @ uj)) < 1e-10
+
+
+def _corrupt(basis, m2, lam, ket):
+    kets = dict(basis.kets)
+    kets[(m2, lam)] = ket
+    return dataclasses.replace(basis, kets=kets)
+
+
+def test_gram_check_rejects_a_non_orthonormal_column():
+    basis = build_coupled_basis(SpinRegister(4))
+    m2 = basis.m2_values()[0]
+    mixed = (basis.ket(m2, 1) + basis.ket(m2, 2)) / np.sqrt(2)
+    with pytest.raises(ConsistencyError, match="K\\^dag K"):
+        build_q_set(_corrupt(basis, m2, 1, mixed))
+
+
+def test_covariance_check_rejects_a_broken_ladder_phase():
+    # A phase on one column keeps K an isometry but breaks J K = K (I x J).
+    basis = build_coupled_basis(SpinRegister(4))
+    m2 = basis.m2_values()[1]
+    phased = 1j * basis.ket(m2, 2)
+    corrupted = _corrupt(basis, m2, 2, phased)
+    k = np.column_stack([corrupted.ket(m, lam) for lam in range(1, 4)
+                         for m in corrupted.m2_values()])
+    residuals = isometry_residuals(4, k)
+    assert residuals["gram"] < 1e-12 and residuals["covariance"] > 0.1
+    with pytest.raises(ConsistencyError, match="commute with J"):
+        build_q_set(corrupted)
+
+
+def test_n9_q_set_is_verified_and_small():
+    # The d**2 dense Q operators at n = 9 would take 268 MB; K is 512 x 64 (0.5 MB).
+    qs = build_q_set(build_coupled_basis(SpinRegister(9)))
+    residuals = isometry_residuals(9, qs.isometry)
+    assert max(residuals.values()) < 1e-10
+    assert sum(a.nbytes for a in qs.q.values()) < 2 * 1024 * 1024

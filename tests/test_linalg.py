@@ -173,6 +173,24 @@ def test_uhlmann_fidelity_pure_states():
     assert uhlmann_fidelity(rho, sig) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_uhlmann_fidelity_of_a_random_pure_state_with_itself_stays_at_one():
+    # Round-off leaves ~1e-17 eigenvalues in a pure state; their square roots
+    # (~3e-9) must not push F(rho, rho) above 1.
+    rng = np.random.default_rng(20261018)
+    for _ in range(50):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v /= np.linalg.norm(v)
+        rho = np.outer(v, v.conj())
+        assert uhlmann_fidelity(rho, rho) <= 1 + 1e-12
+        assert uhlmann_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sqrtm_psd_of_a_pure_state_keeps_rank_one():
+    v = np.array([0.6, 0.8j])
+    rho = np.outer(v, v.conj())
+    assert np.linalg.matrix_rank(sqrtm_psd(rho), tol=1e-14) == 1
+
+
 def test_trace_distance_extremes():
     zero = np.diag([1.0, 0.0]).astype(complex)
     one = np.diag([0.0, 1.0]).astype(complex)

@@ -9,6 +9,7 @@ from rffqudit.spinsys import (
     Permutation,
     SpinRegister,
     all_permutations,
+    collective_apply,
     collective_rotation,
     cyclic_permutation,
     haar_su2,
@@ -19,6 +20,7 @@ from rffqudit.spinsys import (
     product_ket,
     sigma,
     singlet_projector,
+    spin_matrices,
     swap,
     total_J,
     transposition,
@@ -98,6 +100,34 @@ def test_total_j_su2_algebra():
     np.testing.assert_allclose(comm(J.jx, J.jy), 1j * J.jz, atol=1e-13)
     np.testing.assert_allclose(comm(J.j_squared, J.jz), 0 * J.jz, atol=1e-13)
     np.testing.assert_allclose(J.j_minus, J.jx - 1j * J.jy, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_collective_apply_matches_the_dense_sums(n):
+    reg = SpinRegister(n)
+    rng = np.random.default_rng(n)
+    vecs = rng.normal(size=(2 ** n, 3)) + 1j * rng.normal(size=(2 ** n, 3))
+    J = total_J(reg)
+    for a, j_op in zip(AXES, (J.jx, J.jy, J.jz)):
+        single = sigma(SpinRegister(1), 1, a) / 2
+        np.testing.assert_allclose(collective_apply(reg, single, vecs), j_op @ vecs,
+                                   atol=1e-13)
+    weights = rng.normal(size=n) + 1j * rng.normal(size=n)
+    weighted = sum(w * sigma(reg, ell + 1, "-") for ell, w in enumerate(weights))
+    lower = sigma(SpinRegister(1), 1, "-")
+    np.testing.assert_allclose(collective_apply(reg, lower, vecs[:, 0], weights),
+                               weighted @ vecs[:, 0], atol=1e-13)
+
+
+@pytest.mark.parametrize("two_j", range(0, 7))
+def test_spin_matrices_obey_the_su2_algebra(two_j):
+    jx, jy, jz = spin_matrices(two_j / 2)
+    j = two_j / 2
+    np.testing.assert_allclose(comm(jx, jy), 1j * jz, atol=1e-13)
+    np.testing.assert_allclose(comm(jy, jz), 1j * jx, atol=1e-13)
+    casimir = jx @ jx + jy @ jy + jz @ jz
+    np.testing.assert_allclose(casimir, j * (j + 1) * identity(two_j + 1), atol=1e-13)
+    np.testing.assert_allclose(np.diag(jz).real, [j - k for k in range(two_j + 1)])
 
 
 def test_total_j_fiducial_is_highest_weight():
