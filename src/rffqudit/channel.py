@@ -159,7 +159,6 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
     basis = build_coupled_basis(reg)
     qs = build_q_set(basis)
     enc = encode_state(qs, state)
-    sector = qs.sector_projector
 
     bare_enabled = state.d == 2
     note = None if bare_enabled else (
@@ -175,8 +174,8 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
         big = kron_power(reg, u)
         rotated = big @ enc.payload @ dagger(big)
 
-        leakage = float(1.0 - np.trace(sector @ rotated).real)
         decoded = decode_payload(qs, rotated)
+        leakage = float(1.0 - np.trace(decoded.rho).real)  # Tr(K K^dag rotated)
         fid = uhlmann_fidelity(state.rho, decoded.rho)
         dist = trace_distance(state.rho, decoded.rho)
         _require_unit_interval("fidelity", fid)

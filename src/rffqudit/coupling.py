@@ -19,11 +19,12 @@ sqrt(n) with omega_n = exp(2*pi*i/n)). The orthonormal sector basis is
                        * Omega_minus(lambda) J_minus**(j2-m2) |0...0>,
 
 built exactly in this phase convention (no re-phasing), with lambda = 1..n-1
-and m2 = j2, j2-1, ..., -j2. Both lowering operators act one constituent at a
-time (spinsys.collective_apply), never as 2**n x 2**n matrices. For n = 4 the
-module also provides the two explicit j=0 bases: the symmetric-coupling
-singlets (Fourier phases omega_3) and the successively-coupled (pairwise)
-singlets.
+and m2 = j2, j2-1, ..., -j2, and stored as the columns of one 2**n x d**2
+isometry K. Both lowering operators, and the J^2 and Jz of the residual
+checks, act one constituent at a time (spinsys.collective_apply), never as
+2**n x 2**n matrices. For n = 4 the module also provides the two explicit
+j=0 bases: the symmetric-coupling singlets (Fourier phases omega_3) and the
+successively-coupled (pairwise) singlets.
 """
 
 from __future__ import annotations
@@ -37,11 +38,21 @@ import numpy as np
 
 from .errors import ConsistencyError, ContractViolationError, ValidationError
 from .linalg import (
+    dagger,
     eigenvalue_groups,
+    hermitian_eig,
     identity,
     max_abs_diff,
 )
-from .spinsys import SIGMA_MINUS, SpinRegister, collective_apply, product_ket, sigma, total_J
+from .spinsys import (
+    SIGMA_MINUS,
+    SIGMA_Z,
+    SpinRegister,
+    collective_apply,
+    collective_j_squared,
+    product_ket,
+    sigma,
+)
 
 
 @dataclass(frozen=True)
@@ -134,10 +145,11 @@ def omega_minus(reg: SpinRegister, coupling, lam: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoupledBasis:
-    """Orthonormal basis of the j2 = n/2 - 1 sector, plus the maximal sector.
+    """Orthonormal basis of the j2 = n/2 - 1 sector, as one isometry.
 
-    kets is keyed by (m2, lambda) with m2 a Fraction and lambda in 1..d;
-    top_sector is keyed by m1 for the j1 = n/2 ladder.
+    isometry is the 2**n x d**2 matrix K whose columns are the kets
+    |j2, m2; lambda>, ordered (lambda, m2): column (lambda-1)(2 j2+1) + (j2-m2).
+    It is read-only, so the Q set shares it.
     """
 
     n: int
@@ -145,18 +157,20 @@ class CoupledBasis:
     d: int
     coupling: np.ndarray = field(repr=False)
     fingerprint: str
-    kets: dict = field(repr=False)
-    top_sector: dict = field(repr=False)
+    isometry: np.ndarray = field(repr=False)
 
     def m2_values(self) -> list[Fraction]:
         return [self.j2 - k for k in range(int(2 * self.j2) + 1)]
 
     def ket(self, m2, lam: int) -> np.ndarray:
-        return self.kets[(Fraction(m2), lam)]
+        k = self.j2 - Fraction(m2)
+        if not (1 <= lam <= self.d and 0 <= k <= 2 * self.j2 and k.denominator == 1):
+            raise ContractViolationError(f"no sector ket (m2={m2}, lambda={lam})")
+        return self.isometry[:, (lam - 1) * int(2 * self.j2 + 1) + int(k)]
 
 
 def build_coupled_basis(reg: SpinRegister, coupling=None) -> CoupledBasis:
-    """Construct |j2, m2; lambda> for all m2 and lambda = 1..n-1."""
+    """Construct K: the kets |j2, m2; lambda> for all m2 and lambda = 1..n-1."""
     n = reg.n
     if n < 3:
         raise ContractViolationError(
@@ -165,36 +179,28 @@ def build_coupled_basis(reg: SpinRegister, coupling=None) -> CoupledBasis:
     u = fourier_coupling(n) if coupling is None else validate_coupling(coupling, n)
     j2 = Fraction(n, 2) - 1
     d = n - 1
-
-    def lower(vec, weights=None):  # J_minus, or Omega_minus for a row of u
-        return collective_apply(reg, SIGMA_MINUS, vec, weights)
-
-    highest = product_ket("0" * n)
-    lowered = [highest]  # lowered[k] = J_minus**k |0...0>
-    for _ in range(int(2 * j2)):
-        lowered.append(lower(lowered[-1]))
-
     two_j2 = int(2 * j2)
-    kets: dict = {}
-    for k in range(two_j2 + 1):
-        m2 = j2 - k
-        prefactor = sqrt(Fraction(factorial(two_j2 - k), factorial(two_j2) * factorial(k)))
-        for lam in range(1, d + 1):
-            ket = prefactor * lower(lowered[k], u[lam - 1])
-            norm = float(np.linalg.norm(ket))
-            if abs(norm - 1.0) > 1e-9:
-                raise ConsistencyError(
-                    f"ket (m2={m2}, lambda={lam}) has norm {norm:.12f}, expected 1"
-                )
-            kets[(m2, lam)] = ket
 
-    j1 = Fraction(n, 2)
-    top: dict = {}
-    vec = highest
-    for k in range(int(2 * j1) + 1):
-        if k:
-            vec = lower(vec)
-        top[j1 - k] = vec / np.linalg.norm(vec)
+    lowered = [product_ket("0" * n)]  # lowered[k] = J_minus**k |0...0>
+    for _ in range(two_j2):
+        lowered.append(collective_apply(reg, SIGMA_MINUS, lowered[-1]))
+    ladder = np.column_stack(lowered)
+    prefactors = np.array([
+        sqrt(Fraction(factorial(two_j2 - k), factorial(two_j2) * factorial(k)))
+        for k in range(two_j2 + 1)
+    ])
+    isometry = np.concatenate([
+        collective_apply(reg, SIGMA_MINUS, ladder, u[lam - 1]) * prefactors
+        for lam in range(1, d + 1)
+    ], axis=1)
+    norms = np.linalg.norm(isometry, axis=0)
+    worst = int(np.argmax(np.abs(norms - 1.0)))
+    if abs(norms[worst] - 1.0) > 1e-9:
+        lam, k = divmod(worst, two_j2 + 1)
+        raise ConsistencyError(
+            f"ket (m2={j2 - k}, lambda={lam + 1}) has norm {norms[worst]:.12f}, expected 1"
+        )
+    isometry.setflags(write=False)
 
     return CoupledBasis(
         n=n,
@@ -202,31 +208,26 @@ def build_coupled_basis(reg: SpinRegister, coupling=None) -> CoupledBasis:
         d=d,
         coupling=u,
         fingerprint=coupling_fingerprint(u),
-        kets=kets,
-        top_sector=top,
+        isometry=isometry,
     )
 
 
 def gram_residual(basis: CoupledBasis) -> float:
-    """Max-norm deviation of the sector-basis Gram matrix from identity."""
-    vecs = [basis.ket(m2, lam) for m2 in basis.m2_values() for lam in range(1, basis.d + 1)]
-    stacked = np.column_stack(vecs)
-    gram = stacked.conj().T @ stacked
-    return max_abs_diff(gram, identity(len(vecs)))
+    """Max-norm deviation of the sector-basis Gram matrix K^dag K from identity."""
+    k = basis.isometry
+    return max_abs_diff(dagger(k) @ k, identity(k.shape[1]))
 
 
 def sector_membership_residual(basis: CoupledBasis) -> float:
-    """Max residual of J^2 and Jz eigenvalue equations over all kets."""
+    """Max residual of the J^2 and Jz eigenvalue equations over the columns of K."""
     reg = SpinRegister(basis.n)
-    js = total_J(reg)
+    k = basis.isometry
     jj = float(basis.j2 * (basis.j2 + 1))
-    worst = 0.0
-    for m2 in basis.m2_values():
-        for lam in range(1, basis.d + 1):
-            ket = basis.ket(m2, lam)
-            worst = max(worst, float(np.max(np.abs(js.j_squared @ ket - jj * ket))))
-            worst = max(worst, float(np.max(np.abs(js.jz @ ket - float(m2) * ket))))
-    return worst
+    column_m2 = np.tile([float(m2) for m2 in basis.m2_values()], basis.d)
+    return max(
+        max_abs_diff(collective_j_squared(reg, k), jj * k),
+        max_abs_diff(collective_apply(reg, SIGMA_Z / 2, k), k * column_m2),
+    )
 
 
 def symmetric_singlets(reg: SpinRegister) -> list[np.ndarray]:
@@ -282,9 +283,7 @@ def sector_census(reg: SpinRegister, degeneracy_tol: float = 1e-8) -> list[Secto
             f"census total {total} != 2**{n}; the multiplicity formula is broken"
         )
 
-    from .linalg import hermitian_eig
-
-    eigenvalues, _ = hermitian_eig(total_J(reg).j_squared)
+    eigenvalues, _ = hermitian_eig(collective_j_squared(reg, identity(reg.dim)))
     groups = eigenvalue_groups(eigenvalues, tol=degeneracy_tol)
     if len(groups) != len(specs):
         raise ConsistencyError(
@@ -310,16 +309,9 @@ def basis_overlap_blocks(a: CoupledBasis, b: CoupledBasis) -> dict:
     """
     if a.n != b.n:
         raise ContractViolationError("bases live on different registers")
-    blocks = {}
-    for m2 in a.m2_values():
-        block = np.array(
-            [
-                [np.vdot(a.ket(m2, lam), b.ket(m2, lamp)) for lamp in range(1, b.d + 1)]
-                for lam in range(1, a.d + 1)
-            ]
-        )
-        blocks[m2] = block
-    return blocks
+    size = int(2 * a.j2 + 1)
+    overlap = (dagger(a.isometry) @ b.isometry).reshape(a.d, size, b.d, size)
+    return {m2: overlap[:, k, :, k] for k, m2 in enumerate(a.m2_values())}
 
 
 def block_mixing_residual(a: CoupledBasis, b: CoupledBasis) -> float:

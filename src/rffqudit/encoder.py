@@ -79,11 +79,8 @@ class QOperatorSet:
 
 
 def build_q_set(basis: CoupledBasis) -> QOperatorSet:
-    """Stack the coupled kets into K and verify its Gram and covariance checks."""
-    d = basis.d
-    k = np.column_stack(
-        [basis.ket(m2, lam) for lam in range(1, d + 1) for m2 in basis.m2_values()]
-    )
+    """Verify the basis isometry K (Gram and covariance checks) and share it."""
+    k = basis.isometry
     residuals = isometry_residuals(basis.n, k)
     if residuals["gram"] > ISOMETRY_TOL:
         raise ConsistencyError(
@@ -96,7 +93,7 @@ def build_q_set(basis: CoupledBasis) -> QOperatorSet:
             "the Q operators do not commute with J"
         )
     return QOperatorSet(
-        n=basis.n, d=d, fingerprint=basis.fingerprint, isometry=k,
+        n=basis.n, d=basis.d, fingerprint=basis.fingerprint, isometry=k,
         sector_projector=k @ dagger(k),
     )
 

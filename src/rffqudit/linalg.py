@@ -14,9 +14,7 @@ import and adjustable through set_max_constituents().
 from __future__ import annotations
 
 import json
-import math
 import os
-from typing import Iterable
 
 import numpy as np
 
@@ -91,16 +89,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a sequence (left factor most significant)."""
-    result = None
-    for f in factors:
-        result = as_matrix(f) if result is None else kron(result, f)
-    if result is None:
-        raise ContractViolationError("kron_all needs at least one factor")
-    return result
-
-
 def dagger(a) -> np.ndarray:
     return as_matrix(a).conj().T
 
@@ -108,10 +96,6 @@ def dagger(a) -> np.ndarray:
 def max_abs_diff(a, b) -> float:
     """Max-norm of the entrywise difference (the package-wide comparison)."""
     return float(np.max(np.abs(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))))
-
-
-def is_close(a, b, tol: float = 1e-10) -> bool:
-    return max_abs_diff(a, b) <= tol
 
 
 def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
@@ -282,14 +266,6 @@ def matrix_from_json(text: str) -> np.ndarray:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
     return matrix_from_json_dict(obj)
-
-
-def log2_int(x: int) -> int:
-    """Exact base-2 log of a power of two (used for register sizing)."""
-    n = int(math.log2(x))
-    if 2 ** n != x:
-        raise ContractViolationError(f"{x} is not a power of two")
-    return n
 
 
 _read_env_ceiling()

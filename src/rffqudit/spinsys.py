@@ -128,6 +128,14 @@ def collective_apply(reg: SpinRegister, single, vecs, weights=None) -> np.ndarra
     return out.reshape(vecs.shape)
 
 
+def collective_j_squared(reg: SpinRegister, vecs) -> np.ndarray:
+    """J^2 applied to the columns of vecs: sum_a J_a J_a, one constituent at a time."""
+    out = np.zeros(np.shape(vecs), dtype=complex)
+    for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+        out += collective_apply(reg, pauli / 2, collective_apply(reg, pauli / 2, vecs))
+    return out
+
+
 def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Jx, Jy, Jz) of a spin j in the basis m = j, j-1, ..., -j.
 

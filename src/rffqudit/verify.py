@@ -167,7 +167,7 @@ def cyclic_invariance_residual(n: int) -> float:
     reg = SpinRegister(n)
     basis = build_coupled_basis(reg)
     c = permutation_operator(reg, cyclic_permutation(n))
-    projectors = [np.outer(ket, ket.conj()) for ket in basis.kets.values()]
+    projectors = [np.outer(ket, ket.conj()) for ket in basis.isometry.T]
     return max(max_abs_diff(c @ p @ dagger(c), p) for p in projectors)
 
 

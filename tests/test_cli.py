@@ -417,9 +417,14 @@ def test_console_script_census_runs():
     assert json.loads(proc.stdout)["agreement"] is True
 
 
-def test_python_m_rffqudit_census_runs():
+def _env_with_src(**extra) -> dict:
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), path])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), path])),
+                **extra)
+
+
+def test_python_m_rffqudit_census_runs():
+    env = _env_with_src()
     proc = subprocess.run(
         [sys.executable, "-m", "rffqudit", "census", "--n", "3"],
         capture_output=True, text=True, env=env, timeout=120,
@@ -451,7 +456,7 @@ def test_channel_accepts_a_random_pure_state(capsys, tmp_path):
 
 
 def test_env_var_raises_ceiling_in_fresh_process():
-    env = dict(os.environ, RFF_MAX_N="13")
+    env = _env_with_src(RFF_MAX_N="13")
     proc = subprocess.run(
         [sys.executable, "-c",
          "from rffqudit.linalg import get_max_constituents;"

@@ -1,5 +1,6 @@
 """Symmetric coupling: sector combinatorics, coupled kets, singlet bases."""
 
+import dataclasses
 from fractions import Fraction
 from math import factorial
 
@@ -104,9 +105,31 @@ def test_coupled_basis_shape_and_quality(n):
     basis = build_coupled_basis(SpinRegister(n))
     assert basis.d == n - 1
     assert basis.j2 == Fraction(n, 2) - 1
-    assert len(basis.kets) == (n - 1) * (int(2 * basis.j2) + 1)
+    assert basis.isometry.shape == (2**n, (n - 1) * (int(2 * basis.j2) + 1))
     assert gram_residual(basis) < 1e-12
     assert sector_membership_residual(basis) < 1e-12
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_ket_is_the_isometry_column_lambda_then_m2(n):
+    basis = build_coupled_basis(SpinRegister(n))
+    size = int(2 * basis.j2) + 1
+    for lam in range(1, basis.d + 1):
+        for m2 in basis.m2_values():
+            column = (lam - 1) * size + int(basis.j2 - m2)
+            assert np.array_equal(basis.ket(m2, lam), basis.isometry[:, column])
+    with pytest.raises(ContractViolationError):
+        basis.ket(basis.j2 + 1, 1)
+    with pytest.raises(ContractViolationError):
+        basis.ket(basis.j2, basis.d + 1)
+
+
+def test_sector_membership_rejects_a_column_outside_the_sector():
+    basis = build_coupled_basis(SpinRegister(4))
+    k = basis.isometry.copy()
+    k[:, 1] = product_ket("0000")  # the all-up ket lies in the j = 2 sector
+    corrupted = dataclasses.replace(basis, isometry=k)
+    assert sector_membership_residual(corrupted) > 0.1
 
 
 def test_coupled_basis_m2_values_descend():

@@ -145,9 +145,9 @@ def test_hws_pair_matches_the_dense_sums_and_relations(case):
 
 
 def _corrupt(basis, m2, lam, ket):
-    kets = dict(basis.kets)
-    kets[(m2, lam)] = ket
-    return dataclasses.replace(basis, kets=kets)
+    k = basis.isometry.copy()
+    k[:, (lam - 1) * len(basis.m2_values()) + int(basis.j2 - m2)] = ket
+    return dataclasses.replace(basis, isometry=k)
 
 
 def test_gram_check_rejects_a_non_orthonormal_column():
@@ -164,12 +164,16 @@ def test_covariance_check_rejects_a_broken_ladder_phase():
     m2 = basis.m2_values()[1]
     phased = 1j * basis.ket(m2, 2)
     corrupted = _corrupt(basis, m2, 2, phased)
-    k = np.column_stack([corrupted.ket(m, lam) for lam in range(1, 4)
-                         for m in corrupted.m2_values()])
-    residuals = isometry_residuals(4, k)
+    residuals = isometry_residuals(4, corrupted.isometry)
     assert residuals["gram"] < 1e-12 and residuals["covariance"] > 0.1
     with pytest.raises(ConsistencyError, match="commute with J"):
         build_q_set(corrupted)
+
+
+def test_q_set_shares_the_basis_isometry():
+    basis = build_coupled_basis(SpinRegister(5))
+    assert build_q_set(basis).isometry is basis.isometry
+    assert not basis.isometry.flags.writeable
 
 
 def test_n9_q_set_is_verified_and_small():

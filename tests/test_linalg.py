@@ -16,11 +16,8 @@ from rffqudit.linalg import (
     get_max_constituents,
     hermitian_eig,
     identity,
-    is_close,
     is_hermitian,
     kron,
-    kron_all,
-    log2_int,
     mat_exp_hermitian_generator,
     matrix_from_json,
     matrix_from_json_dict,
@@ -64,18 +61,11 @@ def test_kron_matches_manual_2x2():
     np.testing.assert_allclose(kron(a, b), expected)
 
 
-def test_kron_all_associative_and_ordered():
-    rng = np.random.default_rng(11)
-    mats = [random_hermitian(rng, 2) for _ in range(3)]
-    left = kron(kron(mats[0], mats[1]), mats[2])
-    np.testing.assert_allclose(kron_all(mats), left, atol=1e-14)
-
-
-def test_kron_all_respects_dimension_ceiling(restore_ceiling):
+def test_kron_respects_dimension_ceiling(restore_ceiling):
     set_max_constituents(3)
     assert dimension_ceiling() == 8
     with pytest.raises(SizeLimitError):
-        kron_all([identity(2)] * 4)
+        kron(identity(8), identity(2))
 
 
 def test_set_max_constituents_rejects_out_of_range():
@@ -89,19 +79,17 @@ def test_dagger_is_conjugate_transpose():
     np.testing.assert_allclose(dagger(a), a.conj().T)
 
 
-def test_max_abs_diff_and_is_close():
+def test_max_abs_diff():
     a = identity(3)
     b = a.copy()
     b[0, 1] = 1e-12
     assert max_abs_diff(a, b) == pytest.approx(1e-12)
-    assert is_close(a, b, tol=1e-10)
-    assert not is_close(a, b, tol=1e-13)
 
 
 def test_partial_trace_of_product_operator():
     rng = np.random.default_rng(5)
     a, b, c = (random_hermitian(rng, 2) for _ in range(3))
-    full = kron_all([a, b, c])
+    full = np.kron(np.kron(a, b), c)
     reduced = partial_trace(full, n_factors=3, traced_factor=2)
     np.testing.assert_allclose(reduced, np.trace(b) * kron(a, c), atol=1e-12)
 
@@ -228,13 +216,6 @@ def test_matrix_from_json_dict_rejects_bad_shape():
         matrix_from_json_dict({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
     with pytest.raises(ValidationError):
         matrix_from_json_dict({"rows": 1, "cols": 1, "data": [[1.0]]})
-
-
-def test_log2_int():
-    assert log2_int(8) == 3
-    assert log2_int(1) == 0
-    with pytest.raises(ContractViolationError):
-        log2_int(6)
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,6 +10,7 @@ from rffqudit.spinsys import (
     SpinRegister,
     all_permutations,
     collective_apply,
+    collective_j_squared,
     collective_rotation,
     cyclic_permutation,
     haar_su2,
@@ -117,6 +118,13 @@ def test_collective_apply_matches_the_dense_sums(n):
     lower = sigma(SpinRegister(1), 1, "-")
     np.testing.assert_allclose(collective_apply(reg, lower, vecs[:, 0], weights),
                                weighted @ vecs[:, 0], atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_collective_j_squared_of_the_identity_is_the_dense_j_squared(n):
+    reg = SpinRegister(n)
+    assert max_abs_diff(collective_j_squared(reg, identity(reg.dim)),
+                        total_J(reg).j_squared) < 1e-12
 
 
 @pytest.mark.parametrize("two_j", range(0, 7))
