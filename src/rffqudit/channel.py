@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import sqrt
 from typing import NamedTuple
 
@@ -34,7 +34,7 @@ from .encoder import (
     QuditPovm,
     QuditState,
     build_q_set,
-    decode_payload,
+    decode_state,
     encode_povm,
     encode_state,
 )
@@ -42,6 +42,7 @@ from .errors import ConsistencyError, ValidationError
 from .linalg import (
     dagger,
     matrix_to_json_dict,
+    max_abs_diff,
     mat_exp_hermitian_generator,
     trace_distance,
     uhlmann_fidelity,
@@ -51,8 +52,8 @@ from .spinsys import (
     SIGMA_Y,
     SIGMA_Z,
     SpinRegister,
+    collective_product_apply,
     haar_su2,
-    kron_power,
 )
 
 NOISE_MODES = ("haar", "fixed", "dephasing")
@@ -165,17 +166,22 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
         "bare-qubit comparison omitted: it is defined only for d=2"
     )
 
+    k = qs.isometry
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     per_trial = []
     fidelities, distances, leakages, bares = [], [], [], []
     for index, child in enumerate(children):
         rng = np.random.default_rng(child)
         u = _noise_unitary(cfg, rng)
-        big = kron_power(reg, u)
-        rotated = big @ enc.payload @ dagger(big)
-
-        decoded = decode_payload(qs, rotated)
-        leakage = float(1.0 - np.trace(decoded.rho).real)  # Tr(K K^dag rotated)
+        # u acts on K one constituent at a time; R = K^dag U K is its sector frame.
+        uk = collective_product_apply(reg, u, k)
+        r = dagger(k) @ uk
+        escape = max_abs_diff(uk, k @ r)  # U K = K R keeps the payload on the sector
+        if escape > 1e-9:
+            raise ConsistencyError(f"the collective rotation leaves the logical sector "
+                                   f"(|U K - K R| = {escape:.3e} > 1e-9)")
+        decoded = decode_state(qs, replace(enc, frame=r @ enc.frame @ dagger(r)))
+        leakage = float(1.0 - np.trace(decoded.rho).real)  # Tr(K K^dag U P U^dag)
         fid = uhlmann_fidelity(state.rho, decoded.rho)
         dist = trace_distance(state.rho, decoded.rho)
         _require_unit_interval("fidelity", fid)
@@ -267,7 +273,8 @@ def born_rule_harness(qs: QOperatorSet, trials: int, seed: int) -> BornReport:
 
     Each trial draws a random state and a random POVM, encodes both, and
     checks the probabilities three ways: logical Tr(rho Pi_k), encoded
-    Tr(payload Pi_enc_k), and encoded-after-a-random-collective-rotation.
+    Tr(payload Pi_enc_k), and encoded-after-a-random-collective-rotation,
+    Tr(R frame R^dag frame_k) with R = K^dag u^(x n) K.
     """
     reg = SpinRegister(qs.n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -279,13 +286,12 @@ def born_rule_harness(qs: QOperatorSet, trials: int, seed: int) -> BornReport:
         state = QuditState(d=qs.d, rho=rho)
         enc = encode_state(qs, state)
         enc_povm = encode_povm(qs, povm)
-        u = haar_su2(rng)
-        big = kron_power(reg, u)
-        rotated = big @ enc.payload @ dagger(big)
+        r = dagger(qs.isometry) @ collective_product_apply(reg, haar_su2(rng), qs.isometry)
+        payload, rotated = enc.payload, r @ enc.frame @ dagger(r)
         for element, enc_element in zip(povm.elements, enc_povm):
             logical_p = float(np.trace(rho @ element).real)
-            encoded_p = float(np.trace(enc.payload @ enc_element.payload).real)
-            rotated_p = float(np.trace(rotated @ enc_element.payload).real)
+            encoded_p = float(np.trace(payload @ enc_element.payload).real)
+            rotated_p = float(np.trace(rotated @ enc_element.frame).real)
             worst_encoded = max(worst_encoded, abs(encoded_p - logical_p))
             worst_rotated = max(worst_rotated, abs(rotated_p - logical_p))
     return BornReport(

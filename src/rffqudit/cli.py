@@ -297,17 +297,16 @@ def cmd_encode(ns: argparse.Namespace) -> int:
     rho = matrix_from_json_dict(_read_json_file(ns.state))
     state = QuditState(d=d, rho=rho)
     qs = build_q_set(build_coupled_basis(SpinRegister(ns.n)))
-    enc = encode_state(qs, state)
+    state_payload = encode_state(qs, state).payload
 
     born_rows = []
     povm_payloads = None
     if ns.povm:
         povm = _load_povm(ns.povm, d)
-        encoded_elements = encode_povm(qs, povm)
-        povm_payloads = [matrix_to_json_dict(e.payload) for e in encoded_elements]
-        for k, (element, enc_el) in enumerate(zip(povm.elements, encoded_elements)):
+        povm_payloads = [e.payload for e in encode_povm(qs, povm)]
+        for k, (element, element_payload) in enumerate(zip(povm.elements, povm_payloads)):
             logical_p = float(np.trace(state.rho @ element).real)
-            encoded_p = float(np.trace(enc.payload @ enc_el.payload).real)
+            encoded_p = float(np.trace(state_payload @ element_payload).real)
             born_rows.append({
                 "element": k,
                 "logical": logical_p,
@@ -320,10 +319,10 @@ def cmd_encode(ns: argparse.Namespace) -> int:
             "n": ns.n,
             "d": d,
             "coupling_fingerprint": qs.fingerprint,
-            "state_payload": matrix_to_json_dict(enc.payload),
+            "state_payload": matrix_to_json_dict(state_payload),
         }
         if povm_payloads is not None:
-            payload["povm_payloads"] = povm_payloads
+            payload["povm_payloads"] = [matrix_to_json_dict(p) for p in povm_payloads]
             payload["born_table"] = born_rows
             payload["max_deviation"] = max(r["deviation"] for r in born_rows)
         _emit(_dump_json(payload), output)
@@ -334,8 +333,8 @@ def cmd_encode(ns: argparse.Namespace) -> int:
               repr(r["deviation"])] for r in born_rows],
         ), output)
     else:
-        flat = enc.payload.reshape(-1)
-        dim = enc.payload.shape[0]
+        flat = state_payload.reshape(-1)
+        dim = state_payload.shape[0]
         _emit(_dump_csv(
             ["row", "col", "re", "im"],
             [[idx // dim, idx % dim, repr(float(z.real)), repr(float(z.imag))]

@@ -14,8 +14,9 @@ collective-rotation-invariant payload
 
 (trace one: the rotation-sensitive degree of freedom is held maximally
 mixed), and POVM elements encode without the 1/d so that a logical POVM sums
-to the sector projector K K^dag. Decoding inverts both: rho is the partial
-trace over m2 of K^dag payload K. Outcome probabilities and (up to the
+to the sector projector K K^dag. An encoded operator stores its d**2 x d**2
+sector frame K^dag payload K and builds the payload on request; decoding is
+the partial trace over m2 of the frame. Outcome probabilities and (up to the
 additive log2(d) from the mixed factor) entropies survive the round trip,
 which is what makes the construction a faithful qudit.
 """
@@ -53,29 +54,30 @@ ISOMETRY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class QOperatorSet:
-    """The verified sector isometry K and its projector K K^dag.
+    """The verified sector isometry K.
 
-    qs(lambda, lambda') builds the dense Q_{lambda lambda'} on first use and
-    keeps it, so callers that need every Q build each one once.
+    The dense projector K K^dag and each dense Q_{lambda lambda'} =
+    qs(lambda, lambda') are built from K on every access, for callers that
+    ask for a 2**n x 2**n matrix; nothing dense is stored.
     """
 
     n: int
     d: int
     fingerprint: str
     isometry: np.ndarray = field(repr=False)
-    sector_projector: np.ndarray = field(repr=False)
-    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def q(self) -> dict:
-        """The arrays the set holds besides the projector, by name."""
+        """The arrays the set holds, by name."""
         return {"isometry": self.isometry}
 
+    @property
+    def sector_projector(self) -> np.ndarray:
+        return self.isometry @ dagger(self.isometry)
+
     def __call__(self, lam: int, lamp: int) -> np.ndarray:
-        if (lam, lamp) not in self._views:
-            blocks = np.split(self.isometry, self.d, axis=1)  # K_1 .. K_d
-            self._views[(lam, lamp)] = blocks[lam - 1] @ dagger(blocks[lamp - 1])
-        return self._views[(lam, lamp)]
+        blocks = np.split(self.isometry, self.d, axis=1)  # K_1 .. K_d
+        return blocks[lam - 1] @ dagger(blocks[lamp - 1])
 
 
 def build_q_set(basis: CoupledBasis) -> QOperatorSet:
@@ -92,10 +94,7 @@ def build_q_set(basis: CoupledBasis) -> QOperatorSet:
             f"J K != K (I (x) J^(j2)) (residual {residuals['covariance']:.3e}): "
             "the Q operators do not commute with J"
         )
-    return QOperatorSet(
-        n=basis.n, d=basis.d, fingerprint=basis.fingerprint, isometry=k,
-        sector_projector=k @ dagger(k),
-    )
+    return QOperatorSet(n=basis.n, d=basis.d, fingerprint=basis.fingerprint, isometry=k)
 
 
 def isometry_residuals(n: int, k: np.ndarray) -> dict:
@@ -184,13 +183,19 @@ class QuditPovm:
 
 @dataclass(frozen=True)
 class EncodedOperator:
-    """A 2**n-dimensional payload carrying a logical state or POVM element."""
+    """A logical state or POVM element held as its sector frame K^dag payload K."""
 
     n: int
     d: int
     kind: str  # "state" | "povm-element"
     fingerprint: str
-    payload: np.ndarray = field(repr=False)
+    frame: np.ndarray = field(repr=False)
+    isometry: np.ndarray = field(repr=False)  # the shared, read-only K
+
+    @property
+    def payload(self) -> np.ndarray:
+        """The 2**n x 2**n physical operator K frame K^dag."""
+        return self.isometry @ self.frame @ dagger(self.isometry)
 
 
 def _lift(qs: QOperatorSet, m: np.ndarray) -> np.ndarray:
@@ -207,22 +212,14 @@ def _sector_frame(qs: QOperatorSet, payload) -> tuple[np.ndarray, float]:
     return inner, max_abs_diff(k @ inner @ dagger(k), payload)
 
 
-def encode_matrix(qs: QOperatorSet, m) -> np.ndarray:
-    """The state-normalized linear encoding K (m (x) I_d / d) K^dag."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (qs.d, qs.d):
-        raise ValidationError(f"expected a {qs.d}x{qs.d} matrix, got {m.shape}")
-    return _lift(qs, m / qs.d)
-
-
 def _partial_trace_m2(d: int, inner: np.ndarray) -> np.ndarray:
     """Trace out m2 from a d**2 x d**2 operator with indices (lambda, m2)."""
     return np.trace(inner.reshape(d, d, d, d), axis1=1, axis2=3)
 
 
-def decode_matrix(qs: QOperatorSet, payload) -> np.ndarray:
-    """Inverse of encode_matrix: the partial trace over m2 of K^dag payload K."""
-    return _partial_trace_m2(qs.d, _sector_frame(qs, payload)[0])
+def _decode_frame(d: int, frame: np.ndarray) -> QuditState:
+    rho = _partial_trace_m2(d, frame)
+    return QuditState(d=d, rho=(rho + dagger(rho)) / 2)
 
 
 def sector_support_residual(qs: QOperatorSet, payload) -> float:
@@ -230,27 +227,24 @@ def sector_support_residual(qs: QOperatorSet, payload) -> float:
     return _sector_frame(qs, payload)[1]
 
 
+def _encoded(qs: QOperatorSet, kind: str, frame: np.ndarray) -> EncodedOperator:
+    w, _ = hermitian_eig(frame)
+    if w.min() < -PSD_TOL:
+        raise ConsistencyError(f"encoded {kind} is not PSD: min eigenvalue {w.min():.3e}")
+    return EncodedOperator(n=qs.n, d=qs.d, kind=kind, fingerprint=qs.fingerprint,
+                           frame=frame, isometry=qs.isometry)
+
+
 def encode_state(qs: QOperatorSet, state: QuditState) -> EncodedOperator:
     if state.d != qs.d:
         raise ValidationError(
             f"state dimension {state.d} does not match qudit dimension {qs.d}"
         )
-    payload = encode_matrix(qs, state.rho)
-    trace = np.trace(payload)
+    frame = np.kron(state.rho / qs.d, identity(qs.d))
+    trace = np.trace(frame)  # = Tr payload, as K^dag K = I is verified
     if abs(trace - 1) > 1e-10:
         raise ConsistencyError(f"encoded state trace {trace:.15g} != 1")
-    # On the sector the payload's nonzero spectrum is that of K^dag payload K.
-    inner, leak = _sector_frame(qs, payload)
-    if leak > 1e-10:
-        raise ConsistencyError("encoded state leaks out of the logical sector")
-    w, _ = hermitian_eig(inner)
-    if w.min() < -PSD_TOL:
-        raise ConsistencyError(
-            f"encoded state is not PSD: min eigenvalue {w.min():.3e}"
-        )
-    return EncodedOperator(
-        n=qs.n, d=qs.d, kind="state", fingerprint=qs.fingerprint, payload=payload
-    )
+    return _encoded(qs, "state", frame)
 
 
 def decode_state(qs: QOperatorSet, enc: EncodedOperator) -> QuditState:
@@ -259,7 +253,7 @@ def decode_state(qs: QOperatorSet, enc: EncodedOperator) -> QuditState:
             "encoded operator was built with a different coupling "
             f"(fingerprint {enc.fingerprint} != {qs.fingerprint})"
         )
-    return decode_payload(qs, enc.payload)
+    return _decode_frame(qs.d, enc.frame)
 
 
 def decode_payload(qs: QOperatorSet, payload, sector_tol: float = 1e-9) -> QuditState:
@@ -270,9 +264,7 @@ def decode_payload(qs: QOperatorSet, payload, sector_tol: float = 1e-9) -> Qudit
             f"payload is not supported on the logical sector "
             f"(residual {residual:.3e} > {sector_tol:g})"
         )
-    rho = _partial_trace_m2(qs.d, inner)
-    rho = (rho + dagger(rho)) / 2
-    return QuditState(d=qs.d, rho=rho)
+    return _decode_frame(qs.d, inner)
 
 
 def encode_povm(qs: QOperatorSet, povm: QuditPovm) -> list[EncodedOperator]:
@@ -280,21 +272,9 @@ def encode_povm(qs: QOperatorSet, povm: QuditPovm) -> list[EncodedOperator]:
         raise ValidationError(
             f"POVM dimension {povm.d} does not match qudit dimension {qs.d}"
         )
-    encoded = []
-    total = np.zeros_like(qs.sector_projector)
-    for element in povm.elements:
-        payload = _lift(qs, element)  # no 1/d for POVM elements
-        w, _ = hermitian_eig(dagger(qs.isometry) @ payload @ qs.isometry)
-        if w.min() < -PSD_TOL:
-            raise ConsistencyError(
-                f"encoded POVM element is not PSD: min eigenvalue {w.min():.3e}"
-            )
-        total += payload
-        encoded.append(EncodedOperator(
-            n=qs.n, d=qs.d, kind="povm-element", fingerprint=qs.fingerprint,
-            payload=payload,
-        ))
-    if max_abs_diff(total, qs.sector_projector) > 1e-10:
+    encoded = [_encoded(qs, "povm-element", np.kron(element, identity(qs.d)))
+               for element in povm.elements]
+    if max_abs_diff(sum(e.frame for e in encoded), identity(qs.d ** 2)) > 1e-10:
         raise ConsistencyError(
             "encoded POVM elements do not sum to the sector projector"
         )

@@ -128,6 +128,16 @@ def collective_apply(reg: SpinRegister, single, vecs, weights=None) -> np.ndarra
     return out.reshape(vecs.shape)
 
 
+def collective_product_apply(reg: SpinRegister, u, vecs) -> np.ndarray:
+    """kron_power(reg, u) @ vecs, contracting u with one tensor slot at a time."""
+    u = as_matrix(u)
+    vecs = np.asarray(vecs, dtype=complex)
+    t = vecs.reshape((2,) * reg.n + (-1,))
+    for axis in range(reg.n):
+        t = np.moveaxis(np.tensordot(u, t, axes=(1, axis)), 0, axis)
+    return t.reshape(vecs.shape)
+
+
 def collective_j_squared(reg: SpinRegister, vecs) -> np.ndarray:
     """J^2 applied to the columns of vecs: sum_a J_a J_a, one constituent at a time."""
     out = np.zeros(np.shape(vecs), dtype=complex)

@@ -41,20 +41,19 @@ from .encoder import (
     build_hws,
     build_q_set,
     decode_payload,
-    decode_state,
     encode_state,
     encoded_entropy_check,
     hws_relations_residual,
     isometry_residuals,
 )
 from .errors import ConsistencyError, ValidationError
-from .linalg import dagger, max_abs_diff
+from .linalg import dagger, identity, max_abs_diff
 from .spinsys import (
     SpinRegister,
     all_permutations,
+    collective_product_apply,
     cyclic_permutation,
     haar_su2,
-    kron_power,
     permutation_operator,
 )
 
@@ -102,10 +101,12 @@ def q_algebra_residuals(qs: QOperatorSet) -> dict:
     """Worst residual of each matrix-unit property, recomputed from scratch.
 
     Closure and [Q, J] = 0 are the Gram and covariance checks on K; the trace
-    comes from the Gram blocks, and the pairing compares the dense views.
+    comes from the Gram blocks, and the pairing compares the sector frames
+    K^dag Q(l,l') K = G_l G_l'^dag, G_l being the column blocks of G = K^dag K.
     """
-    pairs = [(l, lp) for l in range(1, qs.d + 1) for lp in range(1, qs.d + 1)]
-    herm = max(max_abs_diff(dagger(qs(l, lp)), qs(lp, l)) for l, lp in pairs)
+    g = np.split(dagger(qs.isometry) @ qs.isometry, qs.d, axis=1)  # G_1 .. G_d
+    herm = max(max_abs_diff(dagger(g[l] @ dagger(g[lp])), g[lp] @ dagger(g[l]))
+               for l in range(qs.d) for lp in range(qs.d))
     isometry = isometry_residuals(qs.n, qs.isometry)
     return {"hermitian-pairing": herm, "trace": isometry["trace"],
             "closure": isometry["gram"], "j-commutation": isometry["covariance"]}
@@ -113,16 +114,20 @@ def q_algebra_residuals(qs: QOperatorSet) -> dict:
 
 def rotation_invariance_residual(qs: QOperatorSet, trials: int,
                                  seed: int = DEFAULT_SEED) -> float:
-    """Worst ||R Q R^dag - Q|| over random collective rotations and all Q."""
+    """Worst |U K - K (I_d (x) r)| over random collective rotations U.
+
+    r is the lambda = 1 block of R = K^dag U K. The residual is zero exactly
+    when U acts on m2 alone, the same on every lambda, which is when every
+    Q(l,l') = K_l K_l'^dag survives U.
+    """
     reg = SpinRegister(qs.n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    k, d = qs.isometry, qs.d
     worst = 0.0
-    ops = [qs(l, lp) for l in range(1, qs.d + 1) for lp in range(1, qs.d + 1)]
     for _ in range(trials):
-        big = kron_power(reg, haar_su2(rng))
-        big_dag = dagger(big)
-        for q in ops:
-            worst = max(worst, max_abs_diff(big @ q @ big_dag, q))
+        uk = collective_product_apply(reg, haar_su2(rng), k)
+        r = (dagger(k) @ uk)[:d, :d]
+        worst = max(worst, max_abs_diff(uk, k @ np.kron(identity(d), r)))
     return worst
 
 
@@ -135,7 +140,7 @@ def round_trip_residual(qs: QOperatorSet, trials: int,
                         seed: int = DEFAULT_SEED) -> float:
     """Worst encode -> decode deviation over random logical states."""
     return max((
-        max_abs_diff(state.rho, decode_state(qs, encode_state(qs, state)).rho)
+        max_abs_diff(state.rho, decode_payload(qs, encode_state(qs, state).payload).rho)
         for state in _random_states(qs, trials, seed)
     ), default=0.0)
 

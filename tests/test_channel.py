@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rffqudit import cli
 from rffqudit.channel import (
     BornReport,
     ChannelConfig,
@@ -16,7 +17,7 @@ from rffqudit.channel import (
 )
 from rffqudit.coupling import build_coupled_basis
 from rffqudit.encoder import QuditState, build_q_set
-from rffqudit.errors import ValidationError
+from rffqudit.errors import ConsistencyError, ValidationError
 from rffqudit.linalg import identity
 from rffqudit.spinsys import SpinRegister
 
@@ -48,6 +49,18 @@ def test_run_channel_rejects_mismatched_state():
     cfg = ChannelConfig(n=4, trials=1, seed=1)
     with pytest.raises(ValidationError, match="dimension"):
         run_channel(cfg, QuditState(2, ZERO))
+
+
+def test_a_rotation_that_leaves_the_sector_fails_the_trial(monkeypatch, capsys):
+    # u on the first constituent alone is no collective rotation: U K != K R.
+    def first_leg_only(reg, u, vecs):
+        return np.kron(u, identity(2 ** (reg.n - 1))) @ vecs
+
+    monkeypatch.setattr("rffqudit.channel.collective_product_apply", first_leg_only)
+    with pytest.raises(ConsistencyError, match="leaves the logical sector"):
+        run_channel(ChannelConfig(n=3, trials=2, seed=1), QuditState(2, ZERO))
+    assert cli.main(["channel", "--n", "3", "--trials", "2"]) == 1
+    assert "leaves the logical sector" in capsys.readouterr().err
 
 
 def test_haar_channel_protects_the_qubit():

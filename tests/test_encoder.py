@@ -1,5 +1,7 @@
 """Logical-state encoding: matrix units, round trips, POVMs, HWS pairs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +10,13 @@ from hypothesis import strategies as st
 from rffqudit.channel import random_density, random_povm
 from rffqudit.coupling import build_coupled_basis
 from rffqudit.encoder import (
-    EncodedOperator,
     HwsPair,
     QuditPovm,
     QuditState,
     build_hws,
     build_q_set,
-    decode_matrix,
     decode_payload,
     decode_state,
-    encode_matrix,
     encode_povm,
     encode_state,
     encoded_entropy_check,
@@ -118,19 +117,6 @@ def test_encode_completely_mixed_state(qs3):
     assert np.trace(enc.payload) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_encode_matrix_scaling(qs3):
-    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    np.testing.assert_allclose(encode_matrix(qs3, m), qs3(1, 2) / 2, atol=1e-13)
-    np.testing.assert_allclose(
-        decode_matrix(qs3, encode_matrix(qs3, m)), m, atol=1e-12
-    )
-
-
-def test_encode_matrix_rejects_wrong_shape(qs3):
-    with pytest.raises(ValidationError):
-        encode_matrix(qs3, np.eye(3))
-
-
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_state_round_trip_random(n):
     qs = qset(n)
@@ -154,9 +140,7 @@ def test_decode_payload_rejects_out_of_sector_support(qs3):
 
 def test_decode_state_checks_fingerprint(qs3):
     enc = encode_state(qs3, QuditState(2, identity(2) / 2))
-    impostor = EncodedOperator(
-        n=enc.n, d=enc.d, kind=enc.kind, fingerprint="0" * 16, payload=enc.payload
-    )
+    impostor = dataclasses.replace(enc, fingerprint="0" * 16)
     with pytest.raises(ValidationError, match="fingerprint"):
         decode_state(qs3, impostor)
 
@@ -229,21 +213,25 @@ def test_hws_qubit_pair_is_pauli_pair(qs3):
 
 @settings(max_examples=20, deadline=None)
 @given(
+    n=st.integers(min_value=3, max_value=6),
     theta=st.floats(min_value=0.0, max_value=np.pi),
     phi=st.floats(min_value=0.0, max_value=2 * np.pi),
     angle=st.floats(min_value=-2 * np.pi, max_value=2 * np.pi),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_any_collective_rotation_fixes_any_payload(theta, phi, angle, seed):
+def test_any_collective_rotation_fixes_any_payload(n, theta, phi, angle, seed):
     """Rotation invariance holds for every axis and angle, not just Haar draws."""
-    qs = qset(3)
+    qs = qset(n)
     rng = np.random.default_rng(seed)
-    state = QuditState(2, random_density(rng, 2))
+    state = QuditState(qs.d, random_density(rng, qs.d))
     payload = encode_state(qs, state).payload
     axis = (
         np.sin(theta) * np.cos(phi),
         np.sin(theta) * np.sin(phi),
         np.cos(theta),
     )
-    u = collective_rotation(SpinRegister(3), axis, angle)
+    u = collective_rotation(SpinRegister(n), axis, angle)
     assert max_abs_diff(u @ payload @ dagger(u), payload) < 1e-11
+    # In the sector frame the rotation acts on m2 alone: K^dag u^(x n) K = I_d (x) r.
+    r = dagger(qs.isometry) @ u @ qs.isometry
+    assert max_abs_diff(r, np.kron(identity(qs.d), r[: qs.d, : qs.d])) < 1e-11

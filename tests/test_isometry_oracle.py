@@ -2,22 +2,26 @@
 
 For n = 3..6 the dense matrix units are rebuilt here from the coupled kets,
 checked with the full d**4 closure and [Q, J] loops, and compared with every
-object the package now derives from K alone.
+object the package now derives from K alone: the sector frames of encoded
+operators, and collective rotations applied to K one constituent at a time.
 """
 
 import dataclasses
+import tracemalloc
 from math import factorial, sqrt
 
 import numpy as np
 import pytest
 
-from rffqudit.channel import random_density, random_povm
+from rffqudit.channel import ChannelConfig, random_density, random_povm, run_channel
 from rffqudit.coupling import build_coupled_basis, omega_minus
 from rffqudit.encoder import (
+    QOperatorSet,
     QuditState,
     build_hws,
     build_q_set,
     decode_payload,
+    decode_state,
     encode_povm,
     encode_state,
     isometry_residuals,
@@ -32,6 +36,7 @@ from rffqudit.spinsys import (
     product_ket,
     total_J,
 )
+from rffqudit.verify import DEFAULT_SEED, q_algebra_residuals, rotation_invariance_residual
 
 SEED = 20261018
 SMALL_N = (3, 4, 5, 6)
@@ -51,6 +56,18 @@ def dense_q_set(basis) -> dict:
 def dense_encode(q, d, m):
     return sum(m[l - 1, lp - 1] * q[(l, lp)] for l in range(1, d + 1)
                for lp in range(1, d + 1))
+
+
+def dense_rotation_residual(qs, trials, seed=DEFAULT_SEED):
+    """Worst |U Q U^dag - Q| over Haar U = kron_power(u) and every dense Q view."""
+    reg = SpinRegister(qs.n)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    ops = [qs(l, lp) for l in range(1, qs.d + 1) for lp in range(1, qs.d + 1)]
+    worst = 0.0
+    for _ in range(trials):
+        big = kron_power(reg, haar_su2(rng))
+        worst = max([worst] + [max_abs_diff(big @ q @ big.conj().T, q) for q in ops])
+    return worst
 
 
 @pytest.fixture(scope="module", params=SMALL_N)
@@ -126,6 +143,39 @@ def test_encode_and_decode_match_the_dense_forms(case):
     assert sector_support_residual(qs, leaky) == pytest.approx(dense_leak, abs=1e-12)
 
 
+def test_channel_trial_matches_the_dense_rotation(case, monkeypatch):
+    # The frame route (R = K^dag U K, decode R F R^dag) against U P U^dag decoded densely.
+    n, basis, qs, _ = case
+    d = basis.d
+    state = QuditState(d, random_density(np.random.default_rng([SEED, n, 1]), d))
+    decoded = []
+
+    def recording_decode_state(*args):
+        decoded.append(decode_state(*args))
+        return decoded[-1]
+
+    monkeypatch.setattr("rffqudit.channel.decode_state", recording_decode_state)
+    report = run_channel(ChannelConfig(n=n, trials=1, seed=SEED), state)
+    u = haar_su2(np.random.default_rng(np.random.SeedSequence(SEED).spawn(1)[0]))
+    big = kron_power(SpinRegister(n), u)
+    dense = decode_payload(qs, big @ encode_state(qs, state).payload @ big.conj().T)
+    assert max_abs_diff(decoded[0].rho, dense.rho) < 1e-12
+    leakage = 1.0 - np.trace(dense.rho).real
+    assert report.per_trial[0]["leakage"] == pytest.approx(leakage, abs=1e-12)
+
+
+def test_rotation_residual_and_the_dense_loop_pass_the_built_k(case):
+    _, _, qs, _ = case
+    assert rotation_invariance_residual(qs, 5) <= 1e-12
+    assert dense_rotation_residual(qs, 5) <= 1e-12
+
+
+def test_frame_hermitian_pairing_matches_the_dense_one(case):
+    _, _, qs, q = case
+    dense = max(max_abs_diff(q[(l, lp)].conj().T, q[(lp, l)]) for l, lp in q)
+    assert q_algebra_residuals(qs)["hermitian-pairing"] == pytest.approx(dense, abs=1e-12)
+
+
 def test_hws_pair_matches_the_dense_sums_and_relations(case):
     _, basis, qs, q = case
     d = basis.d
@@ -170,6 +220,16 @@ def test_covariance_check_rejects_a_broken_ladder_phase():
         build_q_set(corrupted)
 
 
+def test_rotation_residuals_reject_a_broken_ladder_phase():
+    # The phase survives U K = K R but makes U act differently on lambda = 2.
+    basis = build_coupled_basis(SpinRegister(4))
+    m2 = basis.m2_values()[1]
+    corrupted = _corrupt(basis, m2, 2, 1j * basis.ket(m2, 2))
+    qs = QOperatorSet(n=4, d=3, fingerprint=basis.fingerprint, isometry=corrupted.isometry)
+    assert rotation_invariance_residual(qs, 5) > 0.1
+    assert dense_rotation_residual(qs, 5) > 0.1
+
+
 def test_q_set_shares_the_basis_isometry():
     basis = build_coupled_basis(SpinRegister(5))
     assert build_q_set(basis).isometry is basis.isometry
@@ -182,3 +242,23 @@ def test_n9_q_set_is_verified_and_small():
     residuals = isometry_residuals(9, qs.isometry)
     assert max(residuals.values()) < 1e-10
     assert sum(a.nbytes for a in qs.q.values()) < 2 * 1024 * 1024
+
+
+def test_n12_channel_and_encode_never_form_a_dense_matrix():
+    # One 4096 x 4096 complex matrix at n = 12 is 268 MB; K is 4096 x 121 (7.9 MB).
+    rho = random_density(np.random.default_rng(SEED), 11)
+    tracemalloc.start()
+    try:
+        report = run_channel(ChannelConfig(n=12, trials=2, seed=SEED), QuditState(11, rho))
+        channel_peak = tracemalloc.get_traced_memory()[1]
+        qs = build_q_set(build_coupled_basis(SpinRegister(12)))
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        enc = encode_state(qs, QuditState(11, rho))
+        encode_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert report.aggregate["fidelity"]["min"] > 1 - 1e-9
+    assert channel_peak < 100 * 1024 * 1024
+    assert enc.frame.shape == (121, 121)
+    assert encode_peak < 20 * 1024 * 1024

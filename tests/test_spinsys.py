@@ -11,6 +11,7 @@ from rffqudit.spinsys import (
     all_permutations,
     collective_apply,
     collective_j_squared,
+    collective_product_apply,
     collective_rotation,
     cyclic_permutation,
     haar_su2,
@@ -245,6 +246,14 @@ def test_collective_rotation_is_kron_power():
     np.testing.assert_allclose(
         collective_rotation(reg, axis, angle), kron_power(reg, single), atol=1e-13
     )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_collective_product_apply_matches_kron_power(n):
+    reg = SpinRegister(n)
+    u = haar_su2(np.random.default_rng(n))
+    got = collective_product_apply(reg, u, identity(reg.dim))
+    assert max_abs_diff(got, kron_power(reg, u)) < 1e-14
 
 
 def test_collective_rotation_requires_unit_axis():
