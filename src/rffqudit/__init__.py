@@ -92,6 +92,7 @@ from .spinsys import (
     collective_rotation,
     haar_su2,
     kron_power,
+    permutation_indices,
     permutation_operator,
     product_ket,
     sigma,
@@ -121,7 +122,7 @@ __all__ = [
     "n3_sector_projector", "n3_trine", "n4_akl", "n4_hws",
     "n4_q_operators", "n4_sector_projectors", "n4_singlet_layer",
     "n4_to_n3_reduction", "omega_minus", "partial_trace",
-    "permutation_operator",
+    "permutation_indices", "permutation_operator",
     "product_ket", "random_density", "random_povm", "random_pure_density", "run_channel", "run_suite",
     "sector_census", "sector_index_set", "sector_membership_residual",
     "set_max_constituents", "sigma", "singlet_projector", "swap",

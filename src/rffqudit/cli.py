@@ -158,8 +158,11 @@ def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {output}: {exc}") from exc
 
 
 def _dump_json(obj) -> str:

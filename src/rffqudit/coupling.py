@@ -20,11 +20,14 @@ sqrt(n) with omega_n = exp(2*pi*i/n)). The orthonormal sector basis is
 
 built exactly in this phase convention (no re-phasing), with lambda = 1..n-1
 and m2 = j2, j2-1, ..., -j2, and stored as the columns of one 2**n x d**2
-isometry K. Both lowering operators, and the J^2 and Jz of the residual
-checks, act one constituent at a time (spinsys.collective_apply), never as
-2**n x 2**n matrices. For n = 4 the module also provides the two explicit
-j=0 bases: the symmetric-coupling singlets (Fourier phases omega_3) and the
-successively-coupled (pairwise) singlets.
+isometry K. Both lowering operators, and the J^2 and Jz of the membership
+check, act one constituent at a time (spinsys.collective_apply), never as
+2**n x 2**n matrices. The census checks the c_j against the spectrum of
+J^2 = n(4-n)/4 + sum_{l<k} P_lk on each magnetisation block, built from the
+transposition index maps of spinsys.permutation_indices. For n = 4 the
+module also provides the two explicit j=0 bases: the symmetric-coupling
+singlets (Fourier phases omega_3) and the successively-coupled (pairwise)
+singlets.
 """
 
 from __future__ import annotations
@@ -37,21 +40,17 @@ from math import factorial, sqrt
 import numpy as np
 
 from .errors import ConsistencyError, ContractViolationError, ValidationError
-from .linalg import (
-    dagger,
-    eigenvalue_groups,
-    hermitian_eig,
-    identity,
-    max_abs_diff,
-)
+from .linalg import dagger, identity, max_abs_diff
 from .spinsys import (
     SIGMA_MINUS,
     SIGMA_Z,
     SpinRegister,
     collective_apply,
     collective_j_squared,
+    permutation_indices,
     product_ket,
     sigma,
+    transposition,
 )
 
 
@@ -267,10 +266,12 @@ def cg_singlets(reg: SpinRegister) -> list[np.ndarray]:
 
 
 def sector_census(reg: SpinRegister, degeneracy_tol: float = 1e-8) -> list[SectorSpec]:
-    """Enumerate sectors by the multiplicity formula and cross-check against
+    """Enumerate sectors by the multiplicity formula, cross-checked against J^2.
 
-    brute-force J^2 diagonalization (integer equality of eigenspace counts
-    after degeneracy grouping). Raises ConsistencyError on any mismatch.
+    On each magnetisation block (the product kets of weight w, m = n/2 - w),
+    J^2 = n(4-n)/4 + sum_{l<k} P_lk is built from the transposition index
+    maps; its eigenvalues must be j(j+1), c_j times for each j >= |m|.
+    Raises ConsistencyError on any mismatch.
     """
     n = reg.n
     specs = [
@@ -283,21 +284,22 @@ def sector_census(reg: SpinRegister, degeneracy_tol: float = 1e-8) -> list[Secto
             f"census total {total} != 2**{n}; the multiplicity formula is broken"
         )
 
-    eigenvalues, _ = hermitian_eig(collective_j_squared(reg, identity(reg.dim)))
-    groups = eigenvalue_groups(eigenvalues, tol=degeneracy_tol)
-    if len(groups) != len(specs):
-        raise ConsistencyError(
-            f"J^2 has {len(groups)} distinct eigenvalues, census predicts {len(specs)}"
-        )
-    # specs run from the largest j down; the eigenvalue groups sort ascending.
-    for spec, (value, count) in zip(specs, sorted(groups, reverse=True)):
-        expected_value = float(spec.j * (spec.j + 1))
-        expected_count = spec.multiplicity * spec.dimension
-        if abs(value - expected_value) > degeneracy_tol or count != expected_count:
-            raise ConsistencyError(
-                f"sector j={spec.j}: predicted eigenvalue {expected_value} with "
-                f"count {expected_count}, diagonalization found {value:.10f} x{count}"
-            )
+    weight = sum((np.arange(reg.dim) >> bit) & 1 for bit in range(n))
+    swaps = [permutation_indices(reg, transposition(n, l, k))
+             for l in range(1, n + 1) for k in range(l + 1, n + 1)]
+    for w in range(n + 1):
+        m = Fraction(n, 2) - w
+        members = np.flatnonzero(weight == w)  # sorted, so searchsorted gives rows
+        block = np.eye(len(members)) * (n * (4 - n) / 4)
+        for dst in swaps:
+            block[np.searchsorted(members, dst[members]), np.arange(len(members))] += 1
+        predicted = sorted(float(s.j * (s.j + 1))
+                           for s in specs if s.j >= abs(m) for _ in range(s.multiplicity))
+        found = np.linalg.eigvalsh(block)
+        if len(found) != len(predicted) or max_abs_diff(found, predicted) > degeneracy_tol:
+            raise ConsistencyError(f"J^2 block m={m}: census predicts {len(predicted)} "
+                                   f"eigenvalues in {sorted(set(predicted))}, the block has "
+                                   f"{len(found)} in {np.unique(found.round(8)).tolist()}")
     return specs
 
 

@@ -198,12 +198,6 @@ class EncodedOperator:
         return self.isometry @ self.frame @ dagger(self.isometry)
 
 
-def _lift(qs: QOperatorSet, m: np.ndarray) -> np.ndarray:
-    """K (m (x) I_d) K^dag: a logical operator placed on the sector."""
-    k = qs.isometry
-    return k @ np.kron(m, identity(qs.d)) @ dagger(k)
-
-
 def _sector_frame(qs: QOperatorSet, payload) -> tuple[np.ndarray, float]:
     """(K^dag payload K, max |payload - K K^dag payload K K^dag|)."""
     k = qs.isometry
@@ -298,16 +292,23 @@ def encoded_entropy_check(state: QuditState, enc: EncodedOperator) -> EntropyChe
 class HwsPair:
     """The unitary clock/shift pair on the logical sector.
 
-    clock and shift are the d x d logical pair; u and v are K (clock (x) I) K^dag
-    and K (shift (x) I) K^dag.
+    clock and shift are the d x d logical pair; u = K (clock (x) I) K^dag and
+    v = K (shift (x) I) K^dag are built on access from the shared, read-only K.
     """
 
     d: int
     omega: complex
-    u: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
     clock: np.ndarray = field(repr=False)
     shift: np.ndarray = field(repr=False)
+    isometry: np.ndarray = field(repr=False)
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.isometry @ np.kron(self.clock, identity(self.d)) @ dagger(self.isometry)
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.isometry @ np.kron(self.shift, identity(self.d)) @ dagger(self.isometry)
 
 
 def build_hws(qs: QOperatorSet) -> HwsPair:
@@ -318,8 +319,7 @@ def build_hws(qs: QOperatorSet) -> HwsPair:
     omega = np.exp(2j * np.pi / d)
     clock = np.diag(omega ** np.arange(1, d + 1))
     shift = np.roll(identity(d), 1, axis=1)  # |lambda><lambda+1|, |d><1|
-    pair = HwsPair(d=d, omega=omega, u=_lift(qs, clock), v=_lift(qs, shift),
-                   clock=clock, shift=shift)
+    pair = HwsPair(d=d, omega=omega, clock=clock, shift=shift, isometry=qs.isometry)
     residual = hws_relations_residual(pair)
     if residual > 1e-10:
         raise ConsistencyError(

@@ -155,18 +155,6 @@ def partial_trace(a, n_factors: int, traced_factor: int) -> np.ndarray:
     return tens.reshape(half, half)
 
 
-def eigenvalue_groups(values: np.ndarray, tol: float = 1e-8):
-    """Group sorted eigenvalues into (representative, count) degeneracy runs."""
-    groups: list[tuple[float, int]] = []
-    for x in np.sort(np.asarray(values, dtype=float)):
-        if groups and abs(x - groups[-1][0]) <= tol:
-            rep, cnt = groups[-1]
-            groups[-1] = (rep, cnt + 1)
-        else:
-            groups.append((float(x), 1))
-    return groups
-
-
 def entropy_bits(rho, clip_tol: float = 1e-10) -> float:
     """Von Neumann entropy in bits, with 0*log(0) = 0.
 

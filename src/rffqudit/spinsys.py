@@ -8,7 +8,8 @@ sends |0> to |1>.
 
 Permutations act on constituents: the operator W of a permutation p maps a
 product ket |s_1 s_2 ... s_n> to the ket whose slot p(l) carries s_l, which
-gives W sigma^(l) W^dagger = sigma^(p(l)).
+gives W sigma^(l) W^dagger = sigma^(p(l)). swap and permutation_operator are
+built from that one map on product-ket indices, permutation_indices.
 """
 
 from __future__ import annotations
@@ -163,14 +164,13 @@ def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def swap(reg: SpinRegister, j: int, k: int) -> np.ndarray:
-    """Swap operator P_jk = (1 + sigma^(j) . sigma^(k)) / 2."""
+    """Swap operator P_jk = (1 + sigma^(j) . sigma^(k)) / 2, the transposition (j k)."""
     if j == k:
         raise ContractViolationError("swap needs two distinct constituents")
     for site in (j, k):
         if not 1 <= site <= reg.n:
             raise ContractViolationError(f"site {site} out of range 1..{reg.n}")
-    dot = sum(sigma(reg, j, a) @ sigma(reg, k, a) for a in ("x", "y", "z"))
-    return (identity(reg.dim) + dot) / 2
+    return permutation_operator(reg, transposition(reg.n, j, k))
 
 
 def singlet_projector(reg: SpinRegister, j: int, k: int) -> np.ndarray:
@@ -219,23 +219,25 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
-def permutation_operator(reg: SpinRegister, p: Permutation) -> np.ndarray:
-    """Unitary W relabeling constituents: slot p(l) receives the state of l."""
+def permutation_indices(reg: SpinRegister, p: Permutation) -> np.ndarray:
+    """The product-ket index p sends each index to: bit l (constituent l,
+    counted from the most significant bit) moves to slot p(l)."""
     if p.n != reg.n:
         raise ContractViolationError(
             f"permutation on {p.n} elements does not fit register of {reg.n}"
         )
-    n, dim = reg.n, reg.dim
-    w = np.zeros((dim, dim), dtype=complex)
-    for src in range(dim):
-        bits = [(src >> (n - 1 - ell)) & 1 for ell in range(n)]
-        target_bits = [0] * n
-        for ell in range(n):
-            target_bits[p(ell + 1) - 1] = bits[ell]
-        dst = 0
-        for b in target_bits:
-            dst = (dst << 1) | b
-        w[dst, src] = 1.0
+    src = np.arange(reg.dim)
+    dst = np.zeros_like(src)
+    for ell in range(1, reg.n + 1):
+        dst |= ((src >> (reg.n - ell)) & 1) << (reg.n - p(ell))
+    return dst
+
+
+def permutation_operator(reg: SpinRegister, p: Permutation) -> np.ndarray:
+    """Unitary W relabeling constituents: slot p(l) receives the state of l."""
+    dst = permutation_indices(reg, p)
+    w = np.zeros((reg.dim, reg.dim), dtype=complex)
+    w[dst, np.arange(reg.dim)] = 1.0
     return w
 
 

@@ -54,6 +54,7 @@ from .spinsys import (
     collective_product_apply,
     cyclic_permutation,
     haar_su2,
+    permutation_indices,
     permutation_operator,
 )
 
@@ -170,10 +171,11 @@ def cyclic_invariance_residual(n: int) -> float:
     each sector ket by a phase, so the diagonal projectors are invariant.
     """
     reg = SpinRegister(n)
-    basis = build_coupled_basis(reg)
-    c = permutation_operator(reg, cyclic_permutation(n))
-    projectors = [np.outer(ket, ket.conj()) for ket in basis.isometry.T]
-    return max(max_abs_diff(c @ p @ dagger(c), p) for p in projectors)
+    k = build_coupled_basis(reg).isometry
+    ck = np.empty_like(k)
+    ck[permutation_indices(reg, cyclic_permutation(n))] = k  # the rows of C K
+    return max(max_abs_diff(np.outer(moved, moved.conj()), np.outer(ket, ket.conj()))
+               for moved, ket in zip(ck.T, k.T))
 
 
 def coupling_independence_residual(n: int) -> float:

@@ -397,6 +397,14 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    code, out, err = run_cli(capsys, "census", "--n", "3", "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # installed entry point and environment ceiling
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Symmetric coupling: sector combinatorics, coupled kets, singlet bases."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
 
+from rffqudit import coupling
 from rffqudit.coupling import (
     basis_overlap_blocks,
     build_coupled_basis,
@@ -23,9 +25,9 @@ from rffqudit.coupling import (
     symmetric_singlets,
     validate_coupling,
 )
-from rffqudit.errors import ContractViolationError, ValidationError
+from rffqudit.errors import ConsistencyError, ContractViolationError, ValidationError
 from rffqudit.linalg import dagger, identity, max_abs_diff
-from rffqudit.spinsys import SpinRegister, product_ket, total_J
+from rffqudit.spinsys import SpinRegister, product_ket, swap, total_J
 
 W4 = 1j  # exp(2 pi i / 4)
 
@@ -262,7 +264,7 @@ def test_singlet_families_span_the_same_subspace():
     assert max_abs_diff(proj_sym, proj_cg) < 1e-12
 
 
-@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 9, 10, 11, 12))
 def test_sector_census_agrees_with_spectrum(n):
     specs = sector_census(SpinRegister(n))
     assert [s.j for s in specs] == sector_index_set(n)
@@ -270,3 +272,30 @@ def test_sector_census_agrees_with_spectrum(n):
         assert spec.multiplicity == multiplicity(n, spec.j)
         assert spec.dimension == int(2 * spec.j) + 1
     assert sum(s.multiplicity * s.dimension for s in specs) == 2 ** n
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_j_squared_is_a_sum_of_swaps(n):
+    # J^2 = n(4-n)/4 + sum_{l<k} P_lk, the identity the census blocks are built on.
+    reg = SpinRegister(n)
+    swaps = sum(swap(reg, l, k) for l in range(1, n + 1) for k in range(l + 1, n + 1))
+    assert max_abs_diff(total_J(reg).j_squared,
+                        n * (4 - n) / 4 * identity(reg.dim) + swaps) < 1e-12
+
+
+def test_sector_census_rejects_swaps_that_do_nothing(monkeypatch):
+    # With every P_lk replaced by the identity, J^2 is n(n+2)/4 on every block.
+    monkeypatch.setattr(coupling, "permutation_indices",
+                        lambda reg, p: np.arange(reg.dim))
+    with pytest.raises(ConsistencyError):
+        sector_census(SpinRegister(4))
+
+
+def test_sector_census_at_n12_stays_small():
+    tracemalloc.start()
+    try:
+        sector_census(SpinRegister(12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6

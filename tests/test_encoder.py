@@ -1,6 +1,7 @@
 """Logical-state encoding: matrix units, round trips, POVMs, HWS pairs."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,21 @@ def test_hws_qubit_pair_is_pauli_pair(qs3):
     sz = qs3(1, 1) - qs3(2, 2)
     np.testing.assert_allclose(pair.u, -sz, atol=1e-12)
     np.testing.assert_allclose(pair.v, sx, atol=1e-12)
+
+
+def test_hws_pair_holds_only_the_logical_pair():
+    # u and v are built on access, so the pair costs d x d arrays, not 4**n.
+    qs = qset(11)
+    tracemalloc.start()
+    try:
+        pair = build_hws(qs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert pair.isometry is qs.isometry
+    stored = [getattr(pair, f.name) for f in dataclasses.fields(pair)]
+    assert max(np.size(a) for a in stored if a is not pair.isometry) == qs.d ** 2
 
 
 @settings(max_examples=20, deadline=None)

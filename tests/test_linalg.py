@@ -11,7 +11,6 @@ from rffqudit.errors import ContractViolationError, SizeLimitError, ValidationEr
 from rffqudit.linalg import (
     dagger,
     dimension_ceiling,
-    eigenvalue_groups,
     entropy_bits,
     get_max_constituents,
     hermitian_eig,
@@ -131,12 +130,6 @@ def test_mat_exp_rotates_pauli():
     np.testing.assert_allclose(u @ dagger(u), identity(2), atol=1e-14)
     rotated = u @ SX @ dagger(u)
     np.testing.assert_allclose(rotated, SY, atol=1e-14)
-
-
-def test_eigenvalue_groups_counts_degeneracies():
-    values = np.array([0.0, 0.0 + 3e-9, 1.0, 2.0, 2.0, 2.0])
-    groups = eigenvalue_groups(values, tol=1e-8)
-    assert [(round(v, 6), c) for v, c in groups] == [(0.0, 2), (1.0, 1), (2.0, 3)]
 
 
 def test_entropy_bits_pure_and_mixed():

@@ -18,6 +18,7 @@ from rffqudit.spinsys import (
     identity_permutation,
     ket_index,
     kron_power,
+    permutation_indices,
     permutation_operator,
     product_ket,
     sigma,
@@ -231,6 +232,62 @@ def test_permutation_operator_composition():
     # Applying the cycle twice equals the permutation with squared images.
     twice = Permutation(tuple(c(c(ell)) for ell in range(1, 4)))
     np.testing.assert_allclose(w2, permutation_operator(reg, twice), atol=1e-13)
+
+
+def _permutation_operator_by_bits(reg, p):
+    """Oracle: the per-index bit loop that defined permutation_operator before
+    the index map did."""
+    n, dim = reg.n, reg.dim
+    w = np.zeros((dim, dim), dtype=complex)
+    for src in range(dim):
+        bits = [(src >> (n - 1 - ell)) & 1 for ell in range(n)]
+        target_bits = [0] * n
+        for ell in range(n):
+            target_bits[p(ell + 1) - 1] = bits[ell]
+        dst = 0
+        for b in target_bits:
+            dst = (dst << 1) | b
+        w[dst, src] = 1.0
+    return w
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_permutation_operator_matches_the_bit_loop_for_every_small_permutation(n):
+    reg = SpinRegister(n)
+    for p in all_permutations(n):
+        assert np.array_equal(permutation_operator(reg, p),
+                              _permutation_operator_by_bits(reg, p))
+
+
+def test_permutation_operator_matches_the_bit_loop_at_n7():
+    reg = SpinRegister(7)
+    perms = [cyclic_permutation(7)] + [
+        transposition(7, j, k) for j in range(1, 8) for k in range(j + 1, 8)
+    ]
+    for p in perms:
+        assert np.array_equal(permutation_operator(reg, p),
+                              _permutation_operator_by_bits(reg, p))
+
+
+def test_permutation_indices_is_the_ket_map_and_checks_the_size():
+    reg = SpinRegister(3)
+    dst = permutation_indices(reg, cyclic_permutation(3))
+    assert dst[ket_index("100")] == ket_index("010")
+    assert dst[ket_index("011")] == ket_index("101")
+    assert sorted(dst) == list(range(8))
+    with pytest.raises(ContractViolationError):
+        permutation_indices(reg, cyclic_permutation(4))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_swap_equals_the_pauli_dot_product_exactly(n):
+    # The definition swap had before it became an index map.
+    reg = SpinRegister(n)
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            if j != k:
+                dot = sum(sigma(reg, j, a) @ sigma(reg, k, a) for a in AXES)
+                assert np.array_equal(swap(reg, j, k), (identity(reg.dim) + dot) / 2)
 
 
 def test_collective_rotation_is_kron_power():
