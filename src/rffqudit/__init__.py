@@ -26,6 +26,7 @@ from .coupling import (
     coupling_fingerprint,
     fourier_coupling,
     gram_residual,
+    isometry_residuals,
     multiplicity,
     omega_minus,
     sector_census,
@@ -49,7 +50,6 @@ from .encoder import (
     encode_state,
     encoded_entropy_check,
     hws_relations_residual,
-    isometry_residuals,
 )
 from .errors import (
     ConsistencyError,

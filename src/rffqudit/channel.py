@@ -22,19 +22,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import build_coupled_basis
+from .coupling import CoupledBasis, build_coupled_basis
 from .encoder import (
-    QOperatorSet,
     QuditPovm,
     QuditState,
-    build_q_set,
-    decode_state,
+    decode_frame,
     encode_povm,
     encode_state,
 )
@@ -158,15 +156,14 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
             f"state dimension {state.d} does not fit n={cfg.n} (needs d={cfg.n - 1})"
         )
     basis = build_coupled_basis(reg)
-    qs = build_q_set(basis)
-    enc = encode_state(qs, state)
+    enc = encode_state(basis, state)
 
     bare_enabled = state.d == 2
     note = None if bare_enabled else (
         "bare-qubit comparison omitted: it is defined only for d=2"
     )
 
-    k = qs.isometry
+    k = basis.isometry
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     per_trial = []
     fidelities, distances, leakages, bares = [], [], [], []
@@ -180,7 +177,7 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
         if escape > 1e-9:
             raise ConsistencyError(f"the collective rotation leaves the logical sector "
                                    f"(|U K - K R| = {escape:.3e} > 1e-9)")
-        decoded = decode_state(qs, replace(enc, frame=r @ enc.frame @ dagger(r)))
+        decoded = decode_frame(basis.d, r @ enc.frame @ dagger(r))
         leakage = float(1.0 - np.trace(decoded.rho).real)  # Tr(K K^dag U P U^dag)
         fid = uhlmann_fidelity(state.rho, decoded.rho)
         dist = trace_distance(state.rho, decoded.rho)
@@ -219,7 +216,7 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
         "seed": cfg.seed,
         "noise": cfg.noise_echo(),
         "coupling": "fourier",
-        "coupling_fingerprint": qs.fingerprint,
+        "coupling_fingerprint": basis.fingerprint,
         "state": matrix_to_json_dict(state.rho),
     }
     return ChannelReport(
@@ -268,7 +265,7 @@ class BornReport(NamedTuple):
     max_rotated_deviation: float
 
 
-def born_rule_harness(qs: QOperatorSet, trials: int, seed: int) -> BornReport:
+def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     """Compare logical vs encoded outcome probabilities on random pairs.
 
     Each trial draws a random state and a random POVM, encodes both, and

@@ -33,7 +33,7 @@ from .coupling import (
     sector_index_set,
     sector_membership_residual,
 )
-from .encoder import QuditPovm, QuditState, build_q_set, encode_povm, encode_state
+from .encoder import QuditPovm, QuditState, encode_povm, encode_state
 from .errors import (
     ConsistencyError,
     ContractViolationError,
@@ -299,7 +299,7 @@ def cmd_encode(ns: argparse.Namespace) -> int:
     d = ns.n - 1
     rho = matrix_from_json_dict(_read_json_file(ns.state))
     state = QuditState(d=d, rho=rho)
-    qs = build_q_set(build_coupled_basis(SpinRegister(ns.n)))
+    qs = build_coupled_basis(SpinRegister(ns.n))
     state_payload = encode_state(qs, state).payload
 
     born_rows = []

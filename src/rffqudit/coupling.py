@@ -20,9 +20,13 @@ sqrt(n) with omega_n = exp(2*pi*i/n)). The orthonormal sector basis is
 
 built exactly in this phase convention (no re-phasing), with lambda = 1..n-1
 and m2 = j2, j2-1, ..., -j2, and stored as the columns of one 2**n x d**2
-isometry K. Both lowering operators, and the J^2 and Jz of the membership
-check, act one constituent at a time (spinsys.collective_apply), never as
-2**n x 2**n matrices. The census checks the c_j against the spectrum of
+isometry K. Its column blocks K_lambda give the d**2 operators
+Q_{lambda lambda'} = K_lambda K_lambda'^dag, a matrix-unit algebra commuting
+with the total angular momentum; both facts are checked on K alone when it
+is built: K^dag K = I, and J_a K = K (I_d (x) J_a^(j2)). The lowering
+operators, these J_a, and the J^2 and Jz of the membership check act one
+constituent at a time (spinsys.collective_apply), never as 2**n x 2**n
+matrices. The census checks the c_j against the spectrum of
 J^2 = n(4-n)/4 + sum_{l<k} P_lk on each magnetisation block, built from the
 transposition index maps of spinsys.permutation_indices. For n = 4 the
 module also provides the two explicit j=0 bases: the symmetric-coupling
@@ -43,6 +47,8 @@ from .errors import ConsistencyError, ContractViolationError, ValidationError
 from .linalg import dagger, identity, max_abs_diff
 from .spinsys import (
     SIGMA_MINUS,
+    SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     SpinRegister,
     collective_apply,
@@ -50,8 +56,11 @@ from .spinsys import (
     permutation_indices,
     product_ket,
     sigma,
+    spin_matrices,
     transposition,
 )
+
+ISOMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -144,11 +153,14 @@ def omega_minus(reg: SpinRegister, coupling, lam: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoupledBasis:
-    """Orthonormal basis of the j2 = n/2 - 1 sector, as one isometry.
+    """The verified j2 = n/2 - 1 sector, as one isometry.
 
     isometry is the 2**n x d**2 matrix K whose columns are the kets
     |j2, m2; lambda>, ordered (lambda, m2): column (lambda-1)(2 j2+1) + (j2-m2).
-    It is read-only, so the Q set shares it.
+    It is read-only, so encoded operators share it. The dense projector
+    K K^dag and each dense Q_{lambda lambda'} = basis(lambda, lambda') are
+    built from K on every access, for callers that ask for a 2**n x 2**n
+    matrix; nothing dense is stored.
     """
 
     n: int
@@ -167,9 +179,22 @@ class CoupledBasis:
             raise ContractViolationError(f"no sector ket (m2={m2}, lambda={lam})")
         return self.isometry[:, (lam - 1) * int(2 * self.j2 + 1) + int(k)]
 
+    @property
+    def q(self) -> dict:
+        """The arrays the basis holds, by name."""
+        return {"isometry": self.isometry}
+
+    @property
+    def sector_projector(self) -> np.ndarray:
+        return self.isometry @ dagger(self.isometry)
+
+    def __call__(self, lam: int, lamp: int) -> np.ndarray:
+        blocks = np.split(self.isometry, self.d, axis=1)  # K_1 .. K_d
+        return blocks[lam - 1] @ dagger(blocks[lamp - 1])
+
 
 def build_coupled_basis(reg: SpinRegister, coupling=None) -> CoupledBasis:
-    """Construct K: the kets |j2, m2; lambda> for all m2 and lambda = 1..n-1."""
+    """Construct and verify K: the kets |j2, m2; lambda>, all m2, lambda = 1..n-1."""
     n = reg.n
     if n < 3:
         raise ContractViolationError(
@@ -192,23 +217,61 @@ def build_coupled_basis(reg: SpinRegister, coupling=None) -> CoupledBasis:
         collective_apply(reg, SIGMA_MINUS, ladder, u[lam - 1]) * prefactors
         for lam in range(1, d + 1)
     ], axis=1)
-    norms = np.linalg.norm(isometry, axis=0)
-    worst = int(np.argmax(np.abs(norms - 1.0)))
-    if abs(norms[worst] - 1.0) > 1e-9:
-        lam, k = divmod(worst, two_j2 + 1)
-        raise ConsistencyError(
-            f"ket (m2={j2 - k}, lambda={lam + 1}) has norm {norms[worst]:.12f}, expected 1"
-        )
     isometry.setflags(write=False)
 
-    return CoupledBasis(
+    return require_sector_isometry(CoupledBasis(
         n=n,
         j2=j2,
         d=d,
         coupling=u,
         fingerprint=coupling_fingerprint(u),
         isometry=isometry,
+    ))
+
+
+def require_sector_isometry(basis: CoupledBasis) -> CoupledBasis:
+    """Return basis if its K passes the Gram and covariance checks, else raise."""
+    residuals = isometry_residuals(basis.n, basis.isometry)
+    if residuals["gram"] > ISOMETRY_TOL:
+        raise ConsistencyError(
+            f"K^dag K != I (residual {residuals['gram']:.3e}): "
+            "the Q operators are not matrix units"
+        )
+    if residuals["covariance"] > ISOMETRY_TOL:
+        raise ConsistencyError(
+            f"J K != K (I (x) J^(j2)) (residual {residuals['covariance']:.3e}): "
+            "the Q operators do not commute with J"
+        )
+    return basis
+
+
+def isometry_residuals(n: int, k: np.ndarray) -> dict:
+    """Residuals of a sector isometry K (columns ordered (lambda, m2)).
+
+    gram:       max |K^dag K - I|, equivalent to Q Q' = delta Q
+    trace:      max |Tr Q_{lambda lambda'} - d delta|, from the Gram blocks
+    covariance: max over a = x, y, z of |J_a K - K (I_d (x) J_a^(j2))|,
+                equivalent to [Q, J_a] = 0
+    """
+    d = n - 1
+    reg = SpinRegister(n)
+    gram = dagger(k) @ k
+    traces = partial_trace_m2(d, gram)  # [lambda', lambda] = Tr Q_{lambda lambda'}
+    spins = spin_matrices(Fraction(n, 2) - 1)
+    covariance = max(
+        max_abs_diff(collective_apply(reg, pauli / 2, k), k @ np.kron(identity(d), j_a))
+        for pauli, j_a in zip((SIGMA_X, SIGMA_Y, SIGMA_Z), spins)
     )
+    return {
+        "gram": max_abs_diff(gram, identity(d * d)),
+        "trace": max_abs_diff(traces, d * identity(d)),
+        "covariance": covariance,
+    }
+
+
+def partial_trace_m2(d: int, inner: np.ndarray) -> np.ndarray:
+    """Trace out m2 from a d**2 x d**2 operator with indices (lambda, m2)."""
+    return np.trace(inner.reshape(d, d, d, d), axis1=1, axis2=3)
 
 
 def gram_residual(basis: CoupledBasis) -> float:

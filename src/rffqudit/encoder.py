@@ -1,13 +1,10 @@
-"""The logical-qudit layer: Q operators, encoding, decoding, HWS unitaries.
+"""The logical-qudit layer: encoding, decoding, HWS unitaries.
 
-The logical sector is one 2**n x d**2 isometry K whose columns are the kets
-|j2, m2; lambda>, ordered (lambda, m2). Its column blocks K_lambda give the
-d**2 operators Q_{lambda lambda'} = K_lambda K_lambda'^dag = sum_{m2}
-|j2, m2; lambda><j2, m2; lambda'|: a matrix-unit algebra commuting with the
-total angular momentum. Both facts are checked on K alone: K^dag K = I, and
-J_a K = K (I_d (x) J_a^(j2)), i.e. a collective rotation acts on m2 only.
-A logical d-dimensional state rho encodes into the 2**n-dimensional,
-collective-rotation-invariant payload
+The logical sector is the verified coupled basis (coupling.CoupledBasis): one
+2**n x d**2 isometry K, columns |j2, m2; lambda> ordered (lambda, m2), whose
+column blocks give the matrix units Q_{lambda lambda'} = K_lambda
+K_lambda'^dag. A logical d-dimensional state rho encodes into the
+2**n-dimensional, collective-rotation-invariant payload
 
     payload = K (rho (x) I_d / d) K^dag
             = (1/d) * sum_{lambda, lambda'} rho_{lambda lambda'} Q_{lambda lambda'},
@@ -24,13 +21,12 @@ which is what makes the construction a faithful qudit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import log2
 from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import CoupledBasis
+from .coupling import CoupledBasis, partial_trace_m2, require_sector_isometry
 from .errors import ConsistencyError, ContractViolationError, ValidationError
 from .linalg import (
     dagger,
@@ -39,86 +35,12 @@ from .linalg import (
     max_abs_diff,
     entropy_bits,
 )
-from .spinsys import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    SpinRegister,
-    collective_apply,
-    spin_matrices,
-)
 
 PSD_TOL = 1e-10
-ISOMETRY_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class QOperatorSet:
-    """The verified sector isometry K.
-
-    The dense projector K K^dag and each dense Q_{lambda lambda'} =
-    qs(lambda, lambda') are built from K on every access, for callers that
-    ask for a 2**n x 2**n matrix; nothing dense is stored.
-    """
-
-    n: int
-    d: int
-    fingerprint: str
-    isometry: np.ndarray = field(repr=False)
-
-    @property
-    def q(self) -> dict:
-        """The arrays the set holds, by name."""
-        return {"isometry": self.isometry}
-
-    @property
-    def sector_projector(self) -> np.ndarray:
-        return self.isometry @ dagger(self.isometry)
-
-    def __call__(self, lam: int, lamp: int) -> np.ndarray:
-        blocks = np.split(self.isometry, self.d, axis=1)  # K_1 .. K_d
-        return blocks[lam - 1] @ dagger(blocks[lamp - 1])
-
-
-def build_q_set(basis: CoupledBasis) -> QOperatorSet:
-    """Verify the basis isometry K (Gram and covariance checks) and share it."""
-    k = basis.isometry
-    residuals = isometry_residuals(basis.n, k)
-    if residuals["gram"] > ISOMETRY_TOL:
-        raise ConsistencyError(
-            f"K^dag K != I (residual {residuals['gram']:.3e}): "
-            "the Q operators are not matrix units"
-        )
-    if residuals["covariance"] > ISOMETRY_TOL:
-        raise ConsistencyError(
-            f"J K != K (I (x) J^(j2)) (residual {residuals['covariance']:.3e}): "
-            "the Q operators do not commute with J"
-        )
-    return QOperatorSet(n=basis.n, d=basis.d, fingerprint=basis.fingerprint, isometry=k)
-
-
-def isometry_residuals(n: int, k: np.ndarray) -> dict:
-    """Residuals of a sector isometry K (columns ordered (lambda, m2)).
-
-    gram:       max |K^dag K - I|, equivalent to Q Q' = delta Q
-    trace:      max |Tr Q_{lambda lambda'} - d delta|, from the Gram blocks
-    covariance: max over a = x, y, z of |J_a K - K (I_d (x) J_a^(j2))|,
-                equivalent to [Q, J_a] = 0
-    """
-    d = n - 1
-    reg = SpinRegister(n)
-    gram = dagger(k) @ k
-    traces = _partial_trace_m2(d, gram)  # [lambda', lambda] = Tr Q_{lambda lambda'}
-    spins = spin_matrices(Fraction(n, 2) - 1)
-    covariance = max(
-        max_abs_diff(collective_apply(reg, pauli / 2, k), k @ np.kron(identity(d), j_a))
-        for pauli, j_a in zip((SIGMA_X, SIGMA_Y, SIGMA_Z), spins)
-    )
-    return {
-        "gram": max_abs_diff(gram, identity(d * d)),
-        "trace": max_abs_diff(traces, d * identity(d)),
-        "covariance": covariance,
-    }
+# The verified basis is the Q set; build_q_set re-runs its gate on a given basis.
+QOperatorSet = CoupledBasis
+build_q_set = require_sector_isometry
 
 
 @dataclass(frozen=True)
@@ -198,7 +120,7 @@ class EncodedOperator:
         return self.isometry @ self.frame @ dagger(self.isometry)
 
 
-def _sector_frame(qs: QOperatorSet, payload) -> tuple[np.ndarray, float]:
+def _sector_frame(qs: CoupledBasis, payload) -> tuple[np.ndarray, float]:
     """(K^dag payload K, max |payload - K K^dag payload K K^dag|)."""
     k = qs.isometry
     payload = np.asarray(payload, dtype=complex)
@@ -206,22 +128,18 @@ def _sector_frame(qs: QOperatorSet, payload) -> tuple[np.ndarray, float]:
     return inner, max_abs_diff(k @ inner @ dagger(k), payload)
 
 
-def _partial_trace_m2(d: int, inner: np.ndarray) -> np.ndarray:
-    """Trace out m2 from a d**2 x d**2 operator with indices (lambda, m2)."""
-    return np.trace(inner.reshape(d, d, d, d), axis1=1, axis2=3)
-
-
-def _decode_frame(d: int, frame: np.ndarray) -> QuditState:
-    rho = _partial_trace_m2(d, frame)
+def decode_frame(d: int, frame: np.ndarray) -> QuditState:
+    """The logical state of a d**2 x d**2 sector frame: its partial trace over m2."""
+    rho = partial_trace_m2(d, frame)
     return QuditState(d=d, rho=(rho + dagger(rho)) / 2)
 
 
-def sector_support_residual(qs: QOperatorSet, payload) -> float:
+def sector_support_residual(qs: CoupledBasis, payload) -> float:
     """How far the payload sticks out of the logical sector."""
     return _sector_frame(qs, payload)[1]
 
 
-def _encoded(qs: QOperatorSet, kind: str, frame: np.ndarray) -> EncodedOperator:
+def _encoded(qs: CoupledBasis, kind: str, frame: np.ndarray) -> EncodedOperator:
     w, _ = hermitian_eig(frame)
     if w.min() < -PSD_TOL:
         raise ConsistencyError(f"encoded {kind} is not PSD: min eigenvalue {w.min():.3e}")
@@ -229,7 +147,7 @@ def _encoded(qs: QOperatorSet, kind: str, frame: np.ndarray) -> EncodedOperator:
                            frame=frame, isometry=qs.isometry)
 
 
-def encode_state(qs: QOperatorSet, state: QuditState) -> EncodedOperator:
+def encode_state(qs: CoupledBasis, state: QuditState) -> EncodedOperator:
     if state.d != qs.d:
         raise ValidationError(
             f"state dimension {state.d} does not match qudit dimension {qs.d}"
@@ -241,16 +159,16 @@ def encode_state(qs: QOperatorSet, state: QuditState) -> EncodedOperator:
     return _encoded(qs, "state", frame)
 
 
-def decode_state(qs: QOperatorSet, enc: EncodedOperator) -> QuditState:
+def decode_state(qs: CoupledBasis, enc: EncodedOperator) -> QuditState:
     if enc.fingerprint != qs.fingerprint:
         raise ValidationError(
             "encoded operator was built with a different coupling "
             f"(fingerprint {enc.fingerprint} != {qs.fingerprint})"
         )
-    return _decode_frame(qs.d, enc.frame)
+    return decode_frame(qs.d, enc.frame)
 
 
-def decode_payload(qs: QOperatorSet, payload, sector_tol: float = 1e-9) -> QuditState:
+def decode_payload(qs: CoupledBasis, payload, sector_tol: float = 1e-9) -> QuditState:
     """Decode a raw payload matrix, insisting it lives on the logical sector."""
     inner, residual = _sector_frame(qs, payload)
     if residual > sector_tol:
@@ -258,10 +176,10 @@ def decode_payload(qs: QOperatorSet, payload, sector_tol: float = 1e-9) -> Qudit
             f"payload is not supported on the logical sector "
             f"(residual {residual:.3e} > {sector_tol:g})"
         )
-    return _decode_frame(qs.d, inner)
+    return decode_frame(qs.d, inner)
 
 
-def encode_povm(qs: QOperatorSet, povm: QuditPovm) -> list[EncodedOperator]:
+def encode_povm(qs: CoupledBasis, povm: QuditPovm) -> list[EncodedOperator]:
     if povm.d != qs.d:
         raise ValidationError(
             f"POVM dimension {povm.d} does not match qudit dimension {qs.d}"
@@ -311,7 +229,7 @@ class HwsPair:
         return self.isometry @ np.kron(self.shift, identity(self.d)) @ dagger(self.isometry)
 
 
-def build_hws(qs: QOperatorSet) -> HwsPair:
+def build_hws(qs: CoupledBasis) -> HwsPair:
     """U = sum omega_d**lambda Q_ll, V = sum Q_{l,l+1} + Q_{d,1}, verified."""
     d = qs.d
     if d < 2:
@@ -333,7 +251,7 @@ def hws_relations_residual(pair: HwsPair) -> float:
     """Worst residual of U**d = V**d = I and U^j V^k = omega^(-jk) V^k U^j.
 
     Evaluated on the d x d logical pair: U^j = K clock^j (x) I K^dag because
-    K^dag K = I is verified when the Q set is built, so the sector pair obeys
+    K^dag K = I is verified when the basis is built, so the sector pair obeys
     exactly the relations its logical pair does.
     """
     eye = identity(pair.d)

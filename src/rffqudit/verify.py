@@ -28,23 +28,22 @@ import numpy as np
 from . import reference as ref
 from .channel import born_rule_harness, random_density
 from .coupling import (
+    CoupledBasis,
     block_mixing_residual,
     build_coupled_basis,
     fourier_coupling,
     gram_residual,
+    isometry_residuals,
     sector_census,
     sector_membership_residual,
 )
 from .encoder import (
-    QOperatorSet,
     QuditState,
     build_hws,
-    build_q_set,
     decode_payload,
     encode_state,
     encoded_entropy_check,
     hws_relations_residual,
-    isometry_residuals,
 )
 from .errors import ConsistencyError, ValidationError
 from .linalg import dagger, identity, max_abs_diff
@@ -98,7 +97,7 @@ def _failure(id: str, description: str, default_tol: float,
 # Reusable residual computations
 # ---------------------------------------------------------------------------
 
-def q_algebra_residuals(qs: QOperatorSet) -> dict:
+def q_algebra_residuals(qs: CoupledBasis) -> dict:
     """Worst residual of each matrix-unit property, recomputed from scratch.
 
     Closure and [Q, J] = 0 are the Gram and covariance checks on K; the trace
@@ -113,7 +112,7 @@ def q_algebra_residuals(qs: QOperatorSet) -> dict:
             "closure": isometry["gram"], "j-commutation": isometry["covariance"]}
 
 
-def rotation_invariance_residual(qs: QOperatorSet, trials: int,
+def rotation_invariance_residual(qs: CoupledBasis, trials: int,
                                  seed: int = DEFAULT_SEED) -> float:
     """Worst |U K - K (I_d (x) r)| over random collective rotations U.
 
@@ -132,12 +131,12 @@ def rotation_invariance_residual(qs: QOperatorSet, trials: int,
     return worst
 
 
-def _random_states(qs: QOperatorSet, trials: int, seed: int) -> list[QuditState]:
+def _random_states(qs: CoupledBasis, trials: int, seed: int) -> list[QuditState]:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return [QuditState(d=qs.d, rho=random_density(rng, qs.d)) for _ in range(trials)]
 
 
-def round_trip_residual(qs: QOperatorSet, trials: int,
+def round_trip_residual(qs: CoupledBasis, trials: int,
                         seed: int = DEFAULT_SEED) -> float:
     """Worst encode -> decode deviation over random logical states."""
     return max((
@@ -146,7 +145,7 @@ def round_trip_residual(qs: QOperatorSet, trials: int,
     ), default=0.0)
 
 
-def born_probability_residual(qs: QOperatorSet, trials: int,
+def born_probability_residual(qs: CoupledBasis, trials: int,
                               seed: int = DEFAULT_SEED) -> float:
     """Worst |encoded probability - logical probability| over random pairs,
 
@@ -155,7 +154,7 @@ def born_probability_residual(qs: QOperatorSet, trials: int,
     return max(report.max_encoded_deviation, report.max_rotated_deviation)
 
 
-def entropy_defect_residual(qs: QOperatorSet, trials: int,
+def entropy_defect_residual(qs: CoupledBasis, trials: int,
                             seed: int = DEFAULT_SEED) -> float:
     """Worst |S(payload) - S(logical) - log2 d| over random logical states."""
     return max((
@@ -164,33 +163,32 @@ def entropy_defect_residual(qs: QOperatorSet, trials: int,
     ), default=0.0)
 
 
-def cyclic_invariance_residual(n: int) -> float:
-    """Worst ||C |ket><ket| C^dag - |ket><ket||| under the cyclic shift.
+def cyclic_invariance_residual(basis: CoupledBasis) -> float:
+    """max |C K - K diag(omega_n**-lambda)| for the cyclic shift C.
 
     With the Fourier coupling, shifting every constituent one slot multiplies
-    each sector ket by a phase, so the diagonal projectors are invariant.
+    each ket |j2, m2; lambda> by omega_n**-lambda, the same for every m2.
     """
-    reg = SpinRegister(n)
-    k = build_coupled_basis(reg).isometry
+    n, k = basis.n, basis.isometry
     ck = np.empty_like(k)
-    ck[permutation_indices(reg, cyclic_permutation(n))] = k  # the rows of C K
-    return max(max_abs_diff(np.outer(moved, moved.conj()), np.outer(ket, ket.conj()))
-               for moved, ket in zip(ck.T, k.T))
+    ck[permutation_indices(SpinRegister(n), cyclic_permutation(n))] = k  # rows of C K
+    phases = np.repeat(np.exp(-2j * np.pi * np.arange(1, basis.d + 1) / n),
+                       len(basis.m2_values()))
+    return max_abs_diff(ck, k * phases)
 
 
-def coupling_independence_residual(n: int) -> float:
+def coupling_independence_residual(basis: CoupledBasis) -> float:
     """Residual of the lambda-only-mixing claim between two couplings.
 
     The second coupling remixes the first n-1 Fourier rows by an (n-1)-point
     Fourier matrix; the sector bases must then differ by one unitary lambda
     block repeated identically across m2.
     """
-    reg = SpinRegister(n)
-    base = build_coupled_basis(reg)
+    n = basis.n
     mix = np.eye(n, dtype=complex)
     mix[: n - 1, : n - 1] = fourier_coupling(n - 1)
-    other = build_coupled_basis(reg, mix @ fourier_coupling(n))
-    return block_mixing_residual(base, other)
+    other = build_coupled_basis(SpinRegister(n), mix @ fourier_coupling(n))
+    return block_mixing_residual(basis, other)
 
 
 def singlet_covariance_residuals() -> tuple[float, float]:
@@ -231,7 +229,8 @@ def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
     results = []
     for n in census_n_values:
         cid = f"coupling:census:n={n}"
-        desc = f"sector multiplicities for n={n} match brute-force diagonalization"
+        desc = (f"sector multiplicities for n={n} match the J^2 spectrum of every "
+                "magnetisation block")
         try:
             sector_census(SpinRegister(n))
             results.append(_check(cid, desc, 0.0, 0.0, tol))
@@ -246,14 +245,11 @@ def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
              sector_membership_residual(basis)),
             ("independence",
              "changing the coupling only remixes the degeneracy label unitarily",
-             coupling_independence_residual(n)),
+             coupling_independence_residual(basis)),
+            ("cyclic-invariance",
+             "the cyclic shift multiplies each Fourier-coupled ket by omega_n^-lambda",
+             cyclic_invariance_residual(basis)),
         ]
-        if n <= 6:
-            checks.append((
-                "cyclic-invariance",
-                "Fourier-coupled sector projectors survive the cyclic shift",
-                cyclic_invariance_residual(n),
-            ))
         results += [_check(f"coupling:{name}:n={n}", desc, residual, 1e-10, tol)
                     for name, desc, residual in checks]
     return results
@@ -264,7 +260,7 @@ def suite_encoder(n_values=(3, 4, 5, 6), rotation_trials=20,
                   tol: float | None = None) -> list[CheckResult]:
     results = []
     for n in n_values:
-        qs = build_q_set(build_coupled_basis(SpinRegister(n)))
+        qs = build_coupled_basis(SpinRegister(n))
         algebra = q_algebra_residuals(qs)
         checks = (
             ("q-hermitian", f"Q(l,l')^dag = Q(l',l) for n={n}",
@@ -317,7 +313,7 @@ def suite_reference(tol: float | None = None) -> list[CheckResult]:
 def _reference_cross_checks(tol: float | None) -> list[CheckResult]:
     results = []
 
-    qs3 = build_q_set(build_coupled_basis(SpinRegister(3)))
+    qs3 = build_coupled_basis(SpinRegister(3))
     q3 = ref.n3_q_operators()
     worst = max(
         max_abs_diff(q3[f"q{l}{lp}"], qs3(l, lp))
@@ -351,7 +347,7 @@ def _reference_cross_checks(tol: float | None) -> list[CheckResult]:
         1e-12, tol,
     ))
 
-    qs4 = build_q_set(build_coupled_basis(SpinRegister(4)))
+    qs4 = build_coupled_basis(SpinRegister(4))
     q4 = ref.n4_q_operators()
     worst = max(
         max_abs_diff(q4[f"q{l}{lp}"], qs4(l, lp))
@@ -428,7 +424,7 @@ def suite_hws(n_values=(3, 4, 5, 6), tol: float | None = None) -> list[CheckResu
         cid = f"hws:relations:d={d}"
         desc = (f"clock/shift pair for d={d}: periods and omega-commutation")
         try:
-            qs = build_q_set(build_coupled_basis(SpinRegister(n)))
+            qs = build_coupled_basis(SpinRegister(n))
             pair = build_hws(qs)
         except ConsistencyError as exc:
             results.append(_failure(cid, f"{desc}: {exc}", 1e-10, tol))

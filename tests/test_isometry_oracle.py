@@ -14,17 +14,17 @@ import numpy as np
 import pytest
 
 from rffqudit.channel import ChannelConfig, random_density, random_povm, run_channel
-from rffqudit.coupling import build_coupled_basis, omega_minus
+import rffqudit.coupling as coupling
+from rffqudit.coupling import CoupledBasis, build_coupled_basis, isometry_residuals, omega_minus
 from rffqudit.encoder import (
     QOperatorSet,
     QuditState,
     build_hws,
     build_q_set,
+    decode_frame,
     decode_payload,
-    decode_state,
     encode_povm,
     encode_state,
-    isometry_residuals,
     sector_support_residual,
 )
 from rffqudit.errors import ConsistencyError
@@ -150,11 +150,11 @@ def test_channel_trial_matches_the_dense_rotation(case, monkeypatch):
     state = QuditState(d, random_density(np.random.default_rng([SEED, n, 1]), d))
     decoded = []
 
-    def recording_decode_state(*args):
-        decoded.append(decode_state(*args))
+    def recording_decode_frame(*args):
+        decoded.append(decode_frame(*args))
         return decoded[-1]
 
-    monkeypatch.setattr("rffqudit.channel.decode_state", recording_decode_state)
+    monkeypatch.setattr("rffqudit.channel.decode_frame", recording_decode_frame)
     report = run_channel(ChannelConfig(n=n, trials=1, seed=SEED), state)
     u = haar_su2(np.random.default_rng(np.random.SeedSequence(SEED).spawn(1)[0]))
     big = kron_power(SpinRegister(n), u)
@@ -225,15 +225,36 @@ def test_rotation_residuals_reject_a_broken_ladder_phase():
     basis = build_coupled_basis(SpinRegister(4))
     m2 = basis.m2_values()[1]
     corrupted = _corrupt(basis, m2, 2, 1j * basis.ket(m2, 2))
-    qs = QOperatorSet(n=4, d=3, fingerprint=basis.fingerprint, isometry=corrupted.isometry)
-    assert rotation_invariance_residual(qs, 5) > 0.1
-    assert dense_rotation_residual(qs, 5) > 0.1
+    assert rotation_invariance_residual(corrupted, 5) > 0.1
+    assert dense_rotation_residual(corrupted, 5) > 0.1
+
+
+def test_build_rejects_a_non_covariant_isometry(monkeypatch):
+    # A phase on the m2 = j2 - 1 ladder column keeps every column normalised
+    # and K an isometry, but no longer intertwines J with I (x) J^(j2).
+    apply = coupling.collective_apply
+
+    def phased(reg, single, vecs, weights=None):
+        out = apply(reg, single, vecs, weights)
+        if weights is not None:  # Omega_minus(lambda) on the ladder
+            out[:, 1] *= 1j
+        return out
+
+    monkeypatch.setattr(coupling, "collective_apply", phased)
+    with pytest.raises(ConsistencyError, match="commute with J"):
+        build_coupled_basis(SpinRegister(4))
 
 
 def test_q_set_shares_the_basis_isometry():
     basis = build_coupled_basis(SpinRegister(5))
     assert build_q_set(basis).isometry is basis.isometry
     assert not basis.isometry.flags.writeable
+
+
+def test_q_set_is_the_verified_basis():
+    basis = build_coupled_basis(SpinRegister(5))
+    assert build_q_set(basis) is basis
+    assert QOperatorSet is CoupledBasis
 
 
 def test_n9_q_set_is_verified_and_small():

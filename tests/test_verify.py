@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rffqudit.reference as reference
+import rffqudit.verify as verify
 from rffqudit.coupling import build_coupled_basis
 from rffqudit.encoder import build_q_set
 from rffqudit.errors import ValidationError
@@ -92,12 +93,21 @@ def test_scalar_residual_helpers():
 
 
 def test_cyclic_invariance_residual_small():
-    assert cyclic_invariance_residual(3) < 1e-12
-    assert cyclic_invariance_residual(4) < 1e-12
+    assert cyclic_invariance_residual(qset(3)) < 1e-12
+    assert cyclic_invariance_residual(qset(4)) < 1e-12
+
+
+def test_cyclic_check_fails_for_the_identity_map(monkeypatch):
+    # Every ket is invariant under a map that moves nothing; the check must
+    # still see that the Fourier kets did not pick up their phases.
+    monkeypatch.setattr(verify, "permutation_indices", lambda reg, p: np.arange(reg.dim))
+    results = {r.id: r for r in run_suite("coupling", n_values=(5,))}
+    assert not results["coupling:cyclic-invariance:n=5"].passed
+    assert results["coupling:gram:n=5"].passed
 
 
 def test_coupling_independence_residual_small():
-    assert coupling_independence_residual(4) < 1e-11
+    assert coupling_independence_residual(qset(4)) < 1e-11
 
 
 def test_singlet_covariance_residuals():
