@@ -28,22 +28,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import CoupledBasis, build_coupled_basis
+from .coupling import CoupledBasis, build_coupled_basis, partial_trace_m2
 from .encoder import (
     QuditPovm,
     QuditState,
-    decode_frame,
     encode_povm,
     encode_state,
+    require_density,
 )
 from .errors import ConsistencyError, ValidationError
 from .linalg import (
+    _drop_round_off,
     dagger,
+    hermitian_eig,
     matrix_to_json_dict,
-    max_abs_diff,
     mat_exp_hermitian_generator,
-    trace_distance,
-    uhlmann_fidelity,
+    sqrtm_psd,
 )
 from .spinsys import (
     SIGMA_X,
@@ -52,9 +52,15 @@ from .spinsys import (
     SpinRegister,
     collective_product_apply,
     haar_su2,
+    su2_from_gaussian,
 )
 
 NOISE_MODES = ("haar", "fixed", "dephasing")
+# Bytes of U K (one K per trial) that one chunk of trials may hold; a chunk
+# holds at least one trial, and three or four arrays of its size are live
+# while it is rotated and gated. From n = 7 on, K alone exceeds it. Larger
+# chunks ran no faster at n = 3 and raised the process's peak RSS.
+CHUNK_BYTES = 64 * 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,7 @@ class ChannelReport:
         return buf.getvalue()
 
 
-def _series_stats(values: list[float]) -> dict:
+def _series_stats(values: np.ndarray) -> dict:
     arr = np.asarray(values, dtype=float)
     stderr = float(arr.std(ddof=1) / sqrt(len(arr))) if len(arr) > 1 else 0.0
     return {
@@ -137,19 +143,64 @@ def _series_stats(values: list[float]) -> dict:
     }
 
 
-def _noise_unitary(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
-    if cfg.noise == "haar":
-        return haar_su2(rng)
+def _noise_unitaries(cfg: ChannelConfig) -> np.ndarray:
+    """The (trials, 2, 2) stack of noise draws, trial t drawn from seed child t."""
     if cfg.noise == "fixed":
         ax = np.asarray(cfg.axis, dtype=float)
         generator = (ax[0] * SIGMA_X + ax[1] * SIGMA_Y + ax[2] * SIGMA_Z) / 2
-        return mat_exp_hermitian_generator(generator, cfg.angle)
-    theta = float(rng.normal(loc=0.0, scale=cfg.width))
-    return mat_exp_hermitian_generator(SIGMA_Z / 2, theta)
+        return np.broadcast_to(mat_exp_hermitian_generator(generator, cfg.angle),
+                               (cfg.trials, 2, 2))
+    rngs = (np.random.default_rng(child)  # one live Generator at a time
+            for child in np.random.SeedSequence(cfg.seed).spawn(cfg.trials))
+    if cfg.noise == "haar":
+        return su2_from_gaussian(np.array(
+            [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for rng in rngs]))
+    # exp(-i theta sigma_z / 2), as mat_exp_hermitian_generator builds it.
+    theta = np.array([rng.normal(loc=0.0, scale=cfg.width) for rng in rngs])
+    w, v = hermitian_eig(SIGMA_Z / 2)
+    return (v * np.exp(-1j * theta[:, None] * w)[:, None, :]) @ dagger(v)
+
+
+def _decoded_chunk(basis: CoupledBasis, u: np.ndarray, frame: np.ndarray,
+                   first: int) -> np.ndarray:
+    """Tr_m2(R F R^dag) for a chunk of noise draws u, the first of them trial `first`."""
+    # u acts on K one constituent at a time; R = K^dag U K is its sector frame.
+    k = basis.isometry
+    uk = collective_product_apply(SpinRegister(basis.n), u, k)
+    r = dagger(k) @ uk
+    residual = k @ r
+    residual -= uk
+    escape = np.abs(residual).max(axis=(1, 2))  # U K = K R keeps the payload on the sector
+    if (escape > 1e-9).any():
+        t = int(np.argmax(escape > 1e-9))
+        raise ConsistencyError(f"the collective rotation of trial {first + t} leaves the "
+                               f"logical sector (|U K - K R| = {escape[t]:.3e} > 1e-9)")
+    return partial_trace_m2(basis.d, r @ frame @ dagger(r))
+
+
+def _fidelities(root: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """uhlmann_fidelity(rho, sigma) for each sigma of a stack, root = sqrtm_psd(rho)."""
+    inner = root @ sigmas @ root
+    w, _ = hermitian_eig((inner + dagger(inner)) / 2)
+    scale = np.linalg.norm(root) ** 2 * np.linalg.norm(sigmas, axis=(1, 2))
+    # float_power squares through pow(), as the scalar ** of uhlmann_fidelity
+    # does; an array's ** 2 is x * x, which differs in the last bit.
+    return np.float_power(np.sqrt(_drop_round_off(w, scale)).sum(axis=1), 2)
+
+
+def _trace_distances(rho: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """trace_distance(rho, sigma) for each sigma of a stack."""
+    w, _ = hermitian_eig(rho - sigmas)
+    return np.abs(w).sum(axis=1) / 2
 
 
 def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
-    """Send one encoded logical state through cfg.trials noise draws."""
+    """Send one encoded logical state through cfg.trials noise draws.
+
+    The trials run as stacks: the rotations in chunks of at most CHUNK_BYTES
+    of U K, then every check and figure on the (trials, d, d) stack of
+    decoded states. Each check still holds every trial.
+    """
     reg = SpinRegister(cfg.n)
     if state.d != cfg.n - 1:
         raise ValidationError(
@@ -163,52 +214,35 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
         "bare-qubit comparison omitted: it is defined only for d=2"
     )
 
-    k = basis.isometry
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    per_trial = []
-    fidelities, distances, leakages, bares = [], [], [], []
-    for index, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        u = _noise_unitary(cfg, rng)
-        # u acts on K one constituent at a time; R = K^dag U K is its sector frame.
-        uk = collective_product_apply(reg, u, k)
-        r = dagger(k) @ uk
-        escape = max_abs_diff(uk, k @ r)  # U K = K R keeps the payload on the sector
-        if escape > 1e-9:
-            raise ConsistencyError(f"the collective rotation leaves the logical sector "
-                                   f"(|U K - K R| = {escape:.3e} > 1e-9)")
-        decoded = decode_frame(basis.d, r @ enc.frame @ dagger(r))
-        leakage = float(1.0 - np.trace(decoded.rho).real)  # Tr(K K^dag U P U^dag)
-        fid = uhlmann_fidelity(state.rho, decoded.rho)
-        dist = trace_distance(state.rho, decoded.rho)
-        _require_unit_interval("fidelity", fid)
-        _require_unit_interval("trace_distance", dist)
-
-        row = {
-            "trial": index,
-            "fidelity": fid,
-            "trace_distance": dist,
-            "leakage": leakage,
-        }
-        if bare_enabled:
-            bare_out = u @ state.rho @ dagger(u)
-            bare_fid = uhlmann_fidelity(state.rho, bare_out)
-            _require_unit_interval("bare_fidelity", bare_fid)
-            row["bare_fidelity"] = bare_fid
-            bares.append(bare_fid)
-        else:
-            row["bare_fidelity"] = None
-        per_trial.append(row)
-        fidelities.append(fid)
-        distances.append(dist)
-        leakages.append(leakage)
-
-    aggregate = {
-        "fidelity": _series_stats(fidelities),
-        "trace_distance": _series_stats(distances),
-        "leakage": _series_stats(leakages),
-        "bare_fidelity": _series_stats(bares) if bare_enabled else None,
+    u = _noise_unitaries(cfg)
+    chunk = max(1, CHUNK_BYTES // basis.isometry.nbytes)
+    decoded = np.concatenate([
+        _decoded_chunk(basis, u[first:first + chunk], enc.frame, first)
+        for first in range(0, cfg.trials, chunk)
+    ])
+    decoded = (decoded + dagger(decoded)) / 2
+    require_density(decoded, "decoded state")
+    root = sqrtm_psd(state.rho)
+    series = {
+        "fidelity": _fidelities(root, decoded),
+        "trace_distance": _trace_distances(state.rho, decoded),
+        # Tr(K K^dag U P U^dag), measured rather than assumed to be one
+        "leakage": 1.0 - np.trace(decoded, axis1=1, axis2=2).real,
     }
+    if bare_enabled:
+        series["bare_fidelity"] = _fidelities(root, u @ state.rho @ dagger(u))
+    for name, values in series.items():
+        if name != "leakage":
+            _require_unit_interval(name, values)
+
+    columns = {name: values.tolist() for name, values in series.items()}
+    per_trial = [
+        {"trial": index, "bare_fidelity": None, **{name: column[index]
+                                                   for name, column in columns.items()}}
+        for index in range(cfg.trials)
+    ]
+    aggregate = {name: _series_stats(series[name]) if name in series else None
+                 for name in ("fidelity", "trace_distance", "leakage", "bare_fidelity")}
     config_echo = {
         "n": cfg.n,
         "d": state.d,
@@ -224,9 +258,11 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
     )
 
 
-def _require_unit_interval(name: str, value: float) -> None:
-    if not -1e-9 <= value <= 1 + 1e-9:
-        raise ConsistencyError(f"{name} = {value!r} escapes [0, 1]")
+def _require_unit_interval(name: str, values: np.ndarray) -> None:
+    bad = ~((values >= -1e-9) & (values <= 1 + 1e-9))
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ConsistencyError(f"{name} = {float(values[t])!r} escapes [0, 1] in trial {t}")
 
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -271,19 +307,22 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     Each trial draws a random state and a random POVM, encodes both, and
     checks the probabilities three ways: logical Tr(rho Pi_k), encoded
     Tr(payload Pi_enc_k), and encoded-after-a-random-collective-rotation,
-    Tr(R frame R^dag frame_k) with R = K^dag u^(x n) K.
+    Tr(R frame R^dag frame_k) with R = K^dag u^(x n) K; the draws of all trials
+    are rotated as one stack.
     """
-    reg = SpinRegister(qs.n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = []
+    for _ in range(trials):  # per trial: the state, then the POVM, then u
+        rho = random_density(rng, qs.d)
+        draws.append((rho, random_povm(rng, qs.d, qs.d + 1), haar_su2(rng)))
+    k = qs.isometry
+    u = np.array([draw[2] for draw in draws]).reshape(-1, 2, 2)
+    rotations = dagger(k) @ collective_product_apply(SpinRegister(qs.n), u, k)
     worst_encoded = 0.0
     worst_rotated = 0.0
-    for _ in range(trials):
-        rho = random_density(rng, qs.d)
-        povm = random_povm(rng, qs.d, qs.d + 1)
-        state = QuditState(d=qs.d, rho=rho)
-        enc = encode_state(qs, state)
+    for (rho, povm, _), r in zip(draws, rotations):
+        enc = encode_state(qs, QuditState(d=qs.d, rho=rho))
         enc_povm = encode_povm(qs, povm)
-        r = dagger(qs.isometry) @ collective_product_apply(reg, haar_su2(rng), qs.isometry)
         payload, rotated = enc.payload, r @ enc.frame @ dagger(r)
         for element, enc_element in zip(povm.elements, enc_povm):
             logical_p = float(np.trace(rho @ element).real)

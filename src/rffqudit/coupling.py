@@ -270,8 +270,9 @@ def isometry_residuals(n: int, k: np.ndarray) -> dict:
 
 
 def partial_trace_m2(d: int, inner: np.ndarray) -> np.ndarray:
-    """Trace out m2 from a d**2 x d**2 operator with indices (lambda, m2)."""
-    return np.trace(inner.reshape(d, d, d, d), axis1=1, axis2=3)
+    """Trace out m2 from a d**2 x d**2 operator with indices (lambda, m2), or from
+    each operator of a stack (..., d**2, d**2)."""
+    return np.trace(inner.reshape(inner.shape[:-2] + (d, d, d, d)), axis1=-3, axis2=-1)
 
 
 def gram_residual(basis: CoupledBasis) -> float:

@@ -56,18 +56,27 @@ class QuditState:
             raise ValidationError(
                 f"state must be {self.d}x{self.d}, got {rho.shape}"
             )
-        deviation = max_abs_diff(rho, dagger(rho))
-        if deviation > 1e-12:
-            raise ValidationError(f"state is not hermitian (deviation {deviation:.3e})")
-        trace = np.trace(rho)
-        if abs(trace - 1) > 1e-12:
-            raise ValidationError(f"state trace is {trace:.15g}, expected 1")
-        w, _ = hermitian_eig(rho)
-        if w.min() < -PSD_TOL:
-            raise ValidationError(
-                f"state is not PSD: min eigenvalue {w.min():.3e}"
-            )
+        require_density(rho)
         object.__setattr__(self, "rho", rho)
+
+
+def require_density(rho: np.ndarray, name: str = "state") -> None:
+    """Raise ValidationError unless rho, or each matrix of a stack (T, d, d), is a
+    density matrix: hermitian within 1e-12, trace one within 1e-12, PSD within
+    PSD_TOL. A stack's error names its first failing matrix by index."""
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+
+    def require(bad: np.ndarray, text) -> None:
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(f"{name if rho.ndim == 2 else f'{name} [{i}]'} {text(i)}")
+
+    deviation = np.abs(stack - np.swapaxes(stack.conj(), -1, -2)).max(axis=(1, 2))
+    require(deviation > 1e-12, lambda i: f"is not hermitian (deviation {deviation[i]:.3e})")
+    trace = np.trace(stack, axis1=1, axis2=2)
+    require(abs(trace - 1) > 1e-12, lambda i: f"trace is {trace[i]:.15g}, expected 1")
+    w, _ = hermitian_eig(stack)
+    require(w[:, 0] < -PSD_TOL, lambda i: f"is not PSD: min eigenvalue {w[i, 0]:.3e}")
 
 
 @dataclass(frozen=True)

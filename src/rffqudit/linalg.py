@@ -71,6 +71,16 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_matrices(a) -> np.ndarray:
+    """as_matrix for a matrix; a stack (..., m, k) is coerced and checked alike."""
+    if np.ndim(a) < 3:
+        return as_matrix(a)
+    m = np.asarray(a, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ContractViolationError("matrix contains NaN/Inf entries")
+    return m
+
+
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
@@ -90,7 +100,8 @@ def kron(a, b) -> np.ndarray:
 
 
 def dagger(a) -> np.ndarray:
-    return as_matrix(a).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(as_matrices(a).conj(), -1, -2)
 
 
 def max_abs_diff(a, b) -> float:
@@ -99,23 +110,25 @@ def max_abs_diff(a, b) -> float:
 
 
 def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
-    a = as_matrix(a)
-    return a.shape[0] == a.shape[1] and max_abs_diff(a, a.conj().T) <= tol
+    a = as_matrices(a)
+    return a.shape[-2] == a.shape[-1] and max_abs_diff(a, dagger(a)) <= tol
 
 
 def hermitian_eig(a, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a hermitian matrix.
+    """Eigendecomposition of a hermitian matrix, or of each in a stack (..., m, m).
 
-    Returns (eigenvalues ascending as a real 1-D array, eigenvector matrix V
+    Returns (eigenvalues ascending as a real array, eigenvector matrices V
     with columns matching the eigenvalue order), so that a @ V = V @ diag(w).
+    A stack is checked as a whole: its worst hermiticity deviation must be
+    within tol.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    a = as_matrices(a)
+    if a.shape[-2] != a.shape[-1]:
         raise ContractViolationError(f"matrix is not square: {a.shape}")
     if not is_hermitian(a, tol):
         raise ContractViolationError(
             f"matrix is not hermitian within {tol:g} "
-            f"(deviation {max_abs_diff(a, a.conj().T):.3e})"
+            f"(deviation {max_abs_diff(a, dagger(a)):.3e})"
         )
     try:
         w, v = np.linalg.eigh(a)
@@ -171,13 +184,14 @@ def entropy_bits(rho, clip_tol: float = 1e-10) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def _drop_round_off(w: np.ndarray, scale: float) -> np.ndarray:
+def _drop_round_off(w: np.ndarray, scale) -> np.ndarray:
     """Zero the eigenvalues below eigh's round-off floor, dim * eps * scale.
 
     Such values are zero to working precision; their square roots (3e-9 for
-    1e-17) would otherwise add a spurious rank to a square root.
+    1e-17) would otherwise add a spurious rank to a square root. For a stack
+    of spectra w (..., dim), scale holds one value per spectrum (...).
     """
-    floor = len(w) * np.finfo(float).eps * scale
+    floor = w.shape[-1] * np.finfo(float).eps * np.asarray(scale)[..., None]
     return np.where(w > floor, w, 0.0)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import (
+    as_matrices,
     as_matrix,
     dimension_ceiling,
     get_max_constituents,
@@ -130,13 +131,26 @@ def collective_apply(reg: SpinRegister, single, vecs, weights=None) -> np.ndarra
 
 
 def collective_product_apply(reg: SpinRegister, u, vecs) -> np.ndarray:
-    """kron_power(reg, u) @ vecs, contracting u with one tensor slot at a time."""
-    u = as_matrix(u)
+    """kron_power(reg, u) @ vecs, contracting u with one tensor slot at a time.
+
+    u is one 2x2 matrix, giving an array shaped like vecs, or a stack (T, 2, 2),
+    giving (T, 2**n, cols) with one product per stacked u. Each leg is one
+    stacked 2x2 product over all T, so a stack costs no Python loop per u.
+    """
+    stack = as_matrices(u)
+    if stack.ndim > 3 or stack.shape[-2:] != (2, 2):
+        raise ContractViolationError(f"expected a 2x2 matrix or a stack, got {stack.shape}")
+    single, stack = stack.ndim == 2, stack.reshape(-1, 2, 2)
     vecs = np.asarray(vecs, dtype=complex)
-    t = vecs.reshape((2,) * reg.n + (-1,))
-    for axis in range(reg.n):
-        t = np.moveaxis(np.tensordot(u, t, axes=(1, axis)), 0, axis)
-    return t.reshape(vecs.shape)
+    t = vecs.reshape((1,) + (2,) * reg.n + (-1,))
+    cols = t.shape[-1]
+    for axis in range(1, reg.n + 1):
+        moved = np.moveaxis(t, axis, 1)
+        out = stack @ moved.reshape(len(moved), 2, reg.dim // 2 * cols)
+        t = np.moveaxis(out.reshape((len(stack),) + moved.shape[1:]), 1, axis)
+    if single:
+        return t.reshape(vecs.shape)
+    return t.reshape(len(stack), reg.dim, cols)
 
 
 def collective_j_squared(reg: SpinRegister, vecs) -> np.ndarray:
@@ -269,13 +283,20 @@ def kron_power(reg: SpinRegister, u) -> np.ndarray:
 def haar_su2(rng: np.random.Generator) -> np.ndarray:
     """A Haar-distributed 2x2 special-unitary matrix.
 
-    Samples a 2x2 standard complex Gaussian matrix, orthonormalizes by QR,
-    fixes the R-diagonal phases (making the draw Haar on U(2)), then removes
-    the determinant phase to land in SU(2).
+    Samples a 2x2 standard complex Gaussian matrix and maps it to SU(2) with
+    su2_from_gaussian.
     """
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return su2_from_gaussian(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+
+
+def su2_from_gaussian(g) -> np.ndarray:
+    """The SU(2) matrix of a complex Gaussian 2x2 draw, or of each in a stack (..., 2, 2).
+
+    Orthonormalizes by QR, fixes the R-diagonal phases (making the draw Haar
+    on U(2)), then removes the determinant phase to land in SU(2).
+    """
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    det = np.linalg.det(q)
-    return q / np.sqrt(det)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
+    det = np.asarray(np.linalg.det(q))
+    return q / np.sqrt(det)[..., None, None]

@@ -84,6 +84,18 @@ def _check(id: str, description: str, residual: float, default_tol: float,
     )
 
 
+class FourierBases(dict):
+    """The Fourier-coupled, gated basis of each register size n, built on first use.
+
+    run_suite makes one per call and hands it to every suite, so each n is
+    built once per call. A build that raises is not stored.
+    """
+
+    def __missing__(self, n: int) -> CoupledBasis:
+        basis = self[n] = build_coupled_basis(SpinRegister(n))
+        return basis
+
+
 def _failure(id: str, description: str, default_tol: float,
              tol: float | None) -> CheckResult:
     tolerance = default_tol if tol is None else tol
@@ -225,7 +237,9 @@ def singlet_covariance_residuals() -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
-                   census_n_values=(2, 3, 4, 5, 6, 7, 8)) -> list[CheckResult]:
+                   census_n_values=(2, 3, 4, 5, 6, 7, 8),
+                   bases: FourierBases | None = None) -> list[CheckResult]:
+    bases = FourierBases() if bases is None else bases
     results = []
     for n in census_n_values:
         cid = f"coupling:census:n={n}"
@@ -237,7 +251,7 @@ def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
         except ConsistencyError as exc:
             results.append(_failure(cid, f"{desc}: {exc}", 0.0, tol))
     for n in n_values:
-        basis = build_coupled_basis(SpinRegister(n))
+        basis = bases[n]
         checks = [
             ("gram", f"sector basis for n={n} is orthonormal", gram_residual(basis)),
             ("sector-membership",
@@ -257,10 +271,12 @@ def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
 
 def suite_encoder(n_values=(3, 4, 5, 6), rotation_trials=20,
                   seed: int = DEFAULT_SEED,
-                  tol: float | None = None) -> list[CheckResult]:
+                  tol: float | None = None,
+                  bases: FourierBases | None = None) -> list[CheckResult]:
+    bases = FourierBases() if bases is None else bases
     results = []
     for n in n_values:
-        qs = build_coupled_basis(SpinRegister(n))
+        qs = bases[n]
         algebra = q_algebra_residuals(qs)
         checks = (
             ("q-hermitian", f"Q(l,l')^dag = Q(l',l) for n={n}",
@@ -285,7 +301,9 @@ def suite_encoder(n_values=(3, 4, 5, 6), rotation_trials=20,
     return results
 
 
-def suite_reference(tol: float | None = None) -> list[CheckResult]:
+def suite_reference(tol: float | None = None,
+                    bases: FourierBases | None = None) -> list[CheckResult]:
+    bases = FourierBases() if bases is None else bases
     results = []
 
     # Internal self-consistency of each closed-form family.
@@ -301,7 +319,7 @@ def suite_reference(tol: float | None = None) -> list[CheckResult]:
     # by a corrupted closed form is converted into a named failure, never an
     # abort, so one bad constant cannot hide the rest of the report.
     try:
-        results.extend(_reference_cross_checks(tol))
+        results.extend(_reference_cross_checks(tol, bases))
     except ConsistencyError as exc:
         results.append(_failure(
             "reference:cross-check",
@@ -310,10 +328,10 @@ def suite_reference(tol: float | None = None) -> list[CheckResult]:
     return results
 
 
-def _reference_cross_checks(tol: float | None) -> list[CheckResult]:
+def _reference_cross_checks(tol: float | None, bases: FourierBases) -> list[CheckResult]:
     results = []
 
-    qs3 = build_coupled_basis(SpinRegister(3))
+    qs3 = bases[3]
     q3 = ref.n3_q_operators()
     worst = max(
         max_abs_diff(q3[f"q{l}{lp}"], qs3(l, lp))
@@ -347,7 +365,7 @@ def _reference_cross_checks(tol: float | None) -> list[CheckResult]:
         1e-12, tol,
     ))
 
-    qs4 = build_coupled_basis(SpinRegister(4))
+    qs4 = bases[4]
     q4 = ref.n4_q_operators()
     worst = max(
         max_abs_diff(q4[f"q{l}{lp}"], qs4(l, lp))
@@ -417,15 +435,16 @@ def _reference_cross_checks(tol: float | None) -> list[CheckResult]:
     return results
 
 
-def suite_hws(n_values=(3, 4, 5, 6), tol: float | None = None) -> list[CheckResult]:
+def suite_hws(n_values=(3, 4, 5, 6), tol: float | None = None,
+              bases: FourierBases | None = None) -> list[CheckResult]:
+    bases = FourierBases() if bases is None else bases
     results = []
     for n in n_values:
         d = n - 1
         cid = f"hws:relations:d={d}"
         desc = (f"clock/shift pair for d={d}: periods and omega-commutation")
         try:
-            qs = build_coupled_basis(SpinRegister(n))
-            pair = build_hws(qs)
+            pair = build_hws(bases[n])
         except ConsistencyError as exc:
             results.append(_failure(cid, f"{desc}: {exc}", 1e-10, tol))
             continue
@@ -451,7 +470,8 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
               n_values=None) -> list[CheckResult]:
     """Run one named suite, optionally restricted to the given register sizes.
 
-    The reference suite is n-independent and ignores n_values.
+    The reference suite is n-independent and ignores n_values. Every suite
+    shares one FourierBases, so each n's basis is built once per call.
     """
     if name not in SUITES:
         raise ValidationError(
@@ -461,13 +481,14 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
     if n_values is not None:
         sized = {"n_values": tuple(n for n in n_values if n >= 3)}
         census = {"census_n_values": tuple(n for n in n_values if n >= 2)}
+    bases = FourierBases()
     results = []
     if name in ("all", "coupling"):
-        results += suite_coupling(tol=tol, **sized, **census)
+        results += suite_coupling(tol=tol, bases=bases, **sized, **census)
     if name in ("all", "encoder"):
-        results += suite_encoder(seed=seed, tol=tol, **sized)
+        results += suite_encoder(seed=seed, tol=tol, bases=bases, **sized)
     if name in ("all", "reference"):
-        results += suite_reference(tol=tol)
+        results += suite_reference(tol=tol, bases=bases)
     if name in ("all", "hws"):
-        results += suite_hws(tol=tol, **sized)
+        results += suite_hws(tol=tol, bases=bases, **sized)
     return results

@@ -1,11 +1,12 @@
 """Collective-noise channel runs: protection, statistics, reports."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rffqudit import cli
+from rffqudit import channel, cli
 from rffqudit.channel import (
     BornReport,
     ChannelConfig,
@@ -16,10 +17,15 @@ from rffqudit.channel import (
     run_channel,
 )
 from rffqudit.coupling import build_coupled_basis
-from rffqudit.encoder import QuditState, build_q_set
+from rffqudit.encoder import QuditState, build_q_set, decode_payload, encode_state
 from rffqudit.errors import ConsistencyError, ValidationError
-from rffqudit.linalg import identity
-from rffqudit.spinsys import SpinRegister
+from rffqudit.linalg import (
+    identity,
+    mat_exp_hermitian_generator,
+    trace_distance,
+    uhlmann_fidelity,
+)
+from rffqudit.spinsys import SIGMA_X, SIGMA_Y, SIGMA_Z, SpinRegister, haar_su2, kron_power
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 ZERO = np.diag([1.0, 0.0]).astype(complex)
@@ -54,7 +60,7 @@ def test_run_channel_rejects_mismatched_state():
 def test_a_rotation_that_leaves_the_sector_fails_the_trial(monkeypatch, capsys):
     # u on the first constituent alone is no collective rotation: U K != K R.
     def first_leg_only(reg, u, vecs):
-        return np.kron(u, identity(2 ** (reg.n - 1))) @ vecs
+        return np.stack([np.kron(one, identity(2 ** (reg.n - 1))) @ vecs for one in u])
 
     monkeypatch.setattr("rffqudit.channel.collective_product_apply", first_leg_only)
     with pytest.raises(ConsistencyError, match="leaves the logical sector"):
@@ -187,3 +193,121 @@ def test_born_rule_harness_is_deterministic():
     a = born_rule_harness(qs, trials=5, seed=4)
     b = born_rule_harness(qs, trials=5, seed=4)
     assert a == b
+
+
+NOISE_CONFIGS = {
+    "haar": {},
+    "fixed": {"axis": (0.0, 0.6, 0.8), "angle": 2.3},
+    "dephasing": {"width": 0.7},
+}
+
+
+def _dense_noise(cfg: ChannelConfig) -> list:
+    """The noise draw of every trial, one trial at a time: child t of the seed."""
+    draws = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.trials):
+        rng = np.random.default_rng(child)
+        if cfg.noise == "haar":
+            draws.append(haar_su2(rng))
+        elif cfg.noise == "fixed":
+            generator = sum(a * s for a, s in zip(cfg.axis, (SIGMA_X, SIGMA_Y, SIGMA_Z))) / 2
+            draws.append(mat_exp_hermitian_generator(generator, cfg.angle))
+        else:
+            theta = float(rng.normal(loc=0.0, scale=cfg.width))
+            draws.append(mat_exp_hermitian_generator(SIGMA_Z / 2, theta))
+    return draws
+
+
+@pytest.mark.parametrize("noise", sorted(NOISE_CONFIGS))
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_batched_channel_matches_a_dense_trial_by_trial_reference(n, noise):
+    # Each trial rebuilt densely: U = u^(x n) by kron_power, U P U^dag decoded
+    # with its sector check, and the linalg fidelity and trace distance.
+    d = n - 1
+    cfg = ChannelConfig(n=n, trials=6, seed=40 + n, noise=noise, **NOISE_CONFIGS[noise])
+    state = QuditState(d, random_density(np.random.default_rng([n, 2]), d))
+    report = run_channel(cfg, state)
+    qs = build_coupled_basis(SpinRegister(n))
+    payload = encode_state(qs, state).payload
+    assert [row["trial"] for row in report.per_trial] == list(range(cfg.trials))
+    for row, u in zip(report.per_trial, _dense_noise(cfg)):
+        big = kron_power(SpinRegister(n), u)
+        decoded = decode_payload(qs, big @ payload @ big.conj().T).rho
+        assert row["fidelity"] == pytest.approx(uhlmann_fidelity(state.rho, decoded), abs=1e-12)
+        assert row["trace_distance"] == pytest.approx(
+            trace_distance(state.rho, decoded), abs=1e-12)
+        assert row["leakage"] == pytest.approx(1.0 - np.trace(decoded).real, abs=1e-12)
+        if d == 2:
+            bare = uhlmann_fidelity(state.rho, u @ state.rho @ u.conj().T)
+            assert row["bare_fidelity"] == pytest.approx(bare, abs=1e-12)
+        else:
+            assert row["bare_fidelity"] is None
+
+
+@pytest.mark.parametrize("make_state", (random_density, random_pure_density))
+def test_figures_of_moved_decoded_states_match_linalg(make_state, monkeypatch):
+    # A working channel returns the input state, so its distances are ~1e-16.
+    # Mixing each decoded state with a random one makes the figures large.
+    rng = np.random.default_rng(12)
+    state = QuditState(2, make_state(rng, 2))
+    real, moved = channel.partial_trace_m2, []
+
+    def mixed_in(d, frames):
+        traced = real(d, frames)
+        others = np.array([random_density(rng, d) for _ in traced])
+        moved.append(0.6 * traced + 0.4 * others)
+        return moved[-1]
+
+    monkeypatch.setattr(channel, "partial_trace_m2", mixed_in)
+    report = run_channel(ChannelConfig(n=3, trials=300, seed=5), state)
+    decoded = np.concatenate(moved)
+    decoded = (decoded + decoded.conj().transpose(0, 2, 1)) / 2
+    assert len(decoded) == len(report.per_trial) == 300
+    for row, sigma in zip(report.per_trial, decoded):
+        assert row["fidelity"] == pytest.approx(uhlmann_fidelity(state.rho, sigma), abs=1e-12)
+        assert row["trace_distance"] == pytest.approx(trace_distance(state.rho, sigma), abs=1e-12)
+    assert report.aggregate["trace_distance"]["min"] > 1e-3
+
+
+@pytest.mark.parametrize("noise", sorted(NOISE_CONFIGS))
+def test_channel_report_does_not_depend_on_the_chunk_size(noise, monkeypatch):
+    cfg = ChannelConfig(n=4, trials=9, seed=8, noise=noise, **NOISE_CONFIGS[noise])
+    state = QuditState(3, random_density(np.random.default_rng(3), 3))
+    whole = run_channel(cfg, state).to_json()
+    monkeypatch.setattr(channel, "CHUNK_BYTES", 1)  # one trial per chunk
+    assert run_channel(cfg, state).to_json() == whole
+
+
+def test_a_leaking_trial_is_named(monkeypatch):
+    # A decoded trace below one fails the trace check of that trial alone.
+    real = channel.partial_trace_m2
+
+    def leak_in_trial_two(d, frames):
+        traced = real(d, frames)
+        traced[2:3] *= 0.9
+        return traced
+
+    monkeypatch.setattr(channel, "partial_trace_m2", leak_in_trial_two)
+    with pytest.raises(ValidationError, match=r"decoded state \[2\] trace is 0\.899"):
+        run_channel(ChannelConfig(n=3, trials=4, seed=1), QuditState(2, ZERO))
+
+
+def test_n10_channel_memory_is_bounded_by_the_chunk_budget():
+    # A chunk holds at most CHUNK_BYTES of U K (one K per trial), or one trial
+    # if K alone is larger; rotating and gating it keeps at most four
+    # chunk-sized arrays live, beside K and the basis build (7 MB at n = 10).
+    # 64 trials of U K at n = 10 are 81 MB, so one unchunked stack alone
+    # would break the bound.
+    n, trials = 10, 64
+    k_bytes = build_coupled_basis(SpinRegister(n)).isometry.nbytes
+    bound = 4 * max(channel.CHUNK_BYTES, k_bytes) + k_bytes + 8 * 2 ** 20
+    assert trials * k_bytes > bound
+    rho = random_density(np.random.default_rng(10), n - 1)
+    tracemalloc.start()
+    try:
+        report = run_channel(ChannelConfig(n=n, trials=trials, seed=1), QuditState(n - 1, rho))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.aggregate["fidelity"]["min"] > 1 - 1e-9
+    assert peak < bound

@@ -22,6 +22,7 @@ from rffqudit.encoder import (
     encode_state,
     encoded_entropy_check,
     hws_relations_residual,
+    require_density,
     sector_support_residual,
 )
 from rffqudit.errors import ValidationError
@@ -60,6 +61,17 @@ def test_qudit_state_rejects_bad_inputs():
         QuditState(2, np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValidationError, match="2x2"):
         QuditState(2, np.eye(3, dtype=complex) / 3)
+
+
+def test_require_density_names_the_first_bad_matrix_of_a_stack():
+    good = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
+    require_density(np.array([good, good]))
+    for bad, text in ((np.array([[1, 1], [0, 0]]), r"\[1\] is not hermitian"),
+                      (np.diag([0.6, 0.6]), r"\[1\] trace is 1\.2"),
+                      (np.diag([1.5, -0.5]), r"\[1\] is not PSD")):
+        stack = np.array([good, bad, bad], dtype=complex)
+        with pytest.raises(ValidationError, match="decoded state " + text):
+            require_density(stack, "decoded state")
 
 
 def test_qudit_state_tolerates_roundoff_negativity():

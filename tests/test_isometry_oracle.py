@@ -15,13 +15,18 @@ import pytest
 
 from rffqudit.channel import ChannelConfig, random_density, random_povm, run_channel
 import rffqudit.coupling as coupling
-from rffqudit.coupling import CoupledBasis, build_coupled_basis, isometry_residuals, omega_minus
+from rffqudit.coupling import (
+    CoupledBasis,
+    build_coupled_basis,
+    isometry_residuals,
+    omega_minus,
+    partial_trace_m2,
+)
 from rffqudit.encoder import (
     QOperatorSet,
     QuditState,
     build_hws,
     build_q_set,
-    decode_frame,
     decode_payload,
     encode_povm,
     encode_state,
@@ -144,22 +149,23 @@ def test_encode_and_decode_match_the_dense_forms(case):
 
 
 def test_channel_trial_matches_the_dense_rotation(case, monkeypatch):
-    # The frame route (R = K^dag U K, decode R F R^dag) against U P U^dag decoded densely.
+    # The frame route (R = K^dag U K, Tr_m2 R F R^dag) against U P U^dag decoded densely.
     n, basis, qs, _ = case
     d = basis.d
     state = QuditState(d, random_density(np.random.default_rng([SEED, n, 1]), d))
-    decoded = []
+    traced = []
 
-    def recording_decode_frame(*args):
-        decoded.append(decode_frame(*args))
-        return decoded[-1]
+    def recording_partial_trace_m2(*args):
+        traced.append(partial_trace_m2(*args))
+        return traced[-1]
 
-    monkeypatch.setattr("rffqudit.channel.decode_frame", recording_decode_frame)
+    monkeypatch.setattr("rffqudit.channel.partial_trace_m2", recording_partial_trace_m2)
     report = run_channel(ChannelConfig(n=n, trials=1, seed=SEED), state)
     u = haar_su2(np.random.default_rng(np.random.SeedSequence(SEED).spawn(1)[0]))
     big = kron_power(SpinRegister(n), u)
     dense = decode_payload(qs, big @ encode_state(qs, state).payload @ big.conj().T)
-    assert max_abs_diff(decoded[0].rho, dense.rho) < 1e-12
+    assert traced[0].shape == (1, d, d)
+    assert max_abs_diff(traced[0][0], dense.rho) < 1e-12
     leakage = 1.0 - np.trace(dense.rho).real
     assert report.per_trial[0]["leakage"] == pytest.approx(leakage, abs=1e-12)
 

@@ -119,6 +119,24 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def test_hermitian_eig_and_dagger_take_stacks():
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    h = g + dagger(g)
+    assert dagger(g).shape == (4, 3, 3)
+    w, v = hermitian_eig(h)
+    for one, w_one, v_one in zip(h, w, v):
+        assert np.array_equal(dagger(one), one.conj().T)
+        single_w, single_v = hermitian_eig(one)
+        assert np.array_equal(w_one, single_w)
+        assert np.array_equal(v_one, single_v)
+    h[2, 0, 1] += 1e-6
+    with pytest.raises(ContractViolationError, match="hermitian"):
+        hermitian_eig(h)
+    with pytest.raises(ContractViolationError, match="NaN"):
+        hermitian_eig(np.full((2, 2, 2), np.inf))
+
+
 def test_is_hermitian():
     assert is_hermitian(SY)
     assert not is_hermitian(SY + 1e-6 * np.array([[0, 1], [0, 0]]))

@@ -24,6 +24,7 @@ from rffqudit.spinsys import (
     sigma,
     singlet_projector,
     spin_matrices,
+    su2_from_gaussian,
     swap,
     total_J,
     transposition,
@@ -311,6 +312,40 @@ def test_collective_product_apply_matches_kron_power(n):
     u = haar_su2(np.random.default_rng(n))
     got = collective_product_apply(reg, u, identity(reg.dim))
     assert max_abs_diff(got, kron_power(reg, u)) < 1e-14
+
+
+@pytest.mark.parametrize("n", (1, 3, 6))
+def test_a_stack_of_rotations_is_applied_one_u_at_a_time(n):
+    reg = SpinRegister(n)
+    rng = np.random.default_rng([n, 1])
+    stack = np.array([haar_su2(rng) for _ in range(5)])
+    vecs = rng.normal(size=(reg.dim, 3)) + 1j * rng.normal(size=(reg.dim, 3))
+    got = collective_product_apply(reg, stack, vecs)
+    assert got.shape == (5, reg.dim, 3)
+    for u, one in zip(stack, got):
+        assert np.array_equal(one, collective_product_apply(reg, u, vecs))
+        assert max_abs_diff(one, kron_power(reg, u) @ vecs) < 1e-14
+    assert collective_product_apply(reg, stack[:0], vecs).shape == (0, reg.dim, 3)
+
+
+def test_collective_product_apply_rejects_non_2x2_input():
+    reg = SpinRegister(2)
+    for bad in (np.eye(3), np.eye(2)[None, None], np.ones((2, 2, 3))):
+        with pytest.raises(ContractViolationError, match="2x2"):
+            collective_product_apply(reg, bad, identity(4))
+    with pytest.raises(ContractViolationError, match="NaN"):
+        collective_product_apply(reg, np.full((1, 2, 2), np.nan), identity(4))
+
+
+def test_stacked_su2_draws_equal_one_draw_at_a_time():
+    gaussians, singles = [], []
+    for child in np.random.SeedSequence(7).spawn(40):
+        rng = np.random.default_rng(child)
+        gaussians.append(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        singles.append(haar_su2(np.random.default_rng(child)))
+    stack = su2_from_gaussian(np.array(gaussians))
+    assert np.array_equal(stack, np.array(singles))
+    assert max_abs_diff(np.linalg.det(stack), np.ones(40)) < 1e-14
 
 
 def test_collective_rotation_requires_unit_axis():

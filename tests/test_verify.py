@@ -7,7 +7,7 @@ import rffqudit.reference as reference
 import rffqudit.verify as verify
 from rffqudit.coupling import build_coupled_basis
 from rffqudit.encoder import build_q_set
-from rffqudit.errors import ValidationError
+from rffqudit.errors import ConsistencyError, ValidationError
 from rffqudit.verify import (
     SUITES,
     CheckResult,
@@ -20,6 +20,7 @@ from rffqudit.verify import (
     round_trip_residual,
     run_suite,
     singlet_covariance_residuals,
+    suite_hws,
     suite_reference,
 )
 from rffqudit.spinsys import SpinRegister
@@ -134,3 +135,36 @@ def test_corrupted_reference_fails_through_cli(monkeypatch, capsys):
     assert code == 1
     assert "FAILED" in captured.err
     assert "n3" in captured.err
+
+
+def test_run_suite_builds_each_fourier_basis_once_per_call(monkeypatch):
+    built, real = [], verify.build_coupled_basis
+
+    def counting(reg, coupling=None):
+        if coupling is None:  # the independence check builds remixed bases too
+            built.append(reg.n)
+        return real(reg, coupling)
+
+    monkeypatch.setattr(verify, "build_coupled_basis", counting)
+    first = run_suite("all", n_values=(3, 4, 5))
+    assert sorted(built) == [3, 4, 5]
+    second = run_suite("all", n_values=(3, 4, 5))  # a new call builds its own
+    assert sorted(built) == [3, 3, 4, 4, 5, 5]
+    assert [r.as_dict() for r in first] == [r.as_dict() for r in second]
+
+
+def test_suite_hws_reports_a_failed_basis_gate(monkeypatch):
+    real = verify.build_coupled_basis
+
+    def gate_fails_at_4(reg, coupling=None):
+        if reg.n == 4:
+            raise ConsistencyError("K^dag K != I")
+        return real(reg, coupling)
+
+    monkeypatch.setattr(verify, "build_coupled_basis", gate_fails_at_4)
+    results = {r.id: r for r in run_suite("hws", n_values=(3, 4))}
+    failed = results["hws:relations:d=3"]
+    assert not failed.passed and failed.residual == float("inf")
+    assert "K^dag K != I" in failed.description
+    assert results["hws:relations:d=2"].passed
+    assert not suite_hws(n_values=(4,))[0].passed
