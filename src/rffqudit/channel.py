@@ -24,7 +24,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -38,12 +38,11 @@ from .encoder import (
 )
 from .errors import ConsistencyError, ValidationError
 from .linalg import (
-    _drop_round_off,
     dagger,
-    hermitian_eig,
     matrix_to_json_dict,
     mat_exp_hermitian_generator,
-    sqrtm_psd,
+    trace_distance,
+    uhlmann_fidelity,
 )
 from .spinsys import (
     SIGMA_X,
@@ -52,7 +51,6 @@ from .spinsys import (
     SpinRegister,
     collective_product_apply,
     haar_su2,
-    su2_from_gaussian,
 )
 
 NOISE_MODES = ("haar", "fixed", "dephasing")
@@ -153,45 +151,31 @@ def _noise_unitaries(cfg: ChannelConfig) -> np.ndarray:
     rngs = (np.random.default_rng(child)  # one live Generator at a time
             for child in np.random.SeedSequence(cfg.seed).spawn(cfg.trials))
     if cfg.noise == "haar":
-        return su2_from_gaussian(np.array(
-            [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for rng in rngs]))
-    # exp(-i theta sigma_z / 2), as mat_exp_hermitian_generator builds it.
+        return haar_su2(rngs)
     theta = np.array([rng.normal(loc=0.0, scale=cfg.width) for rng in rngs])
-    w, v = hermitian_eig(SIGMA_Z / 2)
-    return (v * np.exp(-1j * theta[:, None] * w)[:, None, :]) @ dagger(v)
+    return mat_exp_hermitian_generator(SIGMA_Z / 2, theta)
 
 
-def _decoded_chunk(basis: CoupledBasis, u: np.ndarray, frame: np.ndarray,
-                   first: int) -> np.ndarray:
-    """Tr_m2(R F R^dag) for a chunk of noise draws u, the first of them trial `first`."""
-    # u acts on K one constituent at a time; R = K^dag U K is its sector frame.
+def _sector_frames(basis: CoupledBasis, u: np.ndarray) -> Iterator[np.ndarray]:
+    """R = K^dag U K for each noise draw u, in chunks of at most CHUNK_BYTES of U K.
+
+    u acts on K one constituent at a time. Each trial is gated on U K = K R,
+    which keeps a payload on the sector.
+    """
     k = basis.isometry
-    uk = collective_product_apply(SpinRegister(basis.n), u, k)
-    r = dagger(k) @ uk
-    residual = k @ r
-    residual -= uk
-    escape = np.abs(residual).max(axis=(1, 2))  # U K = K R keeps the payload on the sector
-    if (escape > 1e-9).any():
-        t = int(np.argmax(escape > 1e-9))
-        raise ConsistencyError(f"the collective rotation of trial {first + t} leaves the "
-                               f"logical sector (|U K - K R| = {escape[t]:.3e} > 1e-9)")
-    return partial_trace_m2(basis.d, r @ frame @ dagger(r))
-
-
-def _fidelities(root: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """uhlmann_fidelity(rho, sigma) for each sigma of a stack, root = sqrtm_psd(rho)."""
-    inner = root @ sigmas @ root
-    w, _ = hermitian_eig((inner + dagger(inner)) / 2)
-    scale = np.linalg.norm(root) ** 2 * np.linalg.norm(sigmas, axis=(1, 2))
-    # float_power squares through pow(), as the scalar ** of uhlmann_fidelity
-    # does; an array's ** 2 is x * x, which differs in the last bit.
-    return np.float_power(np.sqrt(_drop_round_off(w, scale)).sum(axis=1), 2)
-
-
-def _trace_distances(rho: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """trace_distance(rho, sigma) for each sigma of a stack."""
-    w, _ = hermitian_eig(rho - sigmas)
-    return np.abs(w).sum(axis=1) / 2
+    reg = SpinRegister(basis.n)
+    step = max(1, CHUNK_BYTES // k.nbytes)
+    for first in range(0, len(u), step):
+        uk = collective_product_apply(reg, u[first:first + step], k)
+        r = dagger(k) @ uk
+        uk -= k @ r
+        escape = np.abs(uk).max(axis=(1, 2))
+        del uk  # not held while the caller works on r
+        if (escape > 1e-9).any():
+            t = int(np.argmax(escape > 1e-9))
+            raise ConsistencyError(f"the collective rotation of trial {first + t} leaves the "
+                                   f"logical sector (|U K - K R| = {escape[t]:.3e} > 1e-9)")
+        yield r
 
 
 def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
@@ -215,22 +199,21 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
     )
 
     u = _noise_unitaries(cfg)
-    chunk = max(1, CHUNK_BYTES // basis.isometry.nbytes)
-    decoded = np.concatenate([
-        _decoded_chunk(basis, u[first:first + chunk], enc.frame, first)
-        for first in range(0, cfg.trials, chunk)
-    ])
+    decoded = np.concatenate([partial_trace_m2(basis.d, r @ enc.frame @ dagger(r))
+                              for r in _sector_frames(basis, u)])
     decoded = (decoded + dagger(decoded)) / 2
     require_density(decoded, "decoded state")
-    root = sqrtm_psd(state.rho)
+    # The bare qubit's states ride in the same stack, so sqrt(rho) is taken once.
+    compared = np.concatenate([decoded, u @ state.rho @ dagger(u)]) if bare_enabled else decoded
+    fidelities = uhlmann_fidelity(state.rho, compared)
     series = {
-        "fidelity": _fidelities(root, decoded),
-        "trace_distance": _trace_distances(state.rho, decoded),
+        "fidelity": fidelities[:cfg.trials],
+        "trace_distance": trace_distance(state.rho, decoded),
         # Tr(K K^dag U P U^dag), measured rather than assumed to be one
         "leakage": 1.0 - np.trace(decoded, axis1=1, axis2=2).real,
     }
     if bare_enabled:
-        series["bare_fidelity"] = _fidelities(root, u @ state.rho @ dagger(u))
+        series["bare_fidelity"] = fidelities[cfg.trials:]
     for name, values in series.items():
         if name != "leakage":
             _require_unit_interval(name, values)
@@ -308,16 +291,15 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     checks the probabilities three ways: logical Tr(rho Pi_k), encoded
     Tr(payload Pi_enc_k), and encoded-after-a-random-collective-rotation,
     Tr(R frame R^dag frame_k) with R = K^dag u^(x n) K; the draws of all trials
-    are rotated as one stack.
+    are rotated as stacks, in the channel's chunks.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = []
     for _ in range(trials):  # per trial: the state, then the POVM, then u
         rho = random_density(rng, qs.d)
         draws.append((rho, random_povm(rng, qs.d, qs.d + 1), haar_su2(rng)))
-    k = qs.isometry
     u = np.array([draw[2] for draw in draws]).reshape(-1, 2, 2)
-    rotations = dagger(k) @ collective_product_apply(SpinRegister(qs.n), u, k)
+    rotations = np.concatenate(list(_sector_frames(qs, u)))
     worst_encoded = 0.0
     worst_rotated = 0.0
     for (rho, povm, _), r in zip(draws, rotations):

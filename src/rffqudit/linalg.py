@@ -139,11 +139,15 @@ def hermitian_eig(a, tol: float = HERMITICITY_TOL):
     return w, v
 
 
-def mat_exp_hermitian_generator(h, t: float) -> np.ndarray:
-    """exp(-i*t*h) for hermitian h, via spectral decomposition."""
+def mat_exp_hermitian_generator(h, t) -> np.ndarray:
+    """exp(-i*t*h) for hermitian h, via spectral decomposition.
+
+    For an array of times t (...), returns the stack (..., m, m) of
+    exponentials from one eigendecomposition of h.
+    """
     w, v = hermitian_eig(h)
-    phases = np.exp(-1j * t * w)
-    return (v * phases) @ v.conj().T
+    phases = np.exp(-1j * np.asarray(t)[..., None] * w)
+    return (v * phases[..., None, :]) @ v.conj().T
 
 
 def partial_trace(a, n_factors: int, traced_factor: int) -> np.ndarray:
@@ -206,22 +210,34 @@ def sqrtm_psd(a, clip_tol: float = 1e-10) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def uhlmann_fidelity(rho, sigma) -> float:
-    """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2."""
+def uhlmann_fidelity(rho, sigma):
+    """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2.
+
+    For a stack of sigmas (T, m, m), returns the T fidelities as an array,
+    with sqrt(rho) computed once.
+    """
     r = sqrtm_psd(rho)
-    s = as_matrix(sigma)
+    s = as_matrices(sigma)
     inner = r @ s @ r
     # Round-off leaves eigenvalues of either sign near zero in the product;
-    # its scale is ||r||**2 ||sigma|| (Frobenius norms bound the 2-norms).
-    w, _ = hermitian_eig((inner + inner.conj().T) / 2)
-    w = _drop_round_off(w, float(np.linalg.norm(r) ** 2 * np.linalg.norm(s)))
-    return float(np.sqrt(w).sum() ** 2)
+    # its scale is ||r||**2 ||sigma|| (Frobenius norms bound the 2-norms),
+    # one scale per sigma.
+    w, _ = hermitian_eig((inner + dagger(inner)) / 2)
+    w = _drop_round_off(w, np.linalg.norm(r) ** 2 * np.linalg.norm(s, axis=(-2, -1)))
+    # float_power squares through pow(), as a scalar ** 2 does; an array's
+    # ** 2 is x * x, which can differ in the last bit.
+    f = np.float_power(np.sqrt(w).sum(axis=-1), 2)
+    return float(f) if f.ndim == 0 else f
 
 
-def trace_distance(rho, sigma) -> float:
-    """(1/2) * trace norm of (rho - sigma) for hermitian inputs."""
-    w, _ = hermitian_eig(as_matrix(rho) - as_matrix(sigma))
-    return float(np.abs(w).sum() / 2)
+def trace_distance(rho, sigma):
+    """(1/2) * trace norm of (rho - sigma) for hermitian inputs.
+
+    For a stack of sigmas (T, m, m), returns the T distances as an array.
+    """
+    w, _ = hermitian_eig(as_matrix(rho) - as_matrices(sigma))
+    dist = np.abs(w).sum(axis=-1) / 2
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def matrix_to_json_dict(a) -> dict:

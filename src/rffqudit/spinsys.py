@@ -280,21 +280,22 @@ def kron_power(reg: SpinRegister, u) -> np.ndarray:
     return op
 
 
-def haar_su2(rng: np.random.Generator) -> np.ndarray:
-    """A Haar-distributed 2x2 special-unitary matrix.
+def haar_su2(rng) -> np.ndarray:
+    """A Haar-distributed 2x2 special-unitary matrix, drawn from rng.
 
-    Samples a 2x2 standard complex Gaussian matrix and maps it to SU(2) with
-    su2_from_gaussian.
+    Samples a 2x2 standard complex Gaussian matrix, orthonormalizes by QR,
+    fixes the R-diagonal phases (making the draw Haar on U(2)), then removes
+    the determinant phase to land in SU(2). Given an iterable of generators
+    instead, returns the stack (T, 2, 2) of one draw from each, bit-identical
+    to drawing them one at a time.
     """
-    return su2_from_gaussian(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    def gaussian(gen):
+        return gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
 
-
-def su2_from_gaussian(g) -> np.ndarray:
-    """The SU(2) matrix of a complex Gaussian 2x2 draw, or of each in a stack (..., 2, 2).
-
-    Orthonormalizes by QR, fixes the R-diagonal phases (making the draw Haar
-    on U(2)), then removes the determinant phase to land in SU(2).
-    """
+    if isinstance(rng, np.random.Generator):
+        g = gaussian(rng)
+    else:
+        g = np.array([gaussian(gen) for gen in rng])
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d / np.abs(d))[..., None, :]

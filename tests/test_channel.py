@@ -195,6 +195,21 @@ def test_born_rule_harness_is_deterministic():
     assert a == b
 
 
+def test_born_rule_harness_rotates_in_chunks(monkeypatch):
+    qs = build_coupled_basis(SpinRegister(4))
+    whole = born_rule_harness(qs, trials=5, seed=9)
+    real, sizes = channel.collective_product_apply, []
+
+    def recording(reg, u, vecs):
+        sizes.append(len(u))
+        return real(reg, u, vecs)
+
+    monkeypatch.setattr(channel, "collective_product_apply", recording)
+    monkeypatch.setattr(channel, "CHUNK_BYTES", 2 * qs.isometry.nbytes)
+    assert born_rule_harness(qs, trials=5, seed=9) == whole
+    assert sizes == [2, 2, 1]
+
+
 NOISE_CONFIGS = {
     "haar": {},
     "fixed": {"axis": (0.0, 0.6, 0.8), "angle": 2.3},
@@ -292,16 +307,19 @@ def test_a_leaking_trial_is_named(monkeypatch):
         run_channel(ChannelConfig(n=3, trials=4, seed=1), QuditState(2, ZERO))
 
 
-def test_n10_channel_memory_is_bounded_by_the_chunk_budget():
+def test_n10_channel_memory_is_bounded_by_the_chunk_budget(monkeypatch):
     # A chunk holds at most CHUNK_BYTES of U K (one K per trial), or one trial
-    # if K alone is larger; rotating and gating it keeps at most four
-    # chunk-sized arrays live, beside K and the basis build (7 MB at n = 10).
+    # if K alone is larger. The leg-by-leg product peaks at three chunk-sized
+    # arrays (the tensor, its contiguous copy and the product), and nothing of
+    # a chunk may be held into the next. The basis is built before tracing
+    # starts, so the peak is the trials'.
     # 64 trials of U K at n = 10 are 81 MB, so one unchunked stack alone
     # would break the bound.
     n, trials = 10, 64
-    k_bytes = build_coupled_basis(SpinRegister(n)).isometry.nbytes
-    bound = 4 * max(channel.CHUNK_BYTES, k_bytes) + k_bytes + 8 * 2 ** 20
-    assert trials * k_bytes > bound
+    basis = build_coupled_basis(SpinRegister(n))
+    monkeypatch.setattr(channel, "build_coupled_basis", lambda reg: basis)
+    bound = 3 * max(channel.CHUNK_BYTES, basis.isometry.nbytes) + 2 ** 20
+    assert trials * basis.isometry.nbytes > bound
     rho = random_density(np.random.default_rng(10), n - 1)
     tracemalloc.start()
     try:

@@ -206,6 +206,31 @@ def test_fidelity_distance_fuchs_van_de_graaf():
         assert t <= np.sqrt(1 - f) + 1e-10
 
 
+def test_fidelity_and_distance_of_a_stack_equal_one_sigma_at_a_time():
+    # Mixed and pure sigmas, and rho itself, whose spectrum has round-off zeros.
+    rng = np.random.default_rng(14)
+    rho = random_density(rng, 3)
+    v = rng.normal(size=3) + 1j * rng.normal(size=3)
+    pure = np.outer(v, v.conj()) / np.vdot(v, v).real
+    sigmas = np.array([random_density(rng, 3) for _ in range(6)] + [pure, rho])
+    for rho_ in (rho, pure):
+        fids, dists = uhlmann_fidelity(rho_, sigmas), trace_distance(rho_, sigmas)
+        assert fids.shape == dists.shape == (len(sigmas),)
+        assert fids.tolist() == [uhlmann_fidelity(rho_, s) for s in sigmas]
+        assert dists.tolist() == [trace_distance(rho_, s) for s in sigmas]
+    assert isinstance(uhlmann_fidelity(rho, pure), float)
+    assert isinstance(trace_distance(rho, pure), float)
+
+
+def test_mat_exp_of_an_array_of_times_equals_one_time_at_a_time():
+    h = random_hermitian(np.random.default_rng(15), 3)
+    times = np.array([[-2.0, 0.0, 0.3], [1e-9, 4.5, 7.0]])
+    stack = mat_exp_hermitian_generator(h, times)
+    assert stack.shape == (2, 3, 3, 3)
+    for index in np.ndindex(times.shape):
+        assert np.array_equal(stack[index], mat_exp_hermitian_generator(h, float(times[index])))
+
+
 def test_matrix_json_round_trip():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))

@@ -24,7 +24,6 @@ from rffqudit.spinsys import (
     sigma,
     singlet_projector,
     spin_matrices,
-    su2_from_gaussian,
     swap,
     total_J,
     transposition,
@@ -338,12 +337,10 @@ def test_collective_product_apply_rejects_non_2x2_input():
 
 
 def test_stacked_su2_draws_equal_one_draw_at_a_time():
-    gaussians, singles = [], []
-    for child in np.random.SeedSequence(7).spawn(40):
-        rng = np.random.default_rng(child)
-        gaussians.append(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        singles.append(haar_su2(np.random.default_rng(child)))
-    stack = su2_from_gaussian(np.array(gaussians))
+    children = np.random.SeedSequence(7).spawn(40)
+    singles = [haar_su2(np.random.default_rng(child)) for child in children]
+    stack = haar_su2(np.random.default_rng(child) for child in children)
+    assert stack.shape == (40, 2, 2)
     assert np.array_equal(stack, np.array(singles))
     assert max_abs_diff(np.linalg.det(stack), np.ones(40)) < 1e-14
 
