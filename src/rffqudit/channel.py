@@ -308,7 +308,8 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
         payload, rotated = enc.payload, r @ enc.frame @ dagger(r)
         for element, enc_element in zip(povm.elements, enc_povm):
             logical_p = float(np.trace(rho @ element).real)
-            encoded_p = float(np.trace(payload @ enc_element.payload).real)
+            # Tr(P_rho P_Pi) of hermitian payloads as one entrywise sum, O(4**n)
+            encoded_p = float(np.vdot(enc_element.payload, payload).real)
             rotated_p = float(np.trace(rotated @ enc_element.frame).real)
             worst_encoded = max(worst_encoded, abs(encoded_p - logical_p))
             worst_rotated = max(worst_rotated, abs(rotated_p - logical_p))

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    census     sector table (formula cross-checked against diagonalization)
+    census     sector table (formula cross-checked against per-block J^2 spectra)
     basis      dump the logical-sector kets plus orthonormality residuals
     encode     encode a logical state (and optionally a POVM) into payloads
     verify     run named invariant suites, exit 0 only if everything passes
@@ -207,8 +207,8 @@ def cmd_census(ns: argparse.Namespace) -> int:
     try:
         specs = sector_census(SpinRegister(ns.n))
     except ConsistencyError as exc:
-        # Mismatch against diagonalization: still print the formula-side
-        # table, flag the disagreement, and exit 1.
+        # A J^2 block spectrum disagrees with the formula: still print the
+        # formula-side table, flag the disagreement, and exit 1.
         agreement = False
         note = str(exc)
         rows = [
@@ -477,6 +477,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return 2 if code is None else int(code)
+    ceiling = get_max_constituents()  # --max-n holds for this call only
     try:
         return _DISPATCH[ns.command](ns)
     except (ValidationError, ContractViolationError, SizeLimitError) as exc:
@@ -489,6 +490,8 @@ def main(argv=None) -> int:
         print(f"error: out of memory ({type(exc).__name__}: {exc}); "
               "try a smaller --n", file=sys.stderr)
         return 2
+    finally:
+        set_max_constituents(ceiling)
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import factorial, sqrt
 
@@ -160,7 +161,8 @@ class CoupledBasis:
     It is read-only, so encoded operators share it. The dense projector
     K K^dag and each dense Q_{lambda lambda'} = basis(lambda, lambda') are
     built from K on every access, for callers that ask for a 2**n x 2**n
-    matrix; nothing dense is stored.
+    matrix; nothing dense is stored. The gate's residuals are computed once
+    per object; a dataclasses.replace'd copy computes its own.
     """
 
     n: int
@@ -178,6 +180,11 @@ class CoupledBasis:
         if not (1 <= lam <= self.d and 0 <= k <= 2 * self.j2 and k.denominator == 1):
             raise ContractViolationError(f"no sector ket (m2={m2}, lambda={lam})")
         return self.isometry[:, (lam - 1) * int(2 * self.j2 + 1) + int(k)]
+
+    @cached_property
+    def gate_residuals(self) -> dict:
+        """isometry_residuals of K: the Gram, trace and covariance residuals."""
+        return isometry_residuals(self.n, self.isometry)
 
     @property
     def q(self) -> dict:
@@ -231,7 +238,7 @@ def build_coupled_basis(reg: SpinRegister, coupling=None) -> CoupledBasis:
 
 def require_sector_isometry(basis: CoupledBasis) -> CoupledBasis:
     """Return basis if its K passes the Gram and covariance checks, else raise."""
-    residuals = isometry_residuals(basis.n, basis.isometry)
+    residuals = basis.gate_residuals
     if residuals["gram"] > ISOMETRY_TOL:
         raise ConsistencyError(
             f"K^dag K != I (residual {residuals['gram']:.3e}): "
@@ -277,8 +284,7 @@ def partial_trace_m2(d: int, inner: np.ndarray) -> np.ndarray:
 
 def gram_residual(basis: CoupledBasis) -> float:
     """Max-norm deviation of the sector-basis Gram matrix K^dag K from identity."""
-    k = basis.isometry
-    return max_abs_diff(dagger(k) @ k, identity(k.shape[1]))
+    return basis.gate_residuals["gram"]
 
 
 def sector_membership_residual(basis: CoupledBasis) -> float:

@@ -38,7 +38,8 @@ from .linalg import (
 
 PSD_TOL = 1e-10
 
-# The verified basis is the Q set; build_q_set re-runs its gate on a given basis.
+# The verified basis is the Q set; build_q_set re-checks its gate on a given
+# basis, reading the residuals that basis computed once (CoupledBasis.gate_residuals).
 QOperatorSet = CoupledBasis
 build_q_set = require_sector_isometry
 

@@ -367,10 +367,14 @@ class ReductionReport:
     details: list
 
 
-def n4_to_n3_reduction(tol: float = 1e-10) -> ReductionReport:
-    layer = n4_singlet_layer()
+def n4_to_n3_reduction(tol: float = 1e-10, n4_paulis: dict | None = None,
+                       n3_paulis: dict | None = None) -> ReductionReport:
+    """Trace each constituent out of the n=4 singlet Paulis (n4_singlet_layer,
+    or the given dict with the same pauli_x/y/z) and match the n=3 Paulis
+    (n3_pauli, or the given dict with the same x/y/z)."""
+    layer = n4_singlet_layer() if n4_paulis is None else n4_paulis
     four = [layer["pauli_x"], layer["pauli_y"], layer["pauli_z"]]
-    three_ref = n3_pauli()
+    three_ref = n3_pauli() if n3_paulis is None else n3_paulis
     three = [three_ref["x"], three_ref["y"], three_ref["z"]]
     reg3 = SpinRegister(3)
 

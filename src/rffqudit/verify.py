@@ -16,12 +16,16 @@ the pass/fail verdict. The suites:
     all       — everything above
 
 Every check has its own default tolerance; passing an explicit ``tol``
-overrides all of them uniformly.
+overrides all of them uniformly. Every row is made by _check: a
+ConsistencyError raised while computing its residual (a failed basis gate, a
+corrupted closed form) fails that row alone, so the rows of a report are the
+same, in the same order, whether or not a check raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,13 +35,15 @@ from .coupling import (
     CoupledBasis,
     block_mixing_residual,
     build_coupled_basis,
+    cg_singlets,
     fourier_coupling,
     gram_residual,
-    isometry_residuals,
     sector_census,
     sector_membership_residual,
+    symmetric_singlets,
 )
 from .encoder import (
+    HwsPair,
     QuditState,
     build_hws,
     decode_payload,
@@ -72,37 +78,53 @@ class CheckResult:
         return asdict(self)
 
 
-def _check(id: str, description: str, residual: float, default_tol: float,
-           tol: float | None) -> CheckResult:
-    tolerance = default_tol if tol is None else tol
-    return CheckResult(
-        id=id,
-        description=description,
-        residual=float(residual),
-        tolerance=float(tolerance),
-        passed=bool(residual <= tolerance),
-    )
+def _check(id: str, description: str, default_tol: float, tol: float | None,
+           residual: Callable[[], float],
+           detail: Callable[[], str] | None = None) -> CheckResult:
+    """One report row: residual() held to tol, or to default_tol when tol is None.
+
+    A ConsistencyError raised by residual() (a failed gate or closed form)
+    fails this row alone: residual inf, the error text appended to the
+    description. detail, when given, is called after residual() succeeds and
+    its text is appended to the description.
+    """
+    tolerance = float(default_tol if tol is None else tol)
+    try:
+        value = float(residual())
+    except ConsistencyError as exc:
+        return CheckResult(id=id, description=f"{description}: {exc}",
+                           residual=float("inf"), tolerance=tolerance, passed=False)
+    if detail is not None:
+        description += detail()
+    return CheckResult(id=id, description=description, residual=value,
+                       tolerance=tolerance, passed=bool(value <= tolerance))
 
 
-class FourierBases(dict):
+def _built(_) -> float:
+    """The residual of a check that passes when its argument was built without raising."""
+    return 0.0
+
+
+class BuiltOnFirstUse(dict):
+    """Values made by build(key) on first use. A build that raises is not
+    stored, so every row that reads it fails under its own id."""
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def fourier_bases() -> BuiltOnFirstUse:
     """The Fourier-coupled, gated basis of each register size n, built on first use.
 
     run_suite makes one per call and hands it to every suite, so each n is
-    built once per call. A build that raises is not stored.
+    built once per call.
     """
-
-    def __missing__(self, n: int) -> CoupledBasis:
-        basis = self[n] = build_coupled_basis(SpinRegister(n))
-        return basis
-
-
-def _failure(id: str, description: str, default_tol: float,
-             tol: float | None) -> CheckResult:
-    tolerance = default_tol if tol is None else tol
-    return CheckResult(
-        id=id, description=description, residual=float("inf"),
-        tolerance=float(tolerance), passed=False,
-    )
+    return BuiltOnFirstUse(lambda n: build_coupled_basis(SpinRegister(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +132,17 @@ def _failure(id: str, description: str, default_tol: float,
 # ---------------------------------------------------------------------------
 
 def q_algebra_residuals(qs: CoupledBasis) -> dict:
-    """Worst residual of each matrix-unit property, recomputed from scratch.
+    """Worst residual of each matrix-unit property.
 
-    Closure and [Q, J] = 0 are the Gram and covariance checks on K; the trace
-    comes from the Gram blocks, and the pairing compares the sector frames
+    Closure and [Q, J] = 0 are the Gram and covariance checks on K, and the
+    trace comes from the Gram blocks: all three are the gate's residuals,
+    computed once per basis. The pairing compares the sector frames
     K^dag Q(l,l') K = G_l G_l'^dag, G_l being the column blocks of G = K^dag K.
     """
     g = np.split(dagger(qs.isometry) @ qs.isometry, qs.d, axis=1)  # G_1 .. G_d
     herm = max(max_abs_diff(dagger(g[l] @ dagger(g[lp])), g[lp] @ dagger(g[l]))
                for l in range(qs.d) for lp in range(qs.d))
-    isometry = isometry_residuals(qs.n, qs.isometry)
+    isometry = qs.gate_residuals
     return {"hermitian-pairing": herm, "trace": isometry["trace"],
             "closure": isometry["gram"], "j-commutation": isometry["covariance"]}
 
@@ -203,15 +226,16 @@ def coupling_independence_residual(basis: CoupledBasis) -> float:
     return block_mixing_residual(basis, other)
 
 
-def singlet_covariance_residuals() -> tuple[float, float]:
+def singlet_covariance_residuals(projectors: dict | None = None) -> tuple[float, float]:
     """(worst covariant-pair residual, largest escape of the pairwise singlet).
 
     All 24 constituent permutations must map the symmetric-coupling singlet
     projectors onto that same pair; the successively-coupled projector
     cg_proj1 must be moved OFF its pair by at least one permutation, so the
-    second number should be large (> 1e-3), not small.
+    second number should be large (> 1e-3), not small. The projectors are
+    proj_lambda1/2 and cg_proj1/2 of projectors, or of ref.n4_singlet_layer().
     """
-    layer = ref.n4_singlet_layer()
+    layer = ref.n4_singlet_layer() if projectors is None else projectors
     pair = [layer["proj_lambda1"], layer["proj_lambda2"]]
     cg_pair = [layer["cg_proj1"], layer["cg_proj2"]]
     reg = SpinRegister(4)
@@ -238,33 +262,30 @@ def singlet_covariance_residuals() -> tuple[float, float]:
 
 def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
                    census_n_values=(2, 3, 4, 5, 6, 7, 8),
-                   bases: FourierBases | None = None) -> list[CheckResult]:
-    bases = FourierBases() if bases is None else bases
-    results = []
-    for n in census_n_values:
-        cid = f"coupling:census:n={n}"
-        desc = (f"sector multiplicities for n={n} match the J^2 spectrum of every "
-                "magnetisation block")
-        try:
-            sector_census(SpinRegister(n))
-            results.append(_check(cid, desc, 0.0, 0.0, tol))
-        except ConsistencyError as exc:
-            results.append(_failure(cid, f"{desc}: {exc}", 0.0, tol))
+                   bases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
+    bases = fourier_bases() if bases is None else bases
+    results = [
+        _check(f"coupling:census:n={n}",
+               f"sector multiplicities for n={n} match the J^2 spectrum of every "
+               "magnetisation block", 0.0, tol,
+               lambda: _built(sector_census(SpinRegister(n))))
+        for n in census_n_values
+    ]
     for n in n_values:
-        basis = bases[n]
         checks = [
-            ("gram", f"sector basis for n={n} is orthonormal", gram_residual(basis)),
+            ("gram", f"sector basis for n={n} is orthonormal",
+             lambda: gram_residual(bases[n])),
             ("sector-membership",
              f"sector basis for n={n} satisfies the J^2 and Jz eigenvalue equations",
-             sector_membership_residual(basis)),
+             lambda: sector_membership_residual(bases[n])),
             ("independence",
              "changing the coupling only remixes the degeneracy label unitarily",
-             coupling_independence_residual(basis)),
+             lambda: coupling_independence_residual(bases[n])),
             ("cyclic-invariance",
              "the cyclic shift multiplies each Fourier-coupled ket by omega_n^-lambda",
-             cyclic_invariance_residual(basis)),
+             lambda: cyclic_invariance_residual(bases[n])),
         ]
-        results += [_check(f"coupling:{name}:n={n}", desc, residual, 1e-10, tol)
+        results += [_check(f"coupling:{name}:n={n}", desc, 1e-10, tol, residual)
                     for name, desc, residual in checks]
     return results
 
@@ -272,193 +293,152 @@ def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
 def suite_encoder(n_values=(3, 4, 5, 6), rotation_trials=20,
                   seed: int = DEFAULT_SEED,
                   tol: float | None = None,
-                  bases: FourierBases | None = None) -> list[CheckResult]:
-    bases = FourierBases() if bases is None else bases
+                  bases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
+    bases = fourier_bases() if bases is None else bases
+    algebra = BuiltOnFirstUse(lambda n: q_algebra_residuals(bases[n]))
     results = []
     for n in n_values:
-        qs = bases[n]
-        algebra = q_algebra_residuals(qs)
         checks = (
-            ("q-hermitian", f"Q(l,l')^dag = Q(l',l) for n={n}",
-             algebra["hermitian-pairing"], 1e-12),
-            ("q-trace", f"Tr Q(l,l') = d delta for n={n}", algebra["trace"], 1e-10),
+            ("q-hermitian", f"Q(l,l')^dag = Q(l',l) for n={n}", 1e-12,
+             lambda: algebra[n]["hermitian-pairing"]),
+            ("q-trace", f"Tr Q(l,l') = d delta for n={n}", 1e-10,
+             lambda: algebra[n]["trace"]),
             ("q-closure", f"K^dag K = I, so Q(l,l')Q(m,m') = delta Q(l,m') for n={n}",
-             algebra["closure"], 1e-10),
-            ("q-commute-J", f"J K = K (I (x) J^(j2)), so [Q, J] = 0 for n={n}",
-             algebra["j-commutation"], 1e-10),
+             1e-10, lambda: algebra[n]["closure"]),
+            ("q-commute-J", f"J K = K (I (x) J^(j2)), so [Q, J] = 0 for n={n}", 1e-10,
+             lambda: algebra[n]["j-commutation"]),
             ("rotation-invariance",
-             f"Q operators survive {rotation_trials} random collective rotations",
-             rotation_invariance_residual(qs, rotation_trials, seed), 1e-9),
-            ("round-trip", "encode -> decode returns the logical state",
-             round_trip_residual(qs, 5, seed), 1e-10),
-            ("born", "encoded probabilities match logical ones, rotated or not",
-             born_probability_residual(qs, 5, seed), 1e-10),
+             f"Q operators survive {rotation_trials} random collective rotations", 1e-9,
+             lambda: rotation_invariance_residual(bases[n], rotation_trials, seed)),
+            ("round-trip", "encode -> decode returns the logical state", 1e-10,
+             lambda: round_trip_residual(bases[n], 5, seed)),
+            ("born", "encoded probabilities match logical ones, rotated or not", 1e-10,
+             lambda: born_probability_residual(bases[n], 5, seed)),
             ("entropy", "encoded entropy exceeds logical entropy by exactly log2(d) bits",
-             entropy_defect_residual(qs, 5, seed), 1e-8),
+             1e-8, lambda: entropy_defect_residual(bases[n], 5, seed)),
         )
-        for name, desc, residual, default_tol in checks:
-            results.append(_check(f"encoder:{name}:n={n}", desc, residual, default_tol, tol))
+        results += [_check(f"encoder:{name}:n={n}", desc, default_tol, tol, residual)
+                    for name, desc, default_tol, residual in checks]
     return results
+
+
+def _q_residual(q: dict, qs: CoupledBasis) -> float:
+    """Worst distance of closed-form matrix units q["q<l><l'>"] from qs(l, l')."""
+    return max(max_abs_diff(q[f"q{l}{lp}"], qs(l, lp))
+               for l in range(1, qs.d + 1) for lp in range(1, qs.d + 1))
+
+
+def _n3_pauli_residual(pauli: dict, qs: CoupledBasis) -> float:
+    """Worst distance of the closed-form n=3 Paulis from the coupled-basis combinations."""
+    return max(
+        max_abs_diff(pauli["x"], qs(1, 2) + qs(2, 1)),
+        max_abs_diff(pauli["y"], -1j * qs(1, 2) + 1j * qs(2, 1)),
+        max_abs_diff(pauli["z"], qs(1, 1) - qs(2, 2)),
+        max_abs_diff(pauli["i_sector"], qs.sector_projector),
+    )
+
+
+def _pair_residual(pair: HwsPair, u: np.ndarray, v: np.ndarray) -> float:
+    """Distance of a clock/shift pair from the given clock u and shift v."""
+    return max(max_abs_diff(pair.u, u), max_abs_diff(pair.v, v))
+
+
+def _singlet_states_residual(projectors: dict) -> float:
+    """Worst distance of the singlet projectors from the explicit states' outer products."""
+    reg4 = SpinRegister(4)
+    pairs = zip(("proj_lambda1", "proj_lambda2", "cg_proj1", "cg_proj2"),
+                symmetric_singlets(reg4) + cg_singlets(reg4))
+    return max(max_abs_diff(projectors[name], np.outer(ket, ket.conj()))
+               for name, ket in pairs)
+
+
+def _reduction_residual(report: ref.ReductionReport) -> float:
+    """Worst reduction residual, and the distance of the shared constant from 1/2."""
+    if not report.holds or report.constant is None:
+        return float("inf")
+    return max(report.max_residual, abs(report.constant - 0.5))
 
 
 def suite_reference(tol: float | None = None,
-                    bases: FourierBases | None = None) -> list[CheckResult]:
-    bases = FourierBases() if bases is None else bases
-    results = []
+                    bases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
+    bases = fourier_bases() if bases is None else bases
+    cases = BuiltOnFirstUse(lambda case_id: ref.REFERENCE_CASES[case_id].build())
+    # The covariance and contrast rows share one pass over the 24 permutations
+    # of the n = 4 register (keyed by n).
+    singlets = BuiltOnFirstUse(lambda _: singlet_covariance_residuals(
+        {**cases["n4-singlet-proj"], **cases["n4-cg-proj"]}))
 
     # Internal self-consistency of each closed-form family.
-    for case_id, case in ref.REFERENCE_CASES.items():
-        cid = f"reference:case:{case_id}"
-        try:
-            case.build()
-            results.append(_check(cid, case.description, 0.0, 0.0, tol))
-        except ConsistencyError as exc:
-            results.append(_failure(cid, f"{case.description}: {exc}", 0.0, tol))
+    results = [_check(f"reference:case:{case_id}", case.description, 0.0, tol,
+                      lambda: _built(cases[case_id]))
+               for case_id, case in ref.REFERENCE_CASES.items()]
 
-    # Cross-checks against the generic pipeline. Any ConsistencyError raised
-    # by a corrupted closed form is converted into a named failure, never an
-    # abort, so one bad constant cannot hide the rest of the report.
-    try:
-        results.extend(_reference_cross_checks(tol, bases))
-    except ConsistencyError as exc:
-        results.append(_failure(
-            "reference:cross-check",
-            f"closed forms against the generic pipeline: {exc}", 0.0, tol,
-        ))
-    return results
-
-
-def _reference_cross_checks(tol: float | None, bases: FourierBases) -> list[CheckResult]:
-    results = []
-
-    qs3 = bases[3]
-    q3 = ref.n3_q_operators()
-    worst = max(
-        max_abs_diff(q3[f"q{l}{lp}"], qs3(l, lp))
-        for l in (1, 2) for lp in (1, 2)
+    # Cross-checks of the built closed forms against the generic pipeline.
+    checks = (
+        ("n3-q-vs-pipeline", "n=3 closed-form matrix units equal the coupled-basis ones",
+         1e-12, lambda: _q_residual(cases["n3-q"], bases[3])),
+        ("n3-pauli-vs-pipeline",
+         "n=3 closed-form Paulis equal the coupled-basis combinations", 1e-12,
+         lambda: _n3_pauli_residual(cases["n3-pauli"], bases[3])),
+        ("trine-decode",
+         "pipeline decoding of the third trine payload matches the closed form", 1e-12,
+         lambda: max_abs_diff(decode_payload(bases[3], cases["n3-trine"]["rho3"] / 2).rho,
+                              cases["n3-trine"]["logical3"])),
+        ("n4-q-vs-pipeline", "n=4 closed-form matrix units equal the coupled-basis ones",
+         1e-10, lambda: _q_residual(cases["n4-q"], bases[4])),
+        ("n4-hws-vs-pipeline",
+         "n=4 closed-form clock/shift pair equals the matrix-unit one", 1e-10,
+         lambda: _pair_residual(build_hws(bases[4]), cases["n4-hws"]["u3"],
+                                cases["n4-hws"]["v3"])),
+        ("n4-singlet-states",
+         "singlet projectors equal the outer products of the explicit states", 1e-10,
+         lambda: _singlet_states_residual({**cases["n4-singlet-proj"],
+                                           **cases["n4-cg-proj"]})),
+        ("singlet-covariance",
+         "all 24 permutations map the symmetric singlet pair onto itself", 1e-10,
+         lambda: singlets[4][0]),
     )
-    results.append(_check(
-        "reference:n3-q-vs-pipeline",
-        "n=3 closed-form matrix units equal the coupled-basis ones",
-        worst, 1e-12, tol,
-    ))
-
-    pauli = ref.n3_pauli()
-    results.append(_check(
-        "reference:n3-pauli-vs-pipeline",
-        "n=3 closed-form Paulis equal the coupled-basis combinations",
-        max(
-            max_abs_diff(pauli["x"], qs3(1, 2) + qs3(2, 1)),
-            max_abs_diff(pauli["y"], -1j * qs3(1, 2) + 1j * qs3(2, 1)),
-            max_abs_diff(pauli["z"], qs3(1, 1) - qs3(2, 2)),
-            max_abs_diff(pauli["i_sector"], qs3.sector_projector),
-        ),
-        1e-12, tol,
-    ))
-
-    trine = ref.n3_trine()
-    decoded = decode_payload(qs3, trine["rho3"] / 2)
-    results.append(_check(
-        "reference:trine-decode",
-        "pipeline decoding of the third trine payload matches the closed form",
-        max_abs_diff(decoded.rho, trine["logical3"]),
-        1e-12, tol,
-    ))
-
-    qs4 = bases[4]
-    q4 = ref.n4_q_operators()
-    worst = max(
-        max_abs_diff(q4[f"q{l}{lp}"], qs4(l, lp))
-        for l in (1, 2, 3) for lp in (1, 2, 3)
-    )
-    results.append(_check(
-        "reference:n4-q-vs-pipeline",
-        "n=4 closed-form matrix units equal the coupled-basis ones",
-        worst, 1e-10, tol,
-    ))
-
-    hws4 = build_hws(qs4)
-    forms = ref.n4_hws()
-    results.append(_check(
-        "reference:n4-hws-vs-pipeline",
-        "n=4 closed-form clock/shift pair equals the matrix-unit one",
-        max(
-            max_abs_diff(forms["u3"], hws4.u),
-            max_abs_diff(forms["v3"], hws4.v),
-        ),
-        1e-10, tol,
-    ))
-
-    from .coupling import cg_singlets, symmetric_singlets
-
-    reg4 = SpinRegister(4)
-    layer = ref.n4_singlet_layer()
-    sym = symmetric_singlets(reg4)
-    cg = cg_singlets(reg4)
-    results.append(_check(
-        "reference:n4-singlet-states",
-        "singlet projectors equal the outer products of the explicit states",
-        max(
-            max_abs_diff(layer["proj_lambda1"], np.outer(sym[0], sym[0].conj())),
-            max_abs_diff(layer["proj_lambda2"], np.outer(sym[1], sym[1].conj())),
-            max_abs_diff(layer["cg_proj1"], np.outer(cg[0], cg[0].conj())),
-            max_abs_diff(layer["cg_proj2"], np.outer(cg[1], cg[1].conj())),
-        ),
-        1e-10, tol,
-    ))
-
-    worst_pair, best_escape = singlet_covariance_residuals()
-    results.append(_check(
-        "reference:singlet-covariance",
-        "all 24 permutations map the symmetric singlet pair onto itself",
-        worst_pair, 1e-10, tol,
-    ))
+    results += [_check(f"reference:{name}", desc, default_tol, tol, residual)
+                for name, desc, default_tol, residual in checks]
     results.append(_check(
         "reference:singlet-contrast",
-        "some permutation moves the pairwise singlet off its pair "
-        f"(escape distance {best_escape:.6f}, needs > 1e-3)",
-        max(0.0, 1e-3 - best_escape), 0.0, tol,
+        "some permutation moves the pairwise singlet off its pair", 0.0, tol,
+        lambda: max(0.0, 1e-3 - singlets[4][1]),
+        detail=lambda: f" (escape distance {singlets[4][1]:.6f}, needs > 1e-3)",
     ))
-
-    report = ref.n4_to_n3_reduction()
-    reduction_residual = report.max_residual
-    if not report.holds or report.constant is None:
-        reduction_residual = float("inf")
-    else:
-        reduction_residual = max(reduction_residual, abs(report.constant - 0.5))
     results.append(_check(
         "reference:reduction",
         "tracing any constituent from the n=4 singlet Paulis gives 1/2 times "
-        "the relabeled n=3 Paulis",
-        reduction_residual, 1e-10, tol,
+        "the relabeled n=3 Paulis", 1e-10, tol,
+        lambda: _reduction_residual(ref.n4_to_n3_reduction(
+            n4_paulis=cases["n4-pauli"], n3_paulis=cases["n3-pauli"])),
     ))
     return results
 
 
+def _pauli_identification_residual(pair: HwsPair) -> float:
+    """For d=2: distance of the clock from -pauli_z and of the shift from pauli_x."""
+    pauli = ref.n3_pauli()
+    return _pair_residual(pair, -pauli["z"], pauli["x"])
+
+
 def suite_hws(n_values=(3, 4, 5, 6), tol: float | None = None,
-              bases: FourierBases | None = None) -> list[CheckResult]:
-    bases = FourierBases() if bases is None else bases
+              bases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
+    bases = fourier_bases() if bases is None else bases
+    pairs = BuiltOnFirstUse(lambda n: build_hws(bases[n]))
     results = []
     for n in n_values:
         d = n - 1
-        cid = f"hws:relations:d={d}"
-        desc = (f"clock/shift pair for d={d}: periods and omega-commutation")
-        try:
-            pair = build_hws(bases[n])
-        except ConsistencyError as exc:
-            results.append(_failure(cid, f"{desc}: {exc}", 1e-10, tol))
-            continue
-        results.append(_check(cid, desc, hws_relations_residual(pair), 1e-10, tol))
+        results.append(_check(
+            f"hws:relations:d={d}",
+            f"clock/shift pair for d={d}: periods and omega-commutation", 1e-10, tol,
+            lambda: hws_relations_residual(pairs[n]),
+        ))
         if d == 2:
-            pauli = ref.n3_pauli()
             results.append(_check(
                 "hws:d2-pauli-identification",
-                "for d=2 the clock is -pauli_z and the shift is pauli_x",
-                max(
-                    max_abs_diff(pair.u, -pauli["z"]),
-                    max_abs_diff(pair.v, pauli["x"]),
-                ),
-                1e-12, tol,
+                "for d=2 the clock is -pauli_z and the shift is pauli_x", 1e-12, tol,
+                lambda: _pauli_identification_residual(pairs[n]),
             ))
     return results
 
@@ -471,7 +451,7 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
     """Run one named suite, optionally restricted to the given register sizes.
 
     The reference suite is n-independent and ignores n_values. Every suite
-    shares one FourierBases, so each n's basis is built once per call.
+    shares one fourier_bases(), so each n's basis is built once per call.
     """
     if name not in SUITES:
         raise ValidationError(
@@ -481,7 +461,7 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
     if n_values is not None:
         sized = {"n_values": tuple(n for n in n_values if n >= 3)}
         census = {"census_n_values": tuple(n for n in n_values if n >= 2)}
-    bases = FourierBases()
+    bases = fourier_bases()
     results = []
     if name in ("all", "coupling"):
         results += suite_coupling(tol=tol, bases=bases, **sized, **census)

@@ -26,7 +26,8 @@ from rffqudit.spinsys import SpinRegister
 
 @pytest.fixture(autouse=True)
 def restore_ceiling():
-    # --max-n mutates process-wide state; undo it after each test.
+    # cli.main puts the ceiling back on return; this keeps a regression of
+    # that from moving the ceiling under the tests that follow.
     before = get_max_constituents()
     yield
     set_max_constituents(before)
@@ -91,16 +92,31 @@ def test_census_over_ceiling_is_usage_error(capsys):
     assert "error:" in err and "13" in err
 
 
-def test_max_n_flag_moves_the_ceiling(capsys):
+def test_max_n_flag_moves_the_ceiling(capsys, monkeypatch):
     # Lowering the ceiling turns a normally fine size into a usage error.
     code, _, err = run_cli(capsys, "census", "--n", "5", "--max-n", "4")
     assert code == 2
     assert "error:" in err and "5" in err
-    # Raising it is accepted and recorded (n=13 itself needs ~6 GB of dense
-    # matrices, so only the ceiling change is exercised here).
+    # Raising it is accepted and holds while the command runs (only the
+    # ceiling change is exercised here, at a small n).
+    seen, census = [], cli.sector_census
+    monkeypatch.setattr(cli, "sector_census",
+                        lambda reg: seen.append(get_max_constituents()) or census(reg))
     code, out, _ = run_cli(capsys, "census", "--n", "4", "--max-n", "13")
     assert code == 0
-    assert get_max_constituents() == 13
+    assert seen == [13]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("census", "--n", "3", "--max-n", "4"), 0),
+    (("census", "--n", "5", "--max-n", "4"), 2),
+    (("census", "--n", "3", "--max-n", "15"), 2),
+])
+def test_max_n_flag_lasts_one_call(capsys, argv, expected):
+    before = get_max_constituents()
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == expected
+    assert get_max_constituents() == before
 
 
 def test_max_n_flag_out_of_range(capsys):

@@ -3,10 +3,13 @@
 The census report holds only the multiplicity formula and the agreement flag,
 and the reference cases are closed forms, so their bytes do not depend on how
 the program computes its cross-checks. A change that moves any of them is a
-defect, not a declared break.
+defect, not a declared break. The verify report's layout (each row's id,
+description and tolerance, in order) is locked the same way; its residuals
+depend on the BLAS build and are left out.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -70,3 +73,14 @@ def test_reference_digests_cover_every_case():
 @pytest.mark.parametrize("case", sorted(REFERENCE))
 def test_reference_bytes_are_fixed(capsys, case):
     assert _digest(capsys, "reference", "--case", case) == REFERENCE[case]
+
+
+VERIFY_LAYOUT = "a249b7021c25a112d45686da1586d71d5d437813e86f6ebb35bf04865d537d4e"
+
+
+def test_verify_layout_is_fixed(capsys):
+    code = cli.main(["verify", "--suite", "all", "--n-range", "3..7", "--seed", "7"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 0 and len(checks) == 90
+    layout = "".join(f"{c['id']}\t{c['description']}\t{c['tolerance']!r}\n" for c in checks)
+    assert hashlib.sha256(layout.encode("utf-8")).hexdigest() == VERIFY_LAYOUT

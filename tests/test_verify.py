@@ -1,10 +1,15 @@
 """The verification suites: green on the real code, loud on corrupted code."""
 
+import json
+
 import numpy as np
 import pytest
 
+import rffqudit.channel as channel
+import rffqudit.coupling as coupling
 import rffqudit.reference as reference
 import rffqudit.verify as verify
+from rffqudit import cli
 from rffqudit.coupling import build_coupled_basis
 from rffqudit.encoder import build_q_set
 from rffqudit.errors import ConsistencyError, ValidationError
@@ -127,8 +132,6 @@ def test_corrupted_reference_constant_is_caught(monkeypatch):
 
 
 def test_corrupted_reference_fails_through_cli(monkeypatch, capsys):
-    from rffqudit import cli
-
     monkeypatch.setattr(reference, "W3", np.exp(2j * np.pi / 3) * 0.999)
     code = cli.main(["verify", "--suite", "reference"])
     captured = capsys.readouterr()
@@ -153,18 +156,118 @@ def test_run_suite_builds_each_fourier_basis_once_per_call(monkeypatch):
     assert [r.as_dict() for r in first] == [r.as_dict() for r in second]
 
 
-def test_suite_hws_reports_a_failed_basis_gate(monkeypatch):
+def _gate_fails_at_4(monkeypatch):
     real = verify.build_coupled_basis
 
-    def gate_fails_at_4(reg, coupling=None):
+    def gate_fails_at_4(reg, matrix=None):
         if reg.n == 4:
-            raise ConsistencyError("K^dag K != I")
-        return real(reg, coupling)
+            raise ConsistencyError("K^dag K != I (forced)")
+        return real(reg, matrix)
 
     monkeypatch.setattr(verify, "build_coupled_basis", gate_fails_at_4)
+
+
+def test_suite_hws_reports_a_failed_basis_gate(monkeypatch):
+    _gate_fails_at_4(monkeypatch)
     results = {r.id: r for r in run_suite("hws", n_values=(3, 4))}
     failed = results["hws:relations:d=3"]
     assert not failed.passed and failed.residual == float("inf")
     assert "K^dag K != I" in failed.description
     assert results["hws:relations:d=2"].passed
     assert not suite_hws(n_values=(4,))[0].passed
+
+
+def test_each_basis_gate_runs_once_per_build(monkeypatch):
+    builds, runs = [], []
+    real_build, real_residuals = verify.build_coupled_basis, coupling.isometry_residuals
+
+    def counting_build(reg, matrix=None):
+        builds.append(reg.n)
+        return real_build(reg, matrix)
+
+    def counting_residuals(n, k):
+        runs.append(n)
+        return real_residuals(n, k)
+
+    monkeypatch.setattr(verify, "build_coupled_basis", counting_build)
+    for module in (coupling, verify):  # every namespace that holds the function
+        if getattr(module, "isometry_residuals", None) is real_residuals:
+            monkeypatch.setattr(module, "isometry_residuals", counting_residuals)
+    assert all(r.passed for r in run_suite("all", n_values=range(3, 8)))
+    # 5 Fourier bases and the 5 remixed ones of the independence check
+    assert len(builds) == 10
+    assert sorted(runs) == sorted(builds)
+
+
+@pytest.mark.parametrize("suite", ["coupling", "encoder", "hws", "all"])
+def test_a_failed_basis_gate_is_a_named_row_in_a_written_report(
+        monkeypatch, capsys, tmp_path, suite):
+    argv = ["verify", "--suite", suite, "--n-range", "3..4", "--output"]
+    assert cli.main(argv + [str(tmp_path / "pass.json")]) == 0
+    _gate_fails_at_4(monkeypatch)
+    capsys.readouterr()
+    assert cli.main(argv + [str(tmp_path / "fail.json")]) == 1
+    err = capsys.readouterr().err
+    passing = json.loads((tmp_path / "pass.json").read_text())["checks"]
+    failing = json.loads((tmp_path / "fail.json").read_text())["checks"]
+    assert [r["id"] for r in failing] == [r["id"] for r in passing]
+    failed = [r for r in failing if not r["passed"]]
+    assert failed
+    for row in failed:
+        assert row["residual"] == float("inf")
+        assert "K^dag K != I (forced)" in row["description"]
+        assert f"FAILED {row['id']}:" in err
+    by_id = {r["id"]: r for r in failing}
+    for row_id in by_id:
+        if row_id.endswith((":n=4", ":d=3")) and not row_id.startswith("coupling:census"):
+            assert not by_id[row_id]["passed"], row_id
+        if row_id.endswith((":n=3", ":d=2")):
+            assert by_id[row_id]["passed"], row_id
+
+
+def test_a_rotation_leaving_the_sector_fails_only_the_born_rows(monkeypatch):
+    real = channel.collective_product_apply
+    monkeypatch.setattr(channel, "collective_product_apply",
+                        lambda reg, u, vecs: real(reg, u, vecs) + 1e-6)
+    results = run_suite("encoder", n_values=(3, 4))
+    failed = [r for r in results if not r.passed]
+    assert [r.id for r in failed] == ["encoder:born:n=3", "encoder:born:n=4"]
+    assert all("leaves the logical sector" in r.description for r in failed)
+
+
+def test_a_corrupted_closed_form_fails_each_row_that_reads_it(monkeypatch):
+    ids = [r.id for r in suite_reference()]
+    monkeypatch.setattr(reference, "W3", np.exp(2j * np.pi / 3) * 1.001)
+    results = suite_reference()
+    assert [r.id for r in results] == ids
+    failed = {r.id for r in results if not r.passed}
+    # W3 enters the n=3 matrix units (so the n=3 Paulis and trine built from
+    # them) and the n=4 clock; the A/K/L and singlet forms do not use it.
+    assert failed == {
+        "reference:case:n3-q", "reference:case:n3-pauli", "reference:case:n3-trine",
+        "reference:case:n4-hws", "reference:n3-q-vs-pipeline",
+        "reference:n3-pauli-vs-pipeline", "reference:trine-decode",
+        "reference:n4-hws-vs-pipeline", "reference:reduction",
+    }
+    for r in results:
+        if r.id in failed:
+            assert r.residual == float("inf")
+            assert "transcription cross-check" in r.description
+
+
+def test_reference_suite_builds_each_case_once(monkeypatch):
+    # The cross-checks read the built cases; they call no closed-form
+    # factory beyond what building every case once calls.
+    calls = []
+    for name in ("n3_q_operators", "n3_sector_projector", "n3_pauli", "n3_trine",
+                 "n4_akl", "n4_q_operators", "n4_hws", "n4_singlet_layer",
+                 "n4_sector_projectors"):
+        real = getattr(reference, name)
+        monkeypatch.setattr(reference, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    for case in reference.REFERENCE_CASES.values():
+        case.build()
+    once = sorted(calls)
+    calls.clear()
+    assert all(r.passed for r in suite_reference())
+    assert sorted(calls) == once
