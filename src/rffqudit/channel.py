@@ -34,6 +34,7 @@ from .encoder import (
     QuditState,
     encode_povm,
     encode_state,
+    payload_probabilities,
     require_density,
 )
 from .errors import ConsistencyError, ValidationError
@@ -288,10 +289,13 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     """Compare logical vs encoded outcome probabilities on random pairs.
 
     Each trial draws a random state and a random POVM, encodes both, and
-    checks the probabilities three ways: logical Tr(rho Pi_k), encoded
-    Tr(payload Pi_enc_k), and encoded-after-a-random-collective-rotation,
-    Tr(R frame R^dag frame_k) with R = K^dag u^(x n) K; the draws of all trials
-    are rotated as stacks, in the channel's chunks.
+    checks the probabilities of all elements three ways: logical Tr(rho Pi_k),
+    encoded Tr(P_rho P_k) of the materialised state payload, taken as
+    Tr(K^dag P_rho K F_k) (payload_probabilities), and
+    encoded-after-a-random-collective-rotation, Tr(R F R^dag F_k) with
+    R = K^dag u^(x n) K. The draws of all trials are rotated as stacks, in the
+    channel's chunks; the rest runs one trial at a time, so one 2**n x 2**n
+    payload is held at a time.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = []
@@ -304,15 +308,12 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     worst_rotated = 0.0
     for (rho, povm, _), r in zip(draws, rotations):
         enc = encode_state(qs, QuditState(d=qs.d, rho=rho))
-        enc_povm = encode_povm(qs, povm)
-        payload, rotated = enc.payload, r @ enc.frame @ dagger(r)
-        for element, enc_element in zip(povm.elements, enc_povm):
-            logical_p = float(np.trace(rho @ element).real)
-            # Tr(P_rho P_Pi) of hermitian payloads as one entrywise sum, O(4**n)
-            encoded_p = float(np.vdot(enc_element.payload, payload).real)
-            rotated_p = float(np.trace(rotated @ enc_element.frame).real)
-            worst_encoded = max(worst_encoded, abs(encoded_p - logical_p))
-            worst_rotated = max(worst_rotated, abs(rotated_p - logical_p))
+        frames = np.array([e.frame for e in encode_povm(qs, povm)])
+        logical = np.einsum("ij,kji->k", rho, np.array(povm.elements)).real
+        encoded = payload_probabilities(qs.isometry, enc.payload, frames)
+        rotated = np.einsum("ij,kji->k", r @ enc.frame @ dagger(r), frames).real
+        worst_encoded = max(worst_encoded, float(np.abs(encoded - logical).max()))
+        worst_rotated = max(worst_rotated, float(np.abs(rotated - logical).max()))
     return BornReport(
         d=qs.d,
         trials=trials,

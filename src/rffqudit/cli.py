@@ -33,7 +33,13 @@ from .coupling import (
     sector_index_set,
     sector_membership_residual,
 )
-from .encoder import QuditPovm, QuditState, encode_povm, encode_state
+from .encoder import (
+    QuditPovm,
+    QuditState,
+    encode_povm,
+    encode_state,
+    payload_probabilities,
+)
 from .errors import (
     ConsistencyError,
     ContractViolationError,
@@ -120,6 +126,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help='register sizes as "a..b" (default 3..6)',
     )
     p.add_argument("--suite", choices=SUITES, default="all")
+    p.add_argument(
+        "--timings", action="store_true",
+        help="write each check's id and elapsed milliseconds to stderr "
+             "(the report is unchanged)",
+    )
 
     p = sub.add_parser("channel", help="collective-noise Monte Carlo")
     _add_global_flags(p)
@@ -303,13 +314,13 @@ def cmd_encode(ns: argparse.Namespace) -> int:
     state_payload = encode_state(qs, state).payload
 
     born_rows = []
-    povm_payloads = None
     if ns.povm:
         povm = _load_povm(ns.povm, d)
-        povm_payloads = [e.payload for e in encode_povm(qs, povm)]
-        for k, (element, element_payload) in enumerate(zip(povm.elements, povm_payloads)):
+        encoded = encode_povm(qs, povm)
+        probabilities = payload_probabilities(qs.isometry, state_payload,
+                                              np.array([e.frame for e in encoded]))
+        for k, (element, encoded_p) in enumerate(zip(povm.elements, probabilities.tolist())):
             logical_p = float(np.trace(state.rho @ element).real)
-            encoded_p = float(np.trace(state_payload @ element_payload).real)
             born_rows.append({
                 "element": k,
                 "logical": logical_p,
@@ -324,8 +335,8 @@ def cmd_encode(ns: argparse.Namespace) -> int:
             "coupling_fingerprint": qs.fingerprint,
             "state_payload": matrix_to_json_dict(state_payload),
         }
-        if povm_payloads is not None:
-            payload["povm_payloads"] = [matrix_to_json_dict(p) for p in povm_payloads]
+        if ns.povm:
+            payload["povm_payloads"] = [matrix_to_json_dict(e.payload) for e in encoded]
             payload["born_table"] = born_rows
             payload["max_deviation"] = max(r["deviation"] for r in born_rows)
         _emit(_dump_json(payload), output)
@@ -367,6 +378,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     n_values = _parse_n_range(ns.n_range)
     results = run_suite(ns.suite, tol=tol, seed=seed, n_values=n_values)
     all_passed = all(r.passed for r in results)
+    if ns.timings:
+        for r in results:
+            print(f"timing {r.id}: {r.elapsed_ms:.1f} ms", file=sys.stderr)
 
     if fmt == "json":
         _emit(_dump_json({

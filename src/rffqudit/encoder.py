@@ -37,6 +37,10 @@ from .linalg import (
 )
 
 PSD_TOL = 1e-10
+SECTOR_TOL = 1e-9
+# Bytes of one row block of K C K^dag in a sector residual: the residual never
+# holds a second 2**n x 2**n matrix beside the payload.
+ROW_BLOCK_BYTES = 4 * 2 ** 20
 
 # The verified basis is the Q set; build_q_set re-checks its gate on a given
 # basis, reading the residuals that basis computed once (CoupledBasis.gate_residuals).
@@ -61,6 +65,18 @@ class QuditState:
         object.__setattr__(self, "rho", rho)
 
 
+def _require_none(bad: np.ndarray, message, error=ValidationError) -> None:
+    """Raise error(message(i)) for the first index i at which bad holds."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(message(i))
+
+
+def _hermiticity_deviations(stack: np.ndarray) -> np.ndarray:
+    """max |A - A^dag| of each matrix A of a stack (m, d, d)."""
+    return np.abs(stack - dagger(stack)).max(axis=(1, 2))
+
+
 def require_density(rho: np.ndarray, name: str = "state") -> None:
     """Raise ValidationError unless rho, or each matrix of a stack (T, d, d), is a
     density matrix: hermitian within 1e-12, trace one within 1e-12, PSD within
@@ -68,11 +84,9 @@ def require_density(rho: np.ndarray, name: str = "state") -> None:
     stack = rho.reshape((-1,) + rho.shape[-2:])
 
     def require(bad: np.ndarray, text) -> None:
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValidationError(f"{name if rho.ndim == 2 else f'{name} [{i}]'} {text(i)}")
+        _require_none(bad, lambda i: f"{name if rho.ndim == 2 else f'{name} [{i}]'} {text(i)}")
 
-    deviation = np.abs(stack - np.swapaxes(stack.conj(), -1, -2)).max(axis=(1, 2))
+    deviation = _hermiticity_deviations(stack)
     require(deviation > 1e-12, lambda i: f"is not hermitian (deviation {deviation[i]:.3e})")
     trace = np.trace(stack, axis1=1, axis2=2)
     require(abs(trace - 1) > 1e-12, lambda i: f"trace is {trace[i]:.15g}, expected 1")
@@ -91,21 +105,18 @@ class QuditPovm:
         elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
         if not elems:
             raise ValidationError("POVM needs at least one element")
-        total = np.zeros((self.d, self.d), dtype=complex)
         for k, e in enumerate(elems):
             if e.shape != (self.d, self.d):
                 raise ValidationError(
                     f"POVM element {k} must be {self.d}x{self.d}, got {e.shape}"
                 )
-            if max_abs_diff(e, dagger(e)) > 1e-12:
-                raise ValidationError(f"POVM element {k} is not hermitian")
-            w, _ = hermitian_eig(e)
-            if w.min() < -PSD_TOL:
-                raise ValidationError(
-                    f"POVM element {k} is not PSD: min eigenvalue {w.min():.3e}"
-                )
-            total += e
-        deviation = max_abs_diff(total, identity(self.d))
+        stack = np.stack(elems)
+        _require_none(_hermiticity_deviations(stack) > 1e-12,
+                      lambda k: f"POVM element {k} is not hermitian")
+        w, _ = hermitian_eig(stack)
+        _require_none(w[:, 0] < -PSD_TOL,
+                      lambda k: f"POVM element {k} is not PSD: min eigenvalue {w[k, 0]:.3e}")
+        deviation = max_abs_diff(stack.sum(axis=0), identity(self.d))
         if deviation > 1e-10:
             raise ValidationError(
                 f"POVM elements sum to the identity only within {deviation:.3e} (> 1e-10)"
@@ -130,12 +141,23 @@ class EncodedOperator:
         return self.isometry @ self.frame @ dagger(self.isometry)
 
 
-def _sector_frame(qs: CoupledBasis, payload) -> tuple[np.ndarray, float]:
-    """(K^dag payload K, max |payload - K K^dag payload K K^dag|)."""
-    k = qs.isometry
+def _sector_frame(k: np.ndarray, payload) -> tuple[np.ndarray, float]:
+    """(C, max |payload - K C K^dag|) for the frame C = K^dag payload K.
+
+    The residual is taken over row blocks of K C K^dag of at most
+    ROW_BLOCK_BYTES each.
+    """
     payload = np.asarray(payload, dtype=complex)
-    inner = dagger(k) @ payload @ k
-    return inner, max_abs_diff(k @ inner @ dagger(k), payload)
+    k_dag = dagger(k)
+    inner = k_dag @ payload @ k
+    kc = k @ inner
+    step = max(1, ROW_BLOCK_BYTES // (payload.itemsize * payload.shape[1]))
+    residual = 0.0
+    for first in range(0, len(payload), step):
+        block = kc[first:first + step] @ k_dag
+        block -= payload[first:first + step]
+        residual = max(residual, float(np.abs(block).max()))
+    return inner, residual
 
 
 def decode_frame(d: int, frame: np.ndarray) -> QuditState:
@@ -146,15 +168,25 @@ def decode_frame(d: int, frame: np.ndarray) -> QuditState:
 
 def sector_support_residual(qs: CoupledBasis, payload) -> float:
     """How far the payload sticks out of the logical sector."""
-    return _sector_frame(qs, payload)[1]
+    return _sector_frame(qs.isometry, payload)[1]
 
 
-def _encoded(qs: CoupledBasis, kind: str, frame: np.ndarray) -> EncodedOperator:
-    w, _ = hermitian_eig(frame)
-    if w.min() < -PSD_TOL:
-        raise ConsistencyError(f"encoded {kind} is not PSD: min eigenvalue {w.min():.3e}")
-    return EncodedOperator(n=qs.n, d=qs.d, kind=kind, fingerprint=qs.fingerprint,
-                           frame=frame, isometry=qs.isometry)
+def _encoded(qs: CoupledBasis, kind: str, logical: np.ndarray) -> list[EncodedOperator]:
+    """One operator with frame A (x) I_d per logical factor A of the stack (m, d, d).
+
+    spec(A (x) I_d) = spec(A), so one stacked eigh of the d x d factors checks
+    every frame for PSD; the error names the first failing one.
+    """
+    w, _ = hermitian_eig(logical)
+    _require_none(w[:, 0] < -PSD_TOL,
+                  lambda i: f"encoded {kind} is not PSD: min eigenvalue {w[i, 0]:.3e}",
+                  ConsistencyError)
+    m, d = len(logical), qs.d
+    # np.kron(A, I_d) of each factor, as one product per entry
+    frames = np.einsum("mij,kl->mikjl", logical, identity(d)).reshape(m, d * d, d * d)
+    return [EncodedOperator(n=qs.n, d=d, kind=kind, fingerprint=qs.fingerprint,
+                            frame=frame, isometry=qs.isometry)
+            for frame in frames]
 
 
 def encode_state(qs: CoupledBasis, state: QuditState) -> EncodedOperator:
@@ -162,11 +194,11 @@ def encode_state(qs: CoupledBasis, state: QuditState) -> EncodedOperator:
         raise ValidationError(
             f"state dimension {state.d} does not match qudit dimension {qs.d}"
         )
-    frame = np.kron(state.rho / qs.d, identity(qs.d))
-    trace = np.trace(frame)  # = Tr payload, as K^dag K = I is verified
+    logical = state.rho / qs.d
+    trace = qs.d * np.trace(logical)  # = Tr payload, as K^dag K = I is verified
     if abs(trace - 1) > 1e-10:
         raise ConsistencyError(f"encoded state trace {trace:.15g} != 1")
-    return _encoded(qs, "state", frame)
+    return _encoded(qs, "state", logical[None])[0]
 
 
 def decode_state(qs: CoupledBasis, enc: EncodedOperator) -> QuditState:
@@ -178,9 +210,9 @@ def decode_state(qs: CoupledBasis, enc: EncodedOperator) -> QuditState:
     return decode_frame(qs.d, enc.frame)
 
 
-def decode_payload(qs: CoupledBasis, payload, sector_tol: float = 1e-9) -> QuditState:
+def decode_payload(qs: CoupledBasis, payload, sector_tol: float = SECTOR_TOL) -> QuditState:
     """Decode a raw payload matrix, insisting it lives on the logical sector."""
-    inner, residual = _sector_frame(qs, payload)
+    inner, residual = _sector_frame(qs.isometry, payload)
     if residual > sector_tol:
         raise ValidationError(
             f"payload is not supported on the logical sector "
@@ -194,13 +226,25 @@ def encode_povm(qs: CoupledBasis, povm: QuditPovm) -> list[EncodedOperator]:
         raise ValidationError(
             f"POVM dimension {povm.d} does not match qudit dimension {qs.d}"
         )
-    encoded = [_encoded(qs, "povm-element", np.kron(element, identity(qs.d)))
-               for element in povm.elements]
-    if max_abs_diff(sum(e.frame for e in encoded), identity(qs.d ** 2)) > 1e-10:
+    logical = np.stack(povm.elements)
+    encoded = _encoded(qs, "povm-element", logical)
+    # The frames are A (x) I_d: they sum to I_(d**2) as closely as the A sum to I_d.
+    if max_abs_diff(logical.sum(axis=0), identity(qs.d)) > 1e-10:
         raise ConsistencyError(
             "encoded POVM elements do not sum to the sector projector"
         )
     return encoded
+
+
+def payload_probabilities(k: np.ndarray, payload: np.ndarray,
+                          frames: np.ndarray) -> np.ndarray:
+    """Tr(payload K F K^dag) for each frame F of a stack (m, d**2, d**2).
+
+    Each is Tr(C F) with C = K^dag payload K, by cyclicity the same number:
+    one O(4**n d**2) compression of the payload, and no 2**n x 2**n product
+    per element.
+    """
+    return np.einsum("ij,kji->k", dagger(k) @ payload @ k, frames).real
 
 
 class EntropyCheck(NamedTuple):
@@ -210,9 +254,21 @@ class EntropyCheck(NamedTuple):
 
 
 def encoded_entropy_check(state: QuditState, enc: EncodedOperator) -> EntropyCheck:
-    """Entropies in bits; the encoding adds exactly log2(d) of idler mixing."""
+    """Entropies in bits; the encoding adds exactly log2(d) of idler mixing.
+
+    S of the materialised payload P is taken from its frame C = K^dag P K,
+    which has the same nonzero spectrum once P = K C K^dag: that is gated
+    within SECTOR_TOL first, and a payload off the sector raises
+    ConsistencyError.
+    """
     s_logical = entropy_bits(state.rho)
-    s_encoded = entropy_bits(enc.payload)
+    frame, residual = _sector_frame(enc.isometry, enc.payload)
+    if residual > SECTOR_TOL:
+        raise ConsistencyError(
+            f"encoded {enc.kind} payload is not supported on the logical sector "
+            f"(|P - K C K^dag| = {residual:.3e} > {SECTOR_TOL:g})"
+        )
+    s_encoded = entropy_bits(frame)
     return EntropyCheck(s_logical, s_encoded, s_encoded - s_logical - log2(enc.d))
 
 

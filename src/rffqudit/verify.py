@@ -24,13 +24,14 @@ same, in the same order, whether or not a check raised.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
 
 from . import reference as ref
-from .channel import born_rule_harness, random_density
+from .channel import CHUNK_BYTES, born_rule_harness, random_density
 from .coupling import (
     CoupledBasis,
     block_mixing_residual,
@@ -73,9 +74,14 @@ class CheckResult:
     residual: float
     tolerance: float
     passed: bool
+    # Wall time of the row, including any basis or closed form it built first;
+    # it differs run to run, so it is not part of the report row.
+    elapsed_ms: float = field(default=0.0, compare=False, repr=False)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        row = asdict(self)
+        del row["elapsed_ms"]
+        return row
 
 
 def _check(id: str, description: str, default_tol: float, tol: float | None,
@@ -89,15 +95,17 @@ def _check(id: str, description: str, default_tol: float, tol: float | None,
     its text is appended to the description.
     """
     tolerance = float(default_tol if tol is None else tol)
+    start = perf_counter()
     try:
         value = float(residual())
     except ConsistencyError as exc:
-        return CheckResult(id=id, description=f"{description}: {exc}",
-                           residual=float("inf"), tolerance=tolerance, passed=False)
-    if detail is not None:
-        description += detail()
+        description, value = f"{description}: {exc}", float("inf")
+    else:
+        if detail is not None:
+            description += detail()
     return CheckResult(id=id, description=description, residual=value,
-                       tolerance=tolerance, passed=bool(value <= tolerance))
+                       tolerance=tolerance, passed=bool(value <= tolerance),
+                       elapsed_ms=(perf_counter() - start) * 1e3)
 
 
 def _built(_) -> float:
@@ -127,6 +135,15 @@ def fourier_bases() -> BuiltOnFirstUse:
     return BuiltOnFirstUse(lambda n: build_coupled_basis(SpinRegister(n)))
 
 
+def reference_cases() -> BuiltOnFirstUse:
+    """The closed forms of each REFERENCE_CASES id, built on first use.
+
+    run_suite makes one per call and hands it to the reference and hws suites,
+    so each case is built at most once per call.
+    """
+    return BuiltOnFirstUse(lambda case_id: ref.REFERENCE_CASES[case_id].build())
+
+
 # ---------------------------------------------------------------------------
 # Reusable residual computations
 # ---------------------------------------------------------------------------
@@ -153,15 +170,18 @@ def rotation_invariance_residual(qs: CoupledBasis, trials: int,
 
     r is the lambda = 1 block of R = K^dag U K. The residual is zero exactly
     when U acts on m2 alone, the same on every lambda, which is when every
-    Q(l,l') = K_l K_l'^dag survives U.
+    Q(l,l') = K_l K_l'^dag survives U. The rotations act as stacks of at most
+    channel.CHUNK_BYTES of U K.
     """
     reg = SpinRegister(qs.n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    u = haar_su2([rng] * trials)  # bit-identical to drawing them one at a time
     k, d = qs.isometry, qs.d
+    step = max(1, CHUNK_BYTES // k.nbytes)
     worst = 0.0
-    for _ in range(trials):
-        uk = collective_product_apply(reg, haar_su2(rng), k)
-        r = (dagger(k) @ uk)[:d, :d]
+    for first in range(0, trials, step):
+        uk = collective_product_apply(reg, u[first:first + step], k)
+        r = (dagger(k) @ uk)[:, :d, :d]
         worst = max(worst, max_abs_diff(uk, k @ np.kron(identity(d), r)))
     return worst
 
@@ -360,9 +380,10 @@ def _reduction_residual(report: ref.ReductionReport) -> float:
 
 
 def suite_reference(tol: float | None = None,
-                    bases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
+                    bases: BuiltOnFirstUse | None = None,
+                    cases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
     bases = fourier_bases() if bases is None else bases
-    cases = BuiltOnFirstUse(lambda case_id: ref.REFERENCE_CASES[case_id].build())
+    cases = reference_cases() if cases is None else cases
     # The covariance and contrast rows share one pass over the 24 permutations
     # of the n = 4 register (keyed by n).
     singlets = BuiltOnFirstUse(lambda _: singlet_covariance_residuals(
@@ -416,15 +437,16 @@ def suite_reference(tol: float | None = None,
     return results
 
 
-def _pauli_identification_residual(pair: HwsPair) -> float:
+def _pauli_identification_residual(pair: HwsPair, pauli: dict) -> float:
     """For d=2: distance of the clock from -pauli_z and of the shift from pauli_x."""
-    pauli = ref.n3_pauli()
     return _pair_residual(pair, -pauli["z"], pauli["x"])
 
 
 def suite_hws(n_values=(3, 4, 5, 6), tol: float | None = None,
-              bases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
+              bases: BuiltOnFirstUse | None = None,
+              cases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
     bases = fourier_bases() if bases is None else bases
+    cases = reference_cases() if cases is None else cases
     pairs = BuiltOnFirstUse(lambda n: build_hws(bases[n]))
     results = []
     for n in n_values:
@@ -438,7 +460,7 @@ def suite_hws(n_values=(3, 4, 5, 6), tol: float | None = None,
             results.append(_check(
                 "hws:d2-pauli-identification",
                 "for d=2 the clock is -pauli_z and the shift is pauli_x", 1e-12, tol,
-                lambda: _pauli_identification_residual(pairs[n]),
+                lambda: _pauli_identification_residual(pairs[n], cases["n3-pauli"]),
             ))
     return results
 
@@ -451,7 +473,8 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
     """Run one named suite, optionally restricted to the given register sizes.
 
     The reference suite is n-independent and ignores n_values. Every suite
-    shares one fourier_bases(), so each n's basis is built once per call.
+    shares one fourier_bases() and one reference_cases(), so each n's basis
+    and each closed form is built once per call.
     """
     if name not in SUITES:
         raise ValidationError(
@@ -461,14 +484,14 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
     if n_values is not None:
         sized = {"n_values": tuple(n for n in n_values if n >= 3)}
         census = {"census_n_values": tuple(n for n in n_values if n >= 2)}
-    bases = fourier_bases()
+    bases, cases = fourier_bases(), reference_cases()
     results = []
     if name in ("all", "coupling"):
         results += suite_coupling(tol=tol, bases=bases, **sized, **census)
     if name in ("all", "encoder"):
         results += suite_encoder(seed=seed, tol=tol, bases=bases, **sized)
     if name in ("all", "reference"):
-        results += suite_reference(tol=tol, bases=bases)
+        results += suite_reference(tol=tol, bases=bases, cases=cases)
     if name in ("all", "hws"):
-        results += suite_hws(tol=tol, bases=bases, **sized)
+        results += suite_hws(tol=tol, bases=bases, cases=cases, **sized)
     return results

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rffqudit import cli
-from rffqudit.channel import random_pure_density
+from rffqudit.channel import random_density, random_povm, random_pure_density
 from rffqudit.coupling import build_coupled_basis, fourier_coupling
 from rffqudit.encoder import build_q_set
 from rffqudit.linalg import (
@@ -221,6 +221,27 @@ def test_encode_trine_povm_born_table(capsys, tmp_path):
     np.testing.assert_allclose(probs, [1 / 6, 1 / 6, 2 / 3], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_encode_born_table_matches_the_dense_traces(capsys, tmp_path, n):
+    # The table's Tr(K^dag P_rho K F) against the dense Tr(P_rho P_Pi) of the
+    # payloads the same output prints.
+    d = n - 1
+    rng = np.random.default_rng([20261018, n])
+    state = write_json(tmp_path / "state.json", matrix_to_json_dict(random_density(rng, d)))
+    povm = write_json(tmp_path / "povm.json", {"elements": [
+        matrix_to_json_dict(e) for e in random_povm(rng, d, d + 1).elements]})
+    code, out, _ = run_cli(capsys, "encode", "--n", str(n), "--state", state,
+                           "--povm", povm)
+    assert code == 0
+    report = json.loads(out)
+    state_payload = matrix_from_json_dict(report["state_payload"])
+    dense = [np.trace(state_payload @ matrix_from_json_dict(p)).real
+             for p in report["povm_payloads"]]
+    encoded = [row["encoded"] for row in report["born_table"]]
+    assert len(encoded) == d + 1
+    np.testing.assert_allclose(encoded, dense, rtol=0, atol=1e-12)
+
+
 def test_encode_rejects_non_state(capsys, tmp_path):
     state = write_json(
         tmp_path / "state.json",
@@ -260,6 +281,22 @@ def test_verify_json_reemits_byte_identically(capsys):
     )
     assert code == 0
     assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
+def test_verify_timings_go_to_stderr_and_leave_the_report(capsys):
+    argv = ["verify", "--suite", "all", "--n-range", "3..4", "--seed", "7"]
+    code, plain, plain_err = run_cli(capsys, *argv)
+    timed_code, timed, err = run_cli(capsys, *argv, "--timings")
+    assert code == timed_code == 0
+    assert timed == plain and plain_err == ""
+    ids = [check["id"] for check in json.loads(plain)["checks"]]
+    lines = err.splitlines()
+    assert [line.split(": ")[0] for line in lines] == [f"timing {i}" for i in ids]
+    assert all(line.endswith(" ms") and float(line.split(": ")[1][:-3]) >= 0
+               for line in lines)
+    _, csv_plain, _ = run_cli(capsys, *argv, "--format", "csv")
+    _, csv_timed, _ = run_cli(capsys, *argv, "--format", "csv", "--timings")
+    assert csv_timed == csv_plain
 
 
 def test_verify_rejects_bad_range(capsys):

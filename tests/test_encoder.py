@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from rffqudit.channel import random_density, random_povm
 from rffqudit.coupling import build_coupled_basis
+from rffqudit import encoder, verify
 from rffqudit.encoder import (
+    EncodedOperator,
     HwsPair,
     QuditPovm,
     QuditState,
@@ -25,7 +27,7 @@ from rffqudit.encoder import (
     require_density,
     sector_support_residual,
 )
-from rffqudit.errors import ValidationError
+from rffqudit.errors import ConsistencyError, ValidationError
 from rffqudit.linalg import dagger, identity, max_abs_diff
 from rffqudit.spinsys import SpinRegister, collective_rotation
 
@@ -89,6 +91,76 @@ def test_qudit_povm_validation():
         QuditPovm(2, ())
     with pytest.raises(ValidationError, match="not PSD"):
         QuditPovm(2, (np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
+
+
+def test_qudit_povm_validation_names_the_first_failing_element():
+    third = identity(2) / 3
+    skew = np.array([[0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(ValidationError, match="POVM element 1 is not hermitian"):
+        QuditPovm(2, (third, third + skew, third - skew))
+    with pytest.raises(ValidationError,
+                       match=r"POVM element 2 is not PSD: min eigenvalue -5\.000e-01"):
+        QuditPovm(2, (third, np.diag([1.5, 1.0]), np.diag([-0.5, -1 / 3]),
+                      np.diag([-1 / 3, -0.2])))
+
+
+def _unchecked_state(d, rho):
+    """A QuditState that skipped its density check."""
+    state = object.__new__(QuditState)
+    object.__setattr__(state, "d", d)
+    object.__setattr__(state, "rho", np.asarray(rho, dtype=complex))
+    return state
+
+
+def test_a_non_psd_logical_operator_fails_the_encoded_psd_check(qs3, monkeypatch):
+    # spec(A (x) I_d) = spec(A): the check on the d x d factor keeps the
+    # frame check's message, naming the frame's min eigenvalue.
+    with pytest.raises(ConsistencyError,
+                       match=r"^encoded state is not PSD: min eigenvalue -2\.500e-01$"):
+        encode_state(qs3, _unchecked_state(2, np.diag([1.5, -0.5])))
+    monkeypatch.setattr(QuditPovm, "__post_init__", lambda self: None)
+    povm = QuditPovm(2, (identity(2) / 2, np.diag([0.7, 0.5]), np.diag([-0.2, 0.0])))
+    with pytest.raises(ConsistencyError,
+                       match=r"^encoded povm-element is not PSD: min eigenvalue -2\.000e-01$"):
+        encode_povm(qs3, povm)
+
+
+class _LeakyPayload(EncodedOperator):
+    """An encoded operator whose payload has an off-sector component."""
+
+    @property
+    def payload(self):
+        payload = super().payload
+        payload[0, 0] += 1e-6  # the all-up ket lies in the largest-j sector
+        return payload
+
+
+def test_entropy_check_rejects_a_payload_off_the_sector(qs4):
+    state = QuditState(3, random_density(np.random.default_rng(SEED + 5), 3))
+    leaky = _LeakyPayload(**vars(encode_state(qs4, state)))
+    with pytest.raises(ConsistencyError, match="not supported on the logical sector"):
+        encoded_entropy_check(state, leaky)
+
+
+def test_an_off_sector_payload_fails_the_entropy_row(monkeypatch):
+    real = verify.encoded_entropy_check
+    monkeypatch.setattr(verify, "encoded_entropy_check",
+                        lambda state, enc: real(state, _LeakyPayload(**vars(enc))))
+    results = verify.suite_encoder(n_values=(3,))
+    failed = [r for r in results if not r.passed]
+    assert [r.id for r in failed] == ["encoder:entropy:n=3"]
+    assert failed[0].residual == float("inf")
+    assert "|P - K C K^dag| = 1.000e-06 > 1e-09" in failed[0].description
+
+
+def test_entropy_is_taken_from_the_gated_frame(qs4, monkeypatch):
+    # S of the d**2 x d**2 frame, never an eigh of the 2**n x 2**n payload.
+    sizes, real = [], encoder.entropy_bits
+    monkeypatch.setattr(encoder, "entropy_bits",
+                        lambda m: sizes.append(np.shape(m)) or real(m))
+    state = QuditState(3, random_density(np.random.default_rng(SEED + 6), 3))
+    encoded_entropy_check(state, encode_state(qs4, state))
+    assert sizes == [(3, 3), (9, 9)]
 
 
 def test_q_set_basic_shape(qs3):

@@ -13,7 +13,14 @@ from math import factorial, sqrt
 import numpy as np
 import pytest
 
-from rffqudit.channel import ChannelConfig, random_density, random_povm, run_channel
+from rffqudit import channel
+from rffqudit.channel import (
+    ChannelConfig,
+    born_rule_harness,
+    random_density,
+    random_povm,
+    run_channel,
+)
 import rffqudit.coupling as coupling
 from rffqudit.coupling import (
     CoupledBasis,
@@ -30,10 +37,11 @@ from rffqudit.encoder import (
     decode_payload,
     encode_povm,
     encode_state,
+    encoded_entropy_check,
     sector_support_residual,
 )
 from rffqudit.errors import ConsistencyError
-from rffqudit.linalg import max_abs_diff
+from rffqudit.linalg import entropy_bits, max_abs_diff
 from rffqudit.spinsys import (
     SpinRegister,
     haar_su2,
@@ -41,7 +49,12 @@ from rffqudit.spinsys import (
     product_ket,
     total_J,
 )
-from rffqudit.verify import DEFAULT_SEED, q_algebra_residuals, rotation_invariance_residual
+from rffqudit.verify import (
+    DEFAULT_SEED,
+    entropy_defect_residual,
+    q_algebra_residuals,
+    rotation_invariance_residual,
+)
 
 SEED = 20261018
 SMALL_N = (3, 4, 5, 6)
@@ -168,6 +181,50 @@ def test_channel_trial_matches_the_dense_rotation(case, monkeypatch):
     assert max_abs_diff(traced[0][0], dense.rho) < 1e-12
     leakage = 1.0 - np.trace(dense.rho).real
     assert report.per_trial[0]["leakage"] == pytest.approx(leakage, abs=1e-12)
+
+
+def test_frame_entropy_matches_the_dense_payload_entropy(case):
+    n, basis, qs, _ = case
+    d = basis.d
+    state = QuditState(d, random_density(np.random.default_rng([SEED, n, 2]), d))
+    enc = encode_state(qs, state)
+    check = encoded_entropy_check(state, enc)
+    assert check.s_encoded == pytest.approx(entropy_bits(enc.payload), abs=1e-12)
+
+
+def test_harness_probabilities_match_the_dense_traces(case, monkeypatch):
+    # Tr(K^dag P_rho K F) against Tr(P_rho P_Pi) with P_Pi = K F K^dag, dense.
+    _, _, qs, _ = case
+    seen, real = [], channel.payload_probabilities
+
+    def recording(k, payload, frames):
+        seen.append((payload, frames, real(k, payload, frames)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(channel, "payload_probabilities", recording)
+    report = born_rule_harness(qs, 3, SEED)
+    assert len(seen) == 3 and report.max_encoded_deviation < 1e-12
+    k = qs.isometry
+    for payload, frames, probabilities in seen:
+        dense = [np.trace(payload @ (k @ f @ k.conj().T)).real for f in frames]
+        assert len(dense) == qs.d + 1
+        assert max_abs_diff(probabilities, dense) <= 1e-12
+
+
+def test_n10_born_and_entropy_rows_hold_one_payload_at_a_time():
+    # One 1024 x 1024 complex payload is 16 MB; stacking payloads over
+    # trials or elements, or a dense K C K^dag beside the payload, exceeds 3.
+    qs = build_coupled_basis(SpinRegister(10))
+    bound = 3 * 4 ** 10 * 16
+    for row in (lambda: born_rule_harness(qs, 5, SEED),
+                lambda: entropy_defect_residual(qs, 5)):
+        tracemalloc.start()
+        try:
+            row()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_rotation_residual_and_the_dense_loop_pass_the_built_k(case):

@@ -1,5 +1,6 @@
 """The verification suites: green on the real code, loud on corrupted code."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -28,7 +29,7 @@ from rffqudit.verify import (
     suite_hws,
     suite_reference,
 )
-from rffqudit.spinsys import SpinRegister
+from rffqudit.spinsys import SpinRegister, haar_su2
 
 
 def qset(n):
@@ -271,3 +272,42 @@ def test_reference_suite_builds_each_case_once(monkeypatch):
     calls.clear()
     assert all(r.passed for r in suite_reference())
     assert sorted(calls) == once
+
+
+def test_run_suite_builds_the_n3_paulis_once(monkeypatch):
+    # The hws suite's d = 2 Pauli check reads the reference suite's built case.
+    calls, real = [], reference.n3_pauli
+
+    def counting():
+        calls.append("n3-pauli")
+        return real()
+
+    monkeypatch.setattr(reference, "n3_pauli", counting)
+    monkeypatch.setitem(reference.REFERENCE_CASES, "n3-pauli", dataclasses.replace(
+        reference.REFERENCE_CASES["n3-pauli"], build=counting))
+    assert all(r.passed for r in run_suite("all", n_values=(3, 4)))
+    assert calls == ["n3-pauli"]
+    calls.clear()
+    alone = suite_hws(n_values=(3,))
+    assert [r.id for r in alone] == ["hws:relations:d=2", "hws:d2-pauli-identification"]
+    assert all(r.passed for r in alone) and calls == ["n3-pauli"]
+
+
+def test_rotation_row_draws_match_one_at_a_time_draws_in_chunks(monkeypatch):
+    qs = build_coupled_basis(SpinRegister(4))
+    whole = rotation_invariance_residual(qs, 5, seed=11)
+    real, sizes = verify.collective_product_apply, []
+
+    def recording(reg, u, vecs):
+        sizes.append(len(u))
+        return real(reg, u, vecs)
+
+    monkeypatch.setattr(verify, "collective_product_apply", recording)
+    monkeypatch.setattr(verify, "CHUNK_BYTES", 2 * qs.isometry.nbytes)
+    assert rotation_invariance_residual(qs, 5, seed=11) == whole
+    assert sizes == [2, 2, 1]
+    # The stacked draw is the stream of five single draws.
+    rng = np.random.default_rng(np.random.SeedSequence(11))
+    singles = np.array([haar_su2(rng) for _ in range(5)])
+    rng = np.random.default_rng(np.random.SeedSequence(11))
+    assert np.array_equal(haar_su2([rng] * 5), singles)
