@@ -24,6 +24,8 @@ import io
 import json
 from dataclasses import dataclass, field
 from math import sqrt
+from operator import itemgetter
+from time import perf_counter
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -60,6 +62,18 @@ NOISE_MODES = ("haar", "fixed", "dephasing")
 # while it is rotated and gated. From n = 7 on, K alone exceeds it. Larger
 # chunks ran no faster at n = 3 and raised the process's peak RSS.
 CHUNK_BYTES = 64 * 2 ** 10
+# One per_trial row as json.dumps(..., sort_keys=True, indent=2) writes it in
+# a report: its keys sorted, at nesting depth two.
+_ROW_KEYS = ("bare_fidelity", "fidelity", "leakage", "trace_distance", "trial")
+_ROW_TEMPLATE = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _ROW_KEYS) + "\n    }"
+# repr writes a float, an int or None as json does, except for these words.
+_JSON_WORDS = {"None": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_NUMBER_TYPES = {float, int, type(None)}
+
+
+def require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +87,7 @@ class ChannelConfig:
     width: float | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        require_trials(self.trials)
         if self.noise not in NOISE_MODES:
             raise ValidationError(
                 f"unknown noise mode {self.noise!r}; expected one of {NOISE_MODES}"
@@ -105,15 +118,21 @@ class ChannelReport:
     per_trial: list = field(repr=False)
     aggregate: dict
     note: str | None
+    # Wall time of the noise draws, the rotation and gate, and the figures;
+    # it differs run to run, so the report output leaves it out.
+    elapsed_ms: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "per_trial": self.per_trial,
-            "aggregate": self.aggregate,
-            "note": self.note,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        """json.dumps(report, sort_keys=True, indent=2), the trial rows written directly."""
+        rows = _trial_rows_json(self.per_trial)
+        if rows is None:  # a row that run_channel does not make
+            return json.dumps({"config": self.config, "per_trial": self.per_trial,
+                               "aggregate": self.aggregate, "note": self.note},
+                              sort_keys=True, indent=2)
+        rest = json.dumps({"config": self.config, "aggregate": self.aggregate,
+                           "note": self.note}, sort_keys=True, indent=2)
+        # "per_trial" sorts last, so the rows close the report.
+        return f'{rest[:-2]},\n  "per_trial": {rows}\n}}'
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -129,6 +148,31 @@ class ChannelReport:
                 "" if bare is None else repr(bare),
             ])
         return buf.getvalue()
+
+
+def _trial_rows_json(rows: list) -> str | None:
+    """The per_trial array as json.dumps(..., sort_keys=True, indent=2) writes it
+    in a report, or None unless every row has exactly the _ROW_KEYS, each
+    holding a float, an int or None.
+
+    Each column is written by one repr of a list, the floats formatted in C.
+    """
+    try:
+        if any(len(row) != len(_ROW_KEYS) for row in rows):
+            return None
+        columns = list(zip(*map(itemgetter(*_ROW_KEYS), rows)))
+    except (KeyError, TypeError):
+        return None
+    cells = []
+    for column in columns:
+        if not set(map(type, column)) <= _NUMBER_TYPES:
+            return None
+        text = repr(list(column))
+        words = text[1:-1].split(", ")  # no number's text holds ", "
+        # only None, nan and inf put an "n" in the text
+        cells.append([_JSON_WORDS.get(w, w) for w in words] if "n" in text else words)
+    lines = [_ROW_TEMPLATE % row for row in zip(*cells)]
+    return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
 
 
 def _series_stats(values: np.ndarray) -> dict:
@@ -149,7 +193,8 @@ def _noise_unitaries(cfg: ChannelConfig) -> np.ndarray:
         generator = (ax[0] * SIGMA_X + ax[1] * SIGMA_Y + ax[2] * SIGMA_Z) / 2
         return np.broadcast_to(mat_exp_hermitian_generator(generator, cfg.angle),
                                (cfg.trials, 2, 2))
-    rngs = (np.random.default_rng(child)  # one live Generator at a time
+    # The Generator that default_rng(child) builds; one live at a time
+    rngs = (np.random.Generator(np.random.PCG64(child))
             for child in np.random.SeedSequence(cfg.seed).spawn(cfg.trials))
     if cfg.noise == "haar":
         return haar_su2(rngs)
@@ -199,9 +244,12 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
         "bare-qubit comparison omitted: it is defined only for d=2"
     )
 
+    start = perf_counter()
     u = _noise_unitaries(cfg)
+    drawn = perf_counter()
     decoded = np.concatenate([partial_trace_m2(basis.d, r @ enc.frame @ dagger(r))
                               for r in _sector_frames(basis, u)])
+    rotated = perf_counter()
     decoded = (decoded + dagger(decoded)) / 2
     require_density(decoded, "decoded state")
     # The bare qubit's states ride in the same stack, so sqrt(rho) is taken once.
@@ -237,9 +285,10 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
         "coupling_fingerprint": basis.fingerprint,
         "state": matrix_to_json_dict(state.rho),
     }
-    return ChannelReport(
-        config=config_echo, per_trial=per_trial, aggregate=aggregate, note=note
-    )
+    elapsed_ms = {"noise": (drawn - start) * 1e3, "rotation": (rotated - drawn) * 1e3,
+                  "figures": (perf_counter() - rotated) * 1e3}
+    return ChannelReport(config=config_echo, per_trial=per_trial, aggregate=aggregate,
+                         note=note, elapsed_ms=elapsed_ms)
 
 
 def _require_unit_interval(name: str, values: np.ndarray) -> None:
@@ -297,6 +346,7 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     channel's chunks; the rest runs one trial at a time, so one 2**n x 2**n
     payload is held at a time.
     """
+    require_trials(trials)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = []
     for _ in range(trials):  # per trial: the state, then the POVM, then u

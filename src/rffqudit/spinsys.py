@@ -287,15 +287,14 @@ def haar_su2(rng) -> np.ndarray:
     fixes the R-diagonal phases (making the draw Haar on U(2)), then removes
     the determinant phase to land in SU(2). Given an iterable of generators
     instead, returns the stack (T, 2, 2) of one draw from each, bit-identical
-    to drawing them one at a time.
+    to drawing them one at a time. Each draw takes the real parts, then the
+    imaginary parts, of the Gaussian from one standard_normal call.
     """
-    def gaussian(gen):
-        return gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
-
     if isinstance(rng, np.random.Generator):
-        g = gaussian(rng)
+        z = rng.standard_normal((2, 2, 2))
     else:
-        g = np.array([gaussian(gen) for gen in rng])
+        z = np.array([gen.standard_normal((2, 2, 2)) for gen in rng])
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d / np.abs(d))[..., None, :]

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import reference as ref
-from .channel import CHUNK_BYTES, born_rule_harness, random_density
+from .channel import CHUNK_BYTES, born_rule_harness, random_density, require_trials
 from .coupling import (
     CoupledBasis,
     block_mixing_residual,
@@ -173,6 +173,7 @@ def rotation_invariance_residual(qs: CoupledBasis, trials: int,
     Q(l,l') = K_l K_l'^dag survives U. The rotations act as stacks of at most
     channel.CHUNK_BYTES of U K.
     """
+    require_trials(trials)
     reg = SpinRegister(qs.n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     u = haar_su2([rng] * trials)  # bit-identical to drawing them one at a time
@@ -193,11 +194,20 @@ def _random_states(qs: CoupledBasis, trials: int, seed: int) -> list[QuditState]
 
 def round_trip_residual(qs: CoupledBasis, trials: int,
                         seed: int = DEFAULT_SEED) -> float:
-    """Worst encode -> decode deviation over random logical states."""
-    return max((
-        max_abs_diff(state.rho, decode_payload(qs, encode_state(qs, state).payload).rho)
-        for state in _random_states(qs, trials, seed)
-    ), default=0.0)
+    """Worst encode -> decode deviation over random logical states.
+
+    A payload that decode_payload finds off the sector is a failed encoding
+    here, so it raises ConsistencyError rather than ValidationError.
+    """
+    def decoded(state: QuditState) -> np.ndarray:
+        payload = encode_state(qs, state).payload
+        try:
+            return decode_payload(qs, payload).rho
+        except ValidationError as exc:
+            raise ConsistencyError(f"the encoded payload fails to decode: {exc}") from exc
+
+    return max((max_abs_diff(state.rho, decoded(state))
+                for state in _random_states(qs, trials, seed)), default=0.0)
 
 
 def born_probability_residual(qs: CoupledBasis, trials: int,

@@ -5,16 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rffqudit import channel, cli
 from rffqudit.channel import (
     BornReport,
     ChannelConfig,
+    ChannelReport,
     born_rule_harness,
     random_density,
     random_povm,
     random_pure_density,
     run_channel,
+    _noise_unitaries,
 )
 from rffqudit.coupling import build_coupled_basis
 from rffqudit.encoder import QuditState, build_q_set, decode_payload, encode_state
@@ -188,6 +192,12 @@ def test_born_rule_harness_deviations_are_tiny(n):
     assert report.max_rotated_deviation < 1e-11
 
 
+def test_born_rule_harness_rejects_zero_trials():
+    qs = build_coupled_basis(SpinRegister(3))
+    with pytest.raises(ValidationError, match="trials must be >= 1, got 0"):
+        born_rule_harness(qs, 0, 1)
+
+
 def test_born_rule_harness_is_deterministic():
     qs = build_q_set(build_coupled_basis(SpinRegister(3)))
     a = born_rule_harness(qs, trials=5, seed=4)
@@ -329,3 +339,94 @@ def test_n10_channel_memory_is_bounded_by_the_chunk_budget(monkeypatch):
         tracemalloc.stop()
     assert report.aggregate["fidelity"]["min"] > 1 - 1e-9
     assert peak < bound
+
+
+def _report_dict(report: ChannelReport) -> dict:
+    return {"config": report.config, "per_trial": report.per_trial,
+            "aggregate": report.aggregate, "note": report.note}
+
+
+@pytest.mark.parametrize("n, noise", [(3, "haar"), (3, "fixed"), (3, "dephasing"), (4, "haar")])
+def test_report_json_equals_json_dumps_of_the_report(n, noise):
+    cfg = ChannelConfig(n=n, trials=25, seed=5, noise=noise, **NOISE_CONFIGS[noise])
+    state = QuditState(n - 1, random_density(np.random.default_rng(n), n - 1))
+    report = run_channel(cfg, state)
+    bare = [row["bare_fidelity"] for row in report.per_trial]
+    assert all(isinstance(b, float) for b in bare) if n == 3 else bare == [None] * 25
+    assert report.to_json() == json.dumps(_report_dict(report), sort_keys=True, indent=2)
+
+
+NUMBERS = st.one_of(
+    st.floats(),  # nan and +-inf included
+    st.sampled_from([5e-324, -0.0, 1e22, 1 - 2 ** -53, float("nan"), float("inf"),
+                     -float("inf")]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS, st.none() | NUMBERS), max_size=12),
+       st.none() | st.text(max_size=8))
+def test_report_json_writes_any_float_as_json_does(cells, note):
+    rows = [{"trial": t, "fidelity": f, "trace_distance": td, "leakage": lk,
+             "bare_fidelity": bare} for t, (f, td, lk, bare) in enumerate(cells)]
+    report = ChannelReport(config={"n": 3}, per_trial=rows,
+                           aggregate={"fidelity": None}, note=note)
+    text = report.to_json()
+    assert text == json.dumps(_report_dict(report), sort_keys=True, indent=2)
+    assert "nan" not in text and "inf" not in text
+
+
+def _one_row_report(**changed) -> ChannelReport:
+    row = {"trial": 0, "fidelity": 1.0, "trace_distance": 0.0, "leakage": 0.0,
+           "bare_fidelity": None, **changed}
+    return ChannelReport(config={"n": 3}, per_trial=[row], aggregate={}, note=None)
+
+
+@pytest.mark.parametrize("changed", [
+    {"trial": True},  # json writes true, not 1
+    {"fidelity": np.float64(0.1)},
+    {"fidelity": "1.0, 2.0"},
+    {"extra": 1.0},
+])
+def test_report_json_of_other_rows_is_json_dumps_of_them(changed):
+    report = _one_row_report(**changed)
+    assert report.to_json() == json.dumps(_report_dict(report), sort_keys=True, indent=2)
+
+
+def test_report_json_refuses_what_json_refuses():
+    with pytest.raises(TypeError, match="float32"):
+        _one_row_report(fidelity=np.float32(0.1)).to_json()
+
+
+def _old_haar_su2(gens) -> np.ndarray:
+    """The stacked Haar draw as it was first written: two normal() calls per draw."""
+    g = np.array([gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)) for gen in gens])
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
+    return q / np.sqrt(np.linalg.det(q))[..., None, None]
+
+
+@pytest.mark.parametrize("seed", (1, 7, 2 ** 40 + 3))
+def test_noise_draws_equal_the_old_draws_bit_for_bit(seed):
+    trials = 2000
+    children = np.random.SeedSequence(seed).spawn(trials)
+    haar = _noise_unitaries(ChannelConfig(n=3, trials=trials, seed=seed))
+    assert np.array_equal(haar, _old_haar_su2(np.random.default_rng(c) for c in children))
+    width = 0.3
+    dephasing = _noise_unitaries(
+        ChannelConfig(n=3, trials=trials, seed=seed, noise="dephasing", width=width))
+    theta = np.array([np.random.default_rng(c).normal(loc=0.0, scale=width)
+                      for c in children])
+    assert np.array_equal(dephasing, mat_exp_hermitian_generator(SIGMA_Z / 2, theta))
+
+
+@pytest.mark.parametrize("seed", (1, 7, 99))
+def test_draws_from_one_generator_equal_the_old_draws_bit_for_bit(seed):
+    trials = 2000
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    old = _old_haar_su2([rng] * trials)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    assert np.array_equal(haar_su2([rng] * trials), old)
+    single = haar_su2(np.random.default_rng(seed))
+    assert np.array_equal(single, _old_haar_su2([np.random.default_rng(seed)])[0])

@@ -432,6 +432,21 @@ def test_channel_bad_axis_text(capsys):
 # global flag handling
 # ---------------------------------------------------------------------------
 
+def test_channel_timings_go_to_stderr_and_leave_the_report(capsys):
+    argv = ["channel", "--n", "3", "--trials", "20", "--seed", "7"]
+    for fmt in ("json", "csv"):
+        code, plain, plain_err = run_cli(capsys, *argv, "--format", fmt)
+        timed_code, timed, err = run_cli(capsys, *argv, "--format", fmt, "--timings")
+        assert code == timed_code == 0
+        assert timed == plain and plain_err == ""
+        lines = err.splitlines()
+        assert [line.split(": ")[0] for line in lines] == [
+            f"timing channel:{stage}"
+            for stage in ("noise", "rotation", "figures", "serialisation")]
+        assert all(line.endswith(" ms") and float(line.split(": ")[1][:-3]) >= 0
+                   for line in lines)
+
+
 def test_global_flags_accepted_before_subcommand(capsys):
     code_a, out_a, _ = run_cli(capsys, "--format", "csv", "census", "--n", "3")
     code_b, out_b, _ = run_cli(capsys, "census", "--n", "3", "--format", "csv")
@@ -492,6 +507,21 @@ def test_python_m_rffqudit_census_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["agreement"] is True
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    calls = [["census"],  # a usage error: --n is required
+             ["--format", "csv", "census", "--n", "3"],
+             ["census", "--n", "3"],
+             ["--max-n", "13", "census", "--n", "13"]]
+    cli._build_parser.cache_clear()
+    in_process = [run_cli(capsys, *argv)[:2] for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _ in in_process] == [2, 0, 0, 0]
+    for argv, (code, out) in zip(calls, in_process):
+        alone = subprocess.run([sys.executable, "-m", "rffqudit", *argv],
+                               capture_output=True, env=_env_with_src(), timeout=120)
+        assert (alone.returncode, alone.stdout.decode()) == (code, out), argv
 
 
 def test_memory_error_exits_two(capsys, monkeypatch):

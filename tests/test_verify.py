@@ -8,6 +8,7 @@ import pytest
 
 import rffqudit.channel as channel
 import rffqudit.coupling as coupling
+import rffqudit.encoder as encoder
 import rffqudit.reference as reference
 import rffqudit.verify as verify
 from rffqudit import cli
@@ -236,6 +237,29 @@ def test_a_rotation_leaving_the_sector_fails_only_the_born_rows(monkeypatch):
     assert all("leaves the logical sector" in r.description for r in failed)
 
 
+def test_an_off_sector_payload_fails_its_rows_in_a_written_report(monkeypatch, capsys,
+                                                                  tmp_path):
+    argv = ["verify", "--suite", "all", "--n-range", "3..4", "--output"]
+    assert cli.main(argv + [str(tmp_path / "pass.json")]) == 0
+    real = encoder.EncodedOperator.payload
+
+    def off_sector(enc):
+        payload = real.fget(enc)
+        payload[0, 0] += 1e-6
+        return payload
+
+    monkeypatch.setattr(encoder.EncodedOperator, "payload", property(off_sector))
+    capsys.readouterr()
+    assert cli.main(argv + [str(tmp_path / "fail.json")]) == 1
+    passing = json.loads((tmp_path / "pass.json").read_text())["checks"]
+    failing = json.loads((tmp_path / "fail.json").read_text())["checks"]
+    assert [r["id"] for r in failing] == [r["id"] for r in passing]
+    failed = {r["id"]: r for r in failing if not r["passed"]}
+    assert {"encoder:round-trip:n=3", "encoder:round-trip:n=4"} <= set(failed)
+    assert {row_id.split(":")[1] for row_id in failed} <= {"round-trip", "entropy", "born"}
+    assert "not supported on the logical sector" in failed["encoder:round-trip:n=3"]["description"]
+
+
 def test_a_corrupted_closed_form_fails_each_row_that_reads_it(monkeypatch):
     ids = [r.id for r in suite_reference()]
     monkeypatch.setattr(reference, "W3", np.exp(2j * np.pi / 3) * 1.001)
@@ -291,6 +315,11 @@ def test_run_suite_builds_the_n3_paulis_once(monkeypatch):
     alone = suite_hws(n_values=(3,))
     assert [r.id for r in alone] == ["hws:relations:d=2", "hws:d2-pauli-identification"]
     assert all(r.passed for r in alone) and calls == ["n3-pauli"]
+
+
+def test_rotation_row_rejects_zero_trials():
+    with pytest.raises(ValidationError, match="trials must be >= 1, got 0"):
+        rotation_invariance_residual(build_coupled_basis(SpinRegister(3)), 0)
 
 
 def test_rotation_row_draws_match_one_at_a_time_draws_in_chunks(monkeypatch):
