@@ -360,7 +360,7 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
         enc = encode_state(qs, QuditState(d=qs.d, rho=rho))
         frames = np.array([e.frame for e in encode_povm(qs, povm)])
         logical = np.einsum("ij,kji->k", rho, np.array(povm.elements)).real
-        encoded = payload_probabilities(qs.isometry, enc.payload, frames)
+        encoded = payload_probabilities(qs, enc.payload, frames)
         rotated = np.einsum("ij,kji->k", r @ enc.frame @ dagger(r), frames).real
         worst_encoded = max(worst_encoded, float(np.abs(encoded - logical).max()))
         worst_rotated = max(worst_rotated, float(np.abs(rotated - logical).max()))

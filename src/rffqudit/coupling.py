@@ -62,6 +62,11 @@ from .spinsys import (
 )
 
 ISOMETRY_TOL = 1e-10
+# Bytes of payload rows that CoupledBasis.compress holds at a time: one strip
+# read from the payload and one formed beside it, half each; lift forms its
+# rows in strips of the same half. Neither holds a second 2**n x 2**n matrix
+# beside the payload.
+ROW_BLOCK_BYTES = 4 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -158,11 +163,14 @@ class CoupledBasis:
 
     isometry is the 2**n x d**2 matrix K whose columns are the kets
     |j2, m2; lambda>, ordered (lambda, m2): column (lambda-1)(2 j2+1) + (j2-m2).
-    It is read-only, so encoded operators share it. The dense projector
-    K K^dag and each dense Q_{lambda lambda'} = basis(lambda, lambda') are
-    built from K on every access, for callers that ask for a 2**n x 2**n
-    matrix; nothing dense is stored. The gate's residuals are computed once
-    per object; a dataclasses.replace'd copy computes its own.
+    It is read-only, so encoded operators share it. Column (lambda, m2) is
+    nonzero only on the product kets of Hamming weight n/2 - m2, so K is d
+    blocks B_m2 (weight_classes), and every operator K (A (x) I_d) K^dag is
+    block-diagonal in the weight. lift builds such operators and compress
+    takes K^dag P K of any P, both one weight class at a time; the dense
+    projector K K^dag and each Q_{lambda lambda'} = basis(lambda, lambda') are
+    lifts built on every access. The weight classes and the gate's residuals
+    are computed once per object; a dataclasses.replace'd copy computes its own.
     """
 
     n: int
@@ -186,6 +194,78 @@ class CoupledBasis:
         """isometry_residuals of K: the Gram, trace and covariance residuals."""
         return isometry_residuals(self.n, self.isometry)
 
+    @cached_property
+    def weight_classes(self) -> tuple:
+        """(rows, B) for each m2 = j2, j2-1, ..., -j2: the product-ket indices of
+        Hamming weight n/2 - m2, and the C(n, w) x d block of K on them and on
+        the columns (lambda, m2).
+
+        K is zero elsewhere: the ladder build leaves exact zeros, and the
+        covariance gate bounds any entry there by ISOMETRY_TOL, as
+        |n/2 - w - m2| >= 1. No row of weight 0 or n is in a class.
+        """
+        weight = hamming_weights(self.n)
+        size = int(2 * self.j2) + 1
+        classes = []
+        for k in range(size):
+            rows = np.flatnonzero(weight == k + 1)
+            block = np.ascontiguousarray(self.isometry[rows, k::size])
+            block.setflags(write=False)
+            classes.append((rows, block))
+        return tuple(classes)
+
+    def lift(self, logical) -> np.ndarray:
+        """The 2**n x 2**n operator K (A (x) I_d) K^dag of a d x d A: B A B^dag on
+        each weight class's rows and columns, exact zeros elsewhere. Its rows
+        are formed in strips of at most ROW_BLOCK_BYTES / 2."""
+        out = np.zeros((2 ** self.n,) * 2, dtype=complex)
+        for rows, block in self.weight_classes:
+            left, right = block @ logical, block.conj().T
+            step = max(1, ROW_BLOCK_BYTES // (2 * out.itemsize * len(rows)))
+            for first in range(0, len(rows), step):
+                out[rows[first:first + step, None], rows] = left[first:first + step] @ right
+        return out
+
+    def _walk(self, payload, residual: bool) -> tuple[np.ndarray, float | None]:
+        """C = K^dag P K, and max |P - K C K^dag| if residual, one weight class
+        at a time.
+
+        The rows of C in class m2 are (B^dag P[rows]) K, and the rows of
+        K C K^dag there are B (C[m2 rows] K^dag); those of weight 0 and n are
+        zero, so there the residual is |P| itself. P is read in strips of rows
+        of at most ROW_BLOCK_BYTES / 2, once for C and once more for the
+        residual; beside P the walk holds one strip, the strip formed beside
+        it, and one d**2 x 2**n array.
+        """
+        payload = np.asarray(payload, dtype=complex)
+        k_all, size = self.isometry, len(self.weight_classes)
+        step = max(1, ROW_BLOCK_BYTES // (2 * payload.itemsize * payload.shape[1]))
+        top = np.zeros((k_all.shape[1], payload.shape[1]), dtype=complex)  # K^dag P
+        for k, (rows, block) in enumerate(self.weight_classes):
+            for first in range(0, len(rows), step):
+                top[k::size] += (block[first:first + step].conj().T
+                                 @ payload.take(rows[first:first + step], axis=0))
+        inner = top @ k_all
+        if not residual:
+            return inner, None
+        back = np.matmul(inner.conj(), k_all.T, out=top)  # C K^dag, conjugated in place
+        np.conjugate(back, out=back)
+        worst = max(np.abs(payload[0]).max(), np.abs(payload[-1]).max())
+        for k, (rows, block) in enumerate(self.weight_classes):
+            for first in range(0, len(rows), step):
+                strip = payload.take(rows[first:first + step], axis=0)
+                strip -= block[first:first + step] @ back[k::size]
+                worst = max(worst, np.abs(strip).max())
+        return inner, float(worst)
+
+    def sector_frame(self, payload) -> np.ndarray:
+        """C = K^dag P K of a 2**n x 2**n P, one weight class at a time."""
+        return self._walk(payload, residual=False)[0]
+
+    def compress(self, payload) -> tuple[np.ndarray, float]:
+        """(C, max |P - K C K^dag|) for C = K^dag P K, one weight class at a time."""
+        return self._walk(payload, residual=True)
+
     @property
     def q(self) -> dict:
         """The arrays the basis holds, by name."""
@@ -193,11 +273,17 @@ class CoupledBasis:
 
     @property
     def sector_projector(self) -> np.ndarray:
-        return self.isometry @ dagger(self.isometry)
+        return self.lift(identity(self.d))
 
     def __call__(self, lam: int, lamp: int) -> np.ndarray:
-        blocks = np.split(self.isometry, self.d, axis=1)  # K_1 .. K_d
-        return blocks[lam - 1] @ dagger(blocks[lamp - 1])
+        unit = np.zeros((self.d, self.d))
+        unit[lam - 1, lamp - 1] = 1.0
+        return self.lift(unit)
+
+
+def hamming_weights(n: int) -> np.ndarray:
+    """The number of 1 bits (spins down) of each product-ket index 0 .. 2**n - 1."""
+    return sum((np.arange(2 ** n) >> bit) & 1 for bit in range(n))
 
 
 def build_coupled_basis(reg: SpinRegister, coupling=None) -> CoupledBasis:
@@ -354,7 +440,7 @@ def sector_census(reg: SpinRegister, degeneracy_tol: float = 1e-8) -> list[Secto
             f"census total {total} != 2**{n}; the multiplicity formula is broken"
         )
 
-    weight = sum((np.arange(reg.dim) >> bit) & 1 for bit in range(n))
+    weight = hamming_weights(n)
     swaps = [permutation_indices(reg, transposition(n, l, k))
              for l in range(1, n + 1) for k in range(l + 1, n + 1)]
     for w in range(n + 1):

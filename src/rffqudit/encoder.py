@@ -12,10 +12,20 @@ K_lambda'^dag. A logical d-dimensional state rho encodes into the
 (trace one: the rotation-sensitive degree of freedom is held maximally
 mixed), and POVM elements encode without the 1/d so that a logical POVM sums
 to the sector projector K K^dag. An encoded operator stores its d**2 x d**2
-sector frame K^dag payload K and builds the payload on request; decoding is
-the partial trace over m2 of the frame. Outcome probabilities and (up to the
-additive log2(d) from the mixed factor) entropies survive the round trip,
-which is what makes the construction a faithful qudit.
+sector frame K^dag payload K = A (x) I_d (A = rho/d or the POVM element) and
+builds the payload on request; decoding is the partial trace over m2 of the
+frame. Outcome probabilities and (up to the additive log2(d) from the mixed
+factor) entropies survive the round trip, which is what makes the
+construction a faithful qudit.
+
+Column (lambda, m2) of K lives on the product kets of Hamming weight
+w = n/2 - m2 alone, so K is d weight blocks B_m2 of C(n, w) x d each
+(CoupledBasis.weight_classes), and a payload K (A (x) I_d) K^dag is
+block-diagonal in w: B A B^dag on each class, zero between classes and on
+the all-up and all-down kets. Payloads are built that way
+(CoupledBasis.lift), and a raw payload P is compressed to C = K^dag P K one
+weight class at a time, with its residual |P - K C K^dag| taken in row
+strips (CoupledBasis.compress): d times fewer flops than the dense products.
 """
 
 from __future__ import annotations
@@ -38,9 +48,6 @@ from .linalg import (
 
 PSD_TOL = 1e-10
 SECTOR_TOL = 1e-9
-# Bytes of one row block of K C K^dag in a sector residual: the residual never
-# holds a second 2**n x 2**n matrix beside the payload.
-ROW_BLOCK_BYTES = 4 * 2 ** 20
 
 # The verified basis is the Q set; build_q_set re-checks its gate on a given
 # basis, reading the residuals that basis computed once (CoupledBasis.gate_residuals).
@@ -126,38 +133,21 @@ class QuditPovm:
 
 @dataclass(frozen=True)
 class EncodedOperator:
-    """A logical state or POVM element held as its sector frame K^dag payload K."""
+    """A logical state or POVM element held as its sector frame
+    A (x) I_d = K^dag payload K (A = rho/d for a state)."""
 
     n: int
     d: int
     kind: str  # "state" | "povm-element"
     fingerprint: str
     frame: np.ndarray = field(repr=False)
-    isometry: np.ndarray = field(repr=False)  # the shared, read-only K
+    basis: CoupledBasis = field(repr=False)  # shares its read-only K
 
     @property
     def payload(self) -> np.ndarray:
-        """The 2**n x 2**n physical operator K frame K^dag."""
-        return self.isometry @ self.frame @ dagger(self.isometry)
-
-
-def _sector_frame(k: np.ndarray, payload) -> tuple[np.ndarray, float]:
-    """(C, max |payload - K C K^dag|) for the frame C = K^dag payload K.
-
-    The residual is taken over row blocks of K C K^dag of at most
-    ROW_BLOCK_BYTES each.
-    """
-    payload = np.asarray(payload, dtype=complex)
-    k_dag = dagger(k)
-    inner = k_dag @ payload @ k
-    kc = k @ inner
-    step = max(1, ROW_BLOCK_BYTES // (payload.itemsize * payload.shape[1]))
-    residual = 0.0
-    for first in range(0, len(payload), step):
-        block = kc[first:first + step] @ k_dag
-        block -= payload[first:first + step]
-        residual = max(residual, float(np.abs(block).max()))
-    return inner, residual
+        """The 2**n x 2**n physical operator K (A (x) I_d) K^dag, lifted from A:
+        the frame's entries at m2 = j2, as every m2 block of A (x) I_d is A."""
+        return self.basis.lift(self.frame[::self.d, ::self.d])
 
 
 def decode_frame(d: int, frame: np.ndarray) -> QuditState:
@@ -168,7 +158,7 @@ def decode_frame(d: int, frame: np.ndarray) -> QuditState:
 
 def sector_support_residual(qs: CoupledBasis, payload) -> float:
     """How far the payload sticks out of the logical sector."""
-    return _sector_frame(qs.isometry, payload)[1]
+    return qs.compress(payload)[1]
 
 
 def _encoded(qs: CoupledBasis, kind: str, logical: np.ndarray) -> list[EncodedOperator]:
@@ -185,7 +175,7 @@ def _encoded(qs: CoupledBasis, kind: str, logical: np.ndarray) -> list[EncodedOp
     # np.kron(A, I_d) of each factor, as one product per entry
     frames = np.einsum("mij,kl->mikjl", logical, identity(d)).reshape(m, d * d, d * d)
     return [EncodedOperator(n=qs.n, d=d, kind=kind, fingerprint=qs.fingerprint,
-                            frame=frame, isometry=qs.isometry)
+                            frame=frame, basis=qs)
             for frame in frames]
 
 
@@ -212,7 +202,7 @@ def decode_state(qs: CoupledBasis, enc: EncodedOperator) -> QuditState:
 
 def decode_payload(qs: CoupledBasis, payload, sector_tol: float = SECTOR_TOL) -> QuditState:
     """Decode a raw payload matrix, insisting it lives on the logical sector."""
-    inner, residual = _sector_frame(qs.isometry, payload)
+    inner, residual = qs.compress(payload)
     if residual > sector_tol:
         raise ValidationError(
             f"payload is not supported on the logical sector "
@@ -236,15 +226,15 @@ def encode_povm(qs: CoupledBasis, povm: QuditPovm) -> list[EncodedOperator]:
     return encoded
 
 
-def payload_probabilities(k: np.ndarray, payload: np.ndarray,
+def payload_probabilities(qs: CoupledBasis, payload: np.ndarray,
                           frames: np.ndarray) -> np.ndarray:
     """Tr(payload K F K^dag) for each frame F of a stack (m, d**2, d**2).
 
     Each is Tr(C F) with C = K^dag payload K, by cyclicity the same number:
-    one O(4**n d**2) compression of the payload, and no 2**n x 2**n product
+    one O(4**n d) compression of the payload, and no 2**n x 2**n product
     per element.
     """
-    return np.einsum("ij,kji->k", dagger(k) @ payload @ k, frames).real
+    return np.einsum("ij,kji->k", qs.sector_frame(payload), frames).real
 
 
 class EntropyCheck(NamedTuple):
@@ -262,7 +252,7 @@ def encoded_entropy_check(state: QuditState, enc: EncodedOperator) -> EntropyChe
     ConsistencyError.
     """
     s_logical = entropy_bits(state.rho)
-    frame, residual = _sector_frame(enc.isometry, enc.payload)
+    frame, residual = enc.basis.compress(enc.payload)
     if residual > SECTOR_TOL:
         raise ConsistencyError(
             f"encoded {enc.kind} payload is not supported on the logical sector "
@@ -277,22 +267,23 @@ class HwsPair:
     """The unitary clock/shift pair on the logical sector.
 
     clock and shift are the d x d logical pair; u = K (clock (x) I) K^dag and
-    v = K (shift (x) I) K^dag are built on access from the shared, read-only K.
+    v = K (shift (x) I) K^dag are lifted on access by the basis, which shares
+    its read-only K.
     """
 
     d: int
     omega: complex
     clock: np.ndarray = field(repr=False)
     shift: np.ndarray = field(repr=False)
-    isometry: np.ndarray = field(repr=False)
+    basis: CoupledBasis = field(repr=False)
 
     @property
     def u(self) -> np.ndarray:
-        return self.isometry @ np.kron(self.clock, identity(self.d)) @ dagger(self.isometry)
+        return self.basis.lift(self.clock)
 
     @property
     def v(self) -> np.ndarray:
-        return self.isometry @ np.kron(self.shift, identity(self.d)) @ dagger(self.isometry)
+        return self.basis.lift(self.shift)
 
 
 def build_hws(qs: CoupledBasis) -> HwsPair:
@@ -303,7 +294,7 @@ def build_hws(qs: CoupledBasis) -> HwsPair:
     omega = np.exp(2j * np.pi / d)
     clock = np.diag(omega ** np.arange(1, d + 1))
     shift = np.roll(identity(d), 1, axis=1)  # |lambda><lambda+1|, |d><1|
-    pair = HwsPair(d=d, omega=omega, clock=clock, shift=shift, isometry=qs.isometry)
+    pair = HwsPair(d=d, omega=omega, clock=clock, shift=shift, basis=qs)
     residual = hws_relations_residual(pair)
     if residual > 1e-10:
         raise ConsistencyError(

@@ -242,6 +242,24 @@ def test_encode_born_table_matches_the_dense_traces(capsys, tmp_path, n):
     np.testing.assert_allclose(encoded, dense, rtol=0, atol=1e-12)
 
 
+def test_encode_timings_go_to_stderr_and_leave_the_report(capsys, tmp_path):
+    state = write_json(tmp_path / "state.json", matrix_to_json_dict(n3_trine()["logical3"]))
+    plain_argv = ["encode", "--n", "3", "--state", state]
+    povm_argv = plain_argv + ["--povm", trine_povm_file(tmp_path)]
+    for argv in (plain_argv, povm_argv):
+        for fmt in ("json", "csv"):
+            code, plain, plain_err = run_cli(capsys, *argv, "--format", fmt)
+            timed_code, timed, err = run_cli(capsys, *argv, "--format", fmt, "--timings")
+            assert code == timed_code == 0
+            assert timed == plain and plain_err == ""
+            lines = err.splitlines()
+            assert [line.split(": ")[0] for line in lines] == [
+                f"timing encode:{stage}"
+                for stage in ("build", "encode", "born", "serialisation")]
+            assert all(line.endswith(" ms") and float(line.split(": ")[1][:-3]) >= 0
+                       for line in lines)
+
+
 def test_encode_rejects_non_state(capsys, tmp_path):
     state = write_json(
         tmp_path / "state.json",

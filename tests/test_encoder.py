@@ -306,9 +306,9 @@ def test_hws_pair_holds_only_the_logical_pair():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
-    assert pair.isometry is qs.isometry
+    assert pair.basis is qs
     stored = [getattr(pair, f.name) for f in dataclasses.fields(pair)]
-    assert max(np.size(a) for a in stored if a is not pair.isometry) == qs.d ** 2
+    assert max(np.size(a) for a in stored if a is not pair.basis) == qs.d ** 2
 
 
 @settings(max_examples=20, deadline=None)

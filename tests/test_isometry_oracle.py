@@ -197,8 +197,8 @@ def test_harness_probabilities_match_the_dense_traces(case, monkeypatch):
     _, _, qs, _ = case
     seen, real = [], channel.payload_probabilities
 
-    def recording(k, payload, frames):
-        seen.append((payload, frames, real(k, payload, frames)))
+    def recording(basis, payload, frames):
+        seen.append((payload, frames, real(basis, payload, frames)))
         return seen[-1][2]
 
     monkeypatch.setattr(channel, "payload_probabilities", recording)
