@@ -23,7 +23,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 from operator import itemgetter
 from time import perf_counter
 from typing import Iterator, NamedTuple
@@ -52,16 +52,10 @@ from .spinsys import (
     SIGMA_Y,
     SIGMA_Z,
     SpinRegister,
-    collective_product_apply,
     haar_su2,
 )
 
 NOISE_MODES = ("haar", "fixed", "dephasing")
-# Bytes of U K (one K per trial) that one chunk of trials may hold; a chunk
-# holds at least one trial, and three or four arrays of its size are live
-# while it is rotated and gated. From n = 7 on, K alone exceeds it. Larger
-# chunks ran no faster at n = 3 and raised the process's peak RSS.
-CHUNK_BYTES = 64 * 2 ** 10
 # One per_trial row as json.dumps(..., sort_keys=True, indent=2) writes it in
 # a report: its keys sorted, at nesting depth two.
 _ROW_KEYS = ("bare_fidelity", "fidelity", "leakage", "trace_distance", "trial")
@@ -96,11 +90,13 @@ class ChannelConfig:
             if self.axis is None or self.angle is None:
                 raise ValidationError("fixed noise needs an axis and an angle")
             axis = np.asarray(self.axis, dtype=float)
-            if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1) > 1e-12:
+            if axis.shape != (3,) or not abs(np.linalg.norm(axis) - 1) <= 1e-12:  # NaN fails
                 raise ValidationError("fixed-noise axis must be a unit 3-vector")
+            if not isfinite(self.angle):
+                raise ValidationError(f"fixed-noise angle must be finite, got {self.angle}")
         if self.noise == "dephasing":
-            if self.width is None or self.width < 0:
-                raise ValidationError("dephasing noise needs a width >= 0")
+            if self.width is None or not (isfinite(self.width) and self.width >= 0):
+                raise ValidationError("dephasing noise needs a finite width >= 0")
 
     def noise_echo(self) -> dict:
         echo: dict = {"mode": self.noise}
@@ -203,32 +199,23 @@ def _noise_unitaries(cfg: ChannelConfig) -> np.ndarray:
 
 
 def _sector_frames(basis: CoupledBasis, u: np.ndarray) -> Iterator[np.ndarray]:
-    """R = K^dag U K for each noise draw u, in chunks of at most CHUNK_BYTES of U K.
-
-    u acts on K one constituent at a time. Each trial is gated on U K = K R,
-    which keeps a payload on the sector.
-    """
-    k = basis.isometry
-    reg = SpinRegister(basis.n)
-    step = max(1, CHUNK_BYTES // k.nbytes)
-    for first in range(0, len(u), step):
-        uk = collective_product_apply(reg, u[first:first + step], k)
-        r = dagger(k) @ uk
-        uk -= k @ r
-        escape = np.abs(uk).max(axis=(1, 2))
-        del uk  # not held while the caller works on r
+    """R = K^dag U K for each noise draw u, in the chunks of basis.rotations, each
+    trial gated on U K = K R, which keeps a payload on the sector."""
+    first = 0
+    for r, escape in basis.rotations(u):
         if (escape > 1e-9).any():
             t = int(np.argmax(escape > 1e-9))
             raise ConsistencyError(f"the collective rotation of trial {first + t} leaves the "
                                    f"logical sector (|U K - K R| = {escape[t]:.3e} > 1e-9)")
+        first += len(r)
         yield r
 
 
 def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
     """Send one encoded logical state through cfg.trials noise draws.
 
-    The trials run as stacks: the rotations in chunks of at most CHUNK_BYTES
-    of U K, then every check and figure on the (trials, d, d) stack of
+    The trials run as stacks: the rotations in chunks of at most
+    coupling.CHUNK_BYTES of U K, then every check and figure on the (trials, d, d) stack of
     decoded states. Each check still holds every trial.
     """
     reg = SpinRegister(cfg.n)

@@ -22,6 +22,7 @@ import functools
 import io
 import json
 import sys
+from math import isfinite
 from time import perf_counter
 
 import numpy as np
@@ -167,8 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _global_opts(ns: argparse.Namespace) -> tuple:
     tol = getattr(ns, "tol", None)
-    if tol is not None and tol <= 0:
-        raise ValidationError(f"--tol must be positive, got {tol}")
+    if tol is not None and not (isfinite(tol) and tol > 0):
+        raise ValidationError(f"--tol must be positive and finite, got {tol}")
     max_n = getattr(ns, "max_n", None)
     if max_n is not None:
         set_max_constituents(max_n)  # flag wins over RFF_MAX_N and the default

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import factorial, sqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -54,19 +55,25 @@ from .spinsys import (
     SpinRegister,
     collective_apply,
     collective_j_squared,
+    collective_product_apply,
     permutation_indices,
     product_ket,
-    sigma,
     spin_matrices,
     transposition,
 )
 
 ISOMETRY_TOL = 1e-10
+COUPLING_TOL = 1e-12
 # Bytes of payload rows that CoupledBasis.compress holds at a time: one strip
 # read from the payload and one formed beside it, half each; lift forms its
 # rows in strips of the same half. Neither holds a second 2**n x 2**n matrix
 # beside the payload.
 ROW_BLOCK_BYTES = 4 * 2 ** 20
+# Bytes of U K (one K per trial) that one chunk of trials may hold; a chunk
+# holds at least one trial, and three or four arrays of its size are live
+# while it is rotated and gated. From n = 7 on, K alone exceeds it. Larger
+# chunks ran no faster at n = 3 and raised the process's peak RSS.
+CHUNK_BYTES = 64 * 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -114,22 +121,22 @@ def fourier_coupling(n: int) -> np.ndarray:
     return omega ** (lam * ell) / sqrt(n)
 
 
-def validate_coupling(u, n: int, tol: float = 1e-12) -> np.ndarray:
-    """Check an n-by-n coupling matrix: unitary, symmetric last row."""
+def validate_coupling(u, n: int) -> np.ndarray:
+    """Check an n-by-n coupling matrix: unitary, symmetric last row (within COUPLING_TOL)."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (n, n):
         raise ValidationError(
             f"coupling matrix must be {n}x{n}, got {u.shape}"
         )
     unitarity = max_abs_diff(u @ u.conj().T, identity(n))
-    if unitarity > tol:
+    if unitarity > COUPLING_TOL:
         raise ValidationError(
-            f"coupling matrix is not unitary within {tol:g} "
+            f"coupling matrix is not unitary within {COUPLING_TOL:g} "
             f"(deviation {unitarity:.3e})"
         )
     symmetric_row = np.full(n, 1 / sqrt(n), dtype=complex)
     row_dev = max_abs_diff(u[n - 1], symmetric_row)
-    if row_dev > tol:
+    if row_dev > COUPLING_TOL:
         raise ValidationError(
             f"coupling matrix row {n} must be identically {n}**-1/2 "
             f"(deviation {row_dev:.3e})"
@@ -142,19 +149,6 @@ def coupling_fingerprint(u) -> str:
     u = np.asarray(u, dtype=complex)
     rounded = np.round(u, 12) + 0.0  # normalize -0.0
     return hashlib.sha256(rounded.tobytes()).hexdigest()[:16]
-
-
-def omega_minus(reg: SpinRegister, coupling, lam: int) -> np.ndarray:
-    """Omega_minus(lambda) = sum_l U_{lambda,l} sigma_minus^(l).
-
-    lambda = n (the symmetric row) is accepted too; for the Fourier coupling
-    it equals J_minus/sqrt(n).
-    """
-    u = validate_coupling(coupling, reg.n)
-    if not 1 <= lam <= reg.n:
-        raise ContractViolationError(f"lambda {lam} out of range 1..{reg.n}")
-    terms = (u[lam - 1, ell - 1] * sigma(reg, ell, "-") for ell in range(1, reg.n + 1))
-    return sum(terms)
 
 
 @dataclass(frozen=True)
@@ -265,6 +259,22 @@ class CoupledBasis:
     def compress(self, payload) -> tuple[np.ndarray, float]:
         """(C, max |P - K C K^dag|) for C = K^dag P K, one weight class at a time."""
         return self._walk(payload, residual=True)
+
+    def rotations(self, u) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(R, escape) of each U = u^(x n) of a stack u (T, 2, 2): R = K^dag U K and
+        escape = max |U K - K R|, the verdict on it left to the caller. u acts on K
+        one constituent at a time, in chunks of at most CHUNK_BYTES of U K (at
+        least one trial each)."""
+        k = self.isometry
+        reg = SpinRegister(self.n)
+        step = max(1, CHUNK_BYTES // k.nbytes)
+        for first in range(0, len(u), step):
+            uk = collective_product_apply(reg, u[first:first + step], k)
+            r = dagger(k) @ uk
+            uk -= k @ r
+            escape = np.abs(uk).max(axis=(1, 2))
+            del uk  # not held while the caller works on r
+            yield r, escape
 
     @property
     def q(self) -> dict:
@@ -421,12 +431,12 @@ def cg_singlets(reg: SpinRegister) -> list[np.ndarray]:
     return [s1, s2]
 
 
-def sector_census(reg: SpinRegister, degeneracy_tol: float = 1e-8) -> list[SectorSpec]:
+def sector_census(reg: SpinRegister) -> list[SectorSpec]:
     """Enumerate sectors by the multiplicity formula, cross-checked against J^2.
 
     On each magnetisation block (the product kets of weight w, m = n/2 - w),
     J^2 = n(4-n)/4 + sum_{l<k} P_lk is built from the transposition index
-    maps; its eigenvalues must be j(j+1), c_j times for each j >= |m|.
+    maps; its eigenvalues must be j(j+1) within 1e-8, c_j times for each j >= |m|.
     Raises ConsistencyError on any mismatch.
     """
     n = reg.n
@@ -452,7 +462,7 @@ def sector_census(reg: SpinRegister, degeneracy_tol: float = 1e-8) -> list[Secto
         predicted = sorted(float(s.j * (s.j + 1))
                            for s in specs if s.j >= abs(m) for _ in range(s.multiplicity))
         found = np.linalg.eigvalsh(block)
-        if len(found) != len(predicted) or max_abs_diff(found, predicted) > degeneracy_tol:
+        if len(found) != len(predicted) or max_abs_diff(found, predicted) > 1e-8:
             raise ConsistencyError(f"J^2 block m={m}: census predicts {len(predicted)} "
                                    f"eigenvalues in {sorted(set(predicted))}, the block has "
                                    f"{len(found)} in {np.unique(found.round(8)).tolist()}")
@@ -484,8 +494,3 @@ def block_mixing_residual(a: CoupledBasis, b: CoupledBasis) -> float:
             max_abs_diff(block, blocks[0]))
         for block in blocks
     )
-
-
-def is_block_unitary_mixing(a: CoupledBasis, b: CoupledBasis, tol: float = 1e-10) -> bool:
-    """True if b's kets are a lambda-only unitary remix of a's kets."""
-    return block_mixing_residual(a, b) <= tol

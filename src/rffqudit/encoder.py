@@ -156,11 +156,6 @@ def decode_frame(d: int, frame: np.ndarray) -> QuditState:
     return QuditState(d=d, rho=(rho + dagger(rho)) / 2)
 
 
-def sector_support_residual(qs: CoupledBasis, payload) -> float:
-    """How far the payload sticks out of the logical sector."""
-    return qs.compress(payload)[1]
-
-
 def _encoded(qs: CoupledBasis, kind: str, logical: np.ndarray) -> list[EncodedOperator]:
     """One operator with frame A (x) I_d per logical factor A of the stack (m, d, d).
 
@@ -200,13 +195,13 @@ def decode_state(qs: CoupledBasis, enc: EncodedOperator) -> QuditState:
     return decode_frame(qs.d, enc.frame)
 
 
-def decode_payload(qs: CoupledBasis, payload, sector_tol: float = SECTOR_TOL) -> QuditState:
-    """Decode a raw payload matrix, insisting it lives on the logical sector."""
+def decode_payload(qs: CoupledBasis, payload) -> QuditState:
+    """Decode a raw payload matrix, insisting it lives on the logical sector (SECTOR_TOL)."""
     inner, residual = qs.compress(payload)
-    if residual > sector_tol:
+    if residual > SECTOR_TOL:
         raise ValidationError(
             f"payload is not supported on the logical sector "
-            f"(residual {residual:.3e} > {sector_tol:g})"
+            f"(residual {residual:.3e} > {SECTOR_TOL:g})"
         )
     return decode_frame(qs.d, inner)
 

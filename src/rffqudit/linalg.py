@@ -13,7 +13,6 @@ import and adjustable through set_max_constituents().
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -109,26 +108,21 @@ def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))))
 
 
-def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
-    a = as_matrices(a)
-    return a.shape[-2] == a.shape[-1] and max_abs_diff(a, dagger(a)) <= tol
-
-
-def hermitian_eig(a, tol: float = HERMITICITY_TOL):
+def hermitian_eig(a):
     """Eigendecomposition of a hermitian matrix, or of each in a stack (..., m, m).
 
     Returns (eigenvalues ascending as a real array, eigenvector matrices V
     with columns matching the eigenvalue order), so that a @ V = V @ diag(w).
     A stack is checked as a whole: its worst hermiticity deviation must be
-    within tol.
+    within HERMITICITY_TOL.
     """
     a = as_matrices(a)
     if a.shape[-2] != a.shape[-1]:
         raise ContractViolationError(f"matrix is not square: {a.shape}")
-    if not is_hermitian(a, tol):
+    deviation = max_abs_diff(a, np.swapaxes(a.conj(), -1, -2))
+    if deviation > HERMITICITY_TOL:
         raise ContractViolationError(
-            f"matrix is not hermitian within {tol:g} "
-            f"(deviation {max_abs_diff(a, dagger(a)):.3e})"
+            f"matrix is not hermitian within {HERMITICITY_TOL:g} (deviation {deviation:.3e})"
         )
     try:
         w, v = np.linalg.eigh(a)
@@ -172,14 +166,14 @@ def partial_trace(a, n_factors: int, traced_factor: int) -> np.ndarray:
     return tens.reshape(half, half)
 
 
-def entropy_bits(rho, clip_tol: float = 1e-10) -> float:
+def entropy_bits(rho) -> float:
     """Von Neumann entropy in bits, with 0*log(0) = 0.
 
-    Eigenvalues in [-clip_tol, 0) are clipped to 0; anything more negative is
+    Eigenvalues in [-1e-10, 0) are clipped to 0; anything more negative is
     a contract violation (the input was not positive semidefinite).
     """
     w, _ = hermitian_eig(rho)
-    if w.min() < -clip_tol:
+    if w.min() < -1e-10:
         raise ContractViolationError(
             f"matrix is not PSD: min eigenvalue {w.min():.3e}"
         )
@@ -199,10 +193,10 @@ def _drop_round_off(w: np.ndarray, scale) -> np.ndarray:
     return np.where(w > floor, w, 0.0)
 
 
-def sqrtm_psd(a, clip_tol: float = 1e-10) -> np.ndarray:
-    """Principal square root of a PSD hermitian matrix."""
+def sqrtm_psd(a) -> np.ndarray:
+    """Principal square root of a PSD hermitian matrix (eigenvalues >= -1e-10)."""
     w, v = hermitian_eig(a)
-    if w.min() < -clip_tol:
+    if w.min() < -1e-10:
         raise ContractViolationError(
             f"matrix is not PSD: min eigenvalue {w.min():.3e}"
         )
@@ -272,18 +266,6 @@ def matrix_from_json_dict(obj) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValidationError("matrix JSON contains non-finite entries")
     return m
-
-
-def matrix_to_json(a, **dumps_kwargs) -> str:
-    return json.dumps(matrix_to_json_dict(a), **dumps_kwargs)
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from exc
-    return matrix_from_json_dict(obj)
 
 
 _read_env_ceiling()

@@ -367,11 +367,11 @@ class ReductionReport:
     details: list
 
 
-def n4_to_n3_reduction(tol: float = 1e-10, n4_paulis: dict | None = None,
+def n4_to_n3_reduction(n4_paulis: dict | None = None,
                        n3_paulis: dict | None = None) -> ReductionReport:
     """Trace each constituent out of the n=4 singlet Paulis (n4_singlet_layer,
     or the given dict with the same pauli_x/y/z) and match the n=3 Paulis
-    (n3_pauli, or the given dict with the same x/y/z)."""
+    (n3_pauli, or the given dict with the same x/y/z) within 1e-10."""
     layer = n4_singlet_layer() if n4_paulis is None else n4_paulis
     four = [layer["pauli_x"], layer["pauli_y"], layer["pauli_z"]]
     three_ref = n3_pauli() if n3_paulis is None else n3_paulis
@@ -397,7 +397,7 @@ def n4_to_n3_reduction(tol: float = 1e-10, n4_paulis: dict | None = None,
             residual = max(
                 max_abs_diff(r, c * t) for t, r in zip(targets, reduced)
             )
-            if residual <= tol:
+            if residual <= 1e-10:
                 match = (perm.images, c, residual)
                 break
         if match is None:
@@ -415,7 +415,7 @@ def n4_to_n3_reduction(tol: float = 1e-10, n4_paulis: dict | None = None,
     constant: float | None = None
     if holds and constants:
         spread = max(constants) - min(constants)
-        if spread > tol:
+        if spread > 1e-10:
             holds = False
         else:
             constant = constants[0]

@@ -29,20 +29,17 @@ from .linalg import (
     get_max_constituents,
     identity,
     kron,
-    mat_exp_hermitian_generator,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
-SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 
 _SINGLE = {
     "x": SIGMA_X,
     "y": SIGMA_Y,
     "z": SIGMA_Z,
-    "+": SIGMA_PLUS,
     "-": SIGMA_MINUS,
 }
 
@@ -85,7 +82,7 @@ def sigma(reg: SpinRegister, site: int, which: str) -> np.ndarray:
     """Single-constituent operator at the given site, identity elsewhere."""
     if which not in _SINGLE:
         raise ContractViolationError(
-            f"unknown operator label {which!r}; expected one of x,y,z,+,-"
+            f"unknown operator label {which!r}; expected one of x,y,z,-"
         )
     if not 1 <= site <= reg.n:
         raise ContractViolationError(f"site {site} out of range 1..{reg.n}")
@@ -213,10 +210,6 @@ class Permutation:
         return self.images[ell - 1]
 
 
-def identity_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
 def cyclic_permutation(n: int) -> Permutation:
     """The shift 1->2, 2->3, ..., n->1."""
     return Permutation(tuple(range(2, n + 1)) + (1,))
@@ -253,20 +246,6 @@ def permutation_operator(reg: SpinRegister, p: Permutation) -> np.ndarray:
     w = np.zeros((reg.dim, reg.dim), dtype=complex)
     w[dst, np.arange(reg.dim)] = 1.0
     return w
-
-
-def collective_rotation(reg: SpinRegister, axis, angle: float) -> np.ndarray:
-    """exp(-i * angle * axis.J), the same rotation on every constituent."""
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,):
-        raise ContractViolationError(f"axis must be a 3-vector, got shape {axis.shape}")
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
-        raise ContractViolationError(
-            f"axis must be unit length, got norm {np.linalg.norm(axis):.12f}"
-        )
-    generator = (axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z) / 2
-    u = mat_exp_hermitian_generator(generator, angle)
-    return kron_power(reg, u)
 
 
 def kron_power(reg: SpinRegister, u) -> np.ndarray:

@@ -25,13 +25,14 @@ same, in the same order, whether or not a check raised.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from math import isfinite
 from time import perf_counter
 from typing import Callable
 
 import numpy as np
 
 from . import reference as ref
-from .channel import CHUNK_BYTES, born_rule_harness, random_density, require_trials
+from .channel import born_rule_harness, random_density, require_trials
 from .coupling import (
     CoupledBasis,
     block_mixing_residual,
@@ -57,7 +58,6 @@ from .linalg import dagger, identity, max_abs_diff
 from .spinsys import (
     SpinRegister,
     all_permutations,
-    collective_product_apply,
     cyclic_permutation,
     haar_su2,
     permutation_indices,
@@ -90,21 +90,22 @@ def _check(id: str, description: str, default_tol: float, tol: float | None,
     """One report row: residual() held to tol, or to default_tol when tol is None.
 
     A ConsistencyError raised by residual() (a failed gate or closed form)
-    fails this row alone: residual inf, the error text appended to the
-    description. detail, when given, is called after residual() succeeds and
-    its text is appended to the description.
+    fails this row alone, whatever the tolerance: residual inf, the error text
+    appended to the description. detail, when given, is called after
+    residual() succeeds and its text is appended to the description.
     """
     tolerance = float(default_tol if tol is None else tol)
     start = perf_counter()
     try:
         value = float(residual())
     except ConsistencyError as exc:
-        description, value = f"{description}: {exc}", float("inf")
+        description, value, passed = f"{description}: {exc}", float("inf"), False
     else:
+        passed = bool(value <= tolerance)
         if detail is not None:
             description += detail()
     return CheckResult(id=id, description=description, residual=value,
-                       tolerance=tolerance, passed=bool(value <= tolerance),
+                       tolerance=tolerance, passed=passed,
                        elapsed_ms=(perf_counter() - start) * 1e3)
 
 
@@ -166,24 +167,20 @@ def q_algebra_residuals(qs: CoupledBasis) -> dict:
 
 def rotation_invariance_residual(qs: CoupledBasis, trials: int,
                                  seed: int = DEFAULT_SEED) -> float:
-    """Worst |U K - K (I_d (x) r)| over random collective rotations U.
+    """Worst of |U K - K R| and |R - I_d (x) r| over random collective rotations U.
 
-    r is the lambda = 1 block of R = K^dag U K. The residual is zero exactly
-    when U acts on m2 alone, the same on every lambda, which is when every
-    Q(l,l') = K_l K_l'^dag survives U. The rotations act as stacks of at most
-    channel.CHUNK_BYTES of U K.
+    R = K^dag U K and r is its lambda = 1 block, both from qs.rotations. The
+    residual is zero exactly when U keeps K's span and acts on m2 alone, the
+    same on every lambda, which is when every Q(l,l') = K_l K_l'^dag survives U.
     """
     require_trials(trials)
-    reg = SpinRegister(qs.n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     u = haar_su2([rng] * trials)  # bit-identical to drawing them one at a time
-    k, d = qs.isometry, qs.d
-    step = max(1, CHUNK_BYTES // k.nbytes)
+    d = qs.d
     worst = 0.0
-    for first in range(0, trials, step):
-        uk = collective_product_apply(reg, u[first:first + step], k)
-        r = (dagger(k) @ uk)[:, :d, :d]
-        worst = max(worst, max_abs_diff(uk, k @ np.kron(identity(d), r)))
+    for r, escape in qs.rotations(u):
+        worst = max(worst, float(escape.max()),
+                    max_abs_diff(r, np.kron(identity(d), r[:, :d, :d])))
     return worst
 
 
@@ -320,8 +317,7 @@ def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
     return results
 
 
-def suite_encoder(n_values=(3, 4, 5, 6), rotation_trials=20,
-                  seed: int = DEFAULT_SEED,
+def suite_encoder(n_values=(3, 4, 5, 6), seed: int = DEFAULT_SEED,
                   tol: float | None = None,
                   bases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
     bases = fourier_bases() if bases is None else bases
@@ -338,8 +334,8 @@ def suite_encoder(n_values=(3, 4, 5, 6), rotation_trials=20,
             ("q-commute-J", f"J K = K (I (x) J^(j2)), so [Q, J] = 0 for n={n}", 1e-10,
              lambda: algebra[n]["j-commutation"]),
             ("rotation-invariance",
-             f"Q operators survive {rotation_trials} random collective rotations", 1e-9,
-             lambda: rotation_invariance_residual(bases[n], rotation_trials, seed)),
+             "Q operators survive 20 random collective rotations", 1e-9,
+             lambda: rotation_invariance_residual(bases[n], 20, seed)),
             ("round-trip", "encode -> decode returns the logical state", 1e-10,
              lambda: round_trip_residual(bases[n], 5, seed)),
             ("born", "encoded probabilities match logical ones, rotated or not", 1e-10,
@@ -447,11 +443,6 @@ def suite_reference(tol: float | None = None,
     return results
 
 
-def _pauli_identification_residual(pair: HwsPair, pauli: dict) -> float:
-    """For d=2: distance of the clock from -pauli_z and of the shift from pauli_x."""
-    return _pair_residual(pair, -pauli["z"], pauli["x"])
-
-
 def suite_hws(n_values=(3, 4, 5, 6), tol: float | None = None,
               bases: BuiltOnFirstUse | None = None,
               cases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
@@ -470,7 +461,8 @@ def suite_hws(n_values=(3, 4, 5, 6), tol: float | None = None,
             results.append(_check(
                 "hws:d2-pauli-identification",
                 "for d=2 the clock is -pauli_z and the shift is pauli_x", 1e-12, tol,
-                lambda: _pauli_identification_residual(pairs[n], cases["n3-pauli"]),
+                lambda: _pair_residual(pairs[n], -cases["n3-pauli"]["z"],
+                                       cases["n3-pauli"]["x"]),
             ))
     return results
 
@@ -490,6 +482,8 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
         raise ValidationError(
             f"unknown suite {name!r}; expected one of {sorted(SUITES)}"
         )
+    if tol is not None and not (isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     sized, census = {}, {}
     if n_values is not None:
         sized = {"n_values": tuple(n for n in n_values if n >= 3)}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rffqudit import channel, cli
+from rffqudit import channel, cli, coupling
 from rffqudit.channel import (
     BornReport,
     ChannelConfig,
@@ -66,7 +66,7 @@ def test_a_rotation_that_leaves_the_sector_fails_the_trial(monkeypatch, capsys):
     def first_leg_only(reg, u, vecs):
         return np.stack([np.kron(one, identity(2 ** (reg.n - 1))) @ vecs for one in u])
 
-    monkeypatch.setattr("rffqudit.channel.collective_product_apply", first_leg_only)
+    monkeypatch.setattr("rffqudit.coupling.collective_product_apply", first_leg_only)
     with pytest.raises(ConsistencyError, match="leaves the logical sector"):
         run_channel(ChannelConfig(n=3, trials=2, seed=1), QuditState(2, ZERO))
     assert cli.main(["channel", "--n", "3", "--trials", "2"]) == 1
@@ -208,14 +208,14 @@ def test_born_rule_harness_is_deterministic():
 def test_born_rule_harness_rotates_in_chunks(monkeypatch):
     qs = build_coupled_basis(SpinRegister(4))
     whole = born_rule_harness(qs, trials=5, seed=9)
-    real, sizes = channel.collective_product_apply, []
+    real, sizes = coupling.collective_product_apply, []
 
     def recording(reg, u, vecs):
         sizes.append(len(u))
         return real(reg, u, vecs)
 
-    monkeypatch.setattr(channel, "collective_product_apply", recording)
-    monkeypatch.setattr(channel, "CHUNK_BYTES", 2 * qs.isometry.nbytes)
+    monkeypatch.setattr(coupling, "collective_product_apply", recording)
+    monkeypatch.setattr(coupling, "CHUNK_BYTES", 2 * qs.isometry.nbytes)
     assert born_rule_harness(qs, trials=5, seed=9) == whole
     assert sizes == [2, 2, 1]
 
@@ -299,7 +299,7 @@ def test_channel_report_does_not_depend_on_the_chunk_size(noise, monkeypatch):
     cfg = ChannelConfig(n=4, trials=9, seed=8, noise=noise, **NOISE_CONFIGS[noise])
     state = QuditState(3, random_density(np.random.default_rng(3), 3))
     whole = run_channel(cfg, state).to_json()
-    monkeypatch.setattr(channel, "CHUNK_BYTES", 1)  # one trial per chunk
+    monkeypatch.setattr(coupling, "CHUNK_BYTES", 1)  # one trial per chunk
     assert run_channel(cfg, state).to_json() == whole
 
 
@@ -328,7 +328,7 @@ def test_n10_channel_memory_is_bounded_by_the_chunk_budget(monkeypatch):
     n, trials = 10, 64
     basis = build_coupled_basis(SpinRegister(n))
     monkeypatch.setattr(channel, "build_coupled_basis", lambda reg: basis)
-    bound = 3 * max(channel.CHUNK_BYTES, basis.isometry.nbytes) + 2 ** 20
+    bound = 3 * max(coupling.CHUNK_BYTES, basis.isometry.nbytes) + 2 ** 20
     assert trials * basis.isometry.nbytes > bound
     rho = random_density(np.random.default_rng(10), n - 1)
     tracemalloc.start()

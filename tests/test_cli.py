@@ -128,7 +128,7 @@ def test_max_n_flag_out_of_range(capsys):
 def test_census_disagreement_exits_one(capsys, monkeypatch):
     from rffqudit.errors import ConsistencyError
 
-    def broken(reg, degeneracy_tol=1e-8):
+    def broken(reg):
         raise ConsistencyError("sector j=2: synthetic disagreement")
 
     monkeypatch.setattr(cli, "sector_census", broken)
@@ -336,9 +336,10 @@ def test_verify_absurd_tolerance_fails_checks(capsys):
 
 
 def test_verify_rejects_nonpositive_tolerance(capsys):
-    code, _, err = run_cli(capsys, "verify", "--tol", "0")
-    assert code == 2
-    assert "tol" in err
+    for tol in ("0", "-1e-9", "nan", "inf"):
+        code, _, err = run_cli(capsys, "verify", "--n-range", "3..3", f"--tol={tol}")
+        assert code == 2, tol
+        assert "--tol must be positive and finite" in err
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +436,18 @@ def test_channel_dephasing_requires_width(capsys):
     )
     assert code == 2
     assert "width" in err
+
+
+@pytest.mark.parametrize("flag, flags", [
+    ("--width", ["--noise", "dephasing", "--width", "nan"]),
+    ("--width", ["--noise", "dephasing", "--width", "inf"]),
+    ("--angle", ["--noise", "fixed", "--axis", "0,0,1", "--angle", "nan"]),
+    ("--axis", ["--noise", "fixed", "--axis", "0,nan,1", "--angle", "1.0"]),
+])
+def test_channel_rejects_non_finite_noise_parameters(capsys, flag, flags):
+    code, _, err = run_cli(capsys, "channel", "--n", "3", "--trials", "2", *flags)
+    assert code == 2
+    assert flag.lstrip("-") in err and "NaN" not in err
 
 
 def test_channel_bad_axis_text(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rffqudit.errors import ContractViolationError
-from rffqudit.linalg import dagger, identity, max_abs_diff
+from rffqudit.linalg import dagger, identity, mat_exp_hermitian_generator, max_abs_diff
 from rffqudit.spinsys import (
     Permutation,
     SpinRegister,
@@ -12,10 +12,8 @@ from rffqudit.spinsys import (
     collective_apply,
     collective_j_squared,
     collective_product_apply,
-    collective_rotation,
     cyclic_permutation,
     haar_su2,
-    identity_permutation,
     ket_index,
     kron_power,
     permutation_indices,
@@ -190,7 +188,8 @@ def test_permutation_validates_images():
     with pytest.raises(ContractViolationError):
         Permutation((1, 1, 3))
     assert cyclic_permutation(3).images == (2, 3, 1)
-    assert identity_permutation(4).images == (1, 2, 3, 4)
+    still = permutation_indices(SpinRegister(4), Permutation((1, 2, 3, 4)))
+    assert np.array_equal(still, np.arange(16))
     assert transposition(3, 1, 3).images == (3, 2, 1)
 
 
@@ -290,21 +289,6 @@ def test_swap_equals_the_pauli_dot_product_exactly(n):
                 assert np.array_equal(swap(reg, j, k), (identity(reg.dim) + dot) / 2)
 
 
-def test_collective_rotation_is_kron_power():
-    reg = SpinRegister(3)
-    axis, angle = (0.0, 1.0, 0.0), 0.7
-    single = np.array(
-        [
-            [np.cos(angle / 2), -np.sin(angle / 2)],
-            [np.sin(angle / 2), np.cos(angle / 2)],
-        ],
-        dtype=complex,
-    )
-    np.testing.assert_allclose(
-        collective_rotation(reg, axis, angle), kron_power(reg, single), atol=1e-13
-    )
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_collective_product_apply_matches_kron_power(n):
     reg = SpinRegister(n)
@@ -345,19 +329,12 @@ def test_stacked_su2_draws_equal_one_draw_at_a_time():
     assert max_abs_diff(np.linalg.det(stack), np.ones(40)) < 1e-14
 
 
-def test_collective_rotation_requires_unit_axis():
-    reg = SpinRegister(3)
-    with pytest.raises(ContractViolationError):
-        collective_rotation(reg, (0, 0, 2), 0.3)
-    with pytest.raises(ContractViolationError):
-        collective_rotation(reg, (0, 0, 0), 0.3)
-
-
 def test_collective_rotation_commutes_with_total_j_squared():
     reg = SpinRegister(3)
     J = total_J(reg)
     axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
-    u = collective_rotation(reg, axis, 1.1)
+    generator = sum(a * sigma(SpinRegister(1), 1, s) for a, s in zip(axis, AXES)) / 2
+    u = kron_power(reg, mat_exp_hermitian_generator(generator, 1.1))
     np.testing.assert_allclose(u @ J.j_squared, J.j_squared @ u, atol=1e-12)
 
 

@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-import rffqudit.channel as channel
 import rffqudit.coupling as coupling
 import rffqudit.encoder as encoder
 import rffqudit.reference as reference
@@ -227,14 +226,45 @@ def test_a_failed_basis_gate_is_a_named_row_in_a_written_report(
             assert by_id[row_id]["passed"], row_id
 
 
-def test_a_rotation_leaving_the_sector_fails_only_the_born_rows(monkeypatch):
-    real = channel.collective_product_apply
-    monkeypatch.setattr(channel, "collective_product_apply",
+def test_a_rotation_leaving_the_sector_fails_the_rotation_and_born_rows(monkeypatch):
+    # The rotation row, the Born harness and the channel share one rotation routine.
+    real = coupling.collective_product_apply
+    monkeypatch.setattr(coupling, "collective_product_apply",
                         lambda reg, u, vecs: real(reg, u, vecs) + 1e-6)
     results = run_suite("encoder", n_values=(3, 4))
-    failed = [r for r in results if not r.passed]
-    assert [r.id for r in failed] == ["encoder:born:n=3", "encoder:born:n=4"]
-    assert all("leaves the logical sector" in r.description for r in failed)
+    failed = {r.id: r for r in results if not r.passed}
+    assert list(failed) == ["encoder:rotation-invariance:n=3", "encoder:born:n=3",
+                            "encoder:rotation-invariance:n=4", "encoder:born:n=4"]
+    for n in (3, 4):
+        rotation = failed[f"encoder:rotation-invariance:n={n}"]
+        assert 1e-6 <= rotation.residual < float("inf")
+        assert "leaves the logical sector" in failed[f"encoder:born:n={n}"].description
+
+
+def test_one_escaping_trial_fails_the_channel_and_both_rotation_rows(monkeypatch, capsys):
+    real = coupling.collective_product_apply
+
+    def escape_in_trial_two(reg, u, vecs):
+        out = real(reg, u, vecs)
+        if out.ndim == 3 and len(out) > 2:
+            out[2] += 1e-6
+        return out
+
+    monkeypatch.setattr(coupling, "collective_product_apply", escape_in_trial_two)
+    assert cli.main(["channel", "--n", "3", "--trials", "5"]) == 1
+    assert "trial 2 leaves the logical sector" in capsys.readouterr().err
+    failed = {r.id for r in run_suite("encoder", n_values=(3,)) if not r.passed}
+    assert failed == {"encoder:rotation-invariance:n=3", "encoder:born:n=3"}
+
+
+def test_a_raising_row_fails_at_any_tolerance(monkeypatch):
+    _gate_fails_at_4(monkeypatch)
+    rows = verify.suite_encoder(n_values=(4,), tol=float("inf"))
+    assert rows and not any(r.passed for r in rows)
+    assert all(r.residual == float("inf") for r in rows)
+    for bad in (float("inf"), float("nan"), 0.0, -1.0):
+        with pytest.raises(ValidationError, match="tol must be positive and finite"):
+            run_suite("encoder", tol=bad, n_values=(4,))
 
 
 def test_an_off_sector_payload_fails_its_rows_in_a_written_report(monkeypatch, capsys,
@@ -325,14 +355,14 @@ def test_rotation_row_rejects_zero_trials():
 def test_rotation_row_draws_match_one_at_a_time_draws_in_chunks(monkeypatch):
     qs = build_coupled_basis(SpinRegister(4))
     whole = rotation_invariance_residual(qs, 5, seed=11)
-    real, sizes = verify.collective_product_apply, []
+    real, sizes = coupling.collective_product_apply, []
 
     def recording(reg, u, vecs):
         sizes.append(len(u))
         return real(reg, u, vecs)
 
-    monkeypatch.setattr(verify, "collective_product_apply", recording)
-    monkeypatch.setattr(verify, "CHUNK_BYTES", 2 * qs.isometry.nbytes)
+    monkeypatch.setattr(coupling, "collective_product_apply", recording)
+    monkeypatch.setattr(coupling, "CHUNK_BYTES", 2 * qs.isometry.nbytes)
     assert rotation_invariance_residual(qs, 5, seed=11) == whole
     assert sizes == [2, 2, 1]
     # The stacked draw is the stream of five single draws.
