@@ -63,6 +63,8 @@ _ROW_TEMPLATE = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _ROW_KEYS
 # repr writes a float, an int or None as json does, except for these words.
 _JSON_WORDS = {"None": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _NUMBER_TYPES = {float, int, type(None)}
+# The noise mode each optional parameter belongs to.
+_NOISE_PARAMETERS = {"axis": "fixed", "angle": "fixed", "width": "dephasing"}
 
 
 def require_trials(trials: int) -> None:
@@ -85,6 +87,13 @@ class ChannelConfig:
         if self.noise not in NOISE_MODES:
             raise ValidationError(
                 f"unknown noise mode {self.noise!r}; expected one of {NOISE_MODES}"
+            )
+        stray = [name for name, mode in _NOISE_PARAMETERS.items()
+                 if getattr(self, name) is not None and self.noise != mode]
+        if stray:
+            raise ValidationError(
+                f"{self.noise} noise takes no {' or '.join(stray)}: axis and angle are "
+                f"for fixed noise, width for dephasing noise"
             )
         if self.noise == "fixed":
             if self.axis is None or self.angle is None:
@@ -121,10 +130,6 @@ class ChannelReport:
     def to_json(self) -> str:
         """json.dumps(report, sort_keys=True, indent=2), the trial rows written directly."""
         rows = _trial_rows_json(self.per_trial)
-        if rows is None:  # a row that run_channel does not make
-            return json.dumps({"config": self.config, "per_trial": self.per_trial,
-                               "aggregate": self.aggregate, "note": self.note},
-                              sort_keys=True, indent=2)
         rest = json.dumps({"config": self.config, "aggregate": self.aggregate,
                            "note": self.note}, sort_keys=True, indent=2)
         # "per_trial" sorts last, so the rows close the report.
@@ -146,23 +151,29 @@ class ChannelReport:
         return buf.getvalue()
 
 
-def _trial_rows_json(rows: list) -> str | None:
+def _is_trial_row(row) -> bool:
+    return (isinstance(row, dict) and row.keys() == set(_ROW_KEYS)
+            and set(map(type, row.values())) <= _NUMBER_TYPES)
+
+
+def _trial_rows_json(rows: list) -> str:
     """The per_trial array as json.dumps(..., sort_keys=True, indent=2) writes it
-    in a report, or None unless every row has exactly the _ROW_KEYS, each
-    holding a float, an int or None.
+    in a report. A row that does not have exactly the _ROW_KEYS, each holding a
+    float, an int or None, raises TypeError.
 
     Each column is written by one repr of a list, the floats formatted in C.
     """
     try:
-        if any(len(row) != len(_ROW_KEYS) for row in rows):
-            return None
+        ok = all(len(row) == len(_ROW_KEYS) for row in rows)
         columns = list(zip(*map(itemgetter(*_ROW_KEYS), rows)))
     except (KeyError, TypeError):
-        return None
+        ok = False
+    if not (ok and all(set(map(type, c)) <= _NUMBER_TYPES for c in columns)):
+        bad = next(t for t, row in enumerate(rows) if not _is_trial_row(row))
+        raise TypeError(f"per_trial row {bad} needs exactly the keys {_ROW_KEYS}, "
+                        f"each a float, an int or None: {rows[bad]!r}")
     cells = []
     for column in columns:
-        if not set(map(type, column)) <= _NUMBER_TYPES:
-            return None
         text = repr(list(column))
         words = text[1:-1].split(", ")  # no number's text holds ", "
         # only None, nan and inf put an "n" in the text

@@ -10,7 +10,8 @@ Subcommands:
     reference  dump a closed-form operator family by case id
 
 Global flags may appear before or after the subcommand; the value closest to
-the subcommand wins. Exit codes: 0 success, 1 verification/claim failure,
+the subcommand wins. main reads them, runs the subcommand, writes its report,
+then its failure lines and, with --timings, its stage times to stderr. Exit codes: 0 success, 1 verification/claim failure,
 2 usage or validation error, or running out of memory.
 """
 
@@ -88,6 +89,11 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
         help=f"random seed for randomized checks and the channel "
              f"(default {DEFAULT_SEED})",
     )
+    parser.add_argument(
+        "--timings", action="store_true", default=argparse.SUPPRESS,
+        help="write each stage's elapsed milliseconds to stderr after the report "
+             "(the report is unchanged)",
+    )
 
 
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
@@ -97,6 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="rotation-invariant logical qudits from spin-1/2 registers",
     )
     _add_global_flags(parser)
+    # Only the top-level parser has defaults, so a flag is set wherever it appears.
+    parser.set_defaults(tol=None, max_n=None, format="json", output=None,
+                        seed=DEFAULT_SEED, timings=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("census", help="sector multiplicities for one register size")
@@ -122,11 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--povm",
         help='path to a logical POVM: JSON array of matrices or {"elements": [...]}',
     )
-    p.add_argument(
-        "--timings", action="store_true",
-        help="write the elapsed milliseconds of the basis build, the encoding, the "
-             "Born table and the serialisation to stderr (the report is unchanged)",
-    )
 
     p = sub.add_parser("verify", help="run invariant suites")
     _add_global_flags(p)
@@ -135,11 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help='register sizes as "a..b" (default 3..6)',
     )
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument(
-        "--timings", action="store_true",
-        help="write each check's id and elapsed milliseconds to stderr "
-             "(the report is unchanged)",
-    )
 
     p = sub.add_parser("channel", help="collective-noise Monte Carlo")
     _add_global_flags(p)
@@ -154,11 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", help='unit vector "x,y,z" for --noise fixed')
     p.add_argument("--angle", type=float, help="rotation angle for --noise fixed")
     p.add_argument("--width", type=float, help="angle spread for --noise dephasing")
-    p.add_argument(
-        "--timings", action="store_true",
-        help="write the elapsed milliseconds of the noise draws, the rotation and "
-             "gate, the figures and the serialisation to stderr (the report is unchanged)",
-    )
 
     p = sub.add_parser("reference", help="dump a closed-form operator family")
     _add_global_flags(p)
@@ -166,17 +160,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _global_opts(ns: argparse.Namespace) -> tuple:
-    tol = getattr(ns, "tol", None)
-    if tol is not None and not (isfinite(tol) and tol > 0):
-        raise ValidationError(f"--tol must be positive and finite, got {tol}")
-    max_n = getattr(ns, "max_n", None)
-    if max_n is not None:
-        set_max_constituents(max_n)  # flag wins over RFF_MAX_N and the default
-    fmt = getattr(ns, "format", "json")
-    output = getattr(ns, "output", None)
-    seed = getattr(ns, "seed", DEFAULT_SEED)
-    return tol, fmt, output, seed
+def _global_opts(ns: argparse.Namespace) -> None:
+    if ns.tol is not None and not (isfinite(ns.tol) and ns.tol > 0):
+        raise ValidationError(f"--tol must be positive and finite, got {ns.tol}")
+    if ns.max_n is not None:
+        set_max_constituents(ns.max_n)  # flag wins over RFF_MAX_N and the default
+
+
+class _Clock:
+    """The (label, ms) stages of one command, which --timings writes to stderr."""
+
+    def __init__(self):
+        self.stages: list[tuple[str, float]] = []
+        self.start()
+
+    def start(self) -> None:
+        """Begin the next stage now; what ran since the last one is in no stage."""
+        self._begun = perf_counter()
+
+    def lap(self, label: str) -> None:
+        """Close the stage begun at the last start, lap or add."""
+        self.add(label, (perf_counter() - self._begun) * 1e3)
+
+    def add(self, label: str, ms: float) -> None:
+        """Record a stage timed elsewhere; the next stage begins now."""
+        self.stages.append((label, ms))
+        self.start()
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -202,6 +211,15 @@ def _dump_csv(header: list, rows: list) -> str:
     return buf.getvalue()
 
 
+def _entry_rows(m) -> list:
+    """[row, col, repr(re), repr(im)] for each entry of m in row-major order; a
+    vector is one column."""
+    m = np.asarray(m)
+    cols = m.size // len(m)
+    return [[idx // cols, idx % cols, repr(float(z.real)), repr(float(z.imag))]
+            for idx, z in enumerate(m.reshape(-1).tolist())]
+
+
 def _read_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -221,11 +239,10 @@ def _require_register_size(n: int, smallest: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its report text and its failure lines (exit 1 if any)
 # ---------------------------------------------------------------------------
 
-def cmd_census(ns: argparse.Namespace) -> int:
-    _, fmt, output, _ = _global_opts(ns)
+def cmd_census(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     _require_register_size(ns.n, 2)
     agreement = True
     note = None
@@ -242,8 +259,9 @@ def cmd_census(ns: argparse.Namespace) -> int:
         ]
     else:
         rows = [(str(s.j), s.multiplicity, s.dimension) for s in specs]
+    clock.lap("census:build")
 
-    if fmt == "json":
+    if ns.format == "json":
         payload = {
             "n": ns.n,
             "agreement": agreement,
@@ -253,16 +271,14 @@ def cmd_census(ns: argparse.Namespace) -> int:
         }
         if note:
             payload["note"] = note
-        _emit(_dump_json(payload), output)
+        text = _dump_json(payload)
     else:
-        _emit(_dump_csv(
+        text = _dump_csv(
             ["n", "j", "multiplicity", "dimension", "agreement"],
             [[ns.n, j, m, dim, agreement] for j, m, dim in rows],
-        ), output)
-    if not agreement:
-        print(f"verification failure: {note}", file=sys.stderr)
-        return 1
-    return 0
+        )
+    clock.lap("census:serialisation")
+    return text, [] if agreement else [f"verification failure: {note}"]
 
 
 def _load_coupling(ns: argparse.Namespace):
@@ -271,19 +287,21 @@ def _load_coupling(ns: argparse.Namespace):
     return matrix_from_json_dict(_read_json_file(ns.coupling))
 
 
-def cmd_basis(ns: argparse.Namespace) -> int:
-    _, fmt, output, _ = _global_opts(ns)
+def cmd_basis(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     _require_register_size(ns.n, 3)
-    basis = build_coupled_basis(SpinRegister(ns.n), _load_coupling(ns))
+    coupling = _load_coupling(ns)
+    clock.start()  # reading the coupling file is in no stage
+    basis = build_coupled_basis(SpinRegister(ns.n), coupling)
     gram = gram_residual(basis)
     membership = sector_membership_residual(basis)
+    clock.lap("basis:build")
 
-    if fmt == "json":
+    if ns.format == "json":
         kets = {}
         for m2 in basis.m2_values():
             for lam in range(1, basis.d + 1):
                 kets[f"m2={m2},lambda={lam}"] = matrix_to_json_dict(basis.ket(m2, lam))
-        _emit(_dump_json({
+        text = _dump_json({
             "n": basis.n,
             "j2": str(basis.j2),
             "d": basis.d,
@@ -291,20 +309,18 @@ def cmd_basis(ns: argparse.Namespace) -> int:
             "gram_residual": gram,
             "sector_membership_residual": membership,
             "kets": kets,
-        }), output)
+        })
     else:
         rows = []
         for m2 in basis.m2_values():
             for lam in range(1, basis.d + 1):
-                ket = basis.ket(m2, lam)
-                rows.extend(
-                    ["ket", str(m2), lam, idx, repr(float(z.real)), repr(float(z.imag))]
-                    for idx, z in enumerate(ket)
-                )
+                rows.extend(["ket", str(m2), lam, idx, re, im]
+                            for idx, _, re, im in _entry_rows(basis.ket(m2, lam)))
         rows.append(["residual", "", "", "gram", repr(gram), ""])
         rows.append(["residual", "", "", "sector_membership", repr(membership), ""])
-        _emit(_dump_csv(["record", "m2", "lambda", "index", "re", "im"], rows), output)
-    return 0
+        text = _dump_csv(["record", "m2", "lambda", "index", "re", "im"], rows)
+    clock.lap("basis:serialisation")
+    return text, []
 
 
 def _load_povm(path: str, d: int) -> QuditPovm:
@@ -318,20 +334,19 @@ def _load_povm(path: str, d: int) -> QuditPovm:
     return QuditPovm(d=d, elements=tuple(matrix_from_json_dict(e) for e in obj))
 
 
-def cmd_encode(ns: argparse.Namespace) -> int:
-    _, fmt, output, _ = _global_opts(ns)
+def cmd_encode(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     _require_register_size(ns.n, 3)
     d = ns.n - 1
     rho = matrix_from_json_dict(_read_json_file(ns.state))
     state = QuditState(d=d, rho=rho)
     povm = _load_povm(ns.povm, d) if ns.povm else None
-    start = perf_counter()
+    clock.start()  # reading the input files is in no stage
     qs = build_coupled_basis(SpinRegister(ns.n))
-    built = perf_counter()
+    clock.lap("encode:build")
     state_payload = encode_state(qs, state).payload
     encoded = encode_povm(qs, povm) if povm else []
-    povm_payloads = [e.payload for e in encoded] if fmt == "json" else []
-    encoded_at = perf_counter()
+    povm_payloads = [e.payload for e in encoded] if ns.format == "json" else []
+    clock.lap("encode:encode")
 
     born_rows = []
     if povm:
@@ -345,9 +360,9 @@ def cmd_encode(ns: argparse.Namespace) -> int:
                 "encoded": encoded_p,
                 "deviation": abs(encoded_p - logical_p),
             })
-    born_at = perf_counter()
+    clock.lap("encode:born")
 
-    if fmt == "json":
+    if ns.format == "json":
         payload = {
             "n": ns.n,
             "d": d,
@@ -366,20 +381,9 @@ def cmd_encode(ns: argparse.Namespace) -> int:
               repr(r["deviation"])] for r in born_rows],
         )
     else:
-        flat = state_payload.reshape(-1)
-        dim = state_payload.shape[0]
-        text = _dump_csv(
-            ["row", "col", "re", "im"],
-            [[idx // dim, idx % dim, repr(float(z.real)), repr(float(z.imag))]
-             for idx, z in enumerate(flat)],
-        )
-    stages = {"build": (start, built), "encode": (built, encoded_at),
-              "born": (encoded_at, born_at), "serialisation": (born_at, perf_counter())}
-    _emit(text, output)
-    if ns.timings:
-        for stage, (begin, end) in stages.items():
-            print(f"timing encode:{stage}: {(end - begin) * 1e3:.1f} ms", file=sys.stderr)
-    return 0
+        text = _dump_csv(["row", "col", "re", "im"], _entry_rows(state_payload))
+    clock.lap("encode:serialisation")
+    return text, []
 
 
 def _parse_n_range(text: str) -> range:
@@ -398,39 +402,27 @@ def _parse_n_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def cmd_verify(ns: argparse.Namespace) -> int:
-    tol, fmt, output, seed = _global_opts(ns)
+def cmd_verify(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     n_values = _parse_n_range(ns.n_range)
-    results = run_suite(ns.suite, tol=tol, seed=seed, n_values=n_values)
-    all_passed = all(r.passed for r in results)
-    if ns.timings:
-        for r in results:
-            print(f"timing {r.id}: {r.elapsed_ms:.1f} ms", file=sys.stderr)
+    results = run_suite(ns.suite, tol=ns.tol, seed=ns.seed, n_values=n_values)
+    for r in results:
+        clock.add(r.id, r.elapsed_ms)
 
-    if fmt == "json":
-        _emit(_dump_json({
+    if ns.format == "json":
+        text = _dump_json({
             "suite": ns.suite,
             "n_range": ns.n_range,
             "checks": [r.as_dict() for r in results],
-            "passed": all_passed,
-        }), output)
+            "passed": all(r.passed for r in results),
+        })
     else:
-        _emit(_dump_csv(
+        text = _dump_csv(
             ["id", "description", "residual", "tolerance", "passed"],
             [[r.id, r.description, repr(r.residual), repr(r.tolerance), r.passed]
              for r in results],
-        ), output)
-
-    if not all_passed:
-        for r in results:
-            if not r.passed:
-                print(
-                    f"FAILED {r.id}: residual {r.residual:.6e} exceeds "
-                    f"tolerance {r.tolerance:g}",
-                    file=sys.stderr,
-                )
-        return 1
-    return 0
+        )
+    return text, [f"FAILED {r.id}: residual {r.residual:.6e} exceeds tolerance {r.tolerance:g}"
+                  for r in results if not r.passed]
 
 
 def _parse_axis(text: str) -> tuple[float, float, float]:
@@ -443,8 +435,7 @@ def _parse_axis(text: str) -> tuple[float, float, float]:
     return parts
 
 
-def cmd_channel(ns: argparse.Namespace) -> int:
-    _, fmt, output, seed = _global_opts(ns)
+def cmd_channel(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     _require_register_size(ns.n, 3)
     d = ns.n - 1
     if ns.state:
@@ -456,25 +447,21 @@ def cmd_channel(ns: argparse.Namespace) -> int:
     cfg = ChannelConfig(
         n=ns.n,
         trials=ns.trials,
-        seed=seed,
+        seed=ns.seed,
         noise=ns.noise,
         axis=_parse_axis(ns.axis) if ns.axis else None,
         angle=ns.angle,
         width=ns.width,
     )
     report = run_channel(cfg, state)
-    start = perf_counter()
-    text = report.to_json() + "\n" if fmt == "json" else report.to_csv()
-    elapsed_ms = {**report.elapsed_ms, "serialisation": (perf_counter() - start) * 1e3}
-    _emit(text, output)
-    if ns.timings:
-        for stage, ms in elapsed_ms.items():
-            print(f"timing channel:{stage}: {ms:.1f} ms", file=sys.stderr)
-    return 0
+    for stage, ms in report.elapsed_ms.items():
+        clock.add(f"channel:{stage}", ms)
+    text = report.to_json() + "\n" if ns.format == "json" else report.to_csv()
+    clock.lap("channel:serialisation")
+    return text, []
 
 
-def cmd_reference(ns: argparse.Namespace) -> int:
-    _, fmt, output, _ = _global_opts(ns)
+def cmd_reference(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     if ns.case not in REFERENCE_CASES:
         raise ValidationError(
             f"unknown reference case {ns.case!r}; valid ids: "
@@ -482,27 +469,23 @@ def cmd_reference(ns: argparse.Namespace) -> int:
         )
     case = REFERENCE_CASES[ns.case]
     matrices = case.build()
+    clock.lap("reference:build")
 
-    if fmt == "json":
-        _emit(_dump_json({
+    if ns.format == "json":
+        text = _dump_json({
             "case": case.id,
             "description": case.description,
             "formulas": case.formulas,
             "matrices": {
                 name: matrix_to_json_dict(m) for name, m in matrices.items()
             },
-        }), output)
+        })
     else:
-        rows = []
-        for name, m in matrices.items():
-            m = np.asarray(m)
-            for idx, z in enumerate(m.reshape(-1)):
-                rows.append([
-                    name, idx // m.shape[1], idx % m.shape[1],
-                    repr(float(z.real)), repr(float(z.imag)),
-                ])
-        _emit(_dump_csv(["name", "row", "col", "re", "im"], rows), output)
-    return 0
+        text = _dump_csv(["name", "row", "col", "re", "im"],
+                         [[name, *row] for name, m in matrices.items()
+                          for row in _entry_rows(m)])
+    clock.lap("reference:serialisation")
+    return text, []
 
 
 _DISPATCH = {
@@ -523,8 +506,11 @@ def main(argv=None) -> int:
         code = exc.code
         return 2 if code is None else int(code)
     ceiling = get_max_constituents()  # --max-n holds for this call only
+    clock = _Clock()
     try:
-        return _DISPATCH[ns.command](ns)
+        _global_opts(ns)
+        text, failures = _DISPATCH[ns.command](ns, clock)
+        _emit(text, ns.output)
     except (ValidationError, ContractViolationError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -537,6 +523,12 @@ def main(argv=None) -> int:
         return 2
     finally:
         set_max_constituents(ceiling)
+    for line in failures:
+        print(line, file=sys.stderr)
+    if ns.timings:
+        for label, ms in clock.stages:
+            print(f"timing {label}: {ms:.1f} ms", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
+import csv
+import io
 import json
 import os
 import shutil
@@ -242,24 +244,6 @@ def test_encode_born_table_matches_the_dense_traces(capsys, tmp_path, n):
     np.testing.assert_allclose(encoded, dense, rtol=0, atol=1e-12)
 
 
-def test_encode_timings_go_to_stderr_and_leave_the_report(capsys, tmp_path):
-    state = write_json(tmp_path / "state.json", matrix_to_json_dict(n3_trine()["logical3"]))
-    plain_argv = ["encode", "--n", "3", "--state", state]
-    povm_argv = plain_argv + ["--povm", trine_povm_file(tmp_path)]
-    for argv in (plain_argv, povm_argv):
-        for fmt in ("json", "csv"):
-            code, plain, plain_err = run_cli(capsys, *argv, "--format", fmt)
-            timed_code, timed, err = run_cli(capsys, *argv, "--format", fmt, "--timings")
-            assert code == timed_code == 0
-            assert timed == plain and plain_err == ""
-            lines = err.splitlines()
-            assert [line.split(": ")[0] for line in lines] == [
-                f"timing encode:{stage}"
-                for stage in ("build", "encode", "born", "serialisation")]
-            assert all(line.endswith(" ms") and float(line.split(": ")[1][:-3]) >= 0
-                       for line in lines)
-
-
 def test_encode_rejects_non_state(capsys, tmp_path):
     state = write_json(
         tmp_path / "state.json",
@@ -299,22 +283,6 @@ def test_verify_json_reemits_byte_identically(capsys):
     )
     assert code == 0
     assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
-
-
-def test_verify_timings_go_to_stderr_and_leave_the_report(capsys):
-    argv = ["verify", "--suite", "all", "--n-range", "3..4", "--seed", "7"]
-    code, plain, plain_err = run_cli(capsys, *argv)
-    timed_code, timed, err = run_cli(capsys, *argv, "--timings")
-    assert code == timed_code == 0
-    assert timed == plain and plain_err == ""
-    ids = [check["id"] for check in json.loads(plain)["checks"]]
-    lines = err.splitlines()
-    assert [line.split(": ")[0] for line in lines] == [f"timing {i}" for i in ids]
-    assert all(line.endswith(" ms") and float(line.split(": ")[1][:-3]) >= 0
-               for line in lines)
-    _, csv_plain, _ = run_cli(capsys, *argv, "--format", "csv")
-    _, csv_timed, _ = run_cli(capsys, *argv, "--format", "csv", "--timings")
-    assert csv_timed == csv_plain
 
 
 def test_verify_rejects_bad_range(capsys):
@@ -443,6 +411,8 @@ def test_channel_dephasing_requires_width(capsys):
     ("--width", ["--noise", "dephasing", "--width", "inf"]),
     ("--angle", ["--noise", "fixed", "--axis", "0,0,1", "--angle", "nan"]),
     ("--axis", ["--noise", "fixed", "--axis", "0,nan,1", "--angle", "1.0"]),
+    ("--width", ["--noise", "haar", "--width", "nan", "--angle", "inf"]),
+    ("--angle", ["--axis", "0,0,1", "--angle", "0.7"]),  # Haar noise by default
 ])
 def test_channel_rejects_non_finite_noise_parameters(capsys, flag, flags):
     code, _, err = run_cli(capsys, "channel", "--n", "3", "--trials", "2", *flags)
@@ -463,19 +433,58 @@ def test_channel_bad_axis_text(capsys):
 # global flag handling
 # ---------------------------------------------------------------------------
 
-def test_channel_timings_go_to_stderr_and_leave_the_report(capsys):
-    argv = ["channel", "--n", "3", "--trials", "20", "--seed", "7"]
-    for fmt in ("json", "csv"):
-        code, plain, plain_err = run_cli(capsys, *argv, "--format", fmt)
-        timed_code, timed, err = run_cli(capsys, *argv, "--format", fmt, "--timings")
-        assert code == timed_code == 0
-        assert timed == plain and plain_err == ""
-        lines = err.splitlines()
-        assert [line.split(": ")[0] for line in lines] == [
-            f"timing channel:{stage}"
-            for stage in ("noise", "rotation", "figures", "serialisation")]
-        assert all(line.endswith(" ms") and float(line.split(": ")[1][:-3]) >= 0
-                   for line in lines)
+STAGES = {
+    "census": ("build", "serialisation"),
+    "basis": ("build", "serialisation"),
+    "encode": ("build", "encode", "born", "serialisation"),
+    "channel": ("noise", "rotation", "figures", "serialisation"),
+    "reference": ("build", "serialisation"),
+}
+
+
+def _timed_argv(run, tmp_path) -> list:
+    state = write_json(tmp_path / "state.json", matrix_to_json_dict(n3_trine()["logical3"]))
+    return {
+        "census": ["census", "--n", "4"],
+        "basis": ["basis", "--n", "3"],
+        "encode": ["encode", "--n", "3", "--state", state],
+        "encode-povm": ["encode", "--n", "3", "--state", state,
+                        "--povm", trine_povm_file(tmp_path)],
+        "verify": ["verify", "--suite", "all", "--n-range", "3..4", "--seed", "7"],
+        "verify-failing": ["verify", "--suite", "coupling", "--n-range", "3..3",
+                           "--tol", "1e-30"],
+        "channel": ["channel", "--n", "3", "--trials", "20", "--seed", "7"],
+        "reference": ["reference", "--case", "n4-hws"],
+    }[run]
+
+
+@pytest.mark.parametrize("place", ("before", "after"))
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("run", ("census", "basis", "encode", "encode-povm", "verify",
+                                 "verify-failing", "channel", "reference"))
+def test_timings_go_to_stderr_last_and_leave_the_report(capsys, tmp_path, run, fmt, place):
+    argv = _timed_argv(run, tmp_path) + ["--format", fmt]
+    code, plain, plain_err = run_cli(capsys, *argv)
+    timed_argv = ["--timings", *argv] if place == "before" else [*argv, "--timings"]
+    timed_code, timed, err = run_cli(capsys, *timed_argv)
+    assert code == timed_code == (1 if run == "verify-failing" else 0)
+    assert timed == plain
+    failures = plain_err.splitlines()
+    assert bool(failures) == (code == 1)
+    assert all(line.startswith("FAILED ") for line in failures)
+    lines = err.splitlines()
+    assert lines[:len(failures)] == failures  # the timing lines come last
+    if run.startswith("verify"):
+        ids = ([check["id"] for check in json.loads(plain)["checks"]] if fmt == "json"
+               else [row[0] for row in csv.reader(io.StringIO(plain))][1:])
+        expected = [f"timing {i}" for i in ids]
+    else:
+        command = argv[0]
+        expected = [f"timing {command}:{stage}" for stage in STAGES[command]]
+    timings = lines[len(failures):]
+    assert [line.rsplit(": ", 1)[0] for line in timings] == expected
+    assert all(line.endswith(" ms") and float(line.rsplit(": ", 1)[1][:-3]) >= 0
+               for line in timings)
 
 
 def test_global_flags_accepted_before_subcommand(capsys):
@@ -556,7 +565,7 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
 
 
 def test_memory_error_exits_two(capsys, monkeypatch):
-    def exhausted(ns):
+    def exhausted(ns, clock):
         raise MemoryError("Unable to allocate 32.0 GiB")
 
     monkeypatch.setitem(cli._DISPATCH, "channel", exhausted)
