@@ -18,17 +18,23 @@ sqrt(n) with omega_n = exp(2*pi*i/n)). The orthonormal sector basis is
     |j2, m2; lambda> = sqrt((j2+m2)! / ((2 j2)! (j2-m2)!))
                        * Omega_minus(lambda) J_minus**(j2-m2) |0...0>,
 
-built exactly in this phase convention (no re-phasing), with lambda = 1..n-1
-and m2 = j2, j2-1, ..., -j2, and stored as the columns of one 2**n x d**2
-isometry K. Its column blocks K_lambda give the d**2 operators
-Q_{lambda lambda'} = K_lambda K_lambda'^dag, a matrix-unit algebra commuting
-with the total angular momentum; both facts are checked on K alone when it
-is built: K^dag K = I, and J_a K = K (I_d (x) J_a^(j2)). The lowering
-operators, these J_a, and the J^2 and Jz of the membership check act one
-constituent at a time (spinsys.collective_apply), never as 2**n x 2**n
-matrices. The census checks the c_j against the spectrum of
-J^2 = n(4-n)/4 + sum_{l<k} P_lk on each magnetisation block, built from the
-transposition index maps of spinsys.permutation_indices. For n = 4 the
+with lambda = 1..n-1 and m2 = j2, j2-1, ..., -j2. With k = j2 - m2, the
+product has the closed form
+
+    Omega_minus(lambda) J_minus**k |0...0> = k! sum_{|T| = k+1} (sum_{l in T} U_{lambda,l}) |T>
+
+over the sets T of down spins, so the ket lives on the product kets of
+Hamming weight k + 1 alone. The basis is stored as its d weight blocks
+B_k = M_{k+1} U[:d]^T / sqrt(C(n-2, k)), M_w the 0/1 spins-down incidence
+matrix of the weight-w product kets, with no re-phasing. Together they are
+the 2**n x d**2 isometry K, columns ordered (lambda, m2), whose column blocks
+K_lambda give the d**2 operators Q_{lambda lambda'} = K_lambda K_lambda'^dag,
+a matrix-unit algebra commuting with the total angular momentum. Both facts
+are checked on the blocks when the basis is built: B_k^dag B_k = I, and
+J_minus B_k = c_k B_{k+1} with its J_plus partner (J_z holds by
+construction). These ladder operators, and the J^2 = n(4-n)/4 +
+sum_{l<k} P_lk of the membership check and of the census, act on one weight
+class at a time through index maps on the product kets. For n = 4 the
 module also provides the two explicit j=0 bases: the symmetric-coupling
 singlets (Fourier phases omega_3) and the successively-coupled (pairwise)
 singlets.
@@ -40,7 +46,7 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import factorial, sqrt
+from math import comb, factorial, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -48,17 +54,10 @@ import numpy as np
 from .errors import ConsistencyError, ContractViolationError, ValidationError
 from .linalg import dagger, identity, max_abs_diff
 from .spinsys import (
-    SIGMA_MINUS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     SpinRegister,
-    collective_apply,
-    collective_j_squared,
     collective_product_apply,
     permutation_indices,
     product_ket,
-    spin_matrices,
     transposition,
 )
 
@@ -153,18 +152,19 @@ def coupling_fingerprint(u) -> str:
 
 @dataclass(frozen=True)
 class CoupledBasis:
-    """The verified j2 = n/2 - 1 sector, as one isometry.
+    """The verified j2 = n/2 - 1 sector, as the weight blocks of its isometry K.
 
-    isometry is the 2**n x d**2 matrix K whose columns are the kets
-    |j2, m2; lambda>, ordered (lambda, m2): column (lambda-1)(2 j2+1) + (j2-m2).
-    It is read-only, so encoded operators share it. Column (lambda, m2) is
-    nonzero only on the product kets of Hamming weight n/2 - m2, so K is d
-    blocks B_m2 (weight_classes), and every operator K (A (x) I_d) K^dag is
-    block-diagonal in the weight. lift builds such operators and compress
-    takes K^dag P K of any P, both one weight class at a time; the dense
-    projector K K^dag and each Q_{lambda lambda'} = basis(lambda, lambda') are
-    lifts built on every access. The weight classes and the gate's residuals
-    are computed once per object; a dataclasses.replace'd copy computes its own.
+    blocks holds the read-only C(n, k+1) x d block B_k of each m2 = j2 - k:
+    column lambda is the ket |j2, m2; lambda> on the product kets of weight
+    k + 1, the only ones it touches. isometry is the dense 2**n x d**2 K,
+    column (lambda-1)(2 j2+1) + (j2-m2) the ket (lambda, m2), assembled from
+    the blocks on first use for the readers that need all of K. Every operator
+    K (A (x) I_d) K^dag is block-diagonal in the weight: lift builds such
+    operators and compress takes K^dag P K of any P, both one weight class at
+    a time; the dense projector K K^dag and each Q_{lambda lambda'} =
+    basis(lambda, lambda') are lifts built on every access. The weight
+    classes, the dense K and the gate's residuals are computed once per
+    object; a dataclasses.replace'd copy computes its own.
     """
 
     n: int
@@ -172,7 +172,7 @@ class CoupledBasis:
     d: int
     coupling: np.ndarray = field(repr=False)
     fingerprint: str
-    isometry: np.ndarray = field(repr=False)
+    blocks: tuple = field(repr=False)
 
     def m2_values(self) -> list[Fraction]:
         return [self.j2 - k for k in range(int(2 * self.j2) + 1)]
@@ -185,28 +185,25 @@ class CoupledBasis:
 
     @cached_property
     def gate_residuals(self) -> dict:
-        """isometry_residuals of K: the Gram, trace and covariance residuals."""
-        return isometry_residuals(self.n, self.isometry)
+        """isometry_residuals of the blocks: the Gram, trace and covariance residuals."""
+        return isometry_residuals(self)
 
     @cached_property
     def weight_classes(self) -> tuple:
         """(rows, B) for each m2 = j2, j2-1, ..., -j2: the product-ket indices of
-        Hamming weight n/2 - m2, and the C(n, w) x d block of K on them and on
-        the columns (lambda, m2).
+        Hamming weight n/2 - m2 and the block on them. No row of weight 0 or n
+        is in a class."""
+        return tuple(zip(weight_rows(self.n)[1:-1], self.blocks))
 
-        K is zero elsewhere: the ladder build leaves exact zeros, and the
-        covariance gate bounds any entry there by ISOMETRY_TOL, as
-        |n/2 - w - m2| >= 1. No row of weight 0 or n is in a class.
-        """
-        weight = hamming_weights(self.n)
-        size = int(2 * self.j2) + 1
-        classes = []
-        for k in range(size):
-            rows = np.flatnonzero(weight == k + 1)
-            block = np.ascontiguousarray(self.isometry[rows, k::size])
-            block.setflags(write=False)
-            classes.append((rows, block))
-        return tuple(classes)
+    @cached_property
+    def isometry(self) -> np.ndarray:
+        """The dense 2**n x d**2 K, assembled from the blocks: zero off the classes."""
+        size = len(self.blocks)
+        k_all = np.zeros((2 ** self.n, self.d * size), dtype=complex)
+        for k, (rows, block) in enumerate(self.weight_classes):
+            k_all[rows, k::size] = block
+        k_all.setflags(write=False)
+        return k_all
 
     def lift(self, logical) -> np.ndarray:
         """The 2**n x 2**n operator K (A (x) I_d) K^dag of a d x d A: B A B^dag on
@@ -296,44 +293,49 @@ def hamming_weights(n: int) -> np.ndarray:
     return sum((np.arange(2 ** n) >> bit) & 1 for bit in range(n))
 
 
+def weight_rows(n: int) -> list[np.ndarray]:
+    """The product-ket indices of each Hamming weight w = 0 .. n, ascending."""
+    weight = hamming_weights(n)
+    return [np.flatnonzero(weight == w) for w in range(n + 1)]
+
+
+def closed_form_blocks(n: int, u: np.ndarray) -> tuple:
+    """The read-only weight blocks B_k = M_{k+1} u[:n-1]^T / sqrt(C(n-2, k)), k = 0 .. n-2.
+
+    Row T of the 0/1 incidence matrix M_w marks the down spins of the
+    weight-w product ket T, constituent 1 the most significant bit, so
+    column lambda of B_k is sum_{|T| = k+1} (sum_{l in T} u_{lambda,l}) |T>
+    over sqrt(C(n-2, k)): the ket |j2, j2-k; lambda>.
+    """
+    bits = np.arange(n - 1, -1, -1)
+    blocks = []
+    for k, rows in enumerate(weight_rows(n)[1:-1]):
+        block = ((rows[:, None] >> bits) & 1) @ u[:n - 1].T / sqrt(comb(n - 2, k))
+        block.setflags(write=False)
+        blocks.append(block)
+    return tuple(blocks)
+
+
 def build_coupled_basis(reg: SpinRegister, coupling=None) -> CoupledBasis:
-    """Construct and verify K: the kets |j2, m2; lambda>, all m2, lambda = 1..n-1."""
+    """Construct and verify the kets |j2, m2; lambda>, all m2, lambda = 1..n-1."""
     n = reg.n
     if n < 3:
         raise ContractViolationError(
             f"the coupled basis needs n >= 3 (so d >= 2), got n={n}"
         )
     u = fourier_coupling(n) if coupling is None else validate_coupling(coupling, n)
-    j2 = Fraction(n, 2) - 1
-    d = n - 1
-    two_j2 = int(2 * j2)
-
-    lowered = [product_ket("0" * n)]  # lowered[k] = J_minus**k |0...0>
-    for _ in range(two_j2):
-        lowered.append(collective_apply(reg, SIGMA_MINUS, lowered[-1]))
-    ladder = np.column_stack(lowered)
-    prefactors = np.array([
-        sqrt(Fraction(factorial(two_j2 - k), factorial(two_j2) * factorial(k)))
-        for k in range(two_j2 + 1)
-    ])
-    isometry = np.concatenate([
-        collective_apply(reg, SIGMA_MINUS, ladder, u[lam - 1]) * prefactors
-        for lam in range(1, d + 1)
-    ], axis=1)
-    isometry.setflags(write=False)
-
     return require_sector_isometry(CoupledBasis(
         n=n,
-        j2=j2,
-        d=d,
+        j2=Fraction(n, 2) - 1,
+        d=n - 1,
         coupling=u,
         fingerprint=coupling_fingerprint(u),
-        isometry=isometry,
+        blocks=closed_form_blocks(n, u),
     ))
 
 
 def require_sector_isometry(basis: CoupledBasis) -> CoupledBasis:
-    """Return basis if its K passes the Gram and covariance checks, else raise."""
+    """Return basis if its blocks pass the Gram and covariance checks, else raise."""
     residuals = basis.gate_residuals
     if residuals["gram"] > ISOMETRY_TOL:
         raise ConsistencyError(
@@ -348,26 +350,43 @@ def require_sector_isometry(basis: CoupledBasis) -> CoupledBasis:
     return basis
 
 
-def isometry_residuals(n: int, k: np.ndarray) -> dict:
-    """Residuals of a sector isometry K (columns ordered (lambda, m2)).
+def _flipped_positions(n: int, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """For each product ket of rows, the positions in targets of the kets one
+    spin flip away from it, where targets (ascending) is a whole weight class
+    one above or below that of rows: shape (len(rows), flips per ket)."""
+    flipped = rows[:, None] ^ (1 << np.arange(n))
+    found = np.minimum(np.searchsorted(targets, flipped), len(targets) - 1)
+    return found[targets[found] == flipped].reshape(len(rows), -1)
 
-    gram:       max |K^dag K - I|, equivalent to Q Q' = delta Q
-    trace:      max |Tr Q_{lambda lambda'} - d delta|, from the Gram blocks
-    covariance: max over a = x, y, z of |J_a K - K (I_d (x) J_a^(j2))|,
-                equivalent to [Q, J_a] = 0
+
+def isometry_residuals(basis: CoupledBasis) -> dict:
+    """Residuals of the sector isometry K, read one weight block B_k at a time.
+
+    K is zero off the weight classes and J_z K = K (I_d (x) J_z^(j2)) holds by
+    construction, so:
+
+    gram:       max |B_k^dag B_k - I|, equivalent to K^dag K = I and to Q Q' = delta Q
+    trace:      max |sum_k B_k^dag B_k - d I|, i.e. Tr Q_{lambda lambda'} = d delta
+    covariance: max |J_- B_k - c_k B_{k+1}| and |J_+ B_{k+1} - c_k B_k|, with
+                c_k = sqrt((k+1)(2 j2-k)) the spin-j2 ladder element. J_- of the
+                last block (onto |1...1>) and J_+ of the first (onto |0...0>)
+                must vanish. Equivalent to [Q, J_a] = 0.
     """
-    d = n - 1
-    reg = SpinRegister(n)
-    gram = dagger(k) @ k
-    traces = partial_trace_m2(d, gram)  # [lambda', lambda] = Tr Q_{lambda lambda'}
-    spins = spin_matrices(Fraction(n, 2) - 1)
-    covariance = max(
-        max_abs_diff(collective_apply(reg, pauli / 2, k), k @ np.kron(identity(d), j_a))
-        for pauli, j_a in zip((SIGMA_X, SIGMA_Y, SIGMA_Z), spins)
-    )
+    n, d = basis.n, basis.d
+    grams = [dagger(block) @ block for block in basis.blocks]
+    zero = np.zeros((1, d))
+    on_weight = [zero, *basis.blocks, zero]  # K on the weight classes w = 0 .. n
+    rows = weight_rows(n)
+    covariance = 0.0
+    for w in range(1, n + 1):
+        c = sqrt((w - 1) * (n - w))
+        lowered = on_weight[w - 1][_flipped_positions(n, rows[w], rows[w - 1])].sum(axis=1)
+        raised = on_weight[w][_flipped_positions(n, rows[w - 1], rows[w])].sum(axis=1)
+        covariance = max(covariance, max_abs_diff(lowered, c * on_weight[w]),
+                         max_abs_diff(raised, c * on_weight[w - 1]))
     return {
-        "gram": max_abs_diff(gram, identity(d * d)),
-        "trace": max_abs_diff(traces, d * identity(d)),
+        "gram": max(max_abs_diff(gram, identity(d)) for gram in grams),
+        "trace": max_abs_diff(sum(grams), d * identity(d)),
         "covariance": covariance,
     }
 
@@ -384,15 +403,30 @@ def gram_residual(basis: CoupledBasis) -> float:
 
 
 def sector_membership_residual(basis: CoupledBasis) -> float:
-    """Max residual of the J^2 and Jz eigenvalue equations over the columns of K."""
-    reg = SpinRegister(basis.n)
-    k = basis.isometry
+    """Max residual of J^2 B = j2(j2+1) B over the weight blocks B, with
+    J^2 = n(4-n)/4 + sum_{l<k} P_lk on each class. J_z B = m2 B holds by
+    construction: each block lives on its weight class alone."""
+    n = basis.n
     jj = float(basis.j2 * (basis.j2 + 1))
-    column_m2 = np.tile([float(m2) for m2 in basis.m2_values()], basis.d)
-    return max(
-        max_abs_diff(collective_j_squared(reg, k), jj * k),
-        max_abs_diff(collective_apply(reg, SIGMA_Z / 2, k), k * column_m2),
-    )
+    rows = [rows for rows, _ in basis.weight_classes]
+    worst = 0.0
+    for block, swapped in zip(basis.blocks, _transposed_positions(SpinRegister(n), rows)):
+        j_squared = n * (4 - n) / 4 * block
+        for positions in swapped:
+            j_squared += block[positions]
+        worst = max(worst, max_abs_diff(j_squared, jj * block))
+    return worst
+
+
+def _transposed_positions(reg: SpinRegister, classes) -> Iterator[list[np.ndarray]]:
+    """For each class of product-ket indices (ascending, closed under
+    permutations), one array p per transposition (l k), l < k: P_lk sends the
+    ket at position i of the class to position p[i]."""
+    n = reg.n
+    swaps = [permutation_indices(reg, transposition(n, l, k))
+             for l in range(1, n + 1) for k in range(l + 1, n + 1)]
+    for rows in classes:
+        yield [np.searchsorted(rows, dst[rows]) for dst in swaps]
 
 
 def symmetric_singlets(reg: SpinRegister) -> list[np.ndarray]:
@@ -450,15 +484,12 @@ def sector_census(reg: SpinRegister) -> list[SectorSpec]:
             f"census total {total} != 2**{n}; the multiplicity formula is broken"
         )
 
-    weight = hamming_weights(n)
-    swaps = [permutation_indices(reg, transposition(n, l, k))
-             for l in range(1, n + 1) for k in range(l + 1, n + 1)]
-    for w in range(n + 1):
+    rows = weight_rows(n)
+    for w, swapped in enumerate(_transposed_positions(reg, rows)):
         m = Fraction(n, 2) - w
-        members = np.flatnonzero(weight == w)  # sorted, so searchsorted gives rows
-        block = np.eye(len(members)) * (n * (4 - n) / 4)
-        for dst in swaps:
-            block[np.searchsorted(members, dst[members]), np.arange(len(members))] += 1
+        block = np.eye(len(rows[w])) * (n * (4 - n) / 4)
+        for positions in swapped:
+            block[positions, np.arange(len(rows[w]))] += 1
         predicted = sorted(float(s.j * (s.j + 1))
                            for s in specs if s.j >= abs(m) for _ in range(s.multiplicity))
         found = np.linalg.eigvalsh(block)
@@ -477,9 +508,8 @@ def basis_overlap_blocks(a: CoupledBasis, b: CoupledBasis) -> dict:
     """
     if a.n != b.n:
         raise ContractViolationError("bases live on different registers")
-    size = int(2 * a.j2 + 1)
-    overlap = (dagger(a.isometry) @ b.isometry).reshape(a.d, size, b.d, size)
-    return {m2: overlap[:, k, :, k] for k, m2 in enumerate(a.m2_values())}
+    return {m2: dagger(block_a) @ block_b
+            for m2, block_a, block_b in zip(a.m2_values(), a.blocks, b.blocks)}
 
 
 def block_mixing_residual(a: CoupledBasis, b: CoupledBasis) -> float:

@@ -19,8 +19,9 @@ factor) entropies survive the round trip, which is what makes the
 construction a faithful qudit.
 
 Column (lambda, m2) of K lives on the product kets of Hamming weight
-w = n/2 - m2 alone, so K is d weight blocks B_m2 of C(n, w) x d each
-(CoupledBasis.weight_classes), and a payload K (A (x) I_d) K^dag is
+w = n/2 - m2 alone, and the basis stores K as those d weight blocks B_m2 of
+C(n, w) x d each (CoupledBasis.blocks, paired with their rows in
+CoupledBasis.weight_classes), so a payload K (A (x) I_d) K^dag is
 block-diagonal in w: B A B^dag on each class, zero between classes and on
 the all-up and all-down kets. Payloads are built that way
 (CoupledBasis.lift), and a raw payload P is compressed to C = K^dag P K one

@@ -15,7 +15,6 @@ built from that one map on product-ket indices, permutation_indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations as _all_perms
 from typing import Iterator, NamedTuple
 
@@ -110,23 +109,6 @@ def total_J(reg: SpinRegister) -> TotalJ:
     return TotalJ(jx, jy, jz, j_minus, j_squared)
 
 
-def collective_apply(reg: SpinRegister, single, vecs, weights=None) -> np.ndarray:
-    """sum_l w_l single^(l) applied to the columns of vecs (w_l = 1 by default).
-
-    Each term contracts the 2x2 operator with one tensor slot of the columns
-    reshaped to (2,)*n, so no 2**n x 2**n matrix is formed and the cost is
-    O(n * 2**n * columns).
-    """
-    single = as_matrix(single)
-    vecs = np.asarray(vecs, dtype=complex)
-    t = vecs.reshape((2,) * reg.n + (-1,))
-    out = np.zeros_like(t)
-    for axis in range(reg.n):
-        term = np.moveaxis(np.tensordot(single, t, axes=(1, axis)), 0, axis)
-        out += term if weights is None else weights[axis] * term
-    return out.reshape(vecs.shape)
-
-
 def collective_product_apply(reg: SpinRegister, u, vecs) -> np.ndarray:
     """kron_power(reg, u) @ vecs, contracting u with one tensor slot at a time.
 
@@ -148,30 +130,6 @@ def collective_product_apply(reg: SpinRegister, u, vecs) -> np.ndarray:
     if single:
         return t.reshape(vecs.shape)
     return t.reshape(len(stack), reg.dim, cols)
-
-
-def collective_j_squared(reg: SpinRegister, vecs) -> np.ndarray:
-    """J^2 applied to the columns of vecs: sum_a J_a J_a, one constituent at a time."""
-    out = np.zeros(np.shape(vecs), dtype=complex)
-    for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-        out += collective_apply(reg, pauli / 2, collective_apply(reg, pauli / 2, vecs))
-    return out
-
-
-def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jx, Jy, Jz) of a spin j in the basis m = j, j-1, ..., -j.
-
-    J+ carries the ladder elements sqrt(j(j+1) - m(m+1)) with no phases, the
-    convention the coupled kets are built in.
-    """
-    j = Fraction(j)
-    m = np.array([float(j - k) for k in range(int(2 * j) + 1)])
-    j_plus = np.diag(np.sqrt(float(j * (j + 1)) - m[1:] * (m[1:] + 1)), k=1)
-    return (
-        (j_plus + j_plus.T).astype(complex) / 2,
-        (j_plus - j_plus.T).astype(complex) / 2j,
-        np.diag(m).astype(complex),
-    )
 
 
 def swap(reg: SpinRegister, j: int, k: int) -> np.ndarray:

@@ -34,6 +34,7 @@ import numpy as np
 from . import reference as ref
 from .channel import born_rule_harness, random_density, require_trials
 from .coupling import (
+    ROW_BLOCK_BYTES,
     CoupledBasis,
     block_mixing_residual,
     build_coupled_basis,
@@ -154,12 +155,17 @@ def q_algebra_residuals(qs: CoupledBasis) -> dict:
 
     Closure and [Q, J] = 0 are the Gram and covariance checks on K, and the
     trace comes from the Gram blocks: all three are the gate's residuals,
-    computed once per basis. The pairing compares the sector frames
-    K^dag Q(l,l') K = G_l G_l'^dag, G_l being the column blocks of G = K^dag K.
+    computed once per basis. The pairing is max |P - P^dag| for P = lift(H) of
+    one generic hermitian H drawn from DEFAULT_SEED: P = sum H_{ll'} Q(l,l'),
+    so P is hermitian exactly when Q(l,l')^dag = Q(l',l) for all pairs at
+    once. P^dag is read in strips of rows of at most ROW_BLOCK_BYTES / 2, so no
+    second 2**n x 2**n array is held.
     """
-    g = np.split(dagger(qs.isometry) @ qs.isometry, qs.d, axis=1)  # G_1 .. G_d
-    herm = max(max_abs_diff(dagger(g[l] @ dagger(g[lp])), g[lp] @ dagger(g[l]))
-               for l in range(qs.d) for lp in range(qs.d))
+    payload = qs.lift(random_density(np.random.default_rng(DEFAULT_SEED), qs.d))
+    step = max(1, ROW_BLOCK_BYTES // (2 * payload.itemsize * len(payload)))
+    herm = max(max_abs_diff(payload[first:first + step],
+                            dagger(payload[:, first:first + step]))
+               for first in range(0, len(payload), step))
     isometry = qs.gate_residuals
     return {"hermitian-pairing": herm, "trace": isometry["trace"],
             "closure": isometry["gram"], "j-commutation": isometry["covariance"]}

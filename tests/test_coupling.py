@@ -126,10 +126,12 @@ def test_ket_is_the_isometry_column_lambda_then_m2(n):
 
 
 def test_sector_membership_rejects_a_column_outside_the_sector():
+    # The weight-2 Dicke state has m = 0 like the m2 = 0 block, but lies in j = 2.
     basis = build_coupled_basis(SpinRegister(4))
-    k = basis.isometry.copy()
-    k[:, 1] = product_ket("0000")  # the all-up ket lies in the j = 2 sector
-    corrupted = dataclasses.replace(basis, isometry=k)
+    block = basis.blocks[1].copy()
+    block[:, 0] = 1 / np.sqrt(len(block))
+    blocks = basis.blocks[:1] + (block,) + basis.blocks[2:]
+    corrupted = dataclasses.replace(basis, blocks=blocks)
     assert sector_membership_residual(corrupted) > 0.1
 
 

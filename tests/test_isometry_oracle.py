@@ -53,6 +53,7 @@ from rffqudit.verify import (
     entropy_defect_residual,
     q_algebra_residuals,
     rotation_invariance_residual,
+    suite_encoder,
 )
 
 SEED = 20261018
@@ -239,6 +240,22 @@ def test_frame_hermitian_pairing_matches_the_dense_one(case):
     assert q_algebra_residuals(qs)["hermitian-pairing"] == pytest.approx(dense, abs=1e-12)
 
 
+def test_q_hermitian_row_rejects_a_lift_without_the_conjugate(monkeypatch):
+    # B A B^T in place of B A B^dag: P = lift(H) is then not hermitian, as the
+    # Fourier blocks are complex, though every frame G_l G_l'^dag still pairs.
+    def transposed_lift(self, logical):
+        out = np.zeros((2 ** self.n,) * 2, dtype=complex)
+        for rows, block in self.weight_classes:
+            out[np.ix_(rows, rows)] = block @ logical @ block.T
+        return out
+
+    row = suite_encoder(n_values=(3,))[0]
+    assert row.id == "encoder:q-hermitian:n=3" and row.passed
+    monkeypatch.setattr(CoupledBasis, "lift", transposed_lift)
+    residual = q_algebra_residuals(build_coupled_basis(SpinRegister(3)))["hermitian-pairing"]
+    assert residual > 0.01 > row.tolerance
+
+
 def test_hws_pair_matches_the_dense_sums_and_relations(case):
     _, basis, qs, q = case
     d = basis.d
@@ -257,16 +274,19 @@ def test_hws_pair_matches_the_dense_sums_and_relations(case):
             assert max_abs_diff(uj @ vk, pair.omega ** (-j * k) * (vk @ uj)) < 1e-10
 
 
-def _corrupt(basis, m2, lam, ket):
-    k = basis.isometry.copy()
-    k[:, (lam - 1) * len(basis.m2_values()) + int(basis.j2 - m2)] = ket
-    return dataclasses.replace(basis, isometry=k)
+def _corrupt(basis, m2, lam, column):
+    """basis with the ket (m2, lambda) replaced by column, given on its weight class."""
+    k = int(basis.j2 - m2)
+    block = basis.blocks[k].copy()
+    block[:, lam - 1] = column
+    return dataclasses.replace(basis, blocks=basis.blocks[:k] + (block,) + basis.blocks[k + 1:])
 
 
 def test_gram_check_rejects_a_non_orthonormal_column():
     basis = build_coupled_basis(SpinRegister(4))
     m2 = basis.m2_values()[0]
-    mixed = (basis.ket(m2, 1) + basis.ket(m2, 2)) / np.sqrt(2)
+    block = basis.blocks[0]
+    mixed = (block[:, 0] + block[:, 1]) / np.sqrt(2)
     with pytest.raises(ConsistencyError, match="K\\^dag K"):
         build_q_set(_corrupt(basis, m2, 1, mixed))
 
@@ -275,9 +295,8 @@ def test_covariance_check_rejects_a_broken_ladder_phase():
     # A phase on one column keeps K an isometry but breaks J K = K (I x J).
     basis = build_coupled_basis(SpinRegister(4))
     m2 = basis.m2_values()[1]
-    phased = 1j * basis.ket(m2, 2)
-    corrupted = _corrupt(basis, m2, 2, phased)
-    residuals = isometry_residuals(4, corrupted.isometry)
+    corrupted = _corrupt(basis, m2, 2, 1j * basis.blocks[1][:, 1])
+    residuals = isometry_residuals(corrupted)
     assert residuals["gram"] < 1e-12 and residuals["covariance"] > 0.1
     with pytest.raises(ConsistencyError, match="commute with J"):
         build_q_set(corrupted)
@@ -287,23 +306,21 @@ def test_rotation_residuals_reject_a_broken_ladder_phase():
     # The phase survives U K = K R but makes U act differently on lambda = 2.
     basis = build_coupled_basis(SpinRegister(4))
     m2 = basis.m2_values()[1]
-    corrupted = _corrupt(basis, m2, 2, 1j * basis.ket(m2, 2))
+    corrupted = _corrupt(basis, m2, 2, 1j * basis.blocks[1][:, 1])
     assert rotation_invariance_residual(corrupted, 5) > 0.1
     assert dense_rotation_residual(corrupted, 5) > 0.1
 
 
 def test_build_rejects_a_non_covariant_isometry(monkeypatch):
-    # A phase on the m2 = j2 - 1 ladder column keeps every column normalised
-    # and K an isometry, but no longer intertwines J with I (x) J^(j2).
-    apply = coupling.collective_apply
+    # A phase on the m2 = j2 - 1 block keeps every column normalised and K an
+    # isometry, but no longer intertwines J with I (x) J^(j2).
+    closed_form = coupling.closed_form_blocks
 
-    def phased(reg, single, vecs, weights=None):
-        out = apply(reg, single, vecs, weights)
-        if weights is not None:  # Omega_minus(lambda) on the ladder
-            out[:, 1] *= 1j
-        return out
+    def phased(n, u):
+        blocks = closed_form(n, u)
+        return blocks[:1] + (1j * blocks[1],) + blocks[2:]
 
-    monkeypatch.setattr(coupling, "collective_apply", phased)
+    monkeypatch.setattr(coupling, "closed_form_blocks", phased)
     with pytest.raises(ConsistencyError, match="commute with J"):
         build_coupled_basis(SpinRegister(4))
 
@@ -312,6 +329,7 @@ def test_q_set_shares_the_basis_isometry():
     basis = build_coupled_basis(SpinRegister(5))
     assert build_q_set(basis).isometry is basis.isometry
     assert not basis.isometry.flags.writeable
+    assert not any(block.flags.writeable for block in basis.blocks)
 
 
 def test_q_set_is_the_verified_basis():
@@ -323,7 +341,7 @@ def test_q_set_is_the_verified_basis():
 def test_n9_q_set_is_verified_and_small():
     # The d**2 dense Q operators at n = 9 would take 268 MB; K is 512 x 64 (0.5 MB).
     qs = build_q_set(build_coupled_basis(SpinRegister(9)))
-    residuals = isometry_residuals(9, qs.isometry)
+    residuals = isometry_residuals(qs)
     assert max(residuals.values()) < 1e-10
     assert sum(a.nbytes for a in qs.q.values()) < 2 * 1024 * 1024
 

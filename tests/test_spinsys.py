@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+from dense_oracle import collective_apply, collective_j_squared, spin_matrices
 from rffqudit.errors import ContractViolationError
 from rffqudit.linalg import dagger, identity, mat_exp_hermitian_generator, max_abs_diff
 from rffqudit.spinsys import (
     Permutation,
     SpinRegister,
     all_permutations,
-    collective_apply,
-    collective_j_squared,
     collective_product_apply,
     cyclic_permutation,
     haar_su2,
@@ -21,7 +20,6 @@ from rffqudit.spinsys import (
     product_ket,
     sigma,
     singlet_projector,
-    spin_matrices,
     swap,
     total_J,
     transposition,

@@ -186,9 +186,9 @@ def test_each_basis_gate_runs_once_per_build(monkeypatch):
         builds.append(reg.n)
         return real_build(reg, matrix)
 
-    def counting_residuals(n, k):
-        runs.append(n)
-        return real_residuals(n, k)
+    def counting_residuals(basis):
+        runs.append(basis.n)
+        return real_residuals(basis)
 
     monkeypatch.setattr(verify, "build_coupled_basis", counting_build)
     for module in (coupling, verify):  # every namespace that holds the function
