@@ -15,7 +15,6 @@ from .channel import (
     born_rule_harness,
     random_density,
     random_povm,
-    random_pure_density,
     run_channel,
 )
 from .coupling import (
@@ -38,7 +37,6 @@ from .encoder import (
     EncodedOperator,
     EntropyCheck,
     HwsPair,
-    QOperatorSet,
     QuditPovm,
     QuditState,
     build_hws,
@@ -60,11 +58,9 @@ from .errors import (
 )
 from .linalg import (
     entropy_bits,
-    get_max_constituents,
     matrix_from_json_dict,
     matrix_to_json_dict,
     partial_trace,
-    set_max_constituents,
     trace_distance,
     uhlmann_fidelity,
 )
@@ -104,22 +100,21 @@ __all__ = [
     "BornReport", "ChannelConfig", "ChannelReport", "CheckResult",
     "ConsistencyError", "ContractViolationError", "CoupledBasis",
     "EncodedOperator", "EntropyCheck", "HwsPair", "NumericalError",
-    "Permutation", "QOperatorSet", "QuditPovm", "QuditState",
-    "REFERENCE_CASES", "ReductionReport", "RffError", "SectorSpec",
-    "SizeLimitError", "SpinRegister", "ValidationError", "all_permutations",
+    "Permutation", "QuditPovm", "QuditState", "REFERENCE_CASES",
+    "ReductionReport", "RffError", "SectorSpec", "SizeLimitError",
+    "SpinRegister", "ValidationError", "all_permutations",
     "born_rule_harness", "build_coupled_basis", "build_hws", "build_q_set",
     "cg_singlets", "coupling_fingerprint", "decode_payload", "decode_state",
     "encode_povm", "encode_state", "encoded_entropy_check", "entropy_bits",
-    "fourier_coupling", "get_max_constituents", "gram_residual", "haar_su2",
-    "hws_relations_residual", "isometry_residuals", "kron_power",
-    "matrix_from_json_dict", "matrix_to_json_dict", "multiplicity",
-    "n3_pauli", "n3_q_operators", "n3_sector_projector", "n3_trine",
-    "n4_akl", "n4_hws", "n4_q_operators", "n4_sector_projectors",
-    "n4_singlet_layer", "n4_to_n3_reduction", "partial_trace",
-    "permutation_indices", "permutation_operator", "product_ket",
-    "random_density", "random_povm", "random_pure_density", "run_channel",
+    "fourier_coupling", "gram_residual", "haar_su2", "hws_relations_residual",
+    "isometry_residuals", "kron_power", "matrix_from_json_dict",
+    "matrix_to_json_dict", "multiplicity", "n3_pauli", "n3_q_operators",
+    "n3_sector_projector", "n3_trine", "n4_akl", "n4_hws", "n4_q_operators",
+    "n4_sector_projectors", "n4_singlet_layer", "n4_to_n3_reduction",
+    "partial_trace", "permutation_indices", "permutation_operator",
+    "product_ket", "random_density", "random_povm", "run_channel",
     "run_suite", "sector_census", "sector_index_set",
-    "sector_membership_residual", "set_max_constituents", "sigma",
-    "singlet_projector", "swap", "symmetric_singlets", "total_J",
-    "trace_distance", "uhlmann_fidelity", "validate_coupling",
+    "sector_membership_residual", "sigma", "singlet_projector", "swap",
+    "symmetric_singlets", "total_J", "trace_distance", "uhlmann_fidelity",
+    "validate_coupling",
 ]

@@ -303,12 +303,6 @@ def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def random_pure_density(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
 def random_povm(rng: np.random.Generator, d: int, elements: int) -> QuditPovm:
     """A random POVM: PSD draws A_k whitened by the inverse root of their sum."""
     if elements < 1:

@@ -51,17 +51,13 @@ from .errors import (
     SizeLimitError,
     ValidationError,
 )
-from .linalg import (
-    get_max_constituents,
-    matrix_from_json_dict,
-    matrix_to_json_dict,
-    set_max_constituents,
-)
+from .linalg import matrix_from_json_dict, matrix_to_json_dict
 from .reference import REFERENCE_CASES
-from .spinsys import SpinRegister
+from .spinsys import MAX_CONSTITUENTS, SpinRegister
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 DEFAULT_TRIALS = 100
+DEFAULT_MAX_N = 12
 
 
 def _add_global_flags(parser: argparse.ArgumentParser) -> None:
@@ -74,7 +70,7 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-n", type=int, default=argparse.SUPPRESS, dest="max_n",
-        help="largest register size, 2..14 (default: RFF_MAX_N env var or 12)",
+        help=f"largest register size, 2..{MAX_CONSTITUENTS} (default {DEFAULT_MAX_N})",
     )
     parser.add_argument(
         "--format", choices=("json", "csv"), default=argparse.SUPPRESS,
@@ -104,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_global_flags(parser)
     # Only the top-level parser has defaults, so a flag is set wherever it appears.
-    parser.set_defaults(tol=None, max_n=None, format="json", output=None,
+    parser.set_defaults(tol=None, max_n=DEFAULT_MAX_N, format="json", output=None,
                         seed=DEFAULT_SEED, timings=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -163,8 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _global_opts(ns: argparse.Namespace) -> None:
     if ns.tol is not None and not (isfinite(ns.tol) and ns.tol > 0):
         raise ValidationError(f"--tol must be positive and finite, got {ns.tol}")
-    if ns.max_n is not None:
-        set_max_constituents(ns.max_n)  # flag wins over RFF_MAX_N and the default
+    if not 2 <= ns.max_n <= MAX_CONSTITUENTS:
+        raise ValidationError(f"--max-n must be in 2..{MAX_CONSTITUENTS}, got {ns.max_n}")
 
 
 class _Clock:
@@ -230,8 +226,7 @@ def _read_json_file(path: str):
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _require_register_size(n: int, smallest: int) -> None:
-    ceiling = get_max_constituents()
+def _require_register_size(n: int, smallest: int, ceiling: int) -> None:
     if not smallest <= n <= ceiling:
         raise ValidationError(
             f"--n must be in {smallest}..{ceiling} (ceiling from --max-n), got {n}"
@@ -243,7 +238,7 @@ def _require_register_size(n: int, smallest: int) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_census(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
-    _require_register_size(ns.n, 2)
+    _require_register_size(ns.n, 2, ns.max_n)
     agreement = True
     note = None
     try:
@@ -288,7 +283,7 @@ def _load_coupling(ns: argparse.Namespace):
 
 
 def cmd_basis(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
-    _require_register_size(ns.n, 3)
+    _require_register_size(ns.n, 3, ns.max_n)
     coupling = _load_coupling(ns)
     clock.start()  # reading the coupling file is in no stage
     basis = build_coupled_basis(SpinRegister(ns.n), coupling)
@@ -335,7 +330,7 @@ def _load_povm(path: str, d: int) -> QuditPovm:
 
 
 def cmd_encode(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
-    _require_register_size(ns.n, 3)
+    _require_register_size(ns.n, 3, ns.max_n)
     d = ns.n - 1
     rho = matrix_from_json_dict(_read_json_file(ns.state))
     state = QuditState(d=d, rho=rho)
@@ -386,7 +381,7 @@ def cmd_encode(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     return text, []
 
 
-def _parse_n_range(text: str) -> range:
+def _parse_n_range(text: str, ceiling: int) -> range:
     parts = text.split("..")
     if len(parts) != 2:
         raise ValidationError(f'--n-range must look like "3..6", got {text!r}')
@@ -394,7 +389,6 @@ def _parse_n_range(text: str) -> range:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise ValidationError(f'--n-range must look like "3..6", got {text!r}') from exc
-    ceiling = get_max_constituents()
     if not 2 <= lo <= hi <= ceiling:
         raise ValidationError(
             f"--n-range must satisfy 2 <= a <= b <= {ceiling}, got {text}"
@@ -403,7 +397,7 @@ def _parse_n_range(text: str) -> range:
 
 
 def cmd_verify(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
-    n_values = _parse_n_range(ns.n_range)
+    n_values = _parse_n_range(ns.n_range, ns.max_n)
     results = run_suite(ns.suite, tol=ns.tol, seed=ns.seed, n_values=n_values)
     for r in results:
         clock.add(r.id, r.elapsed_ms)
@@ -436,7 +430,7 @@ def _parse_axis(text: str) -> tuple[float, float, float]:
 
 
 def cmd_channel(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
-    _require_register_size(ns.n, 3)
+    _require_register_size(ns.n, 3, ns.max_n)
     d = ns.n - 1
     if ns.state:
         rho = matrix_from_json_dict(_read_json_file(ns.state))
@@ -505,7 +499,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return 2 if code is None else int(code)
-    ceiling = get_max_constituents()  # --max-n holds for this call only
     clock = _Clock()
     try:
         _global_opts(ns)
@@ -521,8 +514,6 @@ def main(argv=None) -> int:
         print(f"error: out of memory ({type(exc).__name__}: {exc}); "
               "try a smaller --n", file=sys.stderr)
         return 2
-    finally:
-        set_max_constituents(ceiling)
     for line in failures:
         print(line, file=sys.stderr)
     if ns.timings:

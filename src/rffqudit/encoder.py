@@ -52,7 +52,6 @@ SECTOR_TOL = 1e-9
 
 # The verified basis is the Q set; build_q_set re-checks its gate on a given
 # basis, reading the residuals that basis computed once (CoupledBasis.gate_residuals).
-QOperatorSet = CoupledBasis
 build_q_set = require_sector_isometry
 
 

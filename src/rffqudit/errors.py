@@ -13,7 +13,7 @@ class RffError(Exception):
 
 
 class SizeLimitError(RffError):
-    """A requested operator would exceed the configured dimension ceiling."""
+    """A requested register is larger than the package builds (spinsys.MAX_CONSTITUENTS)."""
 
 
 class ContractViolationError(RffError):

@@ -1,61 +1,21 @@
 """Dense complex linear algebra kernel.
 
 All operators and kets in the package are dense row-major complex128 numpy
-arrays. This module provides construction, tensor products, adjoints,
+arrays. This module provides construction, adjoints,
 hermitian eigendecomposition, partial traces, matrix exponentials of
 hermitian generators, max-norm comparisons, entropy/fidelity helpers, and
 the JSON interchange format shared by every module and the CLI.
 
-Everything here is a pure function of its inputs; the only module state is
-the dimension ceiling, read once from the RFF_MAX_N environment variable at
-import and adjustable through set_max_constituents().
+Everything here is a pure function of its inputs; the module holds no state.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    NumericalError,
-    SizeLimitError,
-    ValidationError,
-)
+from .errors import ContractViolationError, NumericalError, ValidationError
 
-DEFAULT_MAX_CONSTITUENTS = 12
 HERMITICITY_TOL = 1e-12
-
-_max_constituents = DEFAULT_MAX_CONSTITUENTS
-
-
-def _read_env_ceiling() -> None:
-    global _max_constituents
-    raw = os.environ.get("RFF_MAX_N")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"RFF_MAX_N must be an integer, got {raw!r}") from exc
-    set_max_constituents(value)
-
-
-def set_max_constituents(n: int) -> None:
-    """Set the largest supported register size (dimension ceiling 2**n)."""
-    global _max_constituents
-    if not 2 <= n <= 14:
-        raise ValidationError(f"max constituents must be in 2..14, got {n}")
-    _max_constituents = n
-
-
-def get_max_constituents() -> int:
-    return _max_constituents
-
-
-def dimension_ceiling() -> int:
-    return 2 ** _max_constituents
 
 
 def as_matrix(a) -> np.ndarray:
@@ -82,20 +42,6 @@ def as_matrices(a) -> np.ndarray:
 
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the configured dimension ceiling enforced."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    limit = dimension_ceiling()
-    if max(rows, cols) > limit:
-        raise SizeLimitError(
-            f"requested {rows}x{cols} matrix exceeds the ceiling {limit}"
-        )
-    return np.kron(a, b)
 
 
 def dagger(a) -> np.ndarray:
@@ -266,6 +212,3 @@ def matrix_from_json_dict(obj) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValidationError("matrix JSON contains non-finite entries")
     return m
-
-
-_read_env_ceiling()

@@ -20,15 +20,11 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError
-from .linalg import (
-    as_matrices,
-    as_matrix,
-    dimension_ceiling,
-    get_max_constituents,
-    identity,
-    kron,
-)
+from .errors import ContractViolationError, SizeLimitError
+from .linalg import as_matrices, as_matrix, identity
+
+# The largest register the package builds: its 2**n x 2**n operators are 4 GiB.
+MAX_CONSTITUENTS = 14
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -52,10 +48,9 @@ class SpinRegister:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ContractViolationError(f"register size must be >= 1, got {self.n}")
-        if self.n > get_max_constituents():
-            raise ContractViolationError(
-                f"register size {self.n} exceeds the configured maximum "
-                f"{get_max_constituents()} (dimension ceiling {dimension_ceiling()})"
+        if self.n > MAX_CONSTITUENTS:
+            raise SizeLimitError(
+                f"register size {self.n} exceeds the maximum {MAX_CONSTITUENTS}"
             )
 
     @property
@@ -87,7 +82,7 @@ def sigma(reg: SpinRegister, site: int, which: str) -> np.ndarray:
         raise ContractViolationError(f"site {site} out of range 1..{reg.n}")
     op = identity(1)
     for ell in range(1, reg.n + 1):
-        op = kron(op, _SINGLE[which] if ell == site else identity(2))
+        op = np.kron(op, _SINGLE[which] if ell == site else identity(2))
     return op
 
 
@@ -213,7 +208,7 @@ def kron_power(reg: SpinRegister, u) -> np.ndarray:
         raise ContractViolationError(f"expected a 2x2 matrix, got {u.shape}")
     op = identity(1)
     for _ in range(reg.n):
-        op = kron(op, u)
+        op = np.kron(op, u)
     return op
 
 

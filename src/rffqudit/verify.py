@@ -24,6 +24,7 @@ same, in the same order, whether or not a check raised.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 from math import isfinite
 from time import perf_counter
@@ -115,35 +116,23 @@ def _built(_) -> float:
     return 0.0
 
 
-class BuiltOnFirstUse(dict):
-    """Values made by build(key) on first use. A build that raises is not
-    stored, so every row that reads it fails under its own id."""
-
-    def __init__(self, build: Callable):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
-def fourier_bases() -> BuiltOnFirstUse:
-    """The Fourier-coupled, gated basis of each register size n, built on first use.
+def fourier_bases() -> Callable[[int], CoupledBasis]:
+    """bases(n): the Fourier-coupled, gated basis of size n, built on first use.
 
     run_suite makes one per call and hands it to every suite, so each n is
-    built once per call.
+    built once per call. A build that raises is not cached, so every row that
+    reads it fails under its own id.
     """
-    return BuiltOnFirstUse(lambda n: build_coupled_basis(SpinRegister(n)))
+    return functools.cache(lambda n: build_coupled_basis(SpinRegister(n)))
 
 
-def reference_cases() -> BuiltOnFirstUse:
-    """The closed forms of each REFERENCE_CASES id, built on first use.
+def reference_cases() -> Callable[[str], dict]:
+    """cases(case_id): the closed forms of a REFERENCE_CASES id, built on first use.
 
     run_suite makes one per call and hands it to the reference and hws suites,
     so each case is built at most once per call.
     """
-    return BuiltOnFirstUse(lambda case_id: ref.REFERENCE_CASES[case_id].build())
+    return functools.cache(lambda case_id: ref.REFERENCE_CASES[case_id].build())
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +284,7 @@ def singlet_covariance_residuals(projectors: dict | None = None) -> tuple[float,
 
 def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
                    census_n_values=(2, 3, 4, 5, 6, 7, 8),
-                   bases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
+                   bases: Callable | None = None) -> list[CheckResult]:
     bases = fourier_bases() if bases is None else bases
     results = [
         _check(f"coupling:census:n={n}",
@@ -307,16 +296,16 @@ def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
     for n in n_values:
         checks = [
             ("gram", f"sector basis for n={n} is orthonormal",
-             lambda: gram_residual(bases[n])),
+             lambda: gram_residual(bases(n))),
             ("sector-membership",
              f"sector basis for n={n} satisfies the J^2 and Jz eigenvalue equations",
-             lambda: sector_membership_residual(bases[n])),
+             lambda: sector_membership_residual(bases(n))),
             ("independence",
              "changing the coupling only remixes the degeneracy label unitarily",
-             lambda: coupling_independence_residual(bases[n])),
+             lambda: coupling_independence_residual(bases(n))),
             ("cyclic-invariance",
              "the cyclic shift multiplies each Fourier-coupled ket by omega_n^-lambda",
-             lambda: cyclic_invariance_residual(bases[n])),
+             lambda: cyclic_invariance_residual(bases(n))),
         ]
         results += [_check(f"coupling:{name}:n={n}", desc, 1e-10, tol, residual)
                     for name, desc, residual in checks]
@@ -325,29 +314,29 @@ def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
 
 def suite_encoder(n_values=(3, 4, 5, 6), seed: int = DEFAULT_SEED,
                   tol: float | None = None,
-                  bases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
+                  bases: Callable | None = None) -> list[CheckResult]:
     bases = fourier_bases() if bases is None else bases
-    algebra = BuiltOnFirstUse(lambda n: q_algebra_residuals(bases[n]))
+    algebra = functools.cache(lambda n: q_algebra_residuals(bases(n)))
     results = []
     for n in n_values:
         checks = (
             ("q-hermitian", f"Q(l,l')^dag = Q(l',l) for n={n}", 1e-12,
-             lambda: algebra[n]["hermitian-pairing"]),
+             lambda: algebra(n)["hermitian-pairing"]),
             ("q-trace", f"Tr Q(l,l') = d delta for n={n}", 1e-10,
-             lambda: algebra[n]["trace"]),
+             lambda: algebra(n)["trace"]),
             ("q-closure", f"K^dag K = I, so Q(l,l')Q(m,m') = delta Q(l,m') for n={n}",
-             1e-10, lambda: algebra[n]["closure"]),
+             1e-10, lambda: algebra(n)["closure"]),
             ("q-commute-J", f"J K = K (I (x) J^(j2)), so [Q, J] = 0 for n={n}", 1e-10,
-             lambda: algebra[n]["j-commutation"]),
+             lambda: algebra(n)["j-commutation"]),
             ("rotation-invariance",
              "Q operators survive 20 random collective rotations", 1e-9,
-             lambda: rotation_invariance_residual(bases[n], 20, seed)),
+             lambda: rotation_invariance_residual(bases(n), 20, seed)),
             ("round-trip", "encode -> decode returns the logical state", 1e-10,
-             lambda: round_trip_residual(bases[n], 5, seed)),
+             lambda: round_trip_residual(bases(n), 5, seed)),
             ("born", "encoded probabilities match logical ones, rotated or not", 1e-10,
-             lambda: born_probability_residual(bases[n], 5, seed)),
+             lambda: born_probability_residual(bases(n), 5, seed)),
             ("entropy", "encoded entropy exceeds logical entropy by exactly log2(d) bits",
-             1e-8, lambda: entropy_defect_residual(bases[n], 5, seed)),
+             1e-8, lambda: entropy_defect_residual(bases(n), 5, seed)),
         )
         results += [_check(f"encoder:{name}:n={n}", desc, default_tol, tol, residual)
                     for name, desc, default_tol, residual in checks]
@@ -392,83 +381,83 @@ def _reduction_residual(report: ref.ReductionReport) -> float:
 
 
 def suite_reference(tol: float | None = None,
-                    bases: BuiltOnFirstUse | None = None,
-                    cases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
+                    bases: Callable | None = None,
+                    cases: Callable | None = None) -> list[CheckResult]:
     bases = fourier_bases() if bases is None else bases
     cases = reference_cases() if cases is None else cases
     # The covariance and contrast rows share one pass over the 24 permutations
-    # of the n = 4 register (keyed by n).
-    singlets = BuiltOnFirstUse(lambda _: singlet_covariance_residuals(
-        {**cases["n4-singlet-proj"], **cases["n4-cg-proj"]}))
+    # of the n = 4 register.
+    singlets = functools.cache(lambda: singlet_covariance_residuals(
+        {**cases("n4-singlet-proj"), **cases("n4-cg-proj")}))
 
     # Internal self-consistency of each closed-form family.
     results = [_check(f"reference:case:{case_id}", case.description, 0.0, tol,
-                      lambda: _built(cases[case_id]))
+                      lambda: _built(cases(case_id)))
                for case_id, case in ref.REFERENCE_CASES.items()]
 
     # Cross-checks of the built closed forms against the generic pipeline.
     checks = (
         ("n3-q-vs-pipeline", "n=3 closed-form matrix units equal the coupled-basis ones",
-         1e-12, lambda: _q_residual(cases["n3-q"], bases[3])),
+         1e-12, lambda: _q_residual(cases("n3-q"), bases(3))),
         ("n3-pauli-vs-pipeline",
          "n=3 closed-form Paulis equal the coupled-basis combinations", 1e-12,
-         lambda: _n3_pauli_residual(cases["n3-pauli"], bases[3])),
+         lambda: _n3_pauli_residual(cases("n3-pauli"), bases(3))),
         ("trine-decode",
          "pipeline decoding of the third trine payload matches the closed form", 1e-12,
-         lambda: max_abs_diff(decode_payload(bases[3], cases["n3-trine"]["rho3"] / 2).rho,
-                              cases["n3-trine"]["logical3"])),
+         lambda: max_abs_diff(decode_payload(bases(3), cases("n3-trine")["rho3"] / 2).rho,
+                              cases("n3-trine")["logical3"])),
         ("n4-q-vs-pipeline", "n=4 closed-form matrix units equal the coupled-basis ones",
-         1e-10, lambda: _q_residual(cases["n4-q"], bases[4])),
+         1e-10, lambda: _q_residual(cases("n4-q"), bases(4))),
         ("n4-hws-vs-pipeline",
          "n=4 closed-form clock/shift pair equals the matrix-unit one", 1e-10,
-         lambda: _pair_residual(build_hws(bases[4]), cases["n4-hws"]["u3"],
-                                cases["n4-hws"]["v3"])),
+         lambda: _pair_residual(build_hws(bases(4)), cases("n4-hws")["u3"],
+                                cases("n4-hws")["v3"])),
         ("n4-singlet-states",
          "singlet projectors equal the outer products of the explicit states", 1e-10,
-         lambda: _singlet_states_residual({**cases["n4-singlet-proj"],
-                                           **cases["n4-cg-proj"]})),
+         lambda: _singlet_states_residual({**cases("n4-singlet-proj"),
+                                           **cases("n4-cg-proj")})),
         ("singlet-covariance",
          "all 24 permutations map the symmetric singlet pair onto itself", 1e-10,
-         lambda: singlets[4][0]),
+         lambda: singlets()[0]),
     )
     results += [_check(f"reference:{name}", desc, default_tol, tol, residual)
                 for name, desc, default_tol, residual in checks]
     results.append(_check(
         "reference:singlet-contrast",
         "some permutation moves the pairwise singlet off its pair", 0.0, tol,
-        lambda: max(0.0, 1e-3 - singlets[4][1]),
-        detail=lambda: f" (escape distance {singlets[4][1]:.6f}, needs > 1e-3)",
+        lambda: max(0.0, 1e-3 - singlets()[1]),
+        detail=lambda: f" (escape distance {singlets()[1]:.6f}, needs > 1e-3)",
     ))
     results.append(_check(
         "reference:reduction",
         "tracing any constituent from the n=4 singlet Paulis gives 1/2 times "
         "the relabeled n=3 Paulis", 1e-10, tol,
         lambda: _reduction_residual(ref.n4_to_n3_reduction(
-            n4_paulis=cases["n4-pauli"], n3_paulis=cases["n3-pauli"])),
+            n4_paulis=cases("n4-pauli"), n3_paulis=cases("n3-pauli"))),
     ))
     return results
 
 
 def suite_hws(n_values=(3, 4, 5, 6), tol: float | None = None,
-              bases: BuiltOnFirstUse | None = None,
-              cases: BuiltOnFirstUse | None = None) -> list[CheckResult]:
+              bases: Callable | None = None,
+              cases: Callable | None = None) -> list[CheckResult]:
     bases = fourier_bases() if bases is None else bases
     cases = reference_cases() if cases is None else cases
-    pairs = BuiltOnFirstUse(lambda n: build_hws(bases[n]))
+    pairs = functools.cache(lambda n: build_hws(bases(n)))
     results = []
     for n in n_values:
         d = n - 1
         results.append(_check(
             f"hws:relations:d={d}",
             f"clock/shift pair for d={d}: periods and omega-commutation", 1e-10, tol,
-            lambda: hws_relations_residual(pairs[n]),
+            lambda: hws_relations_residual(pairs(n)),
         ))
         if d == 2:
             results.append(_check(
                 "hws:d2-pauli-identification",
                 "for d=2 the clock is -pauli_z and the shift is pauli_x", 1e-12, tol,
-                lambda: _pair_residual(pairs[n], -cases["n3-pauli"]["z"],
-                                       cases["n3-pauli"]["x"]),
+                lambda: _pair_residual(pairs(n), -cases("n3-pauli")["z"],
+                                       cases("n3-pauli")["x"]),
             ))
     return results
 
@@ -480,7 +469,8 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
               n_values=None) -> list[CheckResult]:
     """Run one named suite, optionally restricted to the given register sizes.
 
-    The reference suite is n-independent and ignores n_values. Every suite
+    The reference suite is n-independent and ignores n_values; a call that
+    yields no row for the given sizes is a ValidationError. Every suite
     shares one fourier_bases() and one reference_cases(), so each n's basis
     and each closed form is built once per call.
     """
@@ -504,4 +494,8 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
         results += suite_reference(tol=tol, bases=bases, cases=cases)
     if name in ("all", "hws"):
         results += suite_hws(tol=tol, bases=bases, cases=cases, **sized)
+    if not results:
+        sizes = sorted(n_values)
+        span = f"{sizes[0]}..{sizes[-1]}" if sizes else "(none)"
+        raise ValidationError(f"suite {name!r} has no check for register sizes {span}")
     return results

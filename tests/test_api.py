@@ -1,38 +1,40 @@
-"""The public API: README's library quick start runs, and the exported names are frozen.
+"""The public API: README's library quick start runs, the exported names are
+frozen, and no module of the package holds process state.
 
 A name leaves rffqudit.__all__ only by editing PUBLIC_NAMES below, so a removal
 from the public API is always a deliberate, reviewed change.
 """
 
+import ast
 import re
 from pathlib import Path
 
 import rffqudit
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(rffqudit.__file__).resolve().parent
 
 PUBLIC_NAMES = [
     "BornReport", "ChannelConfig", "ChannelReport", "CheckResult",
     "ConsistencyError", "ContractViolationError", "CoupledBasis",
     "EncodedOperator", "EntropyCheck", "HwsPair", "NumericalError",
-    "Permutation", "QOperatorSet", "QuditPovm", "QuditState",
-    "REFERENCE_CASES", "ReductionReport", "RffError", "SectorSpec",
-    "SizeLimitError", "SpinRegister", "ValidationError", "all_permutations",
+    "Permutation", "QuditPovm", "QuditState", "REFERENCE_CASES",
+    "ReductionReport", "RffError", "SectorSpec", "SizeLimitError",
+    "SpinRegister", "ValidationError", "all_permutations",
     "born_rule_harness", "build_coupled_basis", "build_hws", "build_q_set",
     "cg_singlets", "coupling_fingerprint", "decode_payload", "decode_state",
     "encode_povm", "encode_state", "encoded_entropy_check", "entropy_bits",
-    "fourier_coupling", "get_max_constituents", "gram_residual", "haar_su2",
-    "hws_relations_residual", "isometry_residuals", "kron_power",
-    "matrix_from_json_dict", "matrix_to_json_dict", "multiplicity",
-    "n3_pauli", "n3_q_operators", "n3_sector_projector", "n3_trine",
-    "n4_akl", "n4_hws", "n4_q_operators", "n4_sector_projectors",
-    "n4_singlet_layer", "n4_to_n3_reduction", "partial_trace",
-    "permutation_indices", "permutation_operator", "product_ket",
-    "random_density", "random_povm", "random_pure_density", "run_channel",
+    "fourier_coupling", "gram_residual", "haar_su2", "hws_relations_residual",
+    "isometry_residuals", "kron_power", "matrix_from_json_dict",
+    "matrix_to_json_dict", "multiplicity", "n3_pauli", "n3_q_operators",
+    "n3_sector_projector", "n3_trine", "n4_akl", "n4_hws", "n4_q_operators",
+    "n4_sector_projectors", "n4_singlet_layer", "n4_to_n3_reduction",
+    "partial_trace", "permutation_indices", "permutation_operator",
+    "product_ket", "random_density", "random_povm", "run_channel",
     "run_suite", "sector_census", "sector_index_set",
-    "sector_membership_residual", "set_max_constituents", "sigma",
-    "singlet_projector", "swap", "symmetric_singlets", "total_J",
-    "trace_distance", "uhlmann_fidelity", "validate_coupling",
+    "sector_membership_residual", "sigma", "singlet_projector", "swap",
+    "symmetric_singlets", "total_J", "trace_distance", "uhlmann_fidelity",
+    "validate_coupling",
 ]
 
 
@@ -52,3 +54,26 @@ def test_readme_library_quick_start_runs(capsys):
     assert abs(namespace["round_trip"].rho - namespace["state"].rho).max() < 1e-12
     printed = capsys.readouterr().out.split()
     assert len(printed) == 2 and float(printed[0]) > 1 - 1e-9
+
+
+def _process_state(tree: ast.AST) -> list[str]:
+    """Each `global` statement and each os.environ / os.getenv read in tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append(f"line {node.lineno}: global {', '.join(node.names)}")
+        elif (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(f"line {node.lineno}: os.{node.attr}")
+    return found
+
+
+def test_the_library_holds_no_process_state():
+    # A module-level global or an environment read makes a result depend on
+    # what ran before in the process, or on the shell it was started from.
+    offenders = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        found = _process_state(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            offenders[str(path.relative_to(PACKAGE))] = found
+    assert offenders == {}

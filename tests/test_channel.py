@@ -16,7 +16,6 @@ from rffqudit.channel import (
     born_rule_harness,
     random_density,
     random_povm,
-    random_pure_density,
     run_channel,
     _noise_unitaries,
 )
@@ -33,6 +32,13 @@ from rffqudit.spinsys import SIGMA_X, SIGMA_Y, SIGMA_Z, SpinRegister, haar_su2, 
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 ZERO = np.diag([1.0, 0.0]).astype(complex)
+
+
+def random_pure_density(rng: np.random.Generator, d: int) -> np.ndarray:
+    """|v><v| for a normalised complex Gaussian v."""
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
 
 
 def test_config_validation():

@@ -13,26 +13,12 @@ import numpy as np
 import pytest
 
 from rffqudit import cli
-from rffqudit.channel import random_density, random_povm, random_pure_density
+from rffqudit.channel import random_density, random_povm
 from rffqudit.coupling import build_coupled_basis, fourier_coupling
 from rffqudit.encoder import build_q_set
-from rffqudit.linalg import (
-    get_max_constituents,
-    matrix_from_json_dict,
-    matrix_to_json_dict,
-    set_max_constituents,
-)
+from rffqudit.linalg import matrix_from_json_dict, matrix_to_json_dict
 from rffqudit.reference import n3_trine
 from rffqudit.spinsys import SpinRegister
-
-
-@pytest.fixture(autouse=True)
-def restore_ceiling():
-    # cli.main puts the ceiling back on return; this keeps a regression of
-    # that from moving the ceiling under the tests that follow.
-    before = get_max_constituents()
-    yield
-    set_max_constituents(before)
 
 
 def run_cli(capsys, *argv):
@@ -99,13 +85,12 @@ def test_max_n_flag_moves_the_ceiling(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "census", "--n", "5", "--max-n", "4")
     assert code == 2
     assert "error:" in err and "5" in err
-    # Raising it is accepted and holds while the command runs (only the
-    # ceiling change is exercised here, at a small n).
-    seen, census = [], cli.sector_census
-    monkeypatch.setattr(cli, "sector_census",
-                        lambda reg: seen.append(get_max_constituents()) or census(reg))
-    code, out, _ = run_cli(capsys, "census", "--n", "4", "--max-n", "13")
-    assert code == 0
+    # Raising it admits a size over the default (the census itself is
+    # stubbed, so only the size check runs at n = 13).
+    seen = []
+    monkeypatch.setattr(cli, "sector_census", lambda reg: seen.append(reg.n) or [])
+    code, _, err = run_cli(capsys, "census", "--n", "13", "--max-n", "13")
+    assert code == 0, err
     assert seen == [13]
 
 
@@ -115,10 +100,11 @@ def test_max_n_flag_moves_the_ceiling(capsys, monkeypatch):
     (("census", "--n", "3", "--max-n", "15"), 2),
 ])
 def test_max_n_flag_lasts_one_call(capsys, argv, expected):
-    before = get_max_constituents()
     code, _, _ = run_cli(capsys, *argv)
     assert code == expected
-    assert get_max_constituents() == before
+    # The next call in the same process is back on the default ceiling.
+    code, _, err = run_cli(capsys, "census", "--n", "5")
+    assert code == 0, err
 
 
 def test_max_n_flag_out_of_range(capsys):
@@ -290,6 +276,14 @@ def test_verify_rejects_bad_range(capsys):
         code, _, err = run_cli(capsys, "verify", "--n-range", bad)
         assert code == 2, bad
         assert "error:" in err
+
+
+@pytest.mark.parametrize("suite", ("encoder", "hws"))
+def test_verify_with_no_check_for_the_range_is_usage_error(capsys, suite):
+    # Both suites start at n = 3, so 2..2 leaves them nothing to check.
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-range", "2..2")
+    assert code == 2 and out == ""
+    assert f"suite '{suite}'" in err and "2..2" in err
 
 
 def test_verify_absurd_tolerance_fails_checks(capsys):
@@ -576,7 +570,9 @@ def test_memory_error_exits_two(capsys, monkeypatch):
 
 
 def test_channel_accepts_a_random_pure_state(capsys, tmp_path):
-    rho = random_pure_density(np.random.default_rng(20261018), 2)
+    rng = np.random.default_rng(20261018)
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    rho = np.outer(v, v.conj()) / np.vdot(v, v).real
     state = write_json(tmp_path / "pure.json", matrix_to_json_dict(rho))
     code, out, err = run_cli(
         capsys, "channel", "--n", "3", "--trials", "300", "--state", state
@@ -586,13 +582,17 @@ def test_channel_accepts_a_random_pure_state(capsys, tmp_path):
     assert 1 - 1e-12 <= fidelity["min"] <= fidelity["max"] <= 1 + 1e-12
 
 
-def test_env_var_raises_ceiling_in_fresh_process():
-    env = _env_with_src(RFF_MAX_N="13")
+def test_ceiling_ignores_the_environment():
+    # The ceiling comes from --max-n alone: no environment variable reaches it.
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "from rffqudit.linalg import get_max_constituents;"
-         "print(get_max_constituents())"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-m", "rffqudit", "census", "--n", "3"],
+        capture_output=True, text=True, env=_env_with_src(RFF_MAX_N="abc"), timeout=120,
     )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "13"
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["agreement"] is True
+
+
+def test_max_n_does_not_bound_the_fixed_size_closed_forms(capsys):
+    code, out, err = run_cli(capsys, "reference", "--case", "n4-q", "--max-n", "3")
+    assert code == 0, err
+    assert json.loads(out)["case"] == "n4-q"

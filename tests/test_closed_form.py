@@ -19,7 +19,7 @@ from rffqudit.coupling import (
     isometry_residuals,
     sector_membership_residual,
 )
-from rffqudit.linalg import get_max_constituents, max_abs_diff, set_max_constituents
+from rffqudit.linalg import max_abs_diff
 from rffqudit.spinsys import SpinRegister
 
 
@@ -30,13 +30,8 @@ def test_closed_form_equals_the_ladder(n):
 
 
 def test_closed_form_equals_the_ladder_at_n14():
-    before = get_max_constituents()
-    set_max_constituents(14)
-    try:
-        basis = build_coupled_basis(SpinRegister(14))
-        ladder = dense_oracle.ladder_isometry(14, basis.coupling)
-    finally:
-        set_max_constituents(before)
+    basis = build_coupled_basis(SpinRegister(14))
+    ladder = dense_oracle.ladder_isometry(14, basis.coupling)
     assert max_abs_diff(basis.isometry, ladder) <= 1e-14
 
 

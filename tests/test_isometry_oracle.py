@@ -29,7 +29,6 @@ from rffqudit.coupling import (
     partial_trace_m2,
 )
 from rffqudit.encoder import (
-    QOperatorSet,
     QuditState,
     build_hws,
     build_q_set,
@@ -335,7 +334,6 @@ def test_q_set_shares_the_basis_isometry():
 def test_q_set_is_the_verified_basis():
     basis = build_coupled_basis(SpinRegister(5))
     assert build_q_set(basis) is basis
-    assert QOperatorSet is CoupledBasis
 
 
 def test_n9_q_set_is_verified_and_small():

@@ -7,21 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rffqudit.errors import ContractViolationError, SizeLimitError, ValidationError
+from rffqudit.errors import ContractViolationError, ValidationError
 from rffqudit.linalg import (
     dagger,
-    dimension_ceiling,
     entropy_bits,
-    get_max_constituents,
     hermitian_eig,
     identity,
-    kron,
     mat_exp_hermitian_generator,
     matrix_from_json_dict,
     matrix_to_json_dict,
     max_abs_diff,
     partial_trace,
-    set_max_constituents,
     sqrtm_psd,
     trace_distance,
     uhlmann_fidelity,
@@ -30,13 +26,6 @@ from rffqudit.linalg import (
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-@pytest.fixture
-def restore_ceiling():
-    before = get_max_constituents()
-    yield
-    set_max_constituents(before)
 
 
 def random_hermitian(rng, dim):
@@ -48,26 +37,6 @@ def random_density(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
-
-
-def test_kron_matches_manual_2x2():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    b = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-    expected = np.block([[1 * b, 2 * b], [3 * b, 4 * b]])
-    np.testing.assert_allclose(kron(a, b), expected)
-
-
-def test_kron_respects_dimension_ceiling(restore_ceiling):
-    set_max_constituents(3)
-    assert dimension_ceiling() == 8
-    with pytest.raises(SizeLimitError):
-        kron(identity(8), identity(2))
-
-
-def test_set_max_constituents_rejects_out_of_range():
-    for bad in (1, 15, 0):
-        with pytest.raises(ValidationError):
-            set_max_constituents(bad)
 
 
 def test_dagger_is_conjugate_transpose():
@@ -87,7 +56,7 @@ def test_partial_trace_of_product_operator():
     a, b, c = (random_hermitian(rng, 2) for _ in range(3))
     full = np.kron(np.kron(a, b), c)
     reduced = partial_trace(full, n_factors=3, traced_factor=2)
-    np.testing.assert_allclose(reduced, np.trace(b) * kron(a, c), atol=1e-12)
+    np.testing.assert_allclose(reduced, np.trace(b) * np.kron(a, c), atol=1e-12)
 
 
 def test_partial_trace_preserves_trace():

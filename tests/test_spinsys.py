@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import collective_apply, collective_j_squared, spin_matrices
-from rffqudit.errors import ContractViolationError
+from rffqudit.errors import ContractViolationError, SizeLimitError
 from rffqudit.linalg import dagger, identity, mat_exp_hermitian_generator, max_abs_diff
 from rffqudit.spinsys import (
     Permutation,
@@ -40,7 +40,7 @@ def test_register_dimensions():
 def test_register_rejects_tiny_and_huge():
     with pytest.raises(ContractViolationError):
         SpinRegister(0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(SizeLimitError):
         SpinRegister(99)
 
 
