@@ -34,9 +34,8 @@ from .coupling import CoupledBasis, build_coupled_basis, partial_trace_m2
 from .encoder import (
     QuditPovm,
     QuditState,
-    encode_povm,
     encode_state,
-    payload_probabilities,
+    encoded_frames,
     require_density,
 )
 from .errors import ConsistencyError, ValidationError
@@ -304,19 +303,20 @@ def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def random_povm(rng: np.random.Generator, d: int, elements: int) -> QuditPovm:
-    """A random POVM: PSD draws A_k whitened by the inverse root of their sum."""
+    """A random POVM: PSD draws A_k whitened by the inverse root of their sum.
+
+    The real and imaginary parts of every G_k come from one normal draw, in the
+    order of drawing them element by element; A_k = G_k G_k^dag.
+    """
     if elements < 1:
         raise ValidationError("a POVM needs at least one element")
-    draws = []
-    for _ in range(elements):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        draws.append(g @ g.conj().T)
-    total = sum(draws)
-    w, v = np.linalg.eigh(total)
+    parts = rng.normal(size=(elements, 2, d, d))
+    g = parts[:, 0] + 1j * parts[:, 1]
+    draws = g @ dagger(g)
+    w, v = np.linalg.eigh(draws.sum(axis=0))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    elems = [inv_root @ a @ inv_root for a in draws]
-    elems = [(e + dagger(e)) / 2 for e in elems]
-    return QuditPovm(d=d, elements=tuple(elems))
+    elems = inv_root @ draws @ inv_root
+    return QuditPovm(d=d, elements=tuple((elems + dagger(elems)) / 2))
 
 
 class BornReport(NamedTuple):
@@ -329,36 +329,36 @@ class BornReport(NamedTuple):
 def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     """Compare logical vs encoded outcome probabilities on random pairs.
 
-    Each trial draws a random state and a random POVM, encodes both, and
-    checks the probabilities of all elements three ways: logical Tr(rho Pi_k),
-    encoded Tr(P_rho P_k) of the materialised state payload, taken as
-    Tr(K^dag P_rho K F_k) (payload_probabilities), and
-    encoded-after-a-random-collective-rotation, Tr(R F R^dag F_k) with
-    R = K^dag u^(x n) K. The draws of all trials are rotated as stacks, in the
-    channel's chunks; the rest runs one trial at a time, so one 2**n x 2**n
-    payload is held at a time.
+    Each trial draws a random state, then a random POVM, then a random
+    collective rotation u, and the probabilities of all elements are checked
+    three ways: logical Tr(rho Pi_k); encoded Tr(P_rho P_k) of the state's
+    payload, taken as Tr(C Pi_k) with C = sum_m2 C_m2 the partial trace of its
+    frame K^dag P_rho K, compressed from the payload's lifted weight-class
+    blocks (CoupledBasis.compress_lifted); and encoded after the rotation,
+    Tr(Tr_m2(R F R^dag) Pi_k) for the state's frame F = rho/d (x) I_d and
+    R = K^dag u^(x n) K. All trials run as stacks: the lift in chunks of at
+    most coupling.ROW_BLOCK_BYTES of blocks, the rotations in the channel's.
     """
     require_trials(trials)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = []
     for _ in range(trials):  # per trial: the state, then the POVM, then u
         rho = random_density(rng, qs.d)
-        draws.append((rho, random_povm(rng, qs.d, qs.d + 1), haar_su2(rng)))
-    u = np.array([draw[2] for draw in draws]).reshape(-1, 2, 2)
+        draws.append((rho, random_povm(rng, qs.d, qs.d + 1).elements, haar_su2(rng)))
+    rho, elements, u = (np.array(column) for column in zip(*draws))
+    require_density(rho)
+    logical = rho / qs.d
+    frames, _ = qs.compress_lifted(logical)
     rotations = np.concatenate(list(_sector_frames(qs, u)))
-    worst_encoded = 0.0
-    worst_rotated = 0.0
-    for (rho, povm, _), r in zip(draws, rotations):
-        enc = encode_state(qs, QuditState(d=qs.d, rho=rho))
-        frames = np.array([e.frame for e in encode_povm(qs, povm)])
-        logical = np.einsum("ij,kji->k", rho, np.array(povm.elements)).real
-        encoded = payload_probabilities(qs, enc.payload, frames)
-        rotated = np.einsum("ij,kji->k", r @ enc.frame @ dagger(r), frames).real
-        worst_encoded = max(worst_encoded, float(np.abs(encoded - logical).max()))
-        worst_rotated = max(worst_rotated, float(np.abs(rotated - logical).max()))
+    moved = partial_trace_m2(qs.d, rotations @ encoded_frames(logical) @ dagger(rotations))
+
+    def probabilities(states: np.ndarray) -> np.ndarray:
+        return np.einsum("tij,tkji->tk", states, elements).real
+
+    expected = probabilities(rho)
     return BornReport(
         d=qs.d,
         trials=trials,
-        max_encoded_deviation=worst_encoded,
-        max_rotated_deviation=worst_rotated,
+        max_encoded_deviation=float(np.abs(probabilities(frames.sum(axis=1)) - expected).max()),
+        max_rotated_deviation=float(np.abs(probabilities(moved) - expected).max()),
     )

@@ -58,6 +58,11 @@ from .verify import DEFAULT_SEED, SUITES, run_suite
 
 DEFAULT_TRIALS = 100
 DEFAULT_MAX_N = 12
+# Dense payload entries an encode report may write: one n = 10 payload, whose
+# JSON report takes about 5 s and 500 MB of peak memory to write. Each payload
+# of a JSON report is 4**n entries of [re, im] text; CSV writes the state
+# payload's 4**n rows, or only the Born table when given a POVM.
+MAX_REPORT_ENTRIES = 4 ** 10
 
 
 def _add_global_flags(parser: argparse.ArgumentParser) -> None:
@@ -335,6 +340,12 @@ def cmd_encode(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     rho = matrix_from_json_dict(_read_json_file(ns.state))
     state = QuditState(d=d, rho=rho)
     povm = _load_povm(ns.povm, d) if ns.povm else None
+    payloads = 1 + (len(povm.elements) if povm and ns.format == "json" else 0)
+    if payloads * 4 ** ns.n > MAX_REPORT_ENTRIES:
+        raise SizeLimitError(
+            f"encode --n {ns.n} would write {payloads} dense payload(s) of 4**{ns.n} "
+            f"entries, {payloads * 4 ** ns.n} in all, over the {MAX_REPORT_ENTRIES} "
+            "a report may hold; use a smaller --n or fewer POVM elements")
     clock.start()  # reading the input files is in no stage
     qs = build_coupled_basis(SpinRegister(ns.n))
     clock.lap("encode:build")

@@ -32,7 +32,14 @@ K_lambda give the d**2 operators Q_{lambda lambda'} = K_lambda K_lambda'^dag,
 a matrix-unit algebra commuting with the total angular momentum. Both facts
 are checked on the blocks when the basis is built: B_k^dag B_k = I, and
 J_minus B_k = c_k B_{k+1} with its J_plus partner (J_z holds by
-construction). These ladder operators, and the J^2 = n(4-n)/4 +
+construction). Every payload K (A (x) I_d) K^dag is zero off the weight
+classes, so CoupledBasis.lift_blocks builds only its blocks B_k A B_k^dag, of
+one A or a stack of trials, and CoupledBasis.compress_blocks takes them back to
+the class frames B_k^dag P_k B_k with their residuals: verify's encoder rows
+read payloads this way, and no 2**n x 2**n array is formed. The dense entry
+points stay dense: lift is the scatter of lift_blocks, and compress and
+sector_frame take the full K^dag P K of a raw P, coherences between m2 values
+included. These ladder operators, and the J^2 = n(4-n)/4 +
 sum_{l<k} P_lk of the membership check and of the census, act on one weight
 class at a time through index maps on the product kets. For n = 4 the
 module also provides the two explicit j=0 bases: the symmetric-coupling
@@ -64,9 +71,10 @@ from .spinsys import (
 ISOMETRY_TOL = 1e-10
 COUPLING_TOL = 1e-12
 # Bytes of payload rows that CoupledBasis.compress holds at a time: one strip
-# read from the payload and one formed beside it, half each; lift forms its
-# rows in strips of the same half. Neither holds a second 2**n x 2**n matrix
-# beside the payload.
+# read from the payload and one formed beside it, half each, so it holds no
+# second 2**n x 2**n matrix beside the payload. Also the bytes of lifted class
+# blocks that one chunk of trials holds in CoupledBasis.compress_lifted: all
+# five trials of a verify row up to n = 9, one at a time from n = 10.
 ROW_BLOCK_BYTES = 4 * 2 ** 20
 # Bytes of U K (one K per trial) that one chunk of trials may hold; a chunk
 # holds at least one trial, and three or four arrays of its size are live
@@ -159,10 +167,12 @@ class CoupledBasis:
     k + 1, the only ones it touches. isometry is the dense 2**n x d**2 K,
     column (lambda-1)(2 j2+1) + (j2-m2) the ket (lambda, m2), assembled from
     the blocks on first use for the readers that need all of K. Every operator
-    K (A (x) I_d) K^dag is block-diagonal in the weight: lift builds such
-    operators and compress takes K^dag P K of any P, both one weight class at
-    a time; the dense projector K K^dag and each Q_{lambda lambda'} =
-    basis(lambda, lambda') are lifts built on every access. The weight
+    K (A (x) I_d) K^dag is block-diagonal in the weight: lift_blocks builds
+    its blocks and compress_blocks takes them back to class frames; lift
+    scatters the blocks into the dense operator, and compress takes
+    K^dag P K of any dense P one weight class at a time; the dense projector
+    K K^dag and each Q_{lambda lambda'} = basis(lambda, lambda') are lifts
+    built on every access. The weight
     classes, the dense K and the gate's residuals are computed once per
     object; a dataclasses.replace'd copy computes its own.
     """
@@ -205,17 +215,47 @@ class CoupledBasis:
         k_all.setflags(write=False)
         return k_all
 
+    def lift_blocks(self, logical) -> tuple:
+        """B_k A B_k^dag of each weight class k (m2 = j2 - k): the only nonzero
+        blocks of K (A (x) I_d) K^dag. A is one d x d matrix, giving one
+        C(n, k+1) x C(n, k+1) array per class, or a stack (T, d, d), giving a
+        (T, C(n, k+1), C(n, k+1)) stack per class."""
+        return tuple(block @ logical @ block.conj().T for block in self.blocks)
+
     def lift(self, logical) -> np.ndarray:
-        """The 2**n x 2**n operator K (A (x) I_d) K^dag of a d x d A: B A B^dag on
-        each weight class's rows and columns, exact zeros elsewhere. Its rows
-        are formed in strips of at most ROW_BLOCK_BYTES / 2."""
+        """The 2**n x 2**n operator K (A (x) I_d) K^dag of a d x d A: lift_blocks
+        scattered onto each weight class's rows and columns, exact zeros elsewhere."""
         out = np.zeros((2 ** self.n,) * 2, dtype=complex)
-        for rows, block in self.weight_classes:
-            left, right = block @ logical, block.conj().T
-            step = max(1, ROW_BLOCK_BYTES // (2 * out.itemsize * len(rows)))
-            for first in range(0, len(rows), step):
-                out[rows[first:first + step, None], rows] = left[first:first + step] @ right
+        for (rows, _), lifted in zip(self.weight_classes, self.lift_blocks(logical)):
+            out[rows[:, None], rows] = lifted
         return out
+
+    def compress_blocks(self, blocks) -> tuple[np.ndarray, np.ndarray]:
+        """(C, residual) of the class blocks P_k of a payload that is zero off
+        them, one array or stack per class as lift_blocks returns them:
+        C[..., k, :, :] = B_k^dag P_k B_k, shaped (..., 2 j2 + 1, d, d), and the
+        residual max_k |P_k - B_k C_k B_k^dag| of each trial, shaped (...)."""
+        frames, worst = [], 0.0
+        for block, lifted in zip(self.blocks, blocks, strict=True):
+            frame = block.conj().T @ lifted @ block
+            back = block @ frame @ block.conj().T
+            back -= lifted
+            worst = np.maximum(worst, np.abs(back).max(axis=(-2, -1)))
+            del back  # not held beside the next class's
+            frames.append(frame)
+        return np.stack(frames, axis=-3), worst
+
+    def compress_lifted(self, logical) -> tuple[np.ndarray, np.ndarray]:
+        """compress_blocks(lift_blocks(A)) of each A of a stack (T, d, d): C shaped
+        (T, 2 j2 + 1, d, d) and the residual of each trial. The trials go in
+        chunks whose lifted blocks hold at most ROW_BLOCK_BYTES (at least one
+        trial each), so no 2**n x 2**n array is formed."""
+        per_trial = 16 * (comb(2 * self.n, self.n) - 2)  # bytes of one trial's blocks
+        step = max(1, ROW_BLOCK_BYTES // per_trial)
+        parts = [self.compress_blocks(self.lift_blocks(logical[first:first + step]))
+                 for first in range(0, len(logical), step)]
+        return (np.concatenate([frames for frames, _ in parts]),
+                np.concatenate([residual for _, residual in parts]))
 
     def _walk(self, payload, residual: bool) -> tuple[np.ndarray, float | None]:
         """C = K^dag P K, and max |P - K C K^dag| if residual, one weight class

@@ -23,10 +23,17 @@ w = n/2 - m2 alone, and the basis stores K as those d weight blocks B_m2 of
 C(n, w) x d each (CoupledBasis.blocks, paired with their rows in
 CoupledBasis.weight_classes), so a payload K (A (x) I_d) K^dag is
 block-diagonal in w: B A B^dag on each class, zero between classes and on
-the all-up and all-down kets. Payloads are built that way
-(CoupledBasis.lift), and a raw payload P is compressed to C = K^dag P K one
-weight class at a time, with its residual |P - K C K^dag| taken in row
-strips (CoupledBasis.compress): d times fewer flops than the dense products.
+the all-up and all-down kets. CoupledBasis.lift_blocks builds those blocks
+alone, for one A or a stack of trials, and CoupledBasis.compress_blocks takes
+them back to the class frames B^dag P B with the residual of each trial:
+verify's round-trip, entropy, Born and q-hermitian rows read payloads that
+way. The entry points of this module stay dense: EncodedOperator.payload,
+HwsPair.u/.v, and the sector projector and matrix units of the basis are
+the blocks scattered into 2**n x 2**n matrices (CoupledBasis.lift), and
+decode_payload, encoded_entropy_check and payload_probabilities compress a
+raw payload P to the full C = K^dag P K one weight class at a time, with its
+residual |P - K C K^dag| taken in row strips (CoupledBasis.compress): d
+times fewer flops than the dense products.
 """
 
 from __future__ import annotations
@@ -166,12 +173,16 @@ def _encoded(qs: CoupledBasis, kind: str, logical: np.ndarray) -> list[EncodedOp
     _require_none(w[:, 0] < -PSD_TOL,
                   lambda i: f"encoded {kind} is not PSD: min eigenvalue {w[i, 0]:.3e}",
                   ConsistencyError)
-    m, d = len(logical), qs.d
-    # np.kron(A, I_d) of each factor, as one product per entry
-    frames = np.einsum("mij,kl->mikjl", logical, identity(d)).reshape(m, d * d, d * d)
-    return [EncodedOperator(n=qs.n, d=d, kind=kind, fingerprint=qs.fingerprint,
+    return [EncodedOperator(n=qs.n, d=qs.d, kind=kind, fingerprint=qs.fingerprint,
                             frame=frame, basis=qs)
-            for frame in frames]
+            for frame in encoded_frames(logical)]
+
+
+def encoded_frames(logical: np.ndarray) -> np.ndarray:
+    """The sector frames A (x) I_d of the logical factors A of a stack (m, d, d)."""
+    m, d = logical.shape[:2]
+    # np.kron(A, I_d) of each factor, as one product per entry
+    return np.einsum("mij,kl->mikjl", logical, identity(d)).reshape(m, d * d, d * d)
 
 
 def encode_state(qs: CoupledBasis, state: QuditState) -> EncodedOperator:

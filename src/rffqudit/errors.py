@@ -13,7 +13,8 @@ class RffError(Exception):
 
 
 class SizeLimitError(RffError):
-    """A requested register is larger than the package builds (spinsys.MAX_CONSTITUENTS)."""
+    """A requested register or report is larger than the package builds:
+    spinsys.MAX_CONSTITUENTS constituents, cli.MAX_REPORT_ENTRIES payload entries."""
 
 
 class ContractViolationError(RffError):

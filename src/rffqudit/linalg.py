@@ -112,8 +112,9 @@ def partial_trace(a, n_factors: int, traced_factor: int) -> np.ndarray:
     return tens.reshape(half, half)
 
 
-def entropy_bits(rho) -> float:
-    """Von Neumann entropy in bits, with 0*log(0) = 0.
+def entropy_bits(rho):
+    """Von Neumann entropy in bits, with 0*log(0) = 0: a float for a matrix,
+    one entropy per matrix for a stack (..., m, m).
 
     Eigenvalues in [-1e-10, 0) are clipped to 0; anything more negative is
     a contract violation (the input was not positive semidefinite).
@@ -124,8 +125,8 @@ def entropy_bits(rho) -> float:
             f"matrix is not PSD: min eigenvalue {w.min():.3e}"
         )
     w = np.clip(w, 0.0, None)
-    nz = w[w > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    terms = -w * np.log2(w, out=np.zeros_like(w), where=w > 0)
+    return float(terms.sum()) if w.ndim == 1 else terms.sum(axis=-1)
 
 
 def _drop_round_off(w: np.ndarray, scale) -> np.ndarray:

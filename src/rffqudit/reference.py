@@ -80,31 +80,43 @@ def n3_q_operators() -> dict:
 
 def n3_sector_projector() -> np.ndarray:
     """Projector onto the j=1/2 sector, 1 - (P12+P23+P31)/3."""
+    return _n3_sector_projector(_site_paulis(SpinRegister(3)))
+
+
+def _n3_sector_projector(paulis: dict) -> np.ndarray:
+    """n3_sector_projector, its dot-product form read from paulis (_site_paulis)."""
     reg = SpinRegister(3)
     p_sum = swap(reg, 1, 2) + swap(reg, 2, 3) + swap(reg, 3, 1)
     proj = identity(8) - p_sum / 3
 
     # Equivalent dot-product form (3 - s1.s2 - s2.s3 - s3.s1)/6.
-    dots = [_sigma_dot(reg, 1, 2), _sigma_dot(reg, 2, 3), _sigma_dot(reg, 3, 1)]
+    dots = [_sigma_dot(paulis, 1, 2), _sigma_dot(paulis, 2, 3), _sigma_dot(paulis, 3, 1)]
     _check("sector projector forms", proj, (3 * identity(8) - sum(dots)) / 6)
     return proj
 
 
-def _sigma_dot(reg: SpinRegister, j: int, k: int) -> np.ndarray:
-    return sum(sigma(reg, j, a) @ sigma(reg, k, a) for a in ("x", "y", "z"))
+def _site_paulis(reg: SpinRegister) -> dict:
+    """sigma(reg, site, axis) for every site and axis x, y, z, each built once."""
+    return {(site, axis): sigma(reg, site, axis)
+            for site in range(1, reg.n + 1) for axis in ("x", "y", "z")}
 
 
-def _sigma_cross_dot(reg: SpinRegister) -> np.ndarray:
-    """(sigma^(1) x sigma^(2)) . sigma^(3)."""
+def _sigma_dot(paulis: dict, j: int, k: int) -> np.ndarray:
+    """sigma^(j) . sigma^(k) from the single-site Paulis of _site_paulis."""
+    return sum(paulis[j, a] @ paulis[k, a] for a in ("x", "y", "z"))
+
+
+def _sigma_cross_dot(paulis: dict) -> np.ndarray:
+    """(sigma^(1) x sigma^(2)) . sigma^(3), from the single-site Paulis of _site_paulis."""
     axes = ("x", "y", "z")
     total = np.zeros((8, 8), dtype=complex)
     for a in range(3):
         b, c = (a + 1) % 3, (a + 2) % 3
         cross_a = (
-            sigma(reg, 1, axes[b]) @ sigma(reg, 2, axes[c])
-            - sigma(reg, 1, axes[c]) @ sigma(reg, 2, axes[b])
+            paulis[1, axes[b]] @ paulis[2, axes[c]]
+            - paulis[1, axes[c]] @ paulis[2, axes[b]]
         )
-        total += cross_a @ sigma(reg, 3, axes[a])
+        total += cross_a @ paulis[3, axes[a]]
     return total
 
 
@@ -129,17 +141,19 @@ def n3_pauli() -> dict:
     _check("sz = q11 - q22", sz, q["q11"] - q["q22"])
 
     # Dot-product forms.
+    paulis = _site_paulis(reg)
     d12, d23, d31 = (
-        _sigma_dot(reg, 1, 2),
-        _sigma_dot(reg, 2, 3),
-        _sigma_dot(reg, 3, 1),
+        _sigma_dot(paulis, 1, 2),
+        _sigma_dot(paulis, 2, 3),
+        _sigma_dot(paulis, 3, 1),
     )
     _check("sx dot form", sx, (2 * d12 - d23 - d31) / 6)
     _check("sy dot form", sy, (d31 - d23) / sqrt(12))
-    _check("sz triple-product form", sz, _sigma_cross_dot(reg) / sqrt(12))
+    _check("sz triple-product form", sz, _sigma_cross_dot(paulis) / sqrt(12))
 
-    _check("sector projector = q11 + q22", n3_sector_projector(), q["q11"] + q["q22"])
-    return {"x": sx, "y": sy, "z": sz, "i_sector": n3_sector_projector()}
+    sector = _n3_sector_projector(paulis)
+    _check("sector projector = q11 + q22", sector, q["q11"] + q["q22"])
+    return {"x": sx, "y": sy, "z": sz, "i_sector": sector}
 
 
 def n3_trine() -> dict:

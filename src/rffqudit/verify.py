@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass, field
-from math import isfinite
+from math import isfinite, log2
 from time import perf_counter
 from typing import Callable
 
@@ -35,7 +35,6 @@ import numpy as np
 from . import reference as ref
 from .channel import born_rule_harness, random_density, require_trials
 from .coupling import (
-    ROW_BLOCK_BYTES,
     CoupledBasis,
     block_mixing_residual,
     build_coupled_basis,
@@ -47,16 +46,15 @@ from .coupling import (
     symmetric_singlets,
 )
 from .encoder import (
+    SECTOR_TOL,
     HwsPair,
-    QuditState,
     build_hws,
     decode_payload,
-    encode_state,
-    encoded_entropy_check,
     hws_relations_residual,
+    require_density,
 )
-from .errors import ConsistencyError, ValidationError
-from .linalg import dagger, identity, max_abs_diff
+from .errors import ConsistencyError, ContractViolationError, ValidationError
+from .linalg import dagger, entropy_bits, identity, max_abs_diff
 from .spinsys import (
     SpinRegister,
     all_permutations,
@@ -147,17 +145,14 @@ def q_algebra_residuals(qs: CoupledBasis) -> dict:
     computed once per basis. The pairing is max |P - P^dag| for P = lift(H) of
     one generic hermitian H drawn from DEFAULT_SEED: P = sum H_{ll'} Q(l,l'),
     so P is hermitian exactly when Q(l,l')^dag = Q(l',l) for all pairs at
-    once. P^dag is read in strips of rows of at most ROW_BLOCK_BYTES / 2, so no
-    second 2**n x 2**n array is held.
+    once. P is zero off its weight-class blocks P_k = B_k H B_k^dag, so the
+    pairing is max_k |P_k - P_k^dag| over the blocks of lift_blocks.
     """
-    payload = qs.lift(random_density(np.random.default_rng(DEFAULT_SEED), qs.d))
-    step = max(1, ROW_BLOCK_BYTES // (2 * payload.itemsize * len(payload)))
-    herm = max(max_abs_diff(payload[first:first + step],
-                            dagger(payload[:, first:first + step]))
-               for first in range(0, len(payload), step))
+    blocks = qs.lift_blocks(random_density(np.random.default_rng(DEFAULT_SEED), qs.d))
     isometry = qs.gate_residuals
-    return {"hermitian-pairing": herm, "trace": isometry["trace"],
-            "closure": isometry["gram"], "j-commutation": isometry["covariance"]}
+    return {"hermitian-pairing": max(max_abs_diff(p, dagger(p)) for p in blocks),
+            "trace": isometry["trace"], "closure": isometry["gram"],
+            "j-commutation": isometry["covariance"]}
 
 
 def rotation_invariance_residual(qs: CoupledBasis, trials: int,
@@ -179,27 +174,59 @@ def rotation_invariance_residual(qs: CoupledBasis, trials: int,
     return worst
 
 
-def _random_states(qs: CoupledBasis, trials: int, seed: int) -> list[QuditState]:
+def encoded_random_states(qs: CoupledBasis, trials: int,
+                          seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, C): trials random logical states drawn from seed, shaped (T, d, d),
+    and the class frames C_k = B_k^dag P_k B_k of their payloads' lifted blocks,
+    shaped (T, 2 j2 + 1, d, d), from one stacked lift and compression
+    (CoupledBasis.compress_lifted).
+
+    A payload with |P - K C K^dag| > SECTOR_TOL on any class is a failed
+    encoding, so it raises ConsistencyError naming the first such state.
+    """
+    require_trials(trials)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return [QuditState(d=qs.d, rho=random_density(rng, qs.d)) for _ in range(trials)]
+    rho = np.array([random_density(rng, qs.d) for _ in range(trials)])
+    require_density(rho)
+    frames, residual = qs.compress_lifted(rho / qs.d)
+    bad = residual > SECTOR_TOL
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ConsistencyError(
+            f"the encoded payload of state {t} is not supported on the logical sector "
+            f"(|P - K C K^dag| = {residual[t]:.3e} > {SECTOR_TOL:g})")
+    return rho, frames
+
+
+def _round_trip(rho: np.ndarray, frames: np.ndarray) -> float:
+    """Worst |rho - decoded| with decoded = sum_k C_k, the partial trace over m2
+    of the frame, made hermitian and checked as a density matrix as
+    decode_payload does."""
+    decoded = frames.sum(axis=-3)
+    decoded = (decoded + dagger(decoded)) / 2
+    try:
+        require_density(decoded, "decoded state")
+    except ValidationError as exc:
+        raise ConsistencyError(f"the encoded payload fails to decode: {exc}") from exc
+    return max_abs_diff(rho, decoded)
+
+
+def _entropy_defect(rho: np.ndarray, frames: np.ndarray) -> float:
+    """Worst |S(C) - S(rho) - log2 d|: the frame is block-diagonal in m2, so its
+    entropy is the sum of those of its class frames C_k, from one stacked eigh.
+    Frames that are not hermitian and PSD are a failed encoding (ConsistencyError)."""
+    try:
+        s_encoded = entropy_bits(frames).sum(axis=-1)
+    except ContractViolationError as exc:
+        raise ConsistencyError(f"the encoded frame has no entropy: {exc}") from exc
+    return float(np.abs(s_encoded - entropy_bits(rho) - log2(rho.shape[-1])).max())
 
 
 def round_trip_residual(qs: CoupledBasis, trials: int,
                         seed: int = DEFAULT_SEED) -> float:
-    """Worst encode -> decode deviation over random logical states.
-
-    A payload that decode_payload finds off the sector is a failed encoding
-    here, so it raises ConsistencyError rather than ValidationError.
-    """
-    def decoded(state: QuditState) -> np.ndarray:
-        payload = encode_state(qs, state).payload
-        try:
-            return decode_payload(qs, payload).rho
-        except ValidationError as exc:
-            raise ConsistencyError(f"the encoded payload fails to decode: {exc}") from exc
-
-    return max((max_abs_diff(state.rho, decoded(state))
-                for state in _random_states(qs, trials, seed)), default=0.0)
+    """Worst encode -> decode deviation over random logical states, on the
+    lifted blocks of their payloads (encoded_random_states)."""
+    return _round_trip(*encoded_random_states(qs, trials, seed))
 
 
 def born_probability_residual(qs: CoupledBasis, trials: int,
@@ -213,11 +240,9 @@ def born_probability_residual(qs: CoupledBasis, trials: int,
 
 def entropy_defect_residual(qs: CoupledBasis, trials: int,
                             seed: int = DEFAULT_SEED) -> float:
-    """Worst |S(payload) - S(logical) - log2 d| over random logical states."""
-    return max((
-        abs(encoded_entropy_check(state, encode_state(qs, state)).defect)
-        for state in _random_states(qs, trials, seed)
-    ), default=0.0)
+    """Worst |S(payload) - S(logical) - log2 d| over random logical states, on
+    the lifted blocks of their payloads (encoded_random_states)."""
+    return _entropy_defect(*encoded_random_states(qs, trials, seed))
 
 
 def cyclic_invariance_residual(basis: CoupledBasis) -> float:
@@ -317,6 +342,8 @@ def suite_encoder(n_values=(3, 4, 5, 6), seed: int = DEFAULT_SEED,
                   bases: Callable | None = None) -> list[CheckResult]:
     bases = fourier_bases() if bases is None else bases
     algebra = functools.cache(lambda n: q_algebra_residuals(bases(n)))
+    # The round-trip and entropy rows read one stacked lift of the same states.
+    encoded = functools.cache(lambda n: encoded_random_states(bases(n), 5, seed))
     results = []
     for n in n_values:
         checks = (
@@ -332,11 +359,11 @@ def suite_encoder(n_values=(3, 4, 5, 6), seed: int = DEFAULT_SEED,
              "Q operators survive 20 random collective rotations", 1e-9,
              lambda: rotation_invariance_residual(bases(n), 20, seed)),
             ("round-trip", "encode -> decode returns the logical state", 1e-10,
-             lambda: round_trip_residual(bases(n), 5, seed)),
+             lambda: _round_trip(*encoded(n))),
             ("born", "encoded probabilities match logical ones, rotated or not", 1e-10,
              lambda: born_probability_residual(bases(n), 5, seed)),
             ("entropy", "encoded entropy exceeds logical entropy by exactly log2(d) bits",
-             1e-8, lambda: entropy_defect_residual(bases(n), 5, seed)),
+             1e-8, lambda: _entropy_defect(*encoded(n))),
         )
         results += [_check(f"encoder:{name}:n={n}", desc, default_tol, tol, residual)
                     for name, desc, default_tol, residual in checks]

@@ -194,6 +194,27 @@ def test_random_povm_is_valid():
     np.testing.assert_allclose(total, identity(3), atol=1e-10)
 
 
+def _random_povm_one_element_at_a_time(rng, d, elements):
+    """random_povm as it drew and whitened each element in turn."""
+    draws = []
+    for _ in range(elements):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        draws.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(sum(draws))
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    elems = [inv_root @ a @ inv_root for a in draws]
+    return [(e + e.conj().T) / 2 for e in elems]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_random_povm_is_the_element_by_element_draw(d):
+    for seed in range(20):
+        povm = random_povm(np.random.default_rng([seed, d]), d, d + 1)
+        oracle = _random_povm_one_element_at_a_time(np.random.default_rng([seed, d]), d, d + 1)
+        assert len(povm.elements) == d + 1
+        assert all(np.array_equal(a, b) for a, b in zip(povm.elements, oracle))
+
+
 @pytest.mark.parametrize("n", (3, 4))
 def test_born_rule_harness_deviations_are_tiny(n):
     qs = build_q_set(build_coupled_basis(SpinRegister(n)))

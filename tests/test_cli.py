@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,24 @@ def test_encode_born_table_matches_the_dense_traces(capsys, tmp_path, n):
     encoded = [row["encoded"] for row in report["born_table"]]
     assert len(encoded) == d + 1
     np.testing.assert_allclose(encoded, dense, rtol=0, atol=1e-12)
+
+
+def test_encode_report_over_the_entry_budget_is_refused_before_the_build(capsys, tmp_path):
+    # 12 payloads of 4**11 entries in JSON; the refusal comes before any basis build.
+    n, d = 11, 10
+    rng = np.random.default_rng([20261019, n])
+    state = write_json(tmp_path / "state.json", matrix_to_json_dict(random_density(rng, d)))
+    povm = write_json(tmp_path / "povm.json", {"elements": [
+        matrix_to_json_dict(e) for e in random_povm(rng, d, d + 1).elements]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "encode", "--n", str(n), "--state", state,
+                             "--povm", povm)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: encode --n 11 would write 12 dense payload(s)")
+    assert "Traceback" not in err
+    # One n = 10 payload, the largest report encode wrote before the budget, fits.
+    assert cli.MAX_REPORT_ENTRIES >= 4 ** 10
 
 
 def test_encode_rejects_non_state(capsys, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rffqudit.channel import random_density, random_povm
-from rffqudit.coupling import build_coupled_basis
+from rffqudit.coupling import CoupledBasis, build_coupled_basis
 from rffqudit import encoder, verify
 from rffqudit.encoder import (
     EncodedOperator,
@@ -148,14 +148,23 @@ def test_entropy_check_rejects_a_payload_off_the_sector(qs4):
 
 
 def test_an_off_sector_payload_fails_the_entropy_row(monkeypatch):
-    real = verify.encoded_entropy_check
-    monkeypatch.setattr(verify, "encoded_entropy_check",
-                        lambda state, enc: real(state, _LeakyPayload(**vars(enc))))
+    # 1e-6 on every entry of the first class's lifted block is 1e-6 times the
+    # projector onto that class's symmetric ket, scaled by the class size: it
+    # lies in the largest-j sector, so C is unchanged and |P - K C K^dag| is 1e-6.
+    real = CoupledBasis.lift_blocks
+
+    def off_sector(self, logical):
+        first, *rest = real(self, logical)
+        return (first + 1e-6, *rest)
+
+    monkeypatch.setattr(CoupledBasis, "lift_blocks", off_sector)
     results = verify.suite_encoder(n_values=(3,))
     failed = [r for r in results if not r.passed]
-    assert [r.id for r in failed] == ["encoder:entropy:n=3"]
-    assert failed[0].residual == float("inf")
-    assert "|P - K C K^dag| = 1.000e-06 > 1e-09" in failed[0].description
+    # The round-trip and entropy rows share one gated lift of the same states.
+    assert [r.id for r in failed] == ["encoder:round-trip:n=3", "encoder:entropy:n=3"]
+    for row in failed:
+        assert row.residual == float("inf")
+        assert "|P - K C K^dag| = 1.000e-06 > 1e-09" in row.description
 
 
 def test_entropy_is_taken_from_the_gated_frame(qs4, monkeypatch):

@@ -13,7 +13,6 @@ from math import factorial, sqrt
 import numpy as np
 import pytest
 
-from rffqudit import channel
 from rffqudit.channel import (
     ChannelConfig,
     born_rule_harness,
@@ -193,22 +192,37 @@ def test_frame_entropy_matches_the_dense_payload_entropy(case):
 
 
 def test_harness_probabilities_match_the_dense_traces(case, monkeypatch):
-    # Tr(K^dag P_rho K F) against Tr(P_rho P_Pi) with P_Pi = K F K^dag, dense.
+    # The harness's Tr(sum_m2 C_m2 Pi), C compressed from the lifted blocks of
+    # the state payload, against Tr(P_rho P_Pi) with P_rho those blocks
+    # scattered and P_Pi = K (Pi (x) I_d) K^dag, dense.
     _, _, qs, _ = case
-    seen, real = [], channel.payload_probabilities
+    d, trials = qs.d, 3
+    seen, real = [], CoupledBasis.compress_blocks
 
-    def recording(basis, payload, frames):
-        seen.append((payload, frames, real(basis, payload, frames)))
-        return seen[-1][2]
+    def recording(basis, blocks):
+        seen.append((blocks, real(basis, blocks)))
+        return seen[-1][1]
 
-    monkeypatch.setattr(channel, "payload_probabilities", recording)
-    report = born_rule_harness(qs, 3, SEED)
-    assert len(seen) == 3 and report.max_encoded_deviation < 1e-12
+    monkeypatch.setattr(CoupledBasis, "compress_blocks", recording)
+    report = born_rule_harness(qs, trials, SEED)
+    assert report.max_encoded_deviation < 1e-12
+    rng = np.random.default_rng(np.random.SeedSequence(SEED))
+    povms = []
+    for _ in range(trials):  # the harness's draws: state, POVM, rotation
+        random_density(rng, d)
+        povms.append(random_povm(rng, d, d + 1).elements)
+        haar_su2(rng)
+    [(blocks, (frames, _))] = seen  # one chunk holds every trial at small n
     k = qs.isometry
-    for payload, frames, probabilities in seen:
-        dense = [np.trace(payload @ (k @ f @ k.conj().T)).real for f in frames]
-        assert len(dense) == qs.d + 1
-        assert max_abs_diff(probabilities, dense) <= 1e-12
+    for t, elements in enumerate(povms):
+        payload = np.zeros((2 ** qs.n,) * 2, dtype=complex)
+        for (rows, _), block in zip(qs.weight_classes, blocks):
+            payload[np.ix_(rows, rows)] = block[t]
+        dense = [np.trace(payload @ k @ np.kron(e, np.eye(d)) @ k.conj().T).real
+                 for e in elements]
+        harness = [np.trace(frames[t].sum(axis=0) @ e).real for e in elements]
+        assert len(dense) == d + 1
+        assert max_abs_diff(harness, dense) <= 1e-12
 
 
 def test_n10_born_and_entropy_rows_hold_one_payload_at_a_time():
@@ -240,17 +254,15 @@ def test_frame_hermitian_pairing_matches_the_dense_one(case):
 
 
 def test_q_hermitian_row_rejects_a_lift_without_the_conjugate(monkeypatch):
-    # B A B^T in place of B A B^dag: P = lift(H) is then not hermitian, as the
-    # Fourier blocks are complex, though every frame G_l G_l'^dag still pairs.
-    def transposed_lift(self, logical):
-        out = np.zeros((2 ** self.n,) * 2, dtype=complex)
-        for rows, block in self.weight_classes:
-            out[np.ix_(rows, rows)] = block @ logical @ block.T
-        return out
+    # B A B^T in place of B A B^dag: the blocks of P = lift(H) are then not
+    # hermitian, as the Fourier blocks are complex, though every frame
+    # G_l G_l'^dag still pairs.
+    def transposed_lift_blocks(self, logical):
+        return tuple(block @ logical @ block.T for block in self.blocks)
 
     row = suite_encoder(n_values=(3,))[0]
     assert row.id == "encoder:q-hermitian:n=3" and row.passed
-    monkeypatch.setattr(CoupledBasis, "lift", transposed_lift)
+    monkeypatch.setattr(CoupledBasis, "lift_blocks", transposed_lift_blocks)
     residual = q_algebra_residuals(build_coupled_basis(SpinRegister(3)))["hermitian-pairing"]
     assert residual > 0.01 > row.tolerance
 

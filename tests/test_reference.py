@@ -214,3 +214,12 @@ def test_reference_checks_catch_corruption(monkeypatch):
     monkeypatch.setattr(reference, "W3", np.exp(2j * np.pi / 3) * 1.001)
     with pytest.raises(ConsistencyError):
         n3_q_operators()
+
+
+@pytest.mark.parametrize("case_id", ("n3-pauli", "n3-trine"))
+def test_each_single_site_pauli_is_built_once_per_family(case_id, monkeypatch):
+    calls, real = [], reference.sigma
+    monkeypatch.setattr(reference, "sigma",
+                        lambda reg, site, axis: calls.append((site, axis)) or real(reg, site, axis))
+    REFERENCE_CASES[case_id].build()
+    assert sorted(calls) == sorted((site, axis) for site in (1, 2, 3) for axis in "xyz")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import rffqudit.coupling as coupling
-import rffqudit.encoder as encoder
 import rffqudit.reference as reference
 import rffqudit.verify as verify
 from rffqudit import cli
@@ -271,14 +270,17 @@ def test_an_off_sector_payload_fails_its_rows_in_a_written_report(monkeypatch, c
                                                                   tmp_path):
     argv = ["verify", "--suite", "all", "--n-range", "3..4", "--output"]
     assert cli.main(argv + [str(tmp_path / "pass.json")]) == 0
-    real = encoder.EncodedOperator.payload
+    real = coupling.CoupledBasis.lift_blocks
 
-    def off_sector(enc):
-        payload = real.fget(enc)
-        payload[0, 0] += 1e-6
-        return payload
+    def off_sector(basis, logical):
+        # The rows lift stacks of trials; the dense views (sector projector,
+        # matrix units, clock and shift) lift one matrix and stay exact.
+        blocks = real(basis, logical)
+        if np.ndim(logical) == 3:
+            blocks[0][..., 0, 0] += 1e-6
+        return blocks
 
-    monkeypatch.setattr(encoder.EncodedOperator, "payload", property(off_sector))
+    monkeypatch.setattr(coupling.CoupledBasis, "lift_blocks", off_sector)
     capsys.readouterr()
     assert cli.main(argv + [str(tmp_path / "fail.json")]) == 1
     passing = json.loads((tmp_path / "pass.json").read_text())["checks"]

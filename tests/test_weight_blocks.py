@@ -12,12 +12,18 @@ K^dag P K at small n.
 
 import dataclasses
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
 from rffqudit.channel import random_density, random_povm
-from rffqudit.coupling import ROW_BLOCK_BYTES, build_coupled_basis, hamming_weights
+from rffqudit.coupling import (
+    ROW_BLOCK_BYTES,
+    CoupledBasis,
+    build_coupled_basis,
+    hamming_weights,
+)
 from rffqudit.encoder import (
     QuditState,
     build_hws,
@@ -25,11 +31,11 @@ from rffqudit.encoder import (
     decode_payload,
     encode_povm,
     encode_state,
-    encoded_entropy_check,
 )
 from rffqudit.errors import ConsistencyError, ValidationError
 from rffqudit.linalg import dagger, max_abs_diff
 from rffqudit.spinsys import SpinRegister
+from rffqudit.verify import entropy_defect_residual, suite_encoder
 
 SEED = 20261018
 
@@ -149,22 +155,134 @@ def test_a_stray_on_either_end_ket_is_off_the_sector(n, ket):
 def test_n11_compression_holds_strips_and_one_k_sized_array():
     qs = basis_for(11)
     state = QuditState(qs.d, random_density(np.random.default_rng(SEED), qs.d))
-    enc = encode_state(qs, state)
-    payload = enc.payload
+    payload = encode_state(qs, state).payload
     qs.weight_classes  # cached with the basis, like its gate residuals
+    # decode_payload walks the dense payload in strips beside one K.
     extra = 4 * ROW_BLOCK_BYTES + qs.isometry.nbytes
-    for row, held in ((lambda: decode_payload(qs, payload), 0),
-                      (lambda: encoded_entropy_check(state, enc), payload.nbytes)):
+    # The entropy row lifts one trial at a time at n = 11 (its blocks exceed
+    # ROW_BLOCK_BYTES) and compresses class by class: its blocks, plus
+    # B C B^dag - P of the largest class and its modulus (two arrays of that
+    # class at most), plus small arrays.
+    blocks = 16 * (comb(22, 11) - 2)
+    largest = 16 * comb(11, 5) ** 2
+    assert blocks > ROW_BLOCK_BYTES and blocks + 2 * largest < payload.nbytes / 3
+    for row, bound in ((lambda: decode_payload(qs, payload), extra),
+                       (lambda: entropy_defect_residual(qs, 5), blocks + 2 * largest + 2 ** 20)):
         tracemalloc.start()
         try:
             row()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < held + extra
+        assert peak < bound
     cached = [a for a in vars(qs).values() if isinstance(a, np.ndarray)]
     cached += [a for rows_block in qs.weight_classes for a in rows_block]
     # No K^dag copy is kept: the weight blocks hold K's nonzeros once.
     owners = {id(a if a.base is None else a.base): a if a.base is None else a.base
               for a in cached}
     assert sum(a.nbytes for a in owners.values()) < 1.2 * qs.isometry.nbytes
+
+
+# ---------------------------------------------------------------------------
+# The block path: lift_blocks and compress_blocks against plain products
+# ---------------------------------------------------------------------------
+
+def _scatter(basis, blocks):
+    """The 2**n x 2**n matrix with blocks on the weight classes, zero elsewhere."""
+    out = np.zeros((2 ** basis.n,) * 2, dtype=complex)
+    for (rows, _), block in zip(basis.weight_classes, blocks):
+        out[np.ix_(rows, rows)] = block
+    return out
+
+
+def test_lifted_blocks_scatter_to_the_plain_product_payload(dense_case):
+    basis, _ = dense_case
+    d, k = basis.d, basis.isometry
+    logical = random_density(np.random.default_rng([SEED, basis.n, 4]), d)
+    logical[0, -1] += 0.3j  # not hermitian: B A B^dag, not its adjoint
+    blocks = basis.lift_blocks(logical)
+    plain = k @ np.kron(logical, np.eye(d)) @ k.conj().T
+    assert [b.shape for b in blocks] == [(len(rows),) * 2 for rows, _ in basis.weight_classes]
+    assert max_abs_diff(_scatter(basis, blocks), plain) <= 1e-12
+    assert np.array_equal(basis.lift(logical), _scatter(basis, blocks))
+
+
+def test_compressed_blocks_are_the_weight_diagonal_blocks_of_the_dense_frame(dense_case):
+    basis, payload = dense_case
+    k, size = basis.isometry, len(basis.weight_classes)
+    blocks = [payload[np.ix_(rows, rows)] for rows, _ in basis.weight_classes]
+    frames, residual = basis.compress_blocks(blocks)
+    assert frames.shape == (size, basis.d, basis.d)
+    dense = dagger(k) @ payload @ k  # columns (lambda, m2): class k is every size-th
+    for m, frame in enumerate(frames):
+        assert max_abs_diff(frame, dense[m::size, m::size]) <= 1e-12
+    diagonal = _scatter(basis, blocks)
+    projector = k @ dagger(k)
+    dense_residual = max_abs_diff(diagonal, projector @ diagonal @ projector)
+    assert dense_residual > 0.1 and residual == pytest.approx(dense_residual, abs=1e-12)
+
+
+def test_a_stack_of_trials_equals_one_trial_at_a_time(dense_case, monkeypatch):
+    basis, _ = dense_case
+    rng = np.random.default_rng([SEED, basis.n, 5])
+    logical = np.array([random_density(rng, basis.d) for _ in range(4)])
+    logical[1, 0, 0] += 1e-3  # an off-class stray, so the residuals differ
+    stacked = basis.lift_blocks(logical)
+    frames, residual = basis.compress_blocks(stacked)
+    assert frames.shape == (4, len(basis.weight_classes), basis.d, basis.d)
+    for t, single in enumerate(logical):
+        blocks = basis.lift_blocks(single)
+        assert all(max_abs_diff(a[t], b) <= 1e-15 for a, b in zip(stacked, blocks))
+        frame, value = basis.compress_blocks(blocks)
+        assert max_abs_diff(frames[t], frame) <= 1e-15
+        assert residual[t] == pytest.approx(value, abs=1e-15)
+    whole = basis.compress_lifted(logical)
+    monkeypatch.setattr("rffqudit.coupling.ROW_BLOCK_BYTES", 1)  # one trial per chunk
+    chunked = basis.compress_lifted(logical)
+    assert max_abs_diff(whole[0], chunked[0]) <= 1e-15
+    assert max_abs_diff(whole[1], chunked[1]) <= 1e-15
+
+
+@pytest.mark.parametrize("n, per_chunk", ((9, [5]), (10, [1] * 5)))
+def test_a_row_lifts_its_trials_in_chunks_of_row_block_bytes(n, per_chunk, monkeypatch):
+    qs = basis_for(n)
+    sizes, real = [], CoupledBasis.lift_blocks
+
+    def recording(basis, logical):
+        sizes.append(len(logical))
+        return real(basis, logical)
+
+    monkeypatch.setattr(CoupledBasis, "lift_blocks", recording)
+    assert entropy_defect_residual(qs, 5) < 1e-8
+    assert sizes == per_chunk
+
+
+def _rows_failed_by(monkeypatch, lift_blocks, n):
+    monkeypatch.setattr(CoupledBasis, "lift_blocks", lift_blocks)
+    rows = suite_encoder(n_values=(n,))
+    return {r.id.split(":")[1] for r in rows if not r.passed}
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_a_lift_without_the_conjugate_fails_every_row_that_reads_lifted_blocks(n, monkeypatch):
+    # B A B^T in place of B A B^dag. For the Fourier coupling conj(B) = B W for
+    # a permutation W of lambda, so P stays on the sector and the gate passes;
+    # P is not hermitian, and its frames are A W^dag, not A.
+    def transposed(basis, logical):
+        return tuple(block @ logical @ block.T for block in basis.blocks)
+
+    assert _rows_failed_by(monkeypatch, transposed, n) == {
+        "q-hermitian", "round-trip", "entropy", "born"}
+
+
+def test_swapped_class_blocks_fail_the_round_trip_entropy_and_born_rows(monkeypatch):
+    # At n = 5 the classes m2 = j2 - 1 and j2 - 2 both hold C(5, 2) = 10 kets;
+    # each block lifted with the other class's B is off the sector.
+    real = CoupledBasis.lift_blocks
+
+    def swapped(basis, logical):
+        blocks = list(real(basis, logical))
+        blocks[1], blocks[2] = blocks[2], blocks[1]
+        return tuple(blocks)
+
+    assert _rows_failed_by(monkeypatch, swapped, 5) == {"round-trip", "entropy", "born"}
