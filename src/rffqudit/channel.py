@@ -208,7 +208,7 @@ def _noise_unitaries(cfg: ChannelConfig) -> np.ndarray:
     return mat_exp_hermitian_generator(SIGMA_Z / 2, theta)
 
 
-def _sector_frames(basis: CoupledBasis, u: np.ndarray) -> Iterator[np.ndarray]:
+def _gated_rotations(basis: CoupledBasis, u: np.ndarray) -> Iterator[np.ndarray]:
     """R = K^dag U K for each noise draw u, in the chunks of basis.rotations, each
     trial gated on U K = K R, which keeps a payload on the sector."""
     first = 0
@@ -245,7 +245,7 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
     u = _noise_unitaries(cfg)
     drawn = perf_counter()
     decoded = np.concatenate([partial_trace_m2(basis.d, r @ enc.frame @ dagger(r))
-                              for r in _sector_frames(basis, u)])
+                              for r in _gated_rotations(basis, u)])
     rotated = perf_counter()
     decoded = (decoded + dagger(decoded)) / 2
     require_density(decoded, "decoded state")
@@ -349,7 +349,7 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     require_density(rho)
     logical = rho / qs.d
     frames, _ = qs.compress_lifted(logical)
-    rotations = np.concatenate(list(_sector_frames(qs, u)))
+    rotations = np.concatenate(list(_gated_rotations(qs, u)))
     moved = partial_trace_m2(qs.d, rotations @ encoded_frames(logical) @ dagger(rotations))
 
     def probabilities(states: np.ndarray) -> np.ndarray:

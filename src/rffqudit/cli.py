@@ -37,13 +37,7 @@ from .coupling import (
     sector_index_set,
     sector_membership_residual,
 )
-from .encoder import (
-    QuditPovm,
-    QuditState,
-    encode_povm,
-    encode_state,
-    payload_probabilities,
-)
+from .encoder import QuditPovm, QuditState, encode_povm, encode_state
 from .errors import (
     ConsistencyError,
     ContractViolationError,
@@ -340,7 +334,8 @@ def cmd_encode(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     rho = matrix_from_json_dict(_read_json_file(ns.state))
     state = QuditState(d=d, rho=rho)
     povm = _load_povm(ns.povm, d) if ns.povm else None
-    payloads = 1 + (len(povm.elements) if povm and ns.format == "json" else 0)
+    writes_state = ns.format == "json" or not povm  # CSV with a POVM: the Born table alone
+    payloads = writes_state + (len(povm.elements) if povm and ns.format == "json" else 0)
     if payloads * 4 ** ns.n > MAX_REPORT_ENTRIES:
         raise SizeLimitError(
             f"encode --n {ns.n} would write {payloads} dense payload(s) of 4**{ns.n} "
@@ -349,15 +344,19 @@ def cmd_encode(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     clock.start()  # reading the input files is in no stage
     qs = build_coupled_basis(SpinRegister(ns.n))
     clock.lap("encode:build")
-    state_payload = encode_state(qs, state).payload
+    encoded_state = encode_state(qs, state)
+    state_payload = encoded_state.payload if writes_state else None
     encoded = encode_povm(qs, povm) if povm else []
     povm_payloads = [e.payload for e in encoded] if ns.format == "json" else []
     clock.lap("encode:encode")
 
     born_rows = []
     if povm:
-        probabilities = payload_probabilities(qs, state_payload,
-                                              np.array([e.frame for e in encoded]))
+        # Tr(P_rho P_Pi) = Tr(sum_m2 C_m2 Pi), C the class frames of the state
+        # payload's lifted blocks: no 2**n x 2**n array is formed.
+        frames, _ = qs.compress_lifted((state.rho / d)[None])
+        probabilities = np.einsum("ij,kji->k", frames[0].sum(axis=0),
+                                  np.stack(povm.elements)).real
         for k, (element, encoded_p) in enumerate(zip(povm.elements, probabilities.tolist())):
             logical_p = float(np.trace(state.rho @ element).real)
             born_rows.append({

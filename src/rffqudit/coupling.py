@@ -34,12 +34,13 @@ are checked on the blocks when the basis is built: B_k^dag B_k = I, and
 J_minus B_k = c_k B_{k+1} with its J_plus partner (J_z holds by
 construction). Every payload K (A (x) I_d) K^dag is zero off the weight
 classes, so CoupledBasis.lift_blocks builds only its blocks B_k A B_k^dag, of
-one A or a stack of trials, and CoupledBasis.compress_blocks takes them back to
-the class frames B_k^dag P_k B_k with their residuals: verify's encoder rows
-read payloads this way, and no 2**n x 2**n array is formed. The dense entry
-points stay dense: lift is the scatter of lift_blocks, and compress and
-sector_frame take the full K^dag P K of a raw P, coherences between m2 values
-included. These ladder operators, and the J^2 = n(4-n)/4 +
+one A or a stack of trials, one class at a time, and
+CoupledBasis.compress_blocks takes them back to the class frames
+B_k^dag P_k B_k with their residuals: verify's encoder rows and encode's Born
+table read encoded payloads this way, and no 2**n x 2**n array is formed. The
+dense entry points stay dense: lift is the scatter of lift_blocks, and
+compress takes the full K^dag P K of a raw P, coherences between m2 values
+included, for decode_payload. These ladder operators, and the J^2 = n(4-n)/4 +
 sum_{l<k} P_lk of the membership check and of the census, act on one weight
 class at a time through index maps on the product kets. For n = 4 the
 module also provides the two explicit j=0 bases: the symmetric-coupling
@@ -70,11 +71,13 @@ from .spinsys import (
 
 ISOMETRY_TOL = 1e-10
 COUPLING_TOL = 1e-12
-# Bytes of payload rows that CoupledBasis.compress holds at a time: one strip
-# read from the payload and one formed beside it, half each, so it holds no
-# second 2**n x 2**n matrix beside the payload. Also the bytes of lifted class
-# blocks that one chunk of trials holds in CoupledBasis.compress_lifted: all
-# five trials of a verify row up to n = 9, one at a time from n = 10.
+# Bytes of payload rows that CoupledBasis.compress, the walk decode_payload
+# takes over a raw payload, holds at a time: one strip read from the payload
+# and one formed beside it, half each, so it holds no second 2**n x 2**n
+# matrix beside the payload. Also the size of a chunk of trials in
+# CoupledBasis.compress_lifted: the lifted blocks of all classes of a chunk
+# fit in it, though the chunk is lifted one class at a time. That is all five
+# trials of a verify row up to n = 9, one at a time from n = 10.
 ROW_BLOCK_BYTES = 4 * 2 ** 20
 # Bytes of U K (one K per trial) that one chunk of trials may hold; a chunk
 # holds at least one trial, and three or four arrays of its size are live
@@ -170,7 +173,7 @@ class CoupledBasis:
     K (A (x) I_d) K^dag is block-diagonal in the weight: lift_blocks builds
     its blocks and compress_blocks takes them back to class frames; lift
     scatters the blocks into the dense operator, and compress takes
-    K^dag P K of any dense P one weight class at a time; the dense projector
+    K^dag P K of a raw dense P one weight class at a time; the dense projector
     K K^dag and each Q_{lambda lambda'} = basis(lambda, lambda') are lifts
     built on every access. The weight
     classes, the dense K and the gate's residuals are computed once per
@@ -215,12 +218,13 @@ class CoupledBasis:
         k_all.setflags(write=False)
         return k_all
 
-    def lift_blocks(self, logical) -> tuple:
+    def lift_blocks(self, logical) -> Iterator[np.ndarray]:
         """B_k A B_k^dag of each weight class k (m2 = j2 - k): the only nonzero
-        blocks of K (A (x) I_d) K^dag. A is one d x d matrix, giving one
-        C(n, k+1) x C(n, k+1) array per class, or a stack (T, d, d), giving a
-        (T, C(n, k+1), C(n, k+1)) stack per class."""
-        return tuple(block @ logical @ block.conj().T for block in self.blocks)
+        blocks of K (A (x) I_d) K^dag, built one class at a time as they are
+        read. A is one d x d matrix, giving one C(n, k+1) x C(n, k+1) array per
+        class, or a stack (T, d, d), giving a (T, C(n, k+1), C(n, k+1)) stack
+        per class."""
+        return (block @ logical @ block.conj().T for block in self.blocks)
 
     def lift(self, logical) -> np.ndarray:
         """The 2**n x 2**n operator K (A (x) I_d) K^dag of a d x d A: lift_blocks
@@ -232,7 +236,7 @@ class CoupledBasis:
 
     def compress_blocks(self, blocks) -> tuple[np.ndarray, np.ndarray]:
         """(C, residual) of the class blocks P_k of a payload that is zero off
-        them, one array or stack per class as lift_blocks returns them:
+        them, one array or stack per class as lift_blocks yields them:
         C[..., k, :, :] = B_k^dag P_k B_k, shaped (..., 2 j2 + 1, d, d), and the
         residual max_k |P_k - B_k C_k B_k^dag| of each trial, shaped (...)."""
         frames, worst = [], 0.0
@@ -249,7 +253,8 @@ class CoupledBasis:
         """compress_blocks(lift_blocks(A)) of each A of a stack (T, d, d): C shaped
         (T, 2 j2 + 1, d, d) and the residual of each trial. The trials go in
         chunks whose lifted blocks hold at most ROW_BLOCK_BYTES (at least one
-        trial each), so no 2**n x 2**n array is formed."""
+        trial each), and a chunk holds one lifted class at a time, so no
+        2**n x 2**n array is formed."""
         per_trial = 16 * (comb(2 * self.n, self.n) - 2)  # bytes of one trial's blocks
         step = max(1, ROW_BLOCK_BYTES // per_trial)
         parts = [self.compress_blocks(self.lift_blocks(logical[first:first + step]))
@@ -257,9 +262,9 @@ class CoupledBasis:
         return (np.concatenate([frames for frames, _ in parts]),
                 np.concatenate([residual for _, residual in parts]))
 
-    def _walk(self, payload, residual: bool) -> tuple[np.ndarray, float | None]:
-        """C = K^dag P K, and max |P - K C K^dag| if residual, one weight class
-        at a time.
+    def compress(self, payload) -> tuple[np.ndarray, float]:
+        """(C, max |P - K C K^dag|) for C = K^dag P K of a raw 2**n x 2**n P,
+        one weight class at a time.
 
         The rows of C in class m2 are (B^dag P[rows]) K, and the rows of
         K C K^dag there are B (C[m2 rows] K^dag); those of weight 0 and n are
@@ -277,8 +282,6 @@ class CoupledBasis:
                 top[k::size] += (block[first:first + step].conj().T
                                  @ payload.take(rows[first:first + step], axis=0))
         inner = top @ k_all
-        if not residual:
-            return inner, None
         back = np.matmul(inner.conj(), k_all.T, out=top)  # C K^dag, conjugated in place
         np.conjugate(back, out=back)
         worst = max(np.abs(payload[0]).max(), np.abs(payload[-1]).max())
@@ -288,14 +291,6 @@ class CoupledBasis:
                 strip -= block[first:first + step] @ back[k::size]
                 worst = max(worst, np.abs(strip).max())
         return inner, float(worst)
-
-    def sector_frame(self, payload) -> np.ndarray:
-        """C = K^dag P K of a 2**n x 2**n P, one weight class at a time."""
-        return self._walk(payload, residual=False)[0]
-
-    def compress(self, payload) -> tuple[np.ndarray, float]:
-        """(C, max |P - K C K^dag|) for C = K^dag P K, one weight class at a time."""
-        return self._walk(payload, residual=True)
 
     def rotations(self, u) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(R, escape) of each U = u^(x n) of a stack u (T, 2, 2): R = K^dag U K and

@@ -24,35 +24,28 @@ C(n, w) x d each (CoupledBasis.blocks, paired with their rows in
 CoupledBasis.weight_classes), so a payload K (A (x) I_d) K^dag is
 block-diagonal in w: B A B^dag on each class, zero between classes and on
 the all-up and all-down kets. CoupledBasis.lift_blocks builds those blocks
-alone, for one A or a stack of trials, and CoupledBasis.compress_blocks takes
-them back to the class frames B^dag P B with the residual of each trial:
-verify's round-trip, entropy, Born and q-hermitian rows read payloads that
-way. The entry points of this module stay dense: EncodedOperator.payload,
-HwsPair.u/.v, and the sector projector and matrix units of the basis are
-the blocks scattered into 2**n x 2**n matrices (CoupledBasis.lift), and
-decode_payload, encoded_entropy_check and payload_probabilities compress a
-raw payload P to the full C = K^dag P K one weight class at a time, with its
-residual |P - K C K^dag| taken in row strips (CoupledBasis.compress): d
-times fewer flops than the dense products.
+alone, one class at a time, for one A or a stack of trials, and
+CoupledBasis.compress_blocks takes them back to the class frames B^dag P B
+with the residual of each trial: verify's round-trip, entropy, Born and
+q-hermitian rows and encode's Born table read encoded payloads that way. The
+entry points of this module stay dense: EncodedOperator.payload, HwsPair.u/.v,
+and the sector projector and matrix units of the basis are the blocks
+scattered into 2**n x 2**n matrices (CoupledBasis.lift), and decode_payload
+compresses a raw payload P, which may hold coherences between m2 values, to
+the full C = K^dag P K one weight class at a time, with its residual
+|P - K C K^dag| taken in row strips (CoupledBasis.compress): d times fewer
+flops than the dense products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log2
-from typing import NamedTuple
 
 import numpy as np
 
 from .coupling import CoupledBasis, partial_trace_m2, require_sector_isometry
 from .errors import ConsistencyError, ContractViolationError, ValidationError
-from .linalg import (
-    dagger,
-    hermitian_eig,
-    identity,
-    max_abs_diff,
-    entropy_bits,
-)
+from .linalg import dagger, hermitian_eig, identity, max_abs_diff
 
 PSD_TOL = 1e-10
 SECTOR_TOL = 1e-9
@@ -230,42 +223,6 @@ def encode_povm(qs: CoupledBasis, povm: QuditPovm) -> list[EncodedOperator]:
             "encoded POVM elements do not sum to the sector projector"
         )
     return encoded
-
-
-def payload_probabilities(qs: CoupledBasis, payload: np.ndarray,
-                          frames: np.ndarray) -> np.ndarray:
-    """Tr(payload K F K^dag) for each frame F of a stack (m, d**2, d**2).
-
-    Each is Tr(C F) with C = K^dag payload K, by cyclicity the same number:
-    one O(4**n d) compression of the payload, and no 2**n x 2**n product
-    per element.
-    """
-    return np.einsum("ij,kji->k", qs.sector_frame(payload), frames).real
-
-
-class EntropyCheck(NamedTuple):
-    s_logical: float
-    s_encoded: float
-    defect: float  # s_encoded - s_logical - log2(d)
-
-
-def encoded_entropy_check(state: QuditState, enc: EncodedOperator) -> EntropyCheck:
-    """Entropies in bits; the encoding adds exactly log2(d) of idler mixing.
-
-    S of the materialised payload P is taken from its frame C = K^dag P K,
-    which has the same nonzero spectrum once P = K C K^dag: that is gated
-    within SECTOR_TOL first, and a payload off the sector raises
-    ConsistencyError.
-    """
-    s_logical = entropy_bits(state.rho)
-    frame, residual = enc.basis.compress(enc.payload)
-    if residual > SECTOR_TOL:
-        raise ConsistencyError(
-            f"encoded {enc.kind} payload is not supported on the logical sector "
-            f"(|P - K C K^dag| = {residual:.3e} > {SECTOR_TOL:g})"
-        )
-    s_encoded = entropy_bits(frame)
-    return EntropyCheck(s_logical, s_encoded, s_encoded - s_logical - log2(enc.d))
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,13 @@ PACKAGE = Path(rffqudit.__file__).resolve().parent
 PUBLIC_NAMES = [
     "BornReport", "ChannelConfig", "ChannelReport", "CheckResult",
     "ConsistencyError", "ContractViolationError", "CoupledBasis",
-    "EncodedOperator", "EntropyCheck", "HwsPair", "NumericalError",
+    "EncodedOperator", "HwsPair", "NumericalError",
     "Permutation", "QuditPovm", "QuditState", "REFERENCE_CASES",
     "ReductionReport", "RffError", "SectorSpec", "SizeLimitError",
     "SpinRegister", "ValidationError", "all_permutations",
     "born_rule_harness", "build_coupled_basis", "build_hws", "build_q_set",
     "cg_singlets", "coupling_fingerprint", "decode_payload", "decode_state",
-    "encode_povm", "encode_state", "encoded_entropy_check", "entropy_bits",
+    "encode_povm", "encode_state", "entropy_bits",
     "fourier_coupling", "gram_residual", "haar_su2", "hws_relations_residual",
     "isometry_residuals", "kron_power", "matrix_from_json_dict",
     "matrix_to_json_dict", "multiplicity", "n3_pauli", "n3_q_operators",

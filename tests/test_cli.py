@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,36 @@ def test_encode_report_over_the_entry_budget_is_refused_before_the_build(capsys,
     assert "Traceback" not in err
     # One n = 10 payload, the largest report encode wrote before the budget, fits.
     assert cli.MAX_REPORT_ENTRIES >= 4 ** 10
+
+
+def _encode_csv_born_table(capsys, tmp_path, n):
+    """encode --format csv --povm of a random state and d + 1 element POVM."""
+    d = n - 1
+    rng = np.random.default_rng([20261019, n])
+    state = write_json(tmp_path / "state.json", matrix_to_json_dict(random_density(rng, d)))
+    povm = write_json(tmp_path / "povm.json", {"elements": [
+        matrix_to_json_dict(e) for e in random_povm(rng, d, d + 1).elements]})
+    return run_cli(capsys, "encode", "--n", str(n), "--max-n", str(n), "--format", "csv",
+                   "--state", state, "--povm", povm)
+
+
+def test_a_csv_born_table_writes_no_payload_so_the_budget_admits_it(capsys, tmp_path):
+    code, out, err = _encode_csv_born_table(capsys, tmp_path, 11)
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 11  # d + 1 elements
+    assert all(float(row["deviation"]) <= 1e-12 for row in rows)
+
+
+def test_a_csv_born_table_builds_no_dense_payload(capsys, tmp_path):
+    tracemalloc.start()
+    try:
+        code, _, _ = _encode_csv_born_table(capsys, tmp_path, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 4 ** 10  # one 1024 x 1024 complex payload
 
 
 def test_encode_rejects_non_state(capsys, tmp_path):

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from rffqudit.channel import random_density, random_povm
 from rffqudit.coupling import CoupledBasis, build_coupled_basis
-from rffqudit import encoder, verify
+from rffqudit import verify
 from rffqudit.encoder import (
-    EncodedOperator,
     HwsPair,
     QuditPovm,
     QuditState,
@@ -22,7 +21,6 @@ from rffqudit.encoder import (
     decode_state,
     encode_povm,
     encode_state,
-    encoded_entropy_check,
     hws_relations_residual,
     require_density,
 )
@@ -130,23 +128,6 @@ def test_a_non_psd_logical_operator_fails_the_encoded_psd_check(qs3, monkeypatch
         encode_povm(qs3, povm)
 
 
-class _LeakyPayload(EncodedOperator):
-    """An encoded operator whose payload has an off-sector component."""
-
-    @property
-    def payload(self):
-        payload = super().payload
-        payload[0, 0] += 1e-6  # the all-up ket lies in the largest-j sector
-        return payload
-
-
-def test_entropy_check_rejects_a_payload_off_the_sector(qs4):
-    state = QuditState(3, random_density(np.random.default_rng(SEED + 5), 3))
-    leaky = _LeakyPayload(**vars(encode_state(qs4, state)))
-    with pytest.raises(ConsistencyError, match="not supported on the logical sector"):
-        encoded_entropy_check(state, leaky)
-
-
 def test_an_off_sector_payload_fails_the_entropy_row(monkeypatch):
     # 1e-6 on every entry of the first class's lifted block is 1e-6 times the
     # projector onto that class's symmetric ket, scaled by the class size: it
@@ -167,14 +148,15 @@ def test_an_off_sector_payload_fails_the_entropy_row(monkeypatch):
         assert "|P - K C K^dag| = 1.000e-06 > 1e-09" in row.description
 
 
-def test_entropy_is_taken_from_the_gated_frame(qs4, monkeypatch):
-    # S of the d**2 x d**2 frame, never an eigh of the 2**n x 2**n payload.
-    sizes, real = [], encoder.entropy_bits
-    monkeypatch.setattr(encoder, "entropy_bits",
+def test_entropy_is_taken_from_the_gated_frame(monkeypatch):
+    # S of the class frames and of the logical states, never an eigh of a
+    # 2**n x 2**n payload.
+    sizes, real = [], verify.entropy_bits
+    monkeypatch.setattr(verify, "entropy_bits",
                         lambda m: sizes.append(np.shape(m)) or real(m))
-    state = QuditState(3, random_density(np.random.default_rng(SEED + 6), 3))
-    encoded_entropy_check(state, encode_state(qs4, state))
-    assert sizes == [(3, 3), (9, 9)]
+    row = verify.suite_encoder(n_values=(4,))[-1]
+    assert row.id == "encoder:entropy:n=4" and row.passed
+    assert sizes == [(5, 3, 3, 3), (5, 3, 3)]  # (trials, classes, d, d), (trials, d, d)
 
 
 def test_q_set_basic_shape(qs3):
@@ -273,15 +255,6 @@ def test_encoded_state_is_rotation_invariant(qs3):
     np.testing.assert_allclose(
         u @ enc.payload @ dagger(u), enc.payload, atol=1e-12
     )
-
-
-def test_entropy_check_reports_offset(qs4):
-    rng = np.random.default_rng(SEED + 3)
-    state = QuditState(3, random_density(rng, 3))
-    enc = encode_state(qs4, state)
-    check = encoded_entropy_check(state, enc)
-    assert check.defect == pytest.approx(0.0, abs=1e-10)
-    assert check.s_encoded == pytest.approx(check.s_logical + np.log2(3), abs=1e-10)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))

@@ -34,7 +34,6 @@ from rffqudit.encoder import (
     decode_payload,
     encode_povm,
     encode_state,
-    encoded_entropy_check,
 )
 from rffqudit.errors import ConsistencyError
 from rffqudit.linalg import entropy_bits, max_abs_diff
@@ -48,6 +47,7 @@ from rffqudit.spinsys import (
 )
 from rffqudit.verify import (
     DEFAULT_SEED,
+    encoded_random_states,
     entropy_defect_residual,
     q_algebra_residuals,
     rotation_invariance_residual,
@@ -183,12 +183,13 @@ def test_channel_trial_matches_the_dense_rotation(case, monkeypatch):
 
 
 def test_frame_entropy_matches_the_dense_payload_entropy(case):
+    # S summed over the class frames, as verify's entropy row takes it,
+    # against S of each dense payload K (rho/d (x) I_d) K^dag.
     n, basis, qs, _ = case
-    d = basis.d
-    state = QuditState(d, random_density(np.random.default_rng([SEED, n, 2]), d))
-    enc = encode_state(qs, state)
-    check = encoded_entropy_check(state, enc)
-    assert check.s_encoded == pytest.approx(entropy_bits(enc.payload), abs=1e-12)
+    rho, frames = encoded_random_states(qs, 3, SEED + n)
+    s_frames = entropy_bits(frames).sum(axis=-1)
+    for state, s_encoded in zip(rho, s_frames):
+        assert s_encoded == pytest.approx(entropy_bits(basis.lift(state / basis.d)), abs=1e-12)
 
 
 def test_harness_probabilities_match_the_dense_traces(case, monkeypatch):
@@ -200,6 +201,7 @@ def test_harness_probabilities_match_the_dense_traces(case, monkeypatch):
     seen, real = [], CoupledBasis.compress_blocks
 
     def recording(basis, blocks):
+        blocks = list(blocks)  # read again below
         seen.append((blocks, real(basis, blocks)))
         return seen[-1][1]
 

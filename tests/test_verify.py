@@ -275,7 +275,7 @@ def test_an_off_sector_payload_fails_its_rows_in_a_written_report(monkeypatch, c
     def off_sector(basis, logical):
         # The rows lift stacks of trials; the dense views (sector projector,
         # matrix units, clock and shift) lift one matrix and stay exact.
-        blocks = real(basis, logical)
+        blocks = list(real(basis, logical))
         if np.ndim(logical) == 3:
             blocks[0][..., 0, 0] += 1e-6
         return blocks

@@ -107,7 +107,6 @@ def test_compression_matches_the_dense_products(dense_case):
     dense = dagger(k) @ payload @ k
     frame, residual = basis.compress(payload)
     assert max_abs_diff(frame, dense) <= 1e-12
-    assert max_abs_diff(basis.sector_frame(payload), dense) <= 1e-12
     dense_residual = max_abs_diff(payload, k @ dagger(k) @ payload @ k @ dagger(k))
     assert residual == pytest.approx(dense_residual, abs=1e-12)
 
@@ -160,14 +159,14 @@ def test_n11_compression_holds_strips_and_one_k_sized_array():
     # decode_payload walks the dense payload in strips beside one K.
     extra = 4 * ROW_BLOCK_BYTES + qs.isometry.nbytes
     # The entropy row lifts one trial at a time at n = 11 (its blocks exceed
-    # ROW_BLOCK_BYTES) and compresses class by class: its blocks, plus
-    # B C B^dag - P of the largest class and its modulus (two arrays of that
-    # class at most), plus small arrays.
+    # ROW_BLOCK_BYTES) and lifts and compresses one class at a time: the
+    # class's block, B C B^dag - P of it and its modulus (three arrays of the
+    # largest class at most), plus small arrays; never all classes at once.
     blocks = 16 * (comb(22, 11) - 2)
     largest = 16 * comb(11, 5) ** 2
-    assert blocks > ROW_BLOCK_BYTES and blocks + 2 * largest < payload.nbytes / 3
+    assert blocks > ROW_BLOCK_BYTES and 3 * largest < blocks
     for row, bound in ((lambda: decode_payload(qs, payload), extra),
-                       (lambda: entropy_defect_residual(qs, 5), blocks + 2 * largest + 2 ** 20)):
+                       (lambda: entropy_defect_residual(qs, 5), 3 * largest + 2 ** 20)):
         tracemalloc.start()
         try:
             row()
@@ -200,7 +199,7 @@ def test_lifted_blocks_scatter_to_the_plain_product_payload(dense_case):
     d, k = basis.d, basis.isometry
     logical = random_density(np.random.default_rng([SEED, basis.n, 4]), d)
     logical[0, -1] += 0.3j  # not hermitian: B A B^dag, not its adjoint
-    blocks = basis.lift_blocks(logical)
+    blocks = list(basis.lift_blocks(logical))
     plain = k @ np.kron(logical, np.eye(d)) @ k.conj().T
     assert [b.shape for b in blocks] == [(len(rows),) * 2 for rows, _ in basis.weight_classes]
     assert max_abs_diff(_scatter(basis, blocks), plain) <= 1e-12
@@ -227,11 +226,11 @@ def test_a_stack_of_trials_equals_one_trial_at_a_time(dense_case, monkeypatch):
     rng = np.random.default_rng([SEED, basis.n, 5])
     logical = np.array([random_density(rng, basis.d) for _ in range(4)])
     logical[1, 0, 0] += 1e-3  # an off-class stray, so the residuals differ
-    stacked = basis.lift_blocks(logical)
+    stacked = list(basis.lift_blocks(logical))
     frames, residual = basis.compress_blocks(stacked)
     assert frames.shape == (4, len(basis.weight_classes), basis.d, basis.d)
     for t, single in enumerate(logical):
-        blocks = basis.lift_blocks(single)
+        blocks = list(basis.lift_blocks(single))
         assert all(max_abs_diff(a[t], b) <= 1e-15 for a, b in zip(stacked, blocks))
         frame, value = basis.compress_blocks(blocks)
         assert max_abs_diff(frames[t], frame) <= 1e-15
