@@ -30,7 +30,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .coupling import CoupledBasis, build_coupled_basis, partial_trace_m2
+from .coupling import SECTOR_TOL, CoupledBasis, build_coupled_basis, partial_trace_m2
 from .encoder import (
     QuditPovm,
     QuditState,
@@ -213,10 +213,11 @@ def _gated_rotations(basis: CoupledBasis, u: np.ndarray) -> Iterator[np.ndarray]
     trial gated on U K = K R, which keeps a payload on the sector."""
     first = 0
     for r, escape in basis.rotations(u):
-        if (escape > 1e-9).any():
-            t = int(np.argmax(escape > 1e-9))
-            raise ConsistencyError(f"the collective rotation of trial {first + t} leaves the "
-                                   f"logical sector (|U K - K R| = {escape[t]:.3e} > 1e-9)")
+        if (escape > SECTOR_TOL).any():
+            t = int(np.argmax(escape > SECTOR_TOL))
+            raise ConsistencyError(
+                f"the collective rotation of trial {first + t} leaves the logical "
+                f"sector (|U K - K R| = {escape[t]:.3e} > {SECTOR_TOL:g})")
         first += len(r)
         yield r
 
@@ -338,6 +339,8 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     Tr(Tr_m2(R F R^dag) Pi_k) for the state's frame F = rho/d (x) I_d and
     R = K^dag u^(x n) K. All trials run as stacks: the lift in chunks of at
     most coupling.ROW_BLOCK_BYTES of blocks, the rotations in the channel's.
+    A payload off the logical sector, or a rotation that leaves it, raises
+    ConsistencyError naming its trial, as verify's other encoder rows do.
     """
     require_trials(trials)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -348,7 +351,7 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     rho, elements, u = (np.array(column) for column in zip(*draws))
     require_density(rho)
     logical = rho / qs.d
-    frames, _ = qs.compress_lifted(logical)
+    frames = qs.compress_lifted(logical)
     rotations = np.concatenate(list(_gated_rotations(qs, u)))
     moved = partial_trace_m2(qs.d, rotations @ encoded_frames(logical) @ dagger(rotations))
 

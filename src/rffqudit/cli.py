@@ -52,10 +52,11 @@ from .verify import DEFAULT_SEED, SUITES, run_suite
 
 DEFAULT_TRIALS = 100
 DEFAULT_MAX_N = 12
-# Dense payload entries an encode report may write: one n = 10 payload, whose
+# Dense entries an encode or basis report may write: one n = 10 payload, whose
 # JSON report takes about 5 s and 500 MB of peak memory to write. Each payload
 # of a JSON report is 4**n entries of [re, im] text; CSV writes the state
-# payload's 4**n rows, or only the Born table when given a POVM.
+# payload's 4**n rows, or only the Born table when given a POVM. A basis report
+# writes (n-1)**2 kets of 2**n entries, so n = 12 is its largest.
 MAX_REPORT_ENTRIES = 4 ** 10
 
 
@@ -238,21 +239,14 @@ def _require_register_size(n: int, smallest: int, ceiling: int) -> None:
 
 def cmd_census(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     _require_register_size(ns.n, 2, ns.max_n)
-    agreement = True
-    note = None
+    rows = [(str(j), multiplicity(ns.n, j), int(2 * j + 1)) for j in sector_index_set(ns.n)]
+    agreement, note = True, None
     try:
-        specs = sector_census(SpinRegister(ns.n))
+        sector_census(SpinRegister(ns.n))
     except ConsistencyError as exc:
         # A J^2 block spectrum disagrees with the formula: still print the
         # formula-side table, flag the disagreement, and exit 1.
-        agreement = False
-        note = str(exc)
-        rows = [
-            (str(j), multiplicity(ns.n, j), int(2 * j + 1))
-            for j in sector_index_set(ns.n)
-        ]
-    else:
-        rows = [(str(s.j), s.multiplicity, s.dimension) for s in specs]
+        agreement, note = False, str(exc)
     clock.lap("census:build")
 
     if ns.format == "json":
@@ -283,6 +277,12 @@ def _load_coupling(ns: argparse.Namespace):
 
 def cmd_basis(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     _require_register_size(ns.n, 3, ns.max_n)
+    kets = (ns.n - 1) ** 2
+    if kets * 2 ** ns.n > MAX_REPORT_ENTRIES:
+        raise SizeLimitError(
+            f"basis --n {ns.n} would write {kets} kets of 2**{ns.n} entries, "
+            f"{kets * 2 ** ns.n} in all, over the {MAX_REPORT_ENTRIES} a report may "
+            "hold; use a smaller --n")
     coupling = _load_coupling(ns)
     clock.start()  # reading the coupling file is in no stage
     basis = build_coupled_basis(SpinRegister(ns.n), coupling)
@@ -354,7 +354,7 @@ def cmd_encode(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     if povm:
         # Tr(P_rho P_Pi) = Tr(sum_m2 C_m2 Pi), C the class frames of the state
         # payload's lifted blocks: no 2**n x 2**n array is formed.
-        frames, _ = qs.compress_lifted((state.rho / d)[None])
+        frames = qs.compress_lifted((state.rho / d)[None])
         probabilities = np.einsum("ij,kji->k", frames[0].sum(axis=0),
                                   np.stack(povm.elements)).real
         for k, (element, encoded_p) in enumerate(zip(povm.elements, probabilities.tolist())):

@@ -35,17 +35,17 @@ J_minus B_k = c_k B_{k+1} with its J_plus partner (J_z holds by
 construction). Every payload K (A (x) I_d) K^dag is zero off the weight
 classes, so CoupledBasis.lift_blocks builds only its blocks B_k A B_k^dag, of
 one A or a stack of trials, one class at a time, and
-CoupledBasis.compress_blocks takes them back to the class frames
-B_k^dag P_k B_k with their residuals: verify's encoder rows and encode's Born
-table read encoded payloads this way, and no 2**n x 2**n array is formed. The
-dense entry points stay dense: lift is the scatter of lift_blocks, and
-compress takes the full K^dag P K of a raw P, coherences between m2 values
-included, for decode_payload. These ladder operators, and the J^2 = n(4-n)/4 +
-sum_{l<k} P_lk of the membership check and of the census, act on one weight
-class at a time through index maps on the product kets. For n = 4 the
-module also provides the two explicit j=0 bases: the symmetric-coupling
-singlets (Fourier phases omega_3) and the successively-coupled (pairwise)
-singlets.
+CoupledBasis.compress_lifted takes a stack's back to the class frames
+B_k^dag P_k B_k, gating each trial's residual on SECTOR_TOL: verify's encoder
+rows and encode's Born table read encoded payloads this way, and no 2**n x 2**n
+array is formed. The dense entry points stay dense: lift is the scatter of
+lift_blocks, and compress takes the full K^dag P K of a raw P, coherences
+between m2 values included, for decode_payload. These ladder operators, and
+the J^2 = n(4-n)/4 + sum_{l<k} P_lk of the membership check and of the
+census, act on one weight class at a time through index maps on the product
+kets. For n = 4 the module also provides the two explicit j=0 bases: the
+symmetric-coupling singlets (Fourier phases omega_3) and the
+successively-coupled (pairwise) singlets.
 """
 
 from __future__ import annotations
@@ -71,13 +71,15 @@ from .spinsys import (
 
 ISOMETRY_TOL = 1e-10
 COUPLING_TOL = 1e-12
+# Largest |P - K C K^dag| of a payload on the sector, |U K - K R| of a rotation.
+SECTOR_TOL = 1e-9
 # Bytes of payload rows that CoupledBasis.compress, the walk decode_payload
 # takes over a raw payload, holds at a time: one strip read from the payload
 # and one formed beside it, half each, so it holds no second 2**n x 2**n
 # matrix beside the payload. Also the size of a chunk of trials in
 # CoupledBasis.compress_lifted: the lifted blocks of all classes of a chunk
-# fit in it, though the chunk is lifted one class at a time. That is all five
-# trials of a verify row up to n = 9, one at a time from n = 10.
+# fit in it, though the chunk is lifted and gated one class at a time. That is
+# all five trials of a verify row up to n = 9, one at a time from n = 10.
 ROW_BLOCK_BYTES = 4 * 2 ** 20
 # Bytes of U K (one K per trial) that one chunk of trials may hold; a chunk
 # holds at least one trial, and three or four arrays of its size are live
@@ -171,7 +173,7 @@ class CoupledBasis:
     column (lambda-1)(2 j2+1) + (j2-m2) the ket (lambda, m2), assembled from
     the blocks on first use for the readers that need all of K. Every operator
     K (A (x) I_d) K^dag is block-diagonal in the weight: lift_blocks builds
-    its blocks and compress_blocks takes them back to class frames; lift
+    its blocks and compress_lifted takes them back to gated class frames; lift
     scatters the blocks into the dense operator, and compress takes
     K^dag P K of a raw dense P one weight class at a time; the dense projector
     K K^dag and each Q_{lambda lambda'} = basis(lambda, lambda') are lifts
@@ -234,33 +236,37 @@ class CoupledBasis:
             out[rows[:, None], rows] = lifted
         return out
 
-    def compress_blocks(self, blocks) -> tuple[np.ndarray, np.ndarray]:
-        """(C, residual) of the class blocks P_k of a payload that is zero off
-        them, one array or stack per class as lift_blocks yields them:
-        C[..., k, :, :] = B_k^dag P_k B_k, shaped (..., 2 j2 + 1, d, d), and the
-        residual max_k |P_k - B_k C_k B_k^dag| of each trial, shaped (...)."""
-        frames, worst = [], 0.0
-        for block, lifted in zip(self.blocks, blocks, strict=True):
-            frame = block.conj().T @ lifted @ block
-            back = block @ frame @ block.conj().T
-            back -= lifted
-            worst = np.maximum(worst, np.abs(back).max(axis=(-2, -1)))
-            del back  # not held beside the next class's
-            frames.append(frame)
-        return np.stack(frames, axis=-3), worst
+    def compress_lifted(self, logical) -> np.ndarray:
+        """The class frames C_k = B_k^dag P_k B_k of the payload's blocks
+        P_k = B_k A B_k^dag, for each A of a stack (T, d, d): shaped
+        (T, 2 j2 + 1, d, d). The trials go in chunks whose lifted blocks hold at
+        most ROW_BLOCK_BYTES (at least one trial each), and a chunk holds one
+        lifted class at a time, so no 2**n x 2**n array is formed.
 
-    def compress_lifted(self, logical) -> tuple[np.ndarray, np.ndarray]:
-        """compress_blocks(lift_blocks(A)) of each A of a stack (T, d, d): C shaped
-        (T, 2 j2 + 1, d, d) and the residual of each trial. The trials go in
-        chunks whose lifted blocks hold at most ROW_BLOCK_BYTES (at least one
-        trial each), and a chunk holds one lifted class at a time, so no
-        2**n x 2**n array is formed."""
+        Each trial's residual max_k |P_k - B_k C_k B_k^dag| is held to
+        SECTOR_TOL: a payload off the sector is a failed encoding, and
+        ConsistencyError names the first such trial.
+        """
         per_trial = 16 * (comb(2 * self.n, self.n) - 2)  # bytes of one trial's blocks
         step = max(1, ROW_BLOCK_BYTES // per_trial)
-        parts = [self.compress_blocks(self.lift_blocks(logical[first:first + step]))
-                 for first in range(0, len(logical), step)]
-        return (np.concatenate([frames for frames, _ in parts]),
-                np.concatenate([residual for _, residual in parts]))
+        chunks = []
+        for first in range(0, len(logical), step):
+            frames, worst = [], 0.0
+            for block, lifted in zip(self.blocks, self.lift_blocks(logical[first:first + step])):
+                frame = block.conj().T @ lifted @ block
+                back = block @ frame @ block.conj().T
+                back -= lifted
+                worst = np.maximum(worst, np.abs(back).max(axis=(1, 2)))
+                del back  # not held beside the next class's
+                frames.append(frame)
+            bad = worst > SECTOR_TOL
+            if bad.any():
+                t = int(np.argmax(bad))
+                raise ConsistencyError(
+                    f"the encoded payload of state {first + t} is not supported on the "
+                    f"logical sector (|P - K C K^dag| = {worst[t]:.3e} > {SECTOR_TOL:g})")
+            chunks.append(np.stack(frames, axis=1))
+        return np.concatenate(chunks)
 
     def compress(self, payload) -> tuple[np.ndarray, float]:
         """(C, max |P - K C K^dag|) for C = K^dag P K of a raw 2**n x 2**n P,

@@ -25,9 +25,9 @@ CoupledBasis.weight_classes), so a payload K (A (x) I_d) K^dag is
 block-diagonal in w: B A B^dag on each class, zero between classes and on
 the all-up and all-down kets. CoupledBasis.lift_blocks builds those blocks
 alone, one class at a time, for one A or a stack of trials, and
-CoupledBasis.compress_blocks takes them back to the class frames B^dag P B
-with the residual of each trial: verify's round-trip, entropy, Born and
-q-hermitian rows and encode's Born table read encoded payloads that way. The
+CoupledBasis.compress_lifted takes them back to the class frames B^dag P B,
+each trial's residual held to SECTOR_TOL: verify's round-trip, entropy and
+Born rows and encode's Born table read encoded payloads that way. The
 entry points of this module stay dense: EncodedOperator.payload, HwsPair.u/.v,
 and the sector projector and matrix units of the basis are the blocks
 scattered into 2**n x 2**n matrices (CoupledBasis.lift), and decode_payload
@@ -43,12 +43,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import CoupledBasis, partial_trace_m2, require_sector_isometry
+from .coupling import SECTOR_TOL, CoupledBasis, partial_trace_m2, require_sector_isometry
 from .errors import ConsistencyError, ContractViolationError, ValidationError
 from .linalg import dagger, hermitian_eig, identity, max_abs_diff
 
 PSD_TOL = 1e-10
-SECTOR_TOL = 1e-9
 
 # The verified basis is the Q set; build_q_set re-checks its gate on a given
 # basis, reading the residuals that basis computed once (CoupledBasis.gate_residuals).

@@ -46,7 +46,6 @@ from .coupling import (
     symmetric_singlets,
 )
 from .encoder import (
-    SECTOR_TOL,
     HwsPair,
     build_hws,
     decode_payload,
@@ -179,23 +178,14 @@ def encoded_random_states(qs: CoupledBasis, trials: int,
     """(rho, C): trials random logical states drawn from seed, shaped (T, d, d),
     and the class frames C_k = B_k^dag P_k B_k of their payloads' lifted blocks,
     shaped (T, 2 j2 + 1, d, d), from one stacked lift and compression
-    (CoupledBasis.compress_lifted).
-
-    A payload with |P - K C K^dag| > SECTOR_TOL on any class is a failed
-    encoding, so it raises ConsistencyError naming the first such state.
+    (CoupledBasis.compress_lifted), whose gate raises ConsistencyError for a
+    payload off the logical sector.
     """
     require_trials(trials)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rho = np.array([random_density(rng, qs.d) for _ in range(trials)])
     require_density(rho)
-    frames, residual = qs.compress_lifted(rho / qs.d)
-    bad = residual > SECTOR_TOL
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise ConsistencyError(
-            f"the encoded payload of state {t} is not supported on the logical sector "
-            f"(|P - K C K^dag| = {residual[t]:.3e} > {SECTOR_TOL:g})")
-    return rho, frames
+    return rho, qs.compress_lifted(rho / qs.d)
 
 
 def _round_trip(rho: np.ndarray, frames: np.ndarray) -> float:

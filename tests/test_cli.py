@@ -179,6 +179,26 @@ def test_basis_missing_coupling_file(capsys):
     assert "error:" in err
 
 
+def test_basis_report_over_the_entry_budget_is_refused_before_the_build(capsys, monkeypatch):
+    # 12**2 kets of 2**13 entries; the refusal comes before any basis build.
+    built = []
+    monkeypatch.setattr(cli, "build_coupled_basis", lambda *args: built.append(args))
+    code, out, err = run_cli(capsys, "basis", "--n", "13", "--max-n", "13")
+    assert code == 2 and out == "" and built == []
+    assert err == ("error: basis --n 13 would write 144 kets of 2**13 entries, 1179648 in "
+                   "all, over the 1048576 a report may hold; use a smaller --n\n")
+
+
+def test_basis_report_at_n12_fits_the_entry_budget(capsys, tmp_path):
+    # 11**2 kets of 2**12 entries, the largest basis report under the budget.
+    code, out, err = run_cli(capsys, "basis", "--n", "12", "--format", "csv",
+                             "--output", str(tmp_path / "basis.csv"))
+    assert code == 0 and out == "" and err == ""
+    with open(tmp_path / "basis.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 11 ** 2 * 2 ** 12 + 2  # header, ket entries, residuals
+
+
 # ---------------------------------------------------------------------------
 # encode
 # ---------------------------------------------------------------------------

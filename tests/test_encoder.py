@@ -1,6 +1,7 @@
 """Logical-state encoding: matrix units, round trips, POVMs, HWS pairs."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rffqudit.channel import random_density, random_povm
+from rffqudit.channel import born_rule_harness, random_density, random_povm
 from rffqudit.coupling import CoupledBasis, build_coupled_basis
-from rffqudit import verify
+from rffqudit import cli, verify
 from rffqudit.encoder import (
     HwsPair,
     QuditPovm,
@@ -25,7 +26,13 @@ from rffqudit.encoder import (
     require_density,
 )
 from rffqudit.errors import ConsistencyError, ValidationError
-from rffqudit.linalg import dagger, identity, mat_exp_hermitian_generator, max_abs_diff
+from rffqudit.linalg import (
+    dagger,
+    identity,
+    mat_exp_hermitian_generator,
+    matrix_to_json_dict,
+    max_abs_diff,
+)
 from rffqudit.spinsys import SIGMA_X, SIGMA_Y, SIGMA_Z, SpinRegister, kron_power
 
 SEED = 20260819
@@ -128,7 +135,8 @@ def test_a_non_psd_logical_operator_fails_the_encoded_psd_check(qs3, monkeypatch
         encode_povm(qs3, povm)
 
 
-def test_an_off_sector_payload_fails_the_entropy_row(monkeypatch):
+@pytest.fixture
+def off_sector_lift(monkeypatch):
     # 1e-6 on every entry of the first class's lifted block is 1e-6 times the
     # projector onto that class's symmetric ket, scaled by the class size: it
     # lies in the largest-j sector, so C is unchanged and |P - K C K^dag| is 1e-6.
@@ -139,13 +147,37 @@ def test_an_off_sector_payload_fails_the_entropy_row(monkeypatch):
         return (first + 1e-6, *rest)
 
     monkeypatch.setattr(CoupledBasis, "lift_blocks", off_sector)
+
+
+def test_an_off_sector_payload_fails_the_entropy_row(off_sector_lift):
     results = verify.suite_encoder(n_values=(3,))
     failed = [r for r in results if not r.passed]
-    # The round-trip and entropy rows share one gated lift of the same states.
-    assert [r.id for r in failed] == ["encoder:round-trip:n=3", "encoder:entropy:n=3"]
+    # Every row that compresses lifted blocks goes through the one gate.
+    assert [r.id for r in failed] == [
+        "encoder:round-trip:n=3", "encoder:born:n=3", "encoder:entropy:n=3"]
     for row in failed:
         assert row.residual == float("inf")
         assert "|P - K C K^dag| = 1.000e-06 > 1e-09" in row.description
+
+
+def test_an_off_sector_payload_fails_the_born_harness(off_sector_lift, qs3):
+    with pytest.raises(ConsistencyError, match=r"^the encoded payload of state 0 is not "
+                       r"supported on the logical sector \(\|P - K C K\^dag\| = 1\.000e-06"):
+        born_rule_harness(qs3, 5, SEED)
+
+
+def test_an_off_sector_payload_fails_encode_povm(off_sector_lift, capsys, tmp_path):
+    rng = np.random.default_rng(SEED)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(matrix_to_json_dict(random_density(rng, 2))))
+    povm = tmp_path / "povm.json"
+    povm.write_text(json.dumps([matrix_to_json_dict(e) for e in random_povm(rng, 2, 3).elements]))
+    code = cli.main(["encode", "--n", "3", "--format", "csv",
+                     "--state", str(state), "--povm", str(povm)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure: ")
+    assert "not supported on the logical sector" in err
 
 
 def test_entropy_is_taken_from_the_gated_frame(monkeypatch):

@@ -198,14 +198,19 @@ def test_harness_probabilities_match_the_dense_traces(case, monkeypatch):
     # scattered and P_Pi = K (Pi (x) I_d) K^dag, dense.
     _, _, qs, _ = case
     d, trials = qs.d, 3
-    seen, real = [], CoupledBasis.compress_blocks
+    lifts, compressions = [], []
+    real_lift, real_compress = CoupledBasis.lift_blocks, CoupledBasis.compress_lifted
 
-    def recording(basis, blocks):
-        blocks = list(blocks)  # read again below
-        seen.append((blocks, real(basis, blocks)))
-        return seen[-1][1]
+    def lift_recording(basis, logical):
+        lifts.append(tuple(real_lift(basis, logical)))  # read again below
+        return lifts[-1]
 
-    monkeypatch.setattr(CoupledBasis, "compress_blocks", recording)
+    def compress_recording(basis, logical):
+        compressions.append(real_compress(basis, logical))
+        return compressions[-1]
+
+    monkeypatch.setattr(CoupledBasis, "lift_blocks", lift_recording)
+    monkeypatch.setattr(CoupledBasis, "compress_lifted", compress_recording)
     report = born_rule_harness(qs, trials, SEED)
     assert report.max_encoded_deviation < 1e-12
     rng = np.random.default_rng(np.random.SeedSequence(SEED))
@@ -214,7 +219,7 @@ def test_harness_probabilities_match_the_dense_traces(case, monkeypatch):
         random_density(rng, d)
         povms.append(random_povm(rng, d, d + 1).elements)
         haar_su2(rng)
-    [(blocks, (frames, _))] = seen  # one chunk holds every trial at small n
+    [blocks], [frames] = lifts, compressions  # one chunk holds every trial at small n
     k = qs.isometry
     for t, elements in enumerate(povms):
         payload = np.zeros((2 ** qs.n,) * 2, dtype=complex)

@@ -20,6 +20,7 @@ import pytest
 from rffqudit.channel import random_density, random_povm
 from rffqudit.coupling import (
     ROW_BLOCK_BYTES,
+    SECTOR_TOL,
     CoupledBasis,
     build_coupled_basis,
     hamming_weights,
@@ -183,7 +184,7 @@ def test_n11_compression_holds_strips_and_one_k_sized_array():
 
 
 # ---------------------------------------------------------------------------
-# The block path: lift_blocks and compress_blocks against plain products
+# The block path: lift_blocks and compress_lifted against plain products
 # ---------------------------------------------------------------------------
 
 def _scatter(basis, blocks):
@@ -206,40 +207,63 @@ def test_lifted_blocks_scatter_to_the_plain_product_payload(dense_case):
     assert np.array_equal(basis.lift(logical), _scatter(basis, blocks))
 
 
-def test_compressed_blocks_are_the_weight_diagonal_blocks_of_the_dense_frame(dense_case):
-    basis, payload = dense_case
-    k, size = basis.isometry, len(basis.weight_classes)
-    blocks = [payload[np.ix_(rows, rows)] for rows, _ in basis.weight_classes]
-    frames, residual = basis.compress_blocks(blocks)
-    assert frames.shape == (size, basis.d, basis.d)
-    dense = dagger(k) @ payload @ k  # columns (lambda, m2): class k is every size-th
-    for m, frame in enumerate(frames):
-        assert max_abs_diff(frame, dense[m::size, m::size]) <= 1e-12
-    diagonal = _scatter(basis, blocks)
-    projector = k @ dagger(k)
-    dense_residual = max_abs_diff(diagonal, projector @ diagonal @ projector)
-    assert dense_residual > 0.1 and residual == pytest.approx(dense_residual, abs=1e-12)
+def _with_stray(monkeypatch, delta, trial=None):
+    """Patch lift_blocks to add delta to every entry of the first class's block,
+    of every trial or of the given trial of the whole stack alone. That adds
+    delta times the projector onto the class's symmetric ket, scaled by the
+    class size: it lies in the largest-j sector, so each frame C is unchanged
+    and the residual |P - K C K^dag| is delta."""
+    real, seen = CoupledBasis.lift_blocks, [0]  # trials lifted so far
+
+    def stray(basis, logical):
+        first, *rest = real(basis, logical)
+        hit = slice(None) if trial is None else trial - seen[0]
+        seen[0] += len(logical)
+        if trial is None or 0 <= hit < len(logical):
+            first[hit] += delta
+        return (first, *rest)
+
+    monkeypatch.setattr(CoupledBasis, "lift_blocks", stray)
+
+
+def test_compressed_blocks_are_the_weight_diagonal_blocks_of_the_dense_frame(
+        dense_case, monkeypatch):
+    basis, _ = dense_case
+    d, k, size = basis.d, basis.isometry, len(basis.weight_classes)
+    rng = np.random.default_rng([SEED, basis.n, 6])
+    logical = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))  # not hermitian
+    frames = basis.compress_lifted(logical)
+    assert frames.shape == (3, size, d, d)
+    for a, frame in zip(logical, frames):
+        dense = dagger(k) @ basis.lift(a) @ k  # columns (lambda, m2): class m is every size-th
+        for m in range(size):
+            assert max_abs_diff(frame[m], dense[m::size, m::size]) <= 1e-12
+    _with_stray(monkeypatch, SECTOR_TOL / 2)
+    assert max_abs_diff(basis.compress_lifted(logical), frames) <= 1e-12
+    monkeypatch.undo()
+    _with_stray(monkeypatch, 1e-6)
+    with pytest.raises(ConsistencyError, match=r"state 0 .*= 1\.000e-06 > 1e-09\)$"):
+        basis.compress_lifted(logical)
 
 
 def test_a_stack_of_trials_equals_one_trial_at_a_time(dense_case, monkeypatch):
     basis, _ = dense_case
     rng = np.random.default_rng([SEED, basis.n, 5])
     logical = np.array([random_density(rng, basis.d) for _ in range(4)])
-    logical[1, 0, 0] += 1e-3  # an off-class stray, so the residuals differ
     stacked = list(basis.lift_blocks(logical))
-    frames, residual = basis.compress_blocks(stacked)
+    frames = basis.compress_lifted(logical)
     assert frames.shape == (4, len(basis.weight_classes), basis.d, basis.d)
     for t, single in enumerate(logical):
         blocks = list(basis.lift_blocks(single))
         assert all(max_abs_diff(a[t], b) <= 1e-15 for a, b in zip(stacked, blocks))
-        frame, value = basis.compress_blocks(blocks)
-        assert max_abs_diff(frames[t], frame) <= 1e-15
-        assert residual[t] == pytest.approx(value, abs=1e-15)
-    whole = basis.compress_lifted(logical)
-    monkeypatch.setattr("rffqudit.coupling.ROW_BLOCK_BYTES", 1)  # one trial per chunk
-    chunked = basis.compress_lifted(logical)
-    assert max_abs_diff(whole[0], chunked[0]) <= 1e-15
-    assert max_abs_diff(whole[1], chunked[1]) <= 1e-15
+        assert max_abs_diff(frames[t], basis.compress_lifted(single[None])[0]) <= 1e-15
+    for chunk_bytes in (ROW_BLOCK_BYTES, 1):  # every trial in one chunk, one per chunk
+        monkeypatch.setattr("rffqudit.coupling.ROW_BLOCK_BYTES", chunk_bytes)
+        assert max_abs_diff(basis.compress_lifted(logical), frames) <= 1e-15
+        _with_stray(monkeypatch, 1e-6, trial=2)
+        with pytest.raises(ConsistencyError, match=r"^the encoded payload of state 2 "):
+            basis.compress_lifted(logical)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n, per_chunk", ((9, [5]), (10, [1] * 5)))
