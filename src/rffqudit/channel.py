@@ -26,19 +26,20 @@ from dataclasses import dataclass, field
 from math import isfinite, sqrt
 from operator import itemgetter
 from time import perf_counter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import SECTOR_TOL, CoupledBasis, build_coupled_basis, partial_trace_m2
+from .coupling import CoupledBasis, build_coupled_basis, partial_trace_m2
 from .encoder import (
     QuditPovm,
     QuditState,
     encode_state,
     encoded_frames,
+    require_decoded,
     require_density,
 )
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, require_none
 from .linalg import (
     dagger,
     matrix_to_json_dict,
@@ -83,6 +84,8 @@ class ChannelConfig:
 
     def __post_init__(self):
         require_trials(self.trials)
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.noise not in NOISE_MODES:
             raise ValidationError(
                 f"unknown noise mode {self.noise!r}; expected one of {NOISE_MODES}"
@@ -208,26 +211,13 @@ def _noise_unitaries(cfg: ChannelConfig) -> np.ndarray:
     return mat_exp_hermitian_generator(SIGMA_Z / 2, theta)
 
 
-def _gated_rotations(basis: CoupledBasis, u: np.ndarray) -> Iterator[np.ndarray]:
-    """R = K^dag U K for each noise draw u, in the chunks of basis.rotations, each
-    trial gated on U K = K R, which keeps a payload on the sector."""
-    first = 0
-    for r, escape in basis.rotations(u):
-        if (escape > SECTOR_TOL).any():
-            t = int(np.argmax(escape > SECTOR_TOL))
-            raise ConsistencyError(
-                f"the collective rotation of trial {first + t} leaves the logical "
-                f"sector (|U K - K R| = {escape[t]:.3e} > {SECTOR_TOL:g})")
-        first += len(r)
-        yield r
-
-
 def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
     """Send one encoded logical state through cfg.trials noise draws.
 
-    The trials run as stacks: the rotations in chunks of at most
-    coupling.CHUNK_BYTES of U K, then every check and figure on the (trials, d, d) stack of
-    decoded states. Each check still holds every trial.
+    The trials run as stacks: the rotations in chunks of at most coupling.CHUNK_BYTES
+    of U K, each gated by basis.rotations, then every check and figure on the
+    (trials, d, d) stack of decoded states. Each check holds every trial, and a
+    failed one is a failed claim: ConsistencyError naming its trial.
     """
     reg = SpinRegister(cfg.n)
     if state.d != cfg.n - 1:
@@ -246,10 +236,9 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
     u = _noise_unitaries(cfg)
     drawn = perf_counter()
     decoded = np.concatenate([partial_trace_m2(basis.d, r @ enc.frame @ dagger(r))
-                              for r in _gated_rotations(basis, u)])
+                              for r, _ in basis.rotations(u)])
     rotated = perf_counter()
-    decoded = (decoded + dagger(decoded)) / 2
-    require_density(decoded, "decoded state")
+    decoded = require_decoded(decoded)
     # The bare qubit's states ride in the same stack, so sqrt(rho) is taken once.
     compared = np.concatenate([decoded, u @ state.rho @ dagger(u)]) if bare_enabled else decoded
     fidelities = uhlmann_fidelity(state.rho, compared)
@@ -263,7 +252,8 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
         series["bare_fidelity"] = fidelities[cfg.trials:]
     for name, values in series.items():
         if name != "leakage":
-            _require_unit_interval(name, values)
+            require_none(~((values >= -1e-9) & (values <= 1 + 1e-9)), lambda t: (
+                f"{name} = {float(values[t])!r} escapes [0, 1] in trial {t}"), ConsistencyError)
 
     columns = {name: values.tolist() for name, values in series.items()}
     per_trial = [
@@ -287,13 +277,6 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
                   "figures": (perf_counter() - rotated) * 1e3}
     return ChannelReport(config=config_echo, per_trial=per_trial, aggregate=aggregate,
                          note=note, elapsed_ms=elapsed_ms)
-
-
-def _require_unit_interval(name: str, values: np.ndarray) -> None:
-    bad = ~((values >= -1e-9) & (values <= 1 + 1e-9))
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise ConsistencyError(f"{name} = {float(values[t])!r} escapes [0, 1] in trial {t}")
 
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -339,8 +322,8 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     Tr(Tr_m2(R F R^dag) Pi_k) for the state's frame F = rho/d (x) I_d and
     R = K^dag u^(x n) K. All trials run as stacks: the lift in chunks of at
     most coupling.ROW_BLOCK_BYTES of blocks, the rotations in the channel's.
-    A payload off the logical sector, or a rotation that leaves it, raises
-    ConsistencyError naming its trial, as verify's other encoder rows do.
+    A payload off the logical sector, or a rotation that leaves it, fails the gate
+    of compress_lifted or of qs.rotations: ConsistencyError naming its trial.
     """
     require_trials(trials)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -352,7 +335,7 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     require_density(rho)
     logical = rho / qs.d
     frames = qs.compress_lifted(logical)
-    rotations = np.concatenate(list(_gated_rotations(qs, u)))
+    rotations = np.concatenate([r for r, _ in qs.rotations(u)])
     moved = partial_trace_m2(qs.d, rotations @ encoded_frames(logical) @ dagger(rotations))
 
     def probabilities(states: np.ndarray) -> np.ndarray:

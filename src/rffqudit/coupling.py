@@ -38,14 +38,15 @@ one A or a stack of trials, one class at a time, and
 CoupledBasis.compress_lifted takes a stack's back to the class frames
 B_k^dag P_k B_k, gating each trial's residual on SECTOR_TOL: verify's encoder
 rows and encode's Born table read encoded payloads this way, and no 2**n x 2**n
-array is formed. The dense entry points stay dense: lift is the scatter of
-lift_blocks, and compress takes the full K^dag P K of a raw P, coherences
-between m2 values included, for decode_payload. These ladder operators, and
-the J^2 = n(4-n)/4 + sum_{l<k} P_lk of the membership check and of the
-census, act on one weight class at a time through index maps on the product
-kets. For n = 4 the module also provides the two explicit j=0 bases: the
-symmetric-coupling singlets (Fourier phases omega_3) and the
-successively-coupled (pairwise) singlets.
+array is formed. CoupledBasis.rotations gates each collective rotation's
+escape |U K - K R| on the same bound. The dense entry points stay dense:
+lift is the scatter of lift_blocks, and compress takes the full K^dag P K of
+a raw P, coherences between m2 values included, for decode_payload. These
+ladder operators, and the J^2 = n(4-n)/4 + sum_{l<k} P_lk of the membership
+check and of the census, act on one weight class at a time through index
+maps on the product kets. For n = 4 the module also provides the two
+explicit j=0 bases: the symmetric-coupling singlets (Fourier phases omega_3)
+and the successively-coupled (pairwise) singlets.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConsistencyError, ContractViolationError, ValidationError
+from .errors import ConsistencyError, ContractViolationError, ValidationError, require_none
 from .linalg import dagger, identity, max_abs_diff
 from .spinsys import (
     SpinRegister,
@@ -259,12 +260,9 @@ class CoupledBasis:
                 worst = np.maximum(worst, np.abs(back).max(axis=(1, 2)))
                 del back  # not held beside the next class's
                 frames.append(frame)
-            bad = worst > SECTOR_TOL
-            if bad.any():
-                t = int(np.argmax(bad))
-                raise ConsistencyError(
-                    f"the encoded payload of state {first + t} is not supported on the "
-                    f"logical sector (|P - K C K^dag| = {worst[t]:.3e} > {SECTOR_TOL:g})")
+            require_none(worst > SECTOR_TOL, lambda t: (
+                f"the encoded payload of state {first + t} is not supported on the logical "
+                f"sector (|P - K C K^dag| = {worst[t]:.3e} > {SECTOR_TOL:g})"), ConsistencyError)
             chunks.append(np.stack(frames, axis=1))
         return np.concatenate(chunks)
 
@@ -300,9 +298,10 @@ class CoupledBasis:
 
     def rotations(self, u) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(R, escape) of each U = u^(x n) of a stack u (T, 2, 2): R = K^dag U K and
-        escape = max |U K - K R|, the verdict on it left to the caller. u acts on K
-        one constituent at a time, in chunks of at most CHUNK_BYTES of U K (at
-        least one trial each)."""
+        escape = max |U K - K R|, held to SECTOR_TOL before its chunk is yielded
+        (ConsistencyError names the first trial over it). u acts on K one
+        constituent at a time, in chunks of at most CHUNK_BYTES of U K (at least
+        one trial each)."""
         k = self.isometry
         reg = SpinRegister(self.n)
         step = max(1, CHUNK_BYTES // k.nbytes)
@@ -312,6 +311,9 @@ class CoupledBasis:
             uk -= k @ r
             escape = np.abs(uk).max(axis=(1, 2))
             del uk  # not held while the caller works on r
+            require_none(escape > SECTOR_TOL, lambda t: (
+                f"the collective rotation of trial {first + t} leaves the logical "
+                f"sector (|U K - K R| = {escape[t]:.3e} > {SECTOR_TOL:g})"), ConsistencyError)
             yield r, escape
 
     @property

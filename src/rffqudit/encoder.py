@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import SECTOR_TOL, CoupledBasis, partial_trace_m2, require_sector_isometry
-from .errors import ConsistencyError, ContractViolationError, ValidationError
+from .errors import ConsistencyError, ContractViolationError, ValidationError, require_none
 from .linalg import dagger, hermitian_eig, identity, max_abs_diff
 
 PSD_TOL = 1e-10
@@ -71,13 +71,6 @@ class QuditState:
         object.__setattr__(self, "rho", rho)
 
 
-def _require_none(bad: np.ndarray, message, error=ValidationError) -> None:
-    """Raise error(message(i)) for the first index i at which bad holds."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise error(message(i))
-
-
 def _hermiticity_deviations(stack: np.ndarray) -> np.ndarray:
     """max |A - A^dag| of each matrix A of a stack (m, d, d)."""
     return np.abs(stack - dagger(stack)).max(axis=(1, 2))
@@ -90,7 +83,8 @@ def require_density(rho: np.ndarray, name: str = "state") -> None:
     stack = rho.reshape((-1,) + rho.shape[-2:])
 
     def require(bad: np.ndarray, text) -> None:
-        _require_none(bad, lambda i: f"{name if rho.ndim == 2 else f'{name} [{i}]'} {text(i)}")
+        require_none(bad, lambda i: f"{name if rho.ndim == 2 else f'{name} [{i}]'} {text(i)}",
+                     ValidationError)
 
     deviation = _hermiticity_deviations(stack)
     require(deviation > 1e-12, lambda i: f"is not hermitian (deviation {deviation[i]:.3e})")
@@ -98,6 +92,17 @@ def require_density(rho: np.ndarray, name: str = "state") -> None:
     require(abs(trace - 1) > 1e-12, lambda i: f"trace is {trace[i]:.15g}, expected 1")
     w, _ = hermitian_eig(stack)
     require(w[:, 0] < -PSD_TOL, lambda i: f"is not PSD: min eigenvalue {w[i, 0]:.3e}")
+
+
+def require_decoded(traced: np.ndarray) -> np.ndarray:
+    """The hermitian parts of a stack (T, d, d) of decoded states, each checked by
+    require_density; a failure is a failed encoding (ConsistencyError)."""
+    decoded = (traced + dagger(traced)) / 2
+    try:
+        require_density(decoded, "decoded state")
+    except ValidationError as exc:
+        raise ConsistencyError(f"the encoded payload fails to decode: {exc}") from exc
+    return decoded
 
 
 @dataclass(frozen=True)
@@ -117,11 +122,12 @@ class QuditPovm:
                     f"POVM element {k} must be {self.d}x{self.d}, got {e.shape}"
                 )
         stack = np.stack(elems)
-        _require_none(_hermiticity_deviations(stack) > 1e-12,
-                      lambda k: f"POVM element {k} is not hermitian")
+        require_none(_hermiticity_deviations(stack) > 1e-12,
+                     lambda k: f"POVM element {k} is not hermitian", ValidationError)
         w, _ = hermitian_eig(stack)
-        _require_none(w[:, 0] < -PSD_TOL,
-                      lambda k: f"POVM element {k} is not PSD: min eigenvalue {w[k, 0]:.3e}")
+        require_none(w[:, 0] < -PSD_TOL,
+                     lambda k: f"POVM element {k} is not PSD: min eigenvalue {w[k, 0]:.3e}",
+                     ValidationError)
         deviation = max_abs_diff(stack.sum(axis=0), identity(self.d))
         if deviation > 1e-10:
             raise ValidationError(
@@ -162,9 +168,9 @@ def _encoded(qs: CoupledBasis, kind: str, logical: np.ndarray) -> list[EncodedOp
     every frame for PSD; the error names the first failing one.
     """
     w, _ = hermitian_eig(logical)
-    _require_none(w[:, 0] < -PSD_TOL,
-                  lambda i: f"encoded {kind} is not PSD: min eigenvalue {w[i, 0]:.3e}",
-                  ConsistencyError)
+    require_none(w[:, 0] < -PSD_TOL,
+                 lambda i: f"encoded {kind} is not PSD: min eigenvalue {w[i, 0]:.3e}",
+                 ConsistencyError)
     return [EncodedOperator(n=qs.n, d=qs.d, kind=kind, fingerprint=qs.fingerprint,
                             frame=frame, basis=qs)
             for frame in encoded_frames(logical)]

@@ -2,7 +2,8 @@
 
 Every error raised by the library derives from RffError so callers (and the
 CLI) can map failures onto the documented exit codes: validation/usage
-problems versus failed mathematical checks.
+problems versus failed mathematical checks. require_none is the one spelling
+of "raise for the first failing index" that every module's checks share.
 """
 
 from __future__ import annotations
@@ -35,3 +36,9 @@ class ConsistencyError(RffError):
 
 class NumericalError(RffError):
     """A numerical routine failed to converge or produced non-finite data."""
+
+
+def require_none(bad, message, error: type[RffError]) -> None:
+    """Raise error(message(i)) for the first index i at which the boolean array bad holds."""
+    if bad.any():
+        raise error(message(int(bad.argmax())))

@@ -201,6 +201,8 @@ def matrix_from_json_dict(obj) -> np.ndarray:
     if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
         raise ValidationError("matrix JSON rows/cols must be positive integers")
     data = obj["data"]
+    if not isinstance(data, list):
+        raise ValidationError("matrix JSON data must be a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise ValidationError(
             f"matrix JSON data length {len(data)} != rows*cols = {rows * cols}"

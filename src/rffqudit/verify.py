@@ -50,6 +50,7 @@ from .encoder import (
     build_hws,
     decode_payload,
     hws_relations_residual,
+    require_decoded,
     require_density,
 )
 from .errors import ConsistencyError, ContractViolationError, ValidationError
@@ -190,15 +191,8 @@ def encoded_random_states(qs: CoupledBasis, trials: int,
 
 def _round_trip(rho: np.ndarray, frames: np.ndarray) -> float:
     """Worst |rho - decoded| with decoded = sum_k C_k, the partial trace over m2
-    of the frame, made hermitian and checked as a density matrix as
-    decode_payload does."""
-    decoded = frames.sum(axis=-3)
-    decoded = (decoded + dagger(decoded)) / 2
-    try:
-        require_density(decoded, "decoded state")
-    except ValidationError as exc:
-        raise ConsistencyError(f"the encoded payload fails to decode: {exc}") from exc
-    return max_abs_diff(rho, decoded)
+    of the frame, checked by encoder.require_decoded as the channel's are."""
+    return max_abs_diff(rho, require_decoded(frames.sum(axis=-3)))
 
 
 def _entropy_defect(rho: np.ndarray, frames: np.ndarray) -> float:
@@ -497,6 +491,8 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
         )
     if tol is not None and not (isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be positive and finite, got {tol}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     sized, census = {}, {}
     if n_values is not None:
         sized = {"n_values": tuple(n for n in n_values if n >= 3)}

@@ -77,3 +77,25 @@ def test_the_library_holds_no_process_state():
         if found:
             offenders[str(path.relative_to(PACKAGE))] = found
     assert offenders == {}
+
+
+def _argmax_calls(tree: ast.AST, exempt: str | None = None) -> list[int]:
+    """The line of each argmax call in tree outside the function named exempt."""
+    skipped = {id(node) for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef) and function.name == exempt
+               for node in ast.walk(function)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in skipped
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "argmax"]
+
+
+def test_first_failing_index_checks_share_one_spelling():
+    # "Raise for the first index at which a check fails" is errors.require_none;
+    # an argmax anywhere else in the package spells that policy again.
+    offenders = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = _argmax_calls(tree, "require_none" if path.name == "errors.py" else None)
+        if found:
+            offenders[str(path.relative_to(PACKAGE))] = found
+    assert offenders == {}

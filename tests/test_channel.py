@@ -338,7 +338,8 @@ def test_channel_report_does_not_depend_on_the_chunk_size(noise, monkeypatch):
 
 
 def test_a_leaking_trial_is_named(monkeypatch):
-    # A decoded trace below one fails the trace check of that trial alone.
+    # A decoded trace below one fails the trace check of that trial alone, as
+    # a failed claim: the decoded states come from the library's own payload.
     real = channel.partial_trace_m2
 
     def leak_in_trial_two(d, frames):
@@ -347,8 +348,43 @@ def test_a_leaking_trial_is_named(monkeypatch):
         return traced
 
     monkeypatch.setattr(channel, "partial_trace_m2", leak_in_trial_two)
-    with pytest.raises(ValidationError, match=r"decoded state \[2\] trace is 0\.899"):
+    with pytest.raises(ConsistencyError, match=r"decoded state \[2\] trace is 0\.899"):
         run_channel(ChannelConfig(n=3, trials=4, seed=1), QuditState(2, ZERO))
+
+
+def test_a_decoded_state_that_fails_its_checks_fails_the_claim(monkeypatch, capsys):
+    # 1.1 U K stays in the span of K, so every rotation passes its gate with
+    # R = 1.1 R_0; the decoded states then have trace 1.21.
+    real = coupling.collective_product_apply
+    monkeypatch.setattr(coupling, "collective_product_apply",
+                        lambda reg, u, vecs: 1.1 * real(reg, u, vecs))
+    assert cli.main(["channel", "--n", "3", "--trials", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "the encoded payload fails to decode: decoded state [0] trace is 1.21" in err
+
+
+@pytest.mark.parametrize("one_trial_per_chunk", (False, True))
+def test_rotations_name_the_trial_that_leaves_the_sector(monkeypatch, one_trial_per_chunk):
+    qs = build_coupled_basis(SpinRegister(3))
+    u = haar_su2([np.random.default_rng(6)] * 5)
+    real = coupling.collective_product_apply
+
+    def stray_in_trial_two(reg, chunk, vecs):
+        out = real(reg, chunk, vecs)
+        out[(chunk == u[2]).all(axis=(1, 2))] += 1e-6
+        return out
+
+    monkeypatch.setattr(coupling, "collective_product_apply", stray_in_trial_two)
+    if one_trial_per_chunk:
+        monkeypatch.setattr(coupling, "CHUNK_BYTES", 1)
+    yielded = []
+    with pytest.raises(ConsistencyError, match=r"the collective rotation of trial 2 leaves "
+                       r"the logical sector \(\|U K - K R\| = \S+ > 1e-09\)"):
+        for r, escape in qs.rotations(u):
+            assert (escape <= coupling.SECTOR_TOL).all()
+            yielded.append(len(r))
+    # Trials 0 and 1 pass their gate first when they are chunks of their own.
+    assert yielded == ([1, 1] if one_trial_per_chunk else [])
 
 
 def test_n10_channel_memory_is_bounded_by_the_chunk_budget(monkeypatch):

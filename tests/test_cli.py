@@ -569,6 +569,23 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", (["channel", "--n", "3"], ["verify", "--n-range", "3..3"]))
+def test_a_negative_seed_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "seed must be >= 0, got -5" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", (None, 5))
+def test_matrix_data_that_is_not_a_list_is_a_usage_error(capsys, tmp_path, data):
+    state = write_json(tmp_path / "state.json", {"rows": 2, "cols": 2, "data": data})
+    code, out, err = run_cli(capsys, "encode", "--n", "3", "--state", state)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "data must be a list" in err
+    assert "Traceback" not in err
+
+
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "x.json"
     code, out, err = run_cli(capsys, "census", "--n", "3", "--output", str(target))

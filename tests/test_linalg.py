@@ -208,6 +208,12 @@ def test_matrix_json_text_round_trip_is_stable():
     assert json.loads(text)["rows"] == 2
 
 
+@pytest.mark.parametrize("data", (None, 5))
+def test_matrix_from_json_dict_rejects_data_that_is_not_a_list(data):
+    with pytest.raises(ValidationError, match="data must be a list"):
+        matrix_from_json_dict({"rows": 2, "cols": 2, "data": data})
+
+
 def test_matrix_from_json_dict_rejects_bad_shape():
     with pytest.raises(ValidationError):
         matrix_from_json_dict({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
