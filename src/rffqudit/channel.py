@@ -53,6 +53,9 @@ from .spinsys import (
     SIGMA_Z,
     SpinRegister,
     haar_su2,
+    require_seed,
+    seeded_generator,
+    spawned_generators,
 )
 
 NOISE_MODES = ("haar", "fixed", "dephasing")
@@ -84,8 +87,7 @@ class ChannelConfig:
 
     def __post_init__(self):
         require_trials(self.trials)
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        require_seed(self.seed)
         if self.noise not in NOISE_MODES:
             raise ValidationError(
                 f"unknown noise mode {self.noise!r}; expected one of {NOISE_MODES}"
@@ -196,15 +198,18 @@ def _series_stats(values: np.ndarray) -> dict:
 
 
 def _noise_unitaries(cfg: ChannelConfig) -> np.ndarray:
-    """The (trials, 2, 2) stack of noise draws, trial t drawn from seed child t."""
+    """The (trials, 2, 2) stack of noise draws, trial t drawn from seed child t.
+
+    Trial t reads the stream of child t of SeedSequence(cfg.seed).spawn(trials)
+    that default_rng(child) would give, all children seeded in one hashed pass
+    (spinsys.spawned_generators), so the draws do not depend on how the trials
+    are grouped."""
     if cfg.noise == "fixed":
         ax = np.asarray(cfg.axis, dtype=float)
         generator = (ax[0] * SIGMA_X + ax[1] * SIGMA_Y + ax[2] * SIGMA_Z) / 2
         return np.broadcast_to(mat_exp_hermitian_generator(generator, cfg.angle),
                                (cfg.trials, 2, 2))
-    # The Generator that default_rng(child) builds; one live at a time
-    rngs = (np.random.Generator(np.random.PCG64(child))
-            for child in np.random.SeedSequence(cfg.seed).spawn(cfg.trials))
+    rngs = spawned_generators(cfg.seed, cfg.trials)
     if cfg.noise == "haar":
         return haar_su2(rngs)
     theta = np.array([rng.normal(loc=0.0, scale=cfg.width) for rng in rngs])
@@ -326,7 +331,7 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     of compress_lifted or of qs.rotations: ConsistencyError naming its trial.
     """
     require_trials(trials)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = seeded_generator(seed)
     draws = []
     for _ in range(trials):  # per trial: the state, then the POVM, then u
         rho = random_density(rng, qs.d)

@@ -83,9 +83,11 @@ SECTOR_TOL = 1e-9
 # all five trials of a verify row up to n = 9, one at a time from n = 10.
 ROW_BLOCK_BYTES = 4 * 2 ** 20
 # Bytes of U K (one K per trial) that one chunk of trials may hold; a chunk
-# holds at least one trial, and three or four arrays of its size are live
-# while it is rotated and gated. From n = 7 on, K alone exceeds it. Larger
-# chunks ran no faster at n = 3 and raised the process's peak RSS.
+# holds at least one trial. Two arrays of its size are live while it is
+# rotated (a pass's input and its product), and beside U K the gate holds one
+# weight class's rows and their product, each smaller than U K. From n = 7 on,
+# K alone exceeds it. Larger chunks ran no faster at n = 3 and raised the
+# process's peak RSS.
 CHUNK_BYTES = 64 * 2 ** 10
 
 
@@ -299,17 +301,25 @@ class CoupledBasis:
     def rotations(self, u) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(R, escape) of each U = u^(x n) of a stack u (T, 2, 2): R = K^dag U K and
         escape = max |U K - K R|, held to SECTOR_TOL before its chunk is yielded
-        (ConsistencyError names the first trial over it). u acts on K one
-        constituent at a time, in chunks of at most CHUNK_BYTES of U K (at least
-        one trial each)."""
+        (ConsistencyError names the first trial over it). U K comes from
+        collective_product_apply, four constituents per pass, in chunks of at
+        most CHUNK_BYTES of U K (at least one trial each). R and the escape are
+        taken on the weight blocks: the rows of R in class m2 = j2 - k are
+        B_k^dag (U K)[rows_k], the escape there is |(U K)[rows_k] - B_k R[k rows]|,
+        and on the all-up and all-down kets, where K is zero, it is |U K|."""
+        reg, size = SpinRegister(self.n), len(self.blocks)
         k = self.isometry
-        reg = SpinRegister(self.n)
         step = max(1, CHUNK_BYTES // k.nbytes)
         for first in range(0, len(u), step):
             uk = collective_product_apply(reg, u[first:first + step], k)
-            r = dagger(k) @ uk
-            uk -= k @ r
-            escape = np.abs(uk).max(axis=(1, 2))
+            r = np.empty((len(uk),) + (k.shape[1],) * 2, dtype=complex)
+            escape = np.abs(uk[:, [0, -1]]).max(axis=(1, 2))
+            for m, (rows, block) in enumerate(self.weight_classes):
+                strip = uk[:, rows]
+                r[:, m::size] = block.conj().T @ strip
+                strip -= block @ r[:, m::size]
+                escape = np.maximum(escape, np.abs(strip).max(axis=(1, 2)))
+                del strip  # not held beside the next class's
             del uk  # not held while the caller works on r
             require_none(escape > SECTOR_TOL, lambda t: (
                 f"the collective rotation of trial {first + t} leaves the logical "

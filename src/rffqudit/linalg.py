@@ -83,11 +83,12 @@ def mat_exp_hermitian_generator(h, t) -> np.ndarray:
     """exp(-i*t*h) for hermitian h, via spectral decomposition.
 
     For an array of times t (...), returns the stack (..., m, m) of
-    exponentials from one eigendecomposition of h.
+    exponentials from one eigendecomposition of h; a stack h (T, m, m) with
+    times t (T,) gives the stack of exp(-i t_k h_k).
     """
     w, v = hermitian_eig(h)
     phases = np.exp(-1j * np.asarray(t)[..., None] * w)
-    return (v * phases[..., None, :]) @ v.conj().T
+    return (v * phases[..., None, :]) @ dagger(v)
 
 
 def partial_trace(a, n_factors: int, traced_factor: int) -> np.ndarray:

@@ -15,13 +15,14 @@ built from that one map on product-ket indices, permutation_indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations as _all_perms
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError, SizeLimitError
-from .linalg import as_matrices, as_matrix, identity
+from .errors import ContractViolationError, SizeLimitError, ValidationError
+from .linalg import as_matrices, as_matrix, identity, mat_exp_hermitian_generator
 
 # The largest register the package builds: its 2**n x 2**n operators are 4 GiB.
 MAX_CONSTITUENTS = 14
@@ -104,24 +105,69 @@ def total_J(reg: SpinRegister) -> TotalJ:
     return TotalJ(jx, jy, jz, j_minus, j_squared)
 
 
+def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Jx, Jy, Jz) of a spin j in the basis m = j, j-1, ..., -j.
+
+    J+ carries the ladder elements sqrt(j(j+1) - m(m+1)) with no phases, the
+    convention the coupled kets are built in.
+    """
+    j = Fraction(j)
+    m = np.array([float(j - k) for k in range(int(2 * j) + 1)])
+    j_plus = np.diag(np.sqrt(float(j * (j + 1)) - m[1:] * (m[1:] + 1)), k=1)
+    return (
+        (j_plus + j_plus.T).astype(complex) / 2,
+        (j_plus - j_plus.T).astype(complex) / 2j,
+        np.diag(m).astype(complex),
+    )
+
+
+def wigner_d(j, u) -> np.ndarray:
+    """D^j(u) = exp(-i theta n.J^(j)) for u = cos(theta/2) I - i sin(theta/2) n.sigma in SU(2).
+
+    The spin-j image of u, in the basis of spin_matrices(j): u^(x n) acts on
+    a spin-j multiplet as D^j(u). theta is taken in [0, 2 pi] and n from u's
+    Pauli components (n = z when they vanish, where u = -I needs theta = 2 pi).
+    A stack u (T, 2, 2) gives the stack (T, 2j+1, 2j+1), from one stacked eigh.
+    """
+    u = as_matrices(u)
+    # u = a I - i b.sigma with a = Tr(u)/2 and b_k = i Tr(u sigma_k)/2
+    a = np.trace(u, axis1=-2, axis2=-1).real / 2
+    b = np.stack([(1j * np.einsum("...ij,ji->...", u, pauli) / 2).real
+                  for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z)], axis=-1)
+    norm = np.linalg.norm(b, axis=-1)
+    axis = np.where(norm[..., None] > 0, b / np.where(norm > 0, norm, 1.0)[..., None],
+                    [0.0, 0.0, 1.0])
+    generator = np.einsum("...k,kij->...ij", axis, np.array(spin_matrices(j)))
+    return mat_exp_hermitian_generator(generator, 2 * np.arctan2(norm, a))
+
+
 def collective_product_apply(reg: SpinRegister, u, vecs) -> np.ndarray:
-    """kron_power(reg, u) @ vecs, contracting u with one tensor slot at a time.
+    """kron_power(reg, u) @ vecs, contracting u^(x g) with up to four tensor slots at a time.
 
     u is one 2x2 matrix, giving an array shaped like vecs, or a stack (T, 2, 2),
-    giving (T, 2**n, cols) with one product per stacked u. Each leg is one
-    stacked 2x2 product over all T, so a stack costs no Python loop per u.
+    giving (T, 2**n, cols) with one product per stacked u; one u is a stack of
+    one. Each pass views the data as (T, 2**a, 2**g, rest), a the slots done,
+    and multiplies it by the stacked u^(x g) (T, 2**g, 2**g) in place of the
+    g slots, so no axis is moved and each pass forms one array the size of the
+    result. The n mod 4 odd slots go first, where a pass is one product per u.
     """
     stack = as_matrices(u)
     if stack.ndim > 3 or stack.shape[-2:] != (2, 2):
         raise ContractViolationError(f"expected a 2x2 matrix or a stack, got {stack.shape}")
     single, stack = stack.ndim == 2, stack.reshape(-1, 2, 2)
     vecs = np.asarray(vecs, dtype=complex)
-    t = vecs.reshape((1,) + (2,) * reg.n + (-1,))
-    cols = t.shape[-1]
-    for axis in range(1, reg.n + 1):
-        moved = np.moveaxis(t, axis, 1)
-        out = stack @ moved.reshape(len(moved), 2, reg.dim // 2 * cols)
-        t = np.moveaxis(out.reshape((len(stack),) + moved.shape[1:]), 1, axis)
+    cols = vecs.size // reg.dim
+    legs = [reg.n % 4] * (reg.n % 4 > 0) + [4] * (reg.n // 4)
+    powers, power = {1: stack}, stack  # u^(x g) of each stacked u, by g
+    for g in range(2, max(legs) + 1):
+        power = (power[:, :, None, :, None] * stack[:, None, :, None, :]).reshape(
+            len(stack), 2 ** g, 2 ** g)
+        powers[g] = power
+    t, done = vecs.reshape(1, reg.dim, cols), 0
+    for g in legs:
+        rest = 2 ** (reg.n - done - g) * cols
+        t = powers[g][:, None] @ t.reshape(len(t), 2 ** done, 2 ** g, rest)
+        done += g
     if single:
         return t.reshape(vecs.shape)
     return t.reshape(len(stack), reg.dim, cols)
@@ -232,3 +278,86 @@ def haar_su2(rng) -> np.ndarray:
     q = q * (d / np.abs(d))[..., None, :]
     det = np.asarray(np.linalg.det(q))
     return q / np.sqrt(det)[..., None, None]
+
+
+def require_seed(seed) -> int:
+    """seed as an int; ValidationError unless it is a non-negative integer (a bool is not)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
+def seeded_generator(seed) -> np.random.Generator:
+    """The one stream of a seed: default_rng(seed), the stream of SeedSequence(seed)."""
+    return np.random.default_rng(require_seed(seed))
+
+
+def spawned_generators(seed, trials: int) -> Iterator[np.random.Generator]:
+    """The streams of the children SeedSequence(seed).spawn(trials), in order.
+
+    Yields one reused Generator whose bit generator is set to child t's
+    PCG64 state before the t-th yield, so each stream is read before the next
+    is taken; its draws are those of default_rng(child). The seed and trials
+    are checked, and every state computed, before the first yield.
+
+    The children are hashed for every t at once, with no SeedSequence object
+    per child: NumPy's SeedSequence hash of the seed's 32-bit words, padded to
+    the pool size 4, with the spawn key (t,) appended, in uint32 arrays over t.
+    generate_state(4, uint64) then gives each child's 128-bit seed and
+    increment, which PCG64's srandom turns into its (state, inc) (O'Neill,
+    PCG, HMC-CS-2014-0905).
+    """
+    seed = require_seed(seed)
+    if not 0 <= trials < 2 ** 32:
+        raise ContractViolationError(f"spawned streams take 0 <= trials < 2**32, got {trials}")
+    mask, pool_size = 2 ** 32 - 1, 4
+    words = [seed >> 32 * i & mask for i in range(max(1, -(-seed.bit_length() // 32)))]
+    words += [0] * (pool_size - len(words))
+    entropy = np.empty((len(words) + 1, trials), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(trials)  # the spawn key (t,)
+    # NumPy's INIT_A and MULT_A, MIX_MULT_L and MIX_MULT_R, then INIT_B and MULT_B
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * 0x931E8875 & mask
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = 0xCA01F9DD * x - 0x4973F715 * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i]) for i in range(pool_size)]
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(pool_size, len(entropy)):
+        for dst in range(pool_size):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    hash_const, out = 0x8B51F9DD, []
+    for i in range(8):  # generate_state(4, uint64): eight 32-bit words, low word first
+        value = pool[i % pool_size] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & mask
+        value = value * hash_const
+        out.append((value ^ (value >> 16)).astype(np.uint64))
+    halves = [(out[2 * i] | out[2 * i + 1] << np.uint64(32)).tolist() for i in range(4)]
+    multiplier, mask128 = 2549297995355413924 << 64 | 4865540595714422341, 2 ** 128 - 1
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*halves):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & mask128
+        # srandom: state 0, a step, state += initstate, another step
+        states.append((((inc + (seed_hi << 64 | seed_lo)) * multiplier + inc) & mask128, inc))
+    generator = np.random.Generator(np.random.PCG64(0))
+
+    def stream(state: int, inc: int) -> np.random.Generator:
+        generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                         "uinteger": 0, "state": {"state": state, "inc": inc}}
+        return generator
+
+    return (stream(state, inc) for state, inc in states)

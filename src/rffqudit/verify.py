@@ -62,6 +62,9 @@ from .spinsys import (
     haar_su2,
     permutation_indices,
     permutation_operator,
+    require_seed,
+    seeded_generator,
+    wigner_d,
 )
 
 DEFAULT_SEED = 1234
@@ -148,7 +151,7 @@ def q_algebra_residuals(qs: CoupledBasis) -> dict:
     once. P is zero off its weight-class blocks P_k = B_k H B_k^dag, so the
     pairing is max_k |P_k - P_k^dag| over the blocks of lift_blocks.
     """
-    blocks = qs.lift_blocks(random_density(np.random.default_rng(DEFAULT_SEED), qs.d))
+    blocks = qs.lift_blocks(random_density(seeded_generator(DEFAULT_SEED), qs.d))
     isometry = qs.gate_residuals
     return {"hermitian-pairing": max(max_abs_diff(p, dagger(p)) for p in blocks),
             "trace": isometry["trace"], "closure": isometry["gram"],
@@ -157,20 +160,24 @@ def q_algebra_residuals(qs: CoupledBasis) -> dict:
 
 def rotation_invariance_residual(qs: CoupledBasis, trials: int,
                                  seed: int = DEFAULT_SEED) -> float:
-    """Worst of |U K - K R| and |R - I_d (x) r| over random collective rotations U.
+    """Worst of |U K - K R| and |R - I_d (x) D^j2(u)| over random collective rotations U.
 
-    R = K^dag U K and r is its lambda = 1 block, both from qs.rotations. The
-    residual is zero exactly when U keeps K's span and acts on m2 alone, the
-    same on every lambda, which is when every Q(l,l') = K_l K_l'^dag survives U.
+    R = K^dag U K and the escape come from qs.rotations; D^j2(u) is the spin-j2
+    image of u, exp(-i theta n.J^(j2)), built from the spin matrices alone
+    (spinsys.wigner_d), so it does not rest on K or on the rotation routine.
+    The residual is zero exactly when U keeps K's span and acts on m2 alone
+    as the spin-j2 rotation, the same on every lambda, which is when every
+    Q(l,l') = K_l K_l'^dag survives U.
     """
     require_trials(trials)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = seeded_generator(seed)
     u = haar_su2([rng] * trials)  # bit-identical to drawing them one at a time
-    d = qs.d
-    worst = 0.0
+    expected = np.kron(identity(qs.d), wigner_d(qs.j2, u))
+    worst, first = 0.0, 0
     for r, escape in qs.rotations(u):
         worst = max(worst, float(escape.max()),
-                    max_abs_diff(r, np.kron(identity(d), r[:, :d, :d])))
+                    max_abs_diff(r, expected[first:first + len(r)]))
+        first += len(r)
     return worst
 
 
@@ -183,7 +190,7 @@ def encoded_random_states(qs: CoupledBasis, trials: int,
     payload off the logical sector.
     """
     require_trials(trials)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = seeded_generator(seed)
     rho = np.array([random_density(rng, qs.d) for _ in range(trials)])
     require_density(rho)
     return rho, qs.compress_lifted(rho / qs.d)
@@ -324,6 +331,7 @@ def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
 def suite_encoder(n_values=(3, 4, 5, 6), seed: int = DEFAULT_SEED,
                   tol: float | None = None,
                   bases: Callable | None = None) -> list[CheckResult]:
+    require_seed(seed)
     bases = fourier_bases() if bases is None else bases
     algebra = functools.cache(lambda n: q_algebra_residuals(bases(n)))
     # The round-trip and entropy rows read one stacked lift of the same states.
@@ -491,8 +499,7 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
         )
     if tol is not None and not (isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be positive and finite, got {tol}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    require_seed(seed)
     sized, census = {}, {}
     if n_values is not None:
         sized = {"n_values": tuple(n for n in n_values if n >= 3)}

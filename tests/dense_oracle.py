@@ -21,23 +21,8 @@ from rffqudit.spinsys import (
     SIGMA_Z,
     SpinRegister,
     product_ket,
+    spin_matrices,
 )
-
-
-def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jx, Jy, Jz) of a spin j in the basis m = j, j-1, ..., -j.
-
-    J+ carries the ladder elements sqrt(j(j+1) - m(m+1)) with no phases, the
-    convention the coupled kets are built in.
-    """
-    j = Fraction(j)
-    m = np.array([float(j - k) for k in range(int(2 * j) + 1)])
-    j_plus = np.diag(np.sqrt(float(j * (j + 1)) - m[1:] * (m[1:] + 1)), k=1)
-    return (
-        (j_plus + j_plus.T).astype(complex) / 2,
-        (j_plus - j_plus.T).astype(complex) / 2j,
-        np.diag(m).astype(complex),
-    )
 
 
 def collective_apply(reg: SpinRegister, single, vecs, weights=None) -> np.ndarray:

@@ -79,6 +79,27 @@ def test_the_library_holds_no_process_state():
     assert offenders == {}
 
 
+SEEDING_NAMES = {"SeedSequence", "default_rng", "PCG64"}
+
+
+def test_every_stream_is_seeded_by_the_two_seeding_helpers():
+    # One path from a seed to its streams: spinsys.seeded_generator for one
+    # stream and spinsys.spawned_generators for one per trial.
+    offenders = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helpers = {id(node) for function in ast.walk(tree)
+                   if isinstance(function, ast.FunctionDef) and path.name == "spinsys.py"
+                   and function.name in ("seeded_generator", "spawned_generators")
+                   for node in ast.walk(function)}
+        found = [node.lineno for node in ast.walk(tree) if id(node) not in helpers
+                 and (getattr(node, "attr", None) in SEEDING_NAMES
+                      or getattr(node, "id", None) in SEEDING_NAMES)]
+        if found:
+            offenders[str(path.relative_to(PACKAGE))] = found
+    assert offenders == {}
+
+
 def _argmax_calls(tree: ast.AST, exempt: str | None = None) -> list[int]:
     """The line of each argmax call in tree outside the function named exempt."""
     skipped = {id(node) for function in ast.walk(tree)

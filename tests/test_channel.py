@@ -68,6 +68,14 @@ def test_config_validation():
                       axis=(0, 0, 1), angle=0.5)
 
 
+@pytest.mark.parametrize("seed", (-1, 1.5, True))
+def test_every_seeded_entry_point_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValidationError, match="seed must be"):
+        ChannelConfig(n=3, trials=2, seed=seed)
+    with pytest.raises(ValidationError, match="seed must be"):
+        born_rule_harness(build_coupled_basis(SpinRegister(3)), 5, seed)
+
+
 def test_run_channel_rejects_mismatched_state():
     cfg = ChannelConfig(n=4, trials=1, seed=1)
     with pytest.raises(ValidationError, match="dimension"):
@@ -389,9 +397,9 @@ def test_rotations_name_the_trial_that_leaves_the_sector(monkeypatch, one_trial_
 
 def test_n10_channel_memory_is_bounded_by_the_chunk_budget(monkeypatch):
     # A chunk holds at most CHUNK_BYTES of U K (one K per trial), or one trial
-    # if K alone is larger. The leg-by-leg product peaks at three chunk-sized
-    # arrays (the tensor, its contiguous copy and the product), and nothing of
-    # a chunk may be held into the next. The basis is built before tracing
+    # if K alone is larger. The bound allows three chunk-sized arrays; the
+    # grouped product holds two (a pass's input and its product), and nothing
+    # of a chunk may be held into the next. The basis is built before tracing
     # starts, so the peak is the trials'.
     # 64 trials of U K at n = 10 are 81 MB, so one unchunked stack alone
     # would break the bound.
@@ -500,3 +508,15 @@ def test_draws_from_one_generator_equal_the_old_draws_bit_for_bit(seed):
     assert np.array_equal(haar_su2([rng] * trials), old)
     single = haar_su2(np.random.default_rng(seed))
     assert np.array_equal(single, _old_haar_su2([np.random.default_rng(seed)])[0])
+
+
+@pytest.mark.parametrize("seed", (2 ** 64, 2 ** 64 + 5, 3 * 2 ** 100 + 1))
+def test_noise_draws_equal_numpys_per_child_draws_for_wide_seeds(seed):
+    trials = 2000
+    children = np.random.SeedSequence(seed).spawn(trials)
+    haar = _noise_unitaries(ChannelConfig(n=3, trials=trials, seed=seed))
+    assert np.array_equal(haar, _old_haar_su2(np.random.default_rng(c) for c in children))
+    dephasing = _noise_unitaries(
+        ChannelConfig(n=3, trials=trials, seed=seed, noise="dephasing", width=0.3))
+    theta = np.array([np.random.default_rng(c).normal(loc=0.0, scale=0.3) for c in children])
+    assert np.array_equal(dephasing, mat_exp_hermitian_generator(SIGMA_Z / 2, theta))

@@ -26,7 +26,15 @@ from rffqudit.coupling import (
 )
 from rffqudit.errors import ConsistencyError, ContractViolationError, ValidationError
 from rffqudit.linalg import dagger, identity, max_abs_diff
-from rffqudit.spinsys import SpinRegister, product_ket, sigma, swap, total_J
+from rffqudit.spinsys import (
+    SpinRegister,
+    haar_su2,
+    kron_power,
+    product_ket,
+    sigma,
+    swap,
+    total_J,
+)
 
 W4 = 1j  # exp(2 pi i / 4)
 
@@ -300,3 +308,26 @@ def test_sector_census_at_n12_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+@pytest.mark.parametrize("chunk_bytes", (1, coupling.CHUNK_BYTES))
+@pytest.mark.parametrize("n", range(3, 7))
+def test_rotations_on_the_blocks_match_the_dense_rotation(monkeypatch, n, chunk_bytes):
+    # R and the escape from the weight blocks against K^dag U K and
+    # |U K - K R| formed with the dense u^(x n), one trial at a time or in chunks.
+    monkeypatch.setattr(coupling, "CHUNK_BYTES", chunk_bytes)
+    qs = build_coupled_basis(SpinRegister(n))
+    rng = np.random.default_rng([n, 23])
+    u = np.array([haar_su2(rng) for _ in range(6)])
+    chunks = list(qs.rotations(u))
+    step = max(1, chunk_bytes // qs.isometry.nbytes)
+    assert [len(chunk) for chunk, _ in chunks] == [min(step, 6 - first)
+                                                   for first in range(0, 6, step)]
+    r = np.concatenate([chunk for chunk, _ in chunks])
+    escape = np.concatenate([e for _, e in chunks])
+    k = qs.isometry
+    for t, one in enumerate(u):
+        uk = kron_power(SpinRegister(n), one) @ k
+        dense = dagger(k) @ uk
+        assert max_abs_diff(r[t], dense) < 1e-14
+        assert abs(escape[t] - np.abs(uk - k @ dense).max()) < 1e-14

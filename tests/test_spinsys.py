@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dense_oracle import collective_apply, collective_j_squared, spin_matrices
-from rffqudit.errors import ContractViolationError, SizeLimitError
+from dense_oracle import collective_apply, collective_j_squared
+from rffqudit.errors import ContractViolationError, SizeLimitError, ValidationError
 from rffqudit.linalg import dagger, identity, mat_exp_hermitian_generator, max_abs_diff
 from rffqudit.spinsys import (
     Permutation,
@@ -19,10 +21,14 @@ from rffqudit.spinsys import (
     permutation_operator,
     product_ket,
     sigma,
+    seeded_generator,
     singlet_projector,
+    spawned_generators,
+    spin_matrices,
     swap,
     total_J,
     transposition,
+    wigner_d,
 )
 
 AXES = ("x", "y", "z")
@@ -287,7 +293,7 @@ def test_swap_equals_the_pauli_dot_product_exactly(n):
                 assert np.array_equal(swap(reg, j, k), (identity(reg.dim) + dot) / 2)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 10))  # every n mod 4, grouped legs and remainder
 def test_collective_product_apply_matches_kron_power(n):
     reg = SpinRegister(n)
     u = haar_su2(np.random.default_rng(n))
@@ -350,3 +356,59 @@ def test_haar_su2_is_seed_deterministic():
     np.testing.assert_array_equal(a, b)
     c = haar_su2(np.random.default_rng(124))
     assert max_abs_diff(a, c) > 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 192 - 1), st.integers(1, 64))
+def test_spawned_streams_start_in_the_states_of_numpys_children(seed, trials):
+    children = np.random.SeedSequence(seed).spawn(trials)
+    got = [gen.bit_generator.state for gen in spawned_generators(seed, trials)]
+    assert got == [np.random.PCG64(child).state for child in children]
+
+
+@pytest.mark.parametrize("seed", (0, 2 ** 32 + 7, 2 ** 64 - 1, 3 * 2 ** 70 + 11))
+def test_spawned_streams_draw_what_numpys_children_draw(seed):
+    children = np.random.SeedSequence(seed).spawn(300)
+    got = [gen.standard_normal(3) for gen in spawned_generators(seed, 300)]
+    assert np.array_equal(got, [np.random.default_rng(c).standard_normal(3) for c in children])
+
+
+def test_spawned_streams_refuse_what_one_spawn_key_word_cannot_hold():
+    for trials in (2 ** 32, -1):
+        with pytest.raises(ContractViolationError, match="2\\*\\*32"):
+            spawned_generators(1, trials)
+    assert list(spawned_generators(1, 0)) == []
+
+
+@pytest.mark.parametrize("seed", (-1, 1.5, True, "3", None))
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused(seed):
+    for make in (seeded_generator, lambda s: spawned_generators(s, 2)):
+        with pytest.raises(ValidationError, match="seed must be"):
+            make(seed)
+
+
+def test_a_seeded_stream_is_default_rngs():
+    assert np.array_equal(seeded_generator(np.int64(12)).standard_normal(4),
+                          np.random.default_rng(12).standard_normal(4))
+
+
+@pytest.mark.parametrize("two_j", range(0, 7))
+def test_wigner_d_is_a_representation_of_su2(two_j):
+    j = two_j / 2
+    rng = np.random.default_rng(two_j)
+    a, b = haar_su2(rng), haar_su2(rng)
+    da, db = wigner_d(j, a), wigner_d(j, b)
+    assert max_abs_diff(wigner_d(j, a @ b), da @ db) < 1e-13
+    assert max_abs_diff(da @ dagger(da), identity(two_j + 1)) < 1e-13
+    assert max_abs_diff(wigner_d(j, -identity(2)), (-1) ** two_j * identity(two_j + 1)) < 1e-13
+    assert max_abs_diff(wigner_d(j, identity(2)), identity(two_j + 1)) == 0
+    # the generators: D(exp(-i t sigma_a / 2)) = exp(-i t J_a)
+    for pauli, j_a in zip((sigma(SpinRegister(1), 1, x) for x in AXES), spin_matrices(j)):
+        rotation = mat_exp_hermitian_generator(pauli / 2, 0.7)
+        assert max_abs_diff(wigner_d(j, rotation), mat_exp_hermitian_generator(j_a, 0.7)) < 1e-13
+    assert max_abs_diff(wigner_d(j, np.array([a, b])), np.array([da, db])) < 1e-14
+
+
+def test_wigner_d_of_a_spin_half_is_u_itself():
+    u = np.array([haar_su2(np.random.default_rng([3, t])) for t in range(8)])
+    assert max_abs_diff(wigner_d(0.5, u), u) < 1e-14

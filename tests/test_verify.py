@@ -258,6 +258,29 @@ def test_one_escaping_trial_fails_the_channel_and_both_rotation_rows(monkeypatch
     assert failed == {"encoder:rotation-invariance:n=3", "encoder:born:n=3"}
 
 
+@pytest.mark.parametrize("n", (3, 5))
+def test_a_rotation_scaled_by_one_point_one_fails_the_rotation_row(monkeypatch, n):
+    # 1.1 U K stays in the span of K (escape 0), and R = 1.1 (I_d (x) D) is
+    # still I_d (x) r, so only the comparison with D^j2(u) sees it.
+    real = coupling.collective_product_apply
+    monkeypatch.setattr(coupling, "collective_product_apply",
+                        lambda reg, u, vecs: 1.1 * real(reg, u, vecs))
+    qs = build_coupled_basis(SpinRegister(n))
+    assert rotation_invariance_residual(qs, 20) > 0.01
+    row = next(r for r in run_suite("encoder", n_values=(n,)) if "rotation" in r.id)
+    assert not row.passed and row.residual > 0.01
+
+
+def test_the_rotation_row_reads_the_round_off_of_the_spin_j2_rotation():
+    for n in (3, 5, 8):
+        assert rotation_invariance_residual(build_coupled_basis(SpinRegister(n)), 20) < 1e-13
+
+
+def test_the_encoder_suite_refuses_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        verify.suite_encoder(n_values=(3,), seed=-1)
+
+
 def test_a_raising_row_fails_at_any_tolerance(monkeypatch):
     _gate_fails_at_4(monkeypatch)
     rows = verify.suite_encoder(n_values=(4,), tol=float("inf"))
