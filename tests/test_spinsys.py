@@ -366,13 +366,6 @@ def test_spawned_streams_start_in_the_states_of_numpys_children(seed, trials):
     assert got == [np.random.PCG64(child).state for child in children]
 
 
-@pytest.mark.parametrize("seed", (0, 2 ** 32 + 7, 2 ** 64 - 1, 3 * 2 ** 70 + 11))
-def test_spawned_streams_draw_what_numpys_children_draw(seed):
-    children = np.random.SeedSequence(seed).spawn(300)
-    got = [gen.standard_normal(3) for gen in spawned_generators(seed, 300)]
-    assert np.array_equal(got, [np.random.default_rng(c).standard_normal(3) for c in children])
-
-
 def test_spawned_streams_refuse_what_one_spawn_key_word_cannot_hold():
     for trials in (2 ** 32, -1):
         with pytest.raises(ContractViolationError, match="2\\*\\*32"):
