@@ -52,6 +52,7 @@ from .spinsys import (
     SIGMA_Y,
     SIGMA_Z,
     SpinRegister,
+    _haar_su2_of,
     haar_su2,
     require_seed,
     seeded_generator,
@@ -286,26 +287,38 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
     """A random full-rank density matrix (normalized Wishart draw)."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho)
+    return _random_density_of(rng.standard_normal((2, d, d)))
+
+
+def _random_density_of(z: np.ndarray) -> np.ndarray:
+    """random_density's draw from standard normals z (..., 2, d, d): G G^dag / Tr
+    for G = z[..., 0, :, :] + i z[..., 1, :, :], one density per leading index."""
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    rho = g @ dagger(g)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
 
 
 def random_povm(rng: np.random.Generator, d: int, elements: int) -> QuditPovm:
     """A random POVM: PSD draws A_k whitened by the inverse root of their sum.
 
-    The real and imaginary parts of every G_k come from one normal draw, in the
-    order of drawing them element by element; A_k = G_k G_k^dag.
+    The real and imaginary parts of every G_k come from one standard_normal
+    call, in the order of drawing them element by element; A_k = G_k G_k^dag.
     """
     if elements < 1:
         raise ValidationError("a POVM needs at least one element")
-    parts = rng.normal(size=(elements, 2, d, d))
-    g = parts[:, 0] + 1j * parts[:, 1]
+    z = rng.standard_normal((elements, 2, d, d))
+    return QuditPovm(d=d, elements=tuple(_random_povm_of(z)))
+
+
+def _random_povm_of(z: np.ndarray) -> np.ndarray:
+    """random_povm's elements from standard normals z (..., elements, 2, d, d):
+    a stack (..., elements, d, d), one POVM per leading index."""
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
     draws = g @ dagger(g)
-    w, v = np.linalg.eigh(draws.sum(axis=0))
-    inv_root = (v / np.sqrt(w)) @ v.conj().T
-    elems = inv_root @ draws @ inv_root
-    return QuditPovm(d=d, elements=tuple((elems + dagger(elems)) / 2))
+    w, v = np.linalg.eigh(draws.sum(axis=-3))
+    inv_root = (v / np.sqrt(w)[..., None, :]) @ dagger(v)
+    elems = inv_root[..., None, :, :] @ draws @ inv_root[..., None, :, :]
+    return (elems + dagger(elems)) / 2
 
 
 class BornReport(NamedTuple):
@@ -331,12 +344,12 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     of compress_lifted or of qs.rotations: ConsistencyError naming its trial.
     """
     require_trials(trials)
-    rng = seeded_generator(seed)
-    draws = []
-    for _ in range(trials):  # per trial: the state, then the POVM, then u
-        rho = random_density(rng, qs.d)
-        draws.append((rho, random_povm(rng, qs.d, qs.d + 1).elements, haar_su2(rng)))
-    rho, elements, u = (np.array(column) for column in zip(*draws))
+    d = qs.d
+    # per trial, from one standard_normal call: the state, then the POVM, then u
+    z = seeded_generator(seed).standard_normal((trials, 2 * d * d * (d + 2) + 8))
+    rho = _random_density_of(z[:, :2 * d * d].reshape(trials, 2, d, d))
+    elements = _random_povm_of(z[:, 2 * d * d:-8].reshape(trials, d + 1, 2, d, d))
+    u = _haar_su2_of(z[:, -8:].reshape(trials, 2, 2, 2))
     require_density(rho)
     logical = rho / qs.d
     frames = qs.compress_lifted(logical)

@@ -425,6 +425,7 @@ def cmd_verify(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
             [[r.id, r.description, repr(r.residual), repr(r.tolerance), r.passed]
              for r in results],
         )
+    clock.lap("verify:serialisation")
     return text, [f"FAILED {r.id}: residual {r.residual:.6e} exceeds tolerance {r.tolerance:g}"
                   for r in results if not r.passed]
 

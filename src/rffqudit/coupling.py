@@ -62,13 +62,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ContractViolationError, ValidationError, require_none
 from .linalg import dagger, identity, max_abs_diff
-from .spinsys import (
-    SpinRegister,
-    collective_product_apply,
-    permutation_indices,
-    product_ket,
-    transposition,
-)
+from .spinsys import SpinRegister, collective_product_apply, product_ket
 
 ISOMETRY_TOL = 1e-10
 COUPLING_TOL = 1e-12
@@ -461,25 +455,24 @@ def sector_membership_residual(basis: CoupledBasis) -> float:
     construction: each block lives on its weight class alone."""
     n = basis.n
     jj = float(basis.j2 * (basis.j2 + 1))
-    rows = [rows for rows, _ in basis.weight_classes]
     worst = 0.0
-    for block, swapped in zip(basis.blocks, _transposed_positions(SpinRegister(n), rows)):
+    for rows, block in basis.weight_classes:
         j_squared = n * (4 - n) / 4 * block
-        for positions in swapped:
+        for positions in _transposed_positions(n, rows):  # one P_lk at a time: flat memory
             j_squared += block[positions]
         worst = max(worst, max_abs_diff(j_squared, jj * block))
     return worst
 
 
-def _transposed_positions(reg: SpinRegister, classes) -> Iterator[list[np.ndarray]]:
-    """For each class of product-ket indices (ascending, closed under
-    permutations), one array p per transposition (l k), l < k: P_lk sends the
-    ket at position i of the class to position p[i]."""
-    n = reg.n
-    swaps = [permutation_indices(reg, transposition(n, l, k))
-             for l in range(1, n + 1) for k in range(l + 1, n + 1)]
-    for rows in classes:
-        yield [np.searchsorted(rows, dst[rows]) for dst in swaps]
+def _transposed_positions(n: int, rows: np.ndarray) -> np.ndarray:
+    """The (pairs, len(rows)) positions p of a class of product-ket indices
+    (ascending, closed under permutations): row (l k), l < k in order, sends
+    the ket at position i of the class to position p[i]. P_lk flips bits
+    n - l and n - k where they differ."""
+    first, second = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    low, high = (n - 1 - first)[:, None], (n - 1 - second)[:, None]
+    differ = ((rows >> low) ^ (rows >> high)) & 1
+    return np.searchsorted(rows, rows ^ (differ << low | differ << high))
 
 
 def symmetric_singlets(reg: SpinRegister) -> list[np.ndarray]:
@@ -537,19 +530,20 @@ def sector_census(reg: SpinRegister) -> list[SectorSpec]:
             f"census total {total} != 2**{n}; the multiplicity formula is broken"
         )
 
-    rows = weight_rows(n)
-    for w, swapped in enumerate(_transposed_positions(reg, rows)):
-        m = Fraction(n, 2) - w
-        block = np.eye(len(rows[w])) * (n * (4 - n) / 4)
-        for positions in swapped:
-            block[positions, np.arange(len(rows[w]))] += 1
-        predicted = sorted(float(s.j * (s.j + 1))
-                           for s in specs if s.j >= abs(m) for _ in range(s.multiplicity))
+    j = np.array([float(s.j) for s in reversed(specs)])  # ascending
+    copies = np.array([s.multiplicity for s in reversed(specs)])
+    for w, rows in enumerate(weight_rows(n)):
+        m, columns = Fraction(n, 2) - w, np.arange(len(rows))
+        block = np.eye(len(rows)) * (n * (4 - n) / 4)
+        for positions in _transposed_positions(n, rows):  # faster than np.add.at
+            block[positions, columns] += 1
+        kept = j >= abs(n / 2 - w)
+        predicted = np.repeat(j[kept] * (j[kept] + 1), copies[kept])
         found = np.linalg.eigvalsh(block)
         if len(found) != len(predicted) or max_abs_diff(found, predicted) > 1e-8:
             raise ConsistencyError(f"J^2 block m={m}: census predicts {len(predicted)} "
-                                   f"eigenvalues in {sorted(set(predicted))}, the block has "
-                                   f"{len(found)} in {np.unique(found.round(8)).tolist()}")
+                                   f"eigenvalues in {np.unique(predicted).tolist()}, the block "
+                                   f"has {len(found)} in {np.unique(found.round(8)).tolist()}")
     return specs
 
 

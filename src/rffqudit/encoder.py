@@ -284,10 +284,9 @@ def hws_relations_residual(pair: HwsPair) -> float:
     for _ in range(pair.d):
         u_pow.append(u_pow[-1] @ pair.clock)
         v_pow.append(v_pow[-1] @ pair.shift)
-    worst = max(max_abs_diff(u_pow[-1], eye), max_abs_diff(v_pow[-1], eye))
-    for j in range(1, pair.d + 1):
-        for k in range(1, pair.d + 1):
-            lhs = u_pow[j] @ v_pow[k]
-            rhs = pair.omega ** (-j * k) * (v_pow[k] @ u_pow[j])
-            worst = max(worst, max_abs_diff(lhs, rhs))
-    return worst
+    # every (j, k) at once, j down the first axis and k along the second
+    u_pows, v_pows = np.array(u_pow[1:])[:, None], np.array(v_pow[1:])
+    j = np.arange(1, pair.d + 1)
+    phases = (pair.omega ** -np.outer(j, j))[..., None, None]
+    return max(max_abs_diff(u_pow[-1], eye), max_abs_diff(v_pow[-1], eye),
+               max_abs_diff(u_pows @ v_pows, phases * (v_pows @ u_pows)))

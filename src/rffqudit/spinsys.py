@@ -232,11 +232,8 @@ def permutation_indices(reg: SpinRegister, p: Permutation) -> np.ndarray:
         raise ContractViolationError(
             f"permutation on {p.n} elements does not fit register of {reg.n}"
         )
-    src = np.arange(reg.dim)
-    dst = np.zeros_like(src)
-    for ell in range(1, reg.n + 1):
-        dst |= ((src >> (reg.n - ell)) & 1) << (reg.n - p(ell))
-    return dst
+    bits = (np.arange(reg.dim)[:, None] >> (reg.n - np.arange(1, reg.n + 1))) & 1
+    return bits @ (1 << (reg.n - np.array(p.images)))  # bit l moved to 2**(n - p(l))
 
 
 def permutation_operator(reg: SpinRegister, p: Permutation) -> np.ndarray:
@@ -269,9 +266,13 @@ def haar_su2(rng) -> np.ndarray:
     imaginary parts, of the Gaussian from one standard_normal call.
     """
     if isinstance(rng, np.random.Generator):
-        z = rng.standard_normal((2, 2, 2))
-    else:
-        z = np.array([gen.standard_normal((2, 2, 2)) for gen in rng])
+        return _haar_su2_of(rng.standard_normal((2, 2, 2)))
+    return _haar_su2_of(np.array([gen.standard_normal((2, 2, 2)) for gen in rng]))
+
+
+def _haar_su2_of(z: np.ndarray) -> np.ndarray:
+    """haar_su2's draw from standard normals z (..., 2, 2, 2): the real parts
+    z[..., 0, :, :], then the imaginary parts, of each Gaussian."""
     g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)

@@ -25,7 +25,7 @@ same, in the same order, whether or not a check raised.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from math import isfinite, log2
 from time import perf_counter
 from typing import Callable
@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import reference as ref
-from .channel import born_rule_harness, random_density, require_trials
+from .channel import _random_density_of, born_rule_harness, random_density, require_trials
 from .coupling import (
     CoupledBasis,
     block_mixing_residual,
@@ -57,9 +57,9 @@ from .errors import ConsistencyError, ContractViolationError, ValidationError
 from .linalg import dagger, entropy_bits, identity, max_abs_diff
 from .spinsys import (
     SpinRegister,
+    _haar_su2_of,
     all_permutations,
     cyclic_permutation,
-    haar_su2,
     permutation_indices,
     permutation_operator,
     require_seed,
@@ -82,9 +82,8 @@ class CheckResult:
     elapsed_ms: float = field(default=0.0, compare=False, repr=False)
 
     def as_dict(self) -> dict:
-        row = asdict(self)
-        del row["elapsed_ms"]
-        return row
+        return {"id": self.id, "description": self.description, "residual": self.residual,
+                "tolerance": self.tolerance, "passed": self.passed}
 
 
 def _check(id: str, description: str, default_tol: float, tol: float | None,
@@ -170,8 +169,8 @@ def rotation_invariance_residual(qs: CoupledBasis, trials: int,
     Q(l,l') = K_l K_l'^dag survives U.
     """
     require_trials(trials)
-    rng = seeded_generator(seed)
-    u = haar_su2([rng] * trials)  # bit-identical to drawing them one at a time
+    # one standard_normal call, bit-identical to drawing the trials one at a time
+    u = _haar_su2_of(seeded_generator(seed).standard_normal((trials, 2, 2, 2)))
     expected = np.kron(identity(qs.d), wigner_d(qs.j2, u))
     worst, first = 0.0, 0
     for r, escape in qs.rotations(u):
@@ -190,8 +189,7 @@ def encoded_random_states(qs: CoupledBasis, trials: int,
     payload off the logical sector.
     """
     require_trials(trials)
-    rng = seeded_generator(seed)
-    rho = np.array([random_density(rng, qs.d) for _ in range(trials)])
+    rho = _random_density_of(seeded_generator(seed).standard_normal((trials, 2, qs.d, qs.d)))
     require_density(rho)
     return rho, qs.compress_lifted(rho / qs.d)
 

@@ -541,7 +541,7 @@ def test_timings_go_to_stderr_last_and_leave_the_report(capsys, tmp_path, run, f
     if run.startswith("verify"):
         ids = ([check["id"] for check in json.loads(plain)["checks"]] if fmt == "json"
                else [row[0] for row in csv.reader(io.StringIO(plain))][1:])
-        expected = [f"timing {i}" for i in ids]
+        expected = [f"timing {i}" for i in ids] + ["timing verify:serialisation"]
     else:
         command = argv[0]
         expected = [f"timing {command}:{stage}" for stage in STAGES[command]]

@@ -21,6 +21,7 @@ from rffqudit.coupling import (
 )
 from rffqudit.linalg import max_abs_diff
 from rffqudit.spinsys import SpinRegister
+from rffqudit.verify import rotation_invariance_residual
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -48,7 +49,7 @@ def test_per_class_residuals_agree_with_the_dense_ones(n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(min_value=3, max_value=8), seed=st.integers(0, 2 ** 32 - 1))
+@given(n=st.integers(min_value=3, max_value=10), seed=st.integers(0, 2 ** 32 - 1))
 def test_any_valid_coupling_gives_the_ladder_kets_and_passes_the_gate(n, seed):
     # [W F[:-1]; F[-1]] for a random unitary W keeps the symmetric last row.
     rng = np.random.default_rng(seed)
@@ -61,3 +62,5 @@ def test_any_valid_coupling_gives_the_ladder_kets_and_passes_the_gate(n, seed):
     assert max(abs(basis.gate_residuals[name] - dense[name]) for name in dense) <= 1e-10
     assert sector_membership_residual(basis) <= 1e-10
     assert block_mixing_residual(build_coupled_basis(SpinRegister(n)), basis) <= 1e-10
+    # u^(x n) acts as I_d (x) D^j2(u) on the kets of any valid coupling, not only Fourier's.
+    assert rotation_invariance_residual(basis, 5, seed) <= 1e-9

@@ -23,6 +23,7 @@ from rffqudit.coupling import (
     sector_membership_residual,
     symmetric_singlets,
     validate_coupling,
+    weight_rows,
 )
 from rffqudit.errors import ConsistencyError, ContractViolationError, ValidationError
 from rffqudit.linalg import dagger, identity, max_abs_diff
@@ -30,10 +31,12 @@ from rffqudit.spinsys import (
     SpinRegister,
     haar_su2,
     kron_power,
+    permutation_indices,
     product_ket,
     sigma,
     swap,
     total_J,
+    transposition,
 )
 
 W4 = 1j  # exp(2 pi i / 4)
@@ -294,20 +297,59 @@ def test_j_squared_is_a_sum_of_swaps(n):
 
 def test_sector_census_rejects_swaps_that_do_nothing(monkeypatch):
     # With every P_lk replaced by the identity, J^2 is n(n+2)/4 on every block.
-    monkeypatch.setattr(coupling, "permutation_indices",
-                        lambda reg, p: np.arange(reg.dim))
+    monkeypatch.setattr(coupling, "_transposed_positions",
+                        lambda n, rows: np.tile(np.arange(len(rows)), (n * (n - 1) // 2, 1)))
     with pytest.raises(ConsistencyError):
         sector_census(SpinRegister(4))
 
 
-def test_sector_census_at_n12_stays_small():
+@pytest.mark.parametrize("n", range(2, 10))
+def test_transposed_positions_are_the_permutation_maps(n):
+    # Row (l k) of a class's positions, l < k in order, against the map of
+    # the whole register restricted to the class.
+    reg = SpinRegister(n)
+    for rows in weight_rows(n):
+        expected = [np.searchsorted(rows, permutation_indices(reg, transposition(n, l, k))[rows])
+                    for l in range(1, n + 1) for k in range(l + 1, n + 1)]
+        positions = coupling._transposed_positions(n, rows)
+        assert positions.shape == (n * (n - 1) // 2, len(rows))
+        assert all(np.array_equal(row, e) for row, e in zip(positions, expected))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_census_blocks_are_the_dense_j_squared_blocks(monkeypatch, n):
+    blocks, real = [], np.linalg.eigvalsh
+
+    def recording(block):
+        blocks.append(block.copy())
+        return real(block)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    sector_census(SpinRegister(n))
+    dense = total_J(SpinRegister(n)).j_squared
+    assert len(blocks) == n + 1
+    for block, rows in zip(blocks, weight_rows(n)):
+        assert max_abs_diff(block, dense[rows][:, rows]) < 1e-12
+
+
+def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
-        sector_census(SpinRegister(12))
+        fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 100e6
+    return peak
+
+
+def test_sector_census_at_n12_stays_small():
+    assert _traced_peak(lambda: sector_census(SpinRegister(12))) < 100e6
+
+
+def test_sector_membership_at_n12_adds_one_transposition_at_a_time():
+    # A gather of all 66 transpositions at once would hold about 27 MB.
+    basis = build_coupled_basis(SpinRegister(12))
+    assert _traced_peak(lambda: sector_membership_residual(basis)) < 10e6
 
 
 @pytest.mark.parametrize("chunk_bytes", (1, coupling.CHUNK_BYTES))

@@ -307,6 +307,27 @@ def test_hws_pair_relations(n):
             assert max_abs_diff(uj @ vk, pair.omega ** (-j * k) * (vk @ uj)) < 1e-11
 
 
+def _hws_relations_pair_by_pair(pair) -> float:
+    """hws_relations_residual as it looped over the d**2 pairs (j, k)."""
+    eye = np.eye(pair.d, dtype=complex)
+    u_pow, v_pow = [eye], [eye]
+    for _ in range(pair.d):
+        u_pow.append(u_pow[-1] @ pair.clock)
+        v_pow.append(v_pow[-1] @ pair.shift)
+    worst = max(max_abs_diff(u_pow[-1], eye), max_abs_diff(v_pow[-1], eye))
+    for j in range(1, pair.d + 1):
+        for k in range(1, pair.d + 1):
+            rhs = pair.omega ** (-j * k) * (v_pow[k] @ u_pow[j])
+            worst = max(worst, max_abs_diff(u_pow[j] @ v_pow[k], rhs))
+    return worst
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_stacked_hws_relations_equal_the_pair_by_pair_residual(n):
+    pair = build_hws(build_coupled_basis(SpinRegister(n)))
+    assert hws_relations_residual(pair) == _hws_relations_pair_by_pair(pair)
+
+
 def test_hws_qubit_pair_is_pauli_pair(qs3):
     pair = build_hws(qs3)
     sx = qs3(1, 2) + qs3(2, 1)

@@ -282,6 +282,25 @@ def test_permutation_indices_is_the_ket_map_and_checks_the_size():
         permutation_indices(reg, cyclic_permutation(4))
 
 
+def _permutation_indices_site_by_site(reg, p):
+    """permutation_indices as it moved one constituent's bit at a time."""
+    src = np.arange(reg.dim)
+    dst = np.zeros_like(src)
+    for ell in range(1, reg.n + 1):
+        dst |= ((src >> (reg.n - ell)) & 1) << (reg.n - p(ell))
+    return dst
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_permutation_indices_equal_the_site_by_site_map(n):
+    reg, rng = SpinRegister(n), np.random.default_rng(n)
+    perms = [cyclic_permutation(n), transposition(n, 1, n),
+             Permutation(tuple(int(i) + 1 for i in rng.permutation(n)))]
+    for p in (all_permutations(n) if n <= 4 else perms):
+        assert np.array_equal(permutation_indices(reg, p),
+                              _permutation_indices_site_by_site(reg, p))
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_swap_equals_the_pauli_dot_product_exactly(n):
     # The definition swap had before it became an index map.

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import rffqudit.channel as channel
 import rffqudit.coupling as coupling
 import rffqudit.reference as reference
 import rffqudit.verify as verify
@@ -397,3 +398,81 @@ def test_rotation_row_draws_match_one_at_a_time_draws_in_chunks(monkeypatch):
     singles = np.array([haar_su2(rng) for _ in range(5)])
     rng = np.random.default_rng(np.random.SeedSequence(11))
     assert np.array_equal(haar_su2([rng] * 5), singles)
+
+
+def _old_random_density(rng, d):
+    """random_density as it drew one state: two normal() calls."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+def _old_random_povm_elements(rng, d, elements):
+    """random_povm's elements as it drew one POVM: one normal() call."""
+    parts = rng.normal(size=(elements, 2, d, d))
+    g = parts[:, 0] + 1j * parts[:, 1]
+    draws = g @ g.conj().swapaxes(-1, -2)
+    w, v = np.linalg.eigh(draws.sum(axis=0))
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    elems = inv_root @ draws @ inv_root
+    return (elems + elems.conj().swapaxes(-1, -2)) / 2
+
+
+def _old_haar_su2(rng):
+    """haar_su2 as it drew one matrix: one standard_normal() call."""
+    z = rng.standard_normal((2, 2, 2))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d))[None, :]
+    return q / np.sqrt(np.linalg.det(q))
+
+
+def _born_draws_trial_by_trial(qs, trials, seed):
+    """born_rule_harness's draws as its per-trial loop made them."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(trials):  # per trial: the state, then the POVM, then u
+        rho = _old_random_density(rng, qs.d)
+        draws.append((rho, _old_random_povm_elements(rng, qs.d, qs.d + 1),
+                      _old_haar_su2(rng)))
+    return tuple(np.array(column) for column in zip(*draws))
+
+
+def _recorded(monkeypatch, module, names) -> dict:
+    """Wrap each named function of module so that its results are kept, by name."""
+    seen = {}
+    for name in names:
+        def keep(*args, _name=name, _real=getattr(module, name)):
+            seen[_name] = _real(*args)
+            return seen[_name]
+        monkeypatch.setattr(module, name, keep)
+    return seen
+
+
+DRAW_NAMES = ("_random_density_of", "_random_povm_of", "_haar_su2_of")
+
+
+@pytest.mark.parametrize("seed", (0, 1234, 2 ** 32 - 1))
+@pytest.mark.parametrize("n", range(3, 7))
+def test_stacked_draws_equal_the_per_trial_draws_bit_for_bit(monkeypatch, n, seed):
+    qs, trials = build_coupled_basis(SpinRegister(n)), 7
+    rho, elements, u = _born_draws_trial_by_trial(qs, trials, seed)
+    plain = channel.born_rule_harness(qs, trials, seed)
+    with monkeypatch.context() as patch:
+        seen = _recorded(patch, channel, DRAW_NAMES)
+        assert channel.born_rule_harness(qs, trials, seed) == plain
+    for name, expected in zip(DRAW_NAMES, (rho, elements, u)):
+        assert np.array_equal(seen[name], expected), name
+    with monkeypatch.context() as patch:  # the harness fed the per-trial draws
+        for name, expected in zip(DRAW_NAMES, (rho, elements, u)):
+            patch.setattr(channel, name, lambda *_, _a=expected: _a)
+        assert channel.born_rule_harness(qs, trials, seed) == plain
+
+    rng = np.random.default_rng(seed)
+    states = np.array([_old_random_density(rng, qs.d) for _ in range(trials)])
+    assert np.array_equal(verify.encoded_random_states(qs, trials, seed)[0], states)
+    seen = _recorded(monkeypatch, verify, ("_haar_su2_of",))
+    rotation_invariance_residual(qs, trials, seed)
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(seen["_haar_su2_of"],
+                          np.array([_old_haar_su2(rng) for _ in range(trials)]))
