@@ -79,10 +79,16 @@ ROW_BLOCK_BYTES = 4 * 2 ** 20
 # Bytes of U K (one K per trial) that one chunk of trials may hold; a chunk
 # holds at least one trial. Two arrays of its size are live while it is
 # rotated (a pass's input and its product), and beside U K the gate holds one
-# weight class's rows and their product, each smaller than U K. From n = 7 on,
-# K alone exceeds it. Larger chunks ran no faster at n = 3 and raised the
-# process's peak RSS.
-CHUNK_BYTES = 64 * 2 ** 10
+# weight class's rows and their product, each smaller than U K. That is the
+# 20 trials of verify's rotation row in one chunk up to n = 5, ten at n = 6
+# and three at n = 7; from n = 8 on a chunk is one trial, as at 64 KiB. On
+# 2 shared vCPUs, one BLAS thread, 200 interleaved in-process runs: the
+# rotation rows of n = 3..7 took a median 7.0-7.1 ms against 8.4-8.7 ms at
+# 64 KiB and 7.3-7.4 ms at 1 MiB; channel --n 3 --trials 300 (one chunk
+# now, three at 64 KiB) did not move. The tracemalloc peak of
+# run_suite("all", n_values=range(3, 8)) is 1.20 MB (1.11 MB at 64 KiB,
+# 2.76 MB at 1 MiB).
+CHUNK_BYTES = 256 * 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -533,18 +539,27 @@ def sector_census(reg: SpinRegister) -> list[SectorSpec]:
     j = np.array([float(s.j) for s in reversed(specs)])  # ascending
     copies = np.array([s.multiplicity for s in reversed(specs)])
     for w, rows in enumerate(weight_rows(n)):
-        m, columns = Fraction(n, 2) - w, np.arange(len(rows))
-        block = np.eye(len(rows)) * (n * (4 - n) / 4)
-        for positions in _transposed_positions(n, rows):  # faster than np.add.at
-            block[positions, columns] += 1
-        kept = j >= abs(n / 2 - w)
+        m, kept = Fraction(n, 2) - w, j >= abs(n / 2 - w)
         predicted = np.repeat(j[kept] * (j[kept] + 1), copies[kept])
-        found = np.linalg.eigvalsh(block)
+        # no name holds the block, so one block is live at a time
+        found = np.linalg.eigvalsh(_j_squared_block(n, rows))
         if len(found) != len(predicted) or max_abs_diff(found, predicted) > 1e-8:
             raise ConsistencyError(f"J^2 block m={m}: census predicts {len(predicted)} "
                                    f"eigenvalues in {np.unique(predicted).tolist()}, the block "
                                    f"has {len(found)} in {np.unique(found.round(8)).tolist()}")
     return specs
+
+
+def _j_squared_block(n: int, rows: np.ndarray) -> np.ndarray:
+    """J^2 = n(4-n)/4 + sum_{l<k} P_lk on a class of product-ket indices (see
+    _transposed_positions), from one count of every transposition's entries
+    straight into float64. Every entry is a count plus a multiple of 1/4, so
+    the sums are exact and do not depend on their order."""
+    size = len(rows)
+    flat = _transposed_positions(n, rows) * size + np.arange(size)
+    block = np.bincount(flat.ravel(), weights=np.ones(flat.size), minlength=size * size)
+    block[::size + 1] += n * (4 - n) / 4
+    return block.reshape(size, size)
 
 
 def basis_overlap_blocks(a: CoupledBasis, b: CoupledBasis) -> dict:

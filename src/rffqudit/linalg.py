@@ -192,6 +192,11 @@ def matrix_to_json_dict(a) -> dict:
     }
 
 
+def _is_number(x, kinds) -> bool:
+    """x is an instance of kinds and not a bool (JSON true/false are not numbers)."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def matrix_from_json_dict(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValidationError("matrix JSON must be an object")
@@ -199,7 +204,7 @@ def matrix_from_json_dict(obj) -> np.ndarray:
     if missing:
         raise ValidationError(f"matrix JSON missing fields: {sorted(missing)}")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not all(_is_number(x, int) and x > 0 for x in (rows, cols)):
         raise ValidationError("matrix JSON rows/cols must be positive integers")
     data = obj["data"]
     if not isinstance(data, list):
@@ -209,9 +214,15 @@ def matrix_from_json_dict(obj) -> np.ndarray:
             f"matrix JSON data length {len(data)} != rows*cols = {rows * cols}"
         )
     try:
-        flat = [complex(float(re), float(im)) for re, im in data]
+        pairs = [(re, im) for re, im in data]
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"matrix JSON entries must be [re, im] pairs: {exc}") from exc
+    if not all(_is_number(x, (int, float)) for pair in pairs for x in pair):
+        raise ValidationError("matrix JSON entries must be [re, im] pairs of numbers")
+    try:
+        flat = [complex(float(re), float(im)) for re, im in pairs]
+    except OverflowError as exc:
+        raise ValidationError(f"matrix JSON entry out of range: {exc}") from exc
     m = np.array(flat, dtype=complex).reshape(rows, cols)
     if not np.isfinite(m).all():
         raise ValidationError("matrix JSON contains non-finite entries")

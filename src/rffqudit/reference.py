@@ -15,6 +15,7 @@ one traced-out constituent at a time, to the n=3 ones.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import sqrt
 from typing import Callable
@@ -25,8 +26,8 @@ from .errors import ConsistencyError
 from .linalg import dagger, identity, max_abs_diff, partial_trace
 from .spinsys import (
     SpinRegister,
+    _permutation_conjugates,
     all_permutations,
-    permutation_operator,
     sigma,
     singlet_projector,
     swap,
@@ -78,14 +79,11 @@ def n3_q_operators() -> dict:
     return {"q11": q11, "q12": q12, "q21": q21, "q22": q22}
 
 
-def n3_sector_projector() -> np.ndarray:
-    """Projector onto the j=1/2 sector, 1 - (P12+P23+P31)/3."""
-    return _n3_sector_projector(_site_paulis(SpinRegister(3)))
-
-
-def _n3_sector_projector(paulis: dict) -> np.ndarray:
-    """n3_sector_projector, its dot-product form read from paulis (_site_paulis)."""
+def n3_sector_projector(paulis: dict | None = None) -> np.ndarray:
+    """Projector onto the j=1/2 sector, 1 - (P12+P23+P31)/3, its dot-product
+    form read from paulis (_site_paulis of three constituents, or built)."""
     reg = SpinRegister(3)
+    paulis = _site_paulis(reg) if paulis is None else paulis
     p_sum = swap(reg, 1, 2) + swap(reg, 2, 3) + swap(reg, 3, 1)
     proj = identity(8) - p_sum / 3
 
@@ -120,16 +118,19 @@ def _sigma_cross_dot(paulis: dict) -> np.ndarray:
     return total
 
 
-def n3_pauli() -> dict:
+def n3_pauli(q: dict | None = None, paulis: dict | None = None,
+             sector: np.ndarray | None = None) -> dict:
     """Logical Pauli vector of the n=3 qubit, all closed forms cross-checked.
 
     The signs of sy and sz follow the q-operator labels of n3_q_operators()
     (the Fourier coupling convention); the mirrored label convention flips
     both, which is the same logical qubit with |1> and |2> interchanged.
+    Its parts q (n3_q_operators), paulis (_site_paulis) and sector
+    (n3_sector_projector) are built when not given.
     """
     reg = SpinRegister(3)
     p12, p23, p31 = swap(reg, 1, 2), swap(reg, 2, 3), swap(reg, 3, 1)
-    q = n3_q_operators()
+    q = n3_q_operators() if q is None else q
 
     sx = (2 * p12 - p23 - p31) / 3
     sy = (p31 - p23) / sqrt(3)
@@ -141,7 +142,7 @@ def n3_pauli() -> dict:
     _check("sz = q11 - q22", sz, q["q11"] - q["q22"])
 
     # Dot-product forms.
-    paulis = _site_paulis(reg)
+    paulis = _site_paulis(reg) if paulis is None else paulis
     d12, d23, d31 = (
         _sigma_dot(paulis, 1, 2),
         _sigma_dot(paulis, 2, 3),
@@ -151,25 +152,26 @@ def n3_pauli() -> dict:
     _check("sy dot form", sy, (d31 - d23) / sqrt(12))
     _check("sz triple-product form", sz, _sigma_cross_dot(paulis) / sqrt(12))
 
-    sector = _n3_sector_projector(paulis)
+    sector = n3_sector_projector(paulis) if sector is None else sector
     _check("sector projector = q11 + q22", sector, q["q11"] + q["q22"])
     return {"x": sx, "y": sy, "z": sz, "i_sector": sector}
 
 
-def n3_trine() -> dict:
+def n3_trine(q: dict | None = None, sector: np.ndarray | None = None) -> dict:
     """The trine preparation: pair singlet + maximally mixed third spin.
 
     The 8x8 operators are kept in their conventional display normalization
     (1 - P)/2, which carries trace 2: the trace-one payload of the logical
     state is half of it. The decoded 2x2 logical forms are produced through
-    the reference q operators.
+    the reference q operators. Its parts q (n3_q_operators) and sector
+    (n3_sector_projector) are built when not given.
     """
     reg = SpinRegister(3)
     rho1 = (identity(8) - swap(reg, 2, 3)) / 2
     rho2 = (identity(8) - swap(reg, 3, 1)) / 2
     rho3 = (identity(8) - swap(reg, 1, 2)) / 2
 
-    q = n3_q_operators()
+    q = n3_q_operators() if q is None else q
     _check(
         "rho3 matrix-unit form",
         rho3,
@@ -178,7 +180,7 @@ def n3_trine() -> dict:
     _check(
         "trine completeness",
         (rho1 + rho2 + rho3) * (2 / 3),
-        n3_sector_projector(),
+        n3_sector_projector() if sector is None else sector,
     )
 
     def decode(payload8: np.ndarray) -> np.ndarray:
@@ -239,9 +241,10 @@ def n4_akl() -> dict:
     return out
 
 
-def n4_q_operators() -> dict:
-    """The nine 16x16 matrix units of the n=4 qutrit in A/K/L form."""
-    op = n4_akl()
+def n4_q_operators(akl: dict | None = None) -> dict:
+    """The nine 16x16 matrix units of the n=4 qutrit in A/K/L form, from
+    akl (n4_akl, built when not given)."""
+    op = n4_akl() if akl is None else akl
     one = identity(16)
     a1, a2, a3 = op["a1"], op["a2"], op["a3"]
     k1, k2, k3, k4 = op["k1"], op["k2"], op["k3"], op["k4"]
@@ -270,14 +273,15 @@ def n4_q_operators() -> dict:
     return {f"q{lam}{lamp}": m for (lam, lamp), m in q.items()}
 
 
-def n4_hws() -> dict:
+def n4_hws(akl: dict | None = None, q: dict | None = None) -> dict:
     """The clock (u3) and shift (v3) unitaries of the n=4 qutrit.
 
     u3 carries the K-sum with coefficient sqrt(3)i/2: that value — and only
     that value — makes u3 equal the clock sum w q11 + w^2 q22 + q33 over the
     diagonal matrix units above, and makes u3 cube to the sector projector.
+    Its parts akl (n4_akl) and q (n4_q_operators) are built when not given.
     """
-    op = n4_akl()
+    op = n4_akl() if akl is None else akl
     ksum = op["k1"] + op["k2"] + op["k3"] + op["k4"]
     l1, l2, l3 = op["l1"], op["l2"], op["l3"]
     a1, a2, a3 = op["a1"], op["a2"], op["a3"]
@@ -285,7 +289,7 @@ def n4_hws() -> dict:
     u3 = (W3**2 / 4) * (-l1 + 2 * l2 - l3 + (sqrt(3) * 1j / 2) * ksum)
     v3 = (1j * (l1 - l3) + (1 + 1j) * a1 + a2 - (1 - 1j) * a3) / 4
 
-    q = n4_q_operators()
+    q = n4_q_operators(op) if q is None else q
     _check("u3 clock sum", u3, W3 * q["q11"] + W3**2 * q["q22"] + q["q33"])
     _check("v3 shift sum", v3, q["q12"] + q["q23"] + q["q31"])
     return {"u3": u3, "v3": v3}
@@ -349,10 +353,11 @@ def n4_singlet_layer() -> dict:
     }
 
 
-def n4_sector_projectors() -> dict:
-    """The two logical-sector projectors of the four-constituent register."""
-    q = n4_q_operators()
-    layer = n4_singlet_layer()
+def n4_sector_projectors(q: dict | None = None, layer: dict | None = None) -> dict:
+    """The two logical-sector projectors of the four-constituent register, from
+    q (n4_q_operators) and layer (n4_singlet_layer), each built when not given."""
+    q = n4_q_operators() if q is None else q
+    layer = n4_singlet_layer() if layer is None else layer
     return {
         "i_j1": q["q11"] + q["q22"] + q["q33"],
         "i_j0": layer["i_j0"],
@@ -390,7 +395,9 @@ def n4_to_n3_reduction(n4_paulis: dict | None = None,
     four = [layer["pauli_x"], layer["pauli_y"], layer["pauli_z"]]
     three_ref = n3_pauli() if n3_paulis is None else n3_paulis
     three = [three_ref["x"], three_ref["y"], three_ref["z"]]
-    reg3 = SpinRegister(3)
+    perms = list(all_permutations(3))
+    # relabeled[:, i]: the three n=3 Paulis relabeled by perms[i], one gather
+    relabeled = _permutation_conjugates(SpinRegister(3), perms, np.array(three))
 
     relabelings: dict = {}
     constants: list[float] = []
@@ -400,9 +407,8 @@ def n4_to_n3_reduction(n4_paulis: dict | None = None,
     for traced in (1, 2, 3, 4):
         reduced = [partial_trace(m, 4, traced) for m in four]
         match = None
-        for perm in all_permutations(3):
-            w = permutation_operator(reg3, perm)
-            targets = [w @ m @ dagger(w) for m in three]
+        for index, perm in enumerate(perms):
+            targets = list(relabeled[:, index])
             num = sum(
                 np.trace(dagger(t) @ r).real for t, r in zip(targets, reduced)
             )
@@ -446,11 +452,57 @@ def n4_to_n3_reduction(n4_paulis: dict | None = None,
 # Registry for the CLI
 # ---------------------------------------------------------------------------
 
+def _n3_site_paulis() -> dict:
+    """The single-site Paulis of three constituents, the part the n=3 dot forms read."""
+    return _site_paulis(SpinRegister(3))
+
+
+# The parts each composite factory takes, by argument name, and the factory
+# that builds each part.
+_PARTS = {
+    "n3_sector_projector": {"paulis": "_n3_site_paulis"},
+    "n3_pauli": {"q": "n3_q_operators", "paulis": "_n3_site_paulis",
+                 "sector": "n3_sector_projector"},
+    "n3_trine": {"q": "n3_q_operators", "sector": "n3_sector_projector"},
+    "n4_q_operators": {"akl": "n4_akl"},
+    "n4_hws": {"akl": "n4_akl", "q": "n4_q_operators"},
+    "n4_sector_projectors": {"q": "n4_q_operators", "layer": "n4_singlet_layer"},
+}
+
+
+def _closed_forms() -> Callable[[str], object]:
+    """forms(name): what the factory of that name in this module builds, run at
+    most once per forms, its parts (_PARTS) read from forms.
+
+    One forms serves one call (a verify run, a reference case), so each closed
+    form is built and cross-checked once per call and nothing outlives it. A
+    factory that raises is not cached: each later read raises again.
+    """
+    @functools.cache
+    def forms(name: str):
+        parts = {arg: forms(part) for arg, part in _PARTS.get(name, {}).items()}
+        # read by name at call time, so a factory rebound in this module is the one run
+        return globals()[name](**parts)
+
+    return forms
+
+
+def _built_by(factory: str, keys: tuple | None = None) -> Callable[..., dict]:
+    """A case's build(forms=None): the dict the named factory builds (only its
+    entries keys, when given), read from forms (_closed_forms), or from a
+    fresh one when forms is None."""
+    def build(forms: Callable[[str], object] | None = None) -> dict:
+        built = (_closed_forms() if forms is None else forms)(factory)
+        return built if keys is None else {key: built[key] for key in keys}
+
+    return build
+
+
 @dataclass(frozen=True)
 class ReferenceCase:
     id: str
     description: str
-    build: Callable[[], dict]
+    build: Callable[..., dict]  # build(forms=None), see _built_by
     formulas: dict
 
 
@@ -464,7 +516,7 @@ def _register(case: ReferenceCase) -> None:
 _register(ReferenceCase(
     id="n3-q",
     description="n=3 logical matrix units in swap-operator form",
-    build=n3_q_operators,
+    build=_built_by("n3_q_operators"),
     formulas={
         "q21": "(P12 + w3 P23 + w3^2 P31)/3  [label order fixed by the coupling]",
         "q12": "dagger(q21)",
@@ -475,7 +527,7 @@ _register(ReferenceCase(
 _register(ReferenceCase(
     id="n3-pauli",
     description="n=3 logical Pauli vector and sector projector",
-    build=n3_pauli,
+    build=_built_by("n3_pauli"),
     formulas={
         "x": "(2 P12 - P23 - P31)/3",
         "y": "(P31 - P23)/sqrt(3)",
@@ -486,7 +538,7 @@ _register(ReferenceCase(
 _register(ReferenceCase(
     id="n3-trine",
     description="trine preparations (display normalization, trace 2) and logical forms",
-    build=n3_trine,
+    build=_built_by("n3_trine"),
     formulas={
         "rho1": "(1 - P23)/2",
         "rho2": "(1 - P31)/2",
@@ -499,7 +551,7 @@ _register(ReferenceCase(
 _register(ReferenceCase(
     id="n4-akl",
     description="n=4 convenience operators: swap differences, commutators, products",
-    build=n4_akl,
+    build=_built_by("n4_akl"),
     formulas={
         "a1": "P12 - P34", "a2": "P13 - P24", "a3": "P14 - P23",
         "k1": "i[P23, P24]", "k2": "i[P34, P13]",
@@ -510,7 +562,7 @@ _register(ReferenceCase(
 _register(ReferenceCase(
     id="n4-q",
     description="n=4 qutrit matrix units in A/K/L form",
-    build=n4_q_operators,
+    build=_built_by("n4_q_operators"),
     formulas={
         "q11": "(1 - (k1+k2+k3+k4)/2 - l2)/4",
         "q22": "(1 - l1 + l2 - l3)/4",
@@ -524,7 +576,7 @@ _register(ReferenceCase(
 _register(ReferenceCase(
     id="n4-hws",
     description="n=4 qutrit clock/shift unitaries in A/K/L form",
-    build=n4_hws,
+    build=_built_by("n4_hws"),
     formulas={
         "u3": "(w3^2/4)(-l1 + 2 l2 - l3 + (sqrt(3) i/2)(k1+k2+k3+k4))"
               "  [K coefficient fixed by the clock sum and u3^3 = sector identity]",
@@ -534,8 +586,7 @@ _register(ReferenceCase(
 _register(ReferenceCase(
     id="n4-singlet-proj",
     description="n=4 symmetric-coupling singlet projectors (permutation covariant pair)",
-    build=lambda: {k: v for k, v in n4_singlet_layer().items()
-                   if k in ("proj_lambda1", "proj_lambda2")},
+    build=_built_by("n4_singlet_layer", ("proj_lambda1", "proj_lambda2")),
     formulas={
         "proj_lambda1": "(S12S34+S13S24+S14S23)/3 - (i/sqrt(12)) commutator sum",
         "proj_lambda2": "(S12S34+S13S24+S14S23)/3 + (i/sqrt(12)) commutator sum",
@@ -544,8 +595,7 @@ _register(ReferenceCase(
 _register(ReferenceCase(
     id="n4-cg-proj",
     description="n=4 successively-coupled singlet projectors (not permutation covariant)",
-    build=lambda: {k: v for k, v in n4_singlet_layer().items()
-                   if k in ("cg_proj1", "cg_proj2")},
+    build=_built_by("n4_singlet_layer", ("cg_proj1", "cg_proj2")),
     formulas={
         "cg_proj1": "S12 S34  [rank one: singlet on (1,2) and (3,4)]",
         "cg_proj2": "(-S12S34 + 2 S13S24 + 2 S14S23)/3",
@@ -554,8 +604,7 @@ _register(ReferenceCase(
 _register(ReferenceCase(
     id="n4-pauli",
     description="n=4 singlet-sector logical Pauli vector",
-    build=lambda: {k: v for k, v in n4_singlet_layer().items()
-                   if k in ("pauli_x", "pauli_y", "pauli_z")},
+    build=_built_by("n4_singlet_layer", ("pauli_x", "pauli_y", "pauli_z")),
     formulas={
         "pauli_x": "(-2/3)(2 S12S34 - S14S23 - S13S24)",
         "pauli_y": "(-2/sqrt(3))(S13S24 - S14S23)",
@@ -565,7 +614,7 @@ _register(ReferenceCase(
 _register(ReferenceCase(
     id="n4-sector-projectors",
     description="n=4 logical sector projectors (j=1 and j=0)",
-    build=n4_sector_projectors,
+    build=_built_by("n4_sector_projectors"),
     formulas={
         "i_j1": "q11 + q22 + q33",
         "i_j0": "(2/3)(S12S34 + S13S24 + S14S23)",

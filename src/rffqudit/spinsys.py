@@ -236,6 +236,20 @@ def permutation_indices(reg: SpinRegister, p: Permutation) -> np.ndarray:
     return bits @ (1 << (reg.n - np.array(p.images)))  # bit l moved to 2**(n - p(l))
 
 
+def _permutation_conjugates(reg: SpinRegister, perms, a) -> np.ndarray:
+    """W a W^dag for each permutation of perms, W = permutation_operator(reg, p).
+
+    a is a 2**n x 2**n matrix or a stack (..., 2**n, 2**n); the result is
+    shaped (..., len(perms), 2**n, 2**n). W a W^dag is a[src][:, src], src
+    the inverse of permutation_indices, so it is one gather: it moves entries
+    and does no arithmetic.
+    """
+    src = np.empty((len(perms), reg.dim), dtype=np.intp)
+    for row, p in zip(src, perms):
+        row[permutation_indices(reg, p)] = np.arange(reg.dim)
+    return np.asarray(a)[..., src[:, :, None], src[:, None, :]]
+
+
 def permutation_operator(reg: SpinRegister, p: Permutation) -> np.ndarray:
     """Unitary W relabeling constituents: slot p(l) receives the state of l."""
     dst = permutation_indices(reg, p)

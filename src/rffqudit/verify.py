@@ -58,10 +58,10 @@ from .linalg import dagger, entropy_bits, identity, max_abs_diff
 from .spinsys import (
     SpinRegister,
     _haar_su2_of,
+    _permutation_conjugates,
     all_permutations,
     cyclic_permutation,
     permutation_indices,
-    permutation_operator,
     require_seed,
     seeded_generator,
     wigner_d,
@@ -129,10 +129,13 @@ def fourier_bases() -> Callable[[int], CoupledBasis]:
 def reference_cases() -> Callable[[str], dict]:
     """cases(case_id): the closed forms of a REFERENCE_CASES id, built on first use.
 
-    run_suite makes one per call and hands it to the reference and hws suites,
-    so each case is built at most once per call.
+    run_suite makes one per call and hands it to the reference and hws suites.
+    Every case reads one memo of the closed-form factories, so each factory
+    runs at most once per call, however many cases rest on it; a factory that
+    raises is not cached, so every row that reads it fails.
     """
-    return functools.cache(lambda case_id: ref.REFERENCE_CASES[case_id].build())
+    forms = ref._closed_forms()
+    return functools.cache(lambda case_id: ref.REFERENCE_CASES[case_id].build(forms))
 
 
 # ---------------------------------------------------------------------------
@@ -270,26 +273,18 @@ def singlet_covariance_residuals(projectors: dict | None = None) -> tuple[float,
     cg_proj1 must be moved OFF its pair by at least one permutation, so the
     second number should be large (> 1e-3), not small. The projectors are
     proj_lambda1/2 and cg_proj1/2 of projectors, or of ref.n4_singlet_layer().
+    The 24 images of proj_lambda1/2 and cg_proj1 are one gather; the distance
+    of each image from the two projectors of its pair is one reduction per
+    projector.
     """
     layer = ref.n4_singlet_layer() if projectors is None else projectors
-    pair = [layer["proj_lambda1"], layer["proj_lambda2"]]
-    cg_pair = [layer["cg_proj1"], layer["cg_proj2"]]
-    reg = SpinRegister(4)
-    worst_pair = 0.0
-    best_escape = 0.0
-    for perm in all_permutations(4):
-        w = permutation_operator(reg, perm)
-        w_dag = dagger(w)
-        for p in pair:
-            moved = w @ p @ w_dag
-            worst_pair = max(
-                worst_pair, min(max_abs_diff(moved, c) for c in pair)
-            )
-        moved_cg = w @ cg_pair[0] @ w_dag
-        best_escape = max(
-            best_escape, min(max_abs_diff(moved_cg, c) for c in cg_pair)
-        )
-    return worst_pair, best_escape
+    pair = np.array([layer["proj_lambda1"], layer["proj_lambda2"]])
+    cg_pair = np.array([layer["cg_proj1"], layer["cg_proj2"]])
+    moved = _permutation_conjugates(SpinRegister(4), list(all_permutations(4)),
+                                    np.array([*pair, cg_pair[0]]))
+    worst = [float(np.abs(images[:, None] - targets).max(axis=(-2, -1)).min(axis=-1).max())
+             for images, targets in zip(moved, (pair, pair, cg_pair))]
+    return max(worst[:2]), worst[2]
 
 
 # ---------------------------------------------------------------------------

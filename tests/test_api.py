@@ -9,6 +9,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import rffqudit
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -56,8 +58,39 @@ def test_readme_library_quick_start_runs(capsys):
     assert len(printed) == 2 and float(printed[0]) > 1 - 1e-9
 
 
-def _process_state(tree: ast.AST) -> list[str]:
-    """Each `global` statement and each os.environ / os.getenv read in tree."""
+CACHES = ("cache", "lru_cache")
+# The one module-level cache allowed: the CLI's argument parser, which holds
+# no result.
+ALLOWED_CACHES = {("cli.py", "_build_parser")}
+
+
+def _is_cache(node: ast.AST) -> bool:
+    """node is functools.cache / lru_cache (or a bare cache / lru_cache), or a call of one."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return ((isinstance(node, ast.Attribute) and node.attr in CACHES
+             and isinstance(node.value, ast.Name) and node.value.id == "functools")
+            or (isinstance(node, ast.Name) and node.id in CACHES))
+
+
+def _module_caches(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each module-level function decorated with a cache, and of
+    each module-level assignment whose value is a cache or a call of one."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(_is_cache(d) for d in node.decorator_list):
+                found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            if any(_is_cache(n) for n in ast.walk(node.value)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [(node.lineno, ast.unparse(t)) for t in targets]
+    return found
+
+
+def _process_state(tree: ast.AST, module: str = "") -> list[str]:
+    """Each `global` statement, each os.environ / os.getenv read and each
+    module-level functools cache (bar ALLOWED_CACHES) in tree."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Global):
@@ -65,18 +98,46 @@ def _process_state(tree: ast.AST) -> list[str]:
         elif (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
               and isinstance(node.value, ast.Name) and node.value.id == "os"):
             found.append(f"line {node.lineno}: os.{node.attr}")
+    found += [f"line {line}: module-level cache {name}"
+              for line, name in _module_caches(tree) if (module, name) not in ALLOWED_CACHES]
     return found
 
 
 def test_the_library_holds_no_process_state():
-    # A module-level global or an environment read makes a result depend on
-    # what ran before in the process, or on the shell it was started from.
+    # A module-level global, cache or environment read makes a result depend
+    # on what ran before in the process, or on the shell it was started from.
+    # A process-wide memo of closed forms or index maps would also make a
+    # second in-process call cheaper without helping one CLI process.
     offenders = {}
     for path in sorted(PACKAGE.rglob("*.py")):
-        found = _process_state(ast.parse(path.read_text(encoding="utf-8")))
+        module = str(path.relative_to(PACKAGE))
+        found = _process_state(ast.parse(path.read_text(encoding="utf-8")), module)
         if found:
-            offenders[str(path.relative_to(PACKAGE))] = found
+            offenders[module] = found
     assert offenders == {}
+
+
+@pytest.mark.parametrize("source, flagged", (
+    ("import functools\n@functools.cache\ndef f(n):\n    return n\n", ["f"]),
+    ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(n):\n    return n\n",
+     ["f"]),
+    ("import functools\nf = functools.cache(lambda n: n)\n", ["f"]),
+    ("import functools\nf: object = functools.lru_cache(None)(abs)\n", ["f"]),
+    ("import functools\ndef g():\n    return functools.cache(lambda n: n)\n", []),
+    ("import functools\ndef g():\n    @functools.cache\n    def f(n):\n        return n\n"
+     "    return f\n", []),
+))
+def test_the_process_state_guard_flags_module_level_caches(source, flagged):
+    # A cache made inside a function lives as long as its caller keeps it.
+    assert [name for _, name in _module_caches(ast.parse(source))] == flagged
+    assert len(_process_state(ast.parse(source), "cli.py")) == len(flagged)
+
+
+def test_the_process_state_guard_allows_only_the_cli_parser_cache():
+    source = "import functools\n@functools.cache\ndef _build_parser():\n    return 1\n"
+    assert _process_state(ast.parse(source), "cli.py") == []
+    assert _process_state(ast.parse(source), "verify.py") == [
+        "line 3: module-level cache _build_parser"]
 
 
 SEEDING_NAMES = {"SeedSequence", "default_rng", "PCG64"}

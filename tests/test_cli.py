@@ -310,6 +310,18 @@ def test_encode_rejects_non_state(capsys, tmp_path):
     assert "PSD" in err
 
 
+@pytest.mark.parametrize("change", (
+    {"rows": True, "cols": 4},  # rows * cols matches the four entries
+    {"data": [[True, False], [0, 0], [0, 0], [False, False]]},  # read as diag(1, 0)
+))
+def test_channel_state_with_json_booleans_exits_two(capsys, tmp_path, change):
+    state = {**matrix_to_json_dict(np.diag([1.0, 0.0]).astype(complex)), **change}
+    code, out, err = run_cli(capsys, "channel", "--n", "3", "--state",
+                             write_json(tmp_path / "state.json", state))
+    assert code == 2 and out == ""
+    assert "matrix JSON" in err
+
+
 def test_encode_rejects_malformed_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

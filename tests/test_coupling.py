@@ -352,11 +352,12 @@ def test_sector_membership_at_n12_adds_one_transposition_at_a_time():
     assert _traced_peak(lambda: sector_membership_residual(basis)) < 10e6
 
 
-@pytest.mark.parametrize("chunk_bytes", (1, coupling.CHUNK_BYTES))
+@pytest.mark.parametrize("chunk_bytes", (1, 64 * 2 ** 10, coupling.CHUNK_BYTES))
 @pytest.mark.parametrize("n", range(3, 7))
 def test_rotations_on_the_blocks_match_the_dense_rotation(monkeypatch, n, chunk_bytes):
     # R and the escape from the weight blocks against K^dag U K and
-    # |U K - K R| formed with the dense u^(x n), one trial at a time or in chunks.
+    # |U K - K R| formed with the dense u^(x n), one trial at a time or in
+    # chunks: of 64 KiB (two trials at n = 6) and of the default size (all six).
     monkeypatch.setattr(coupling, "CHUNK_BYTES", chunk_bytes)
     qs = build_coupled_basis(SpinRegister(n))
     rng = np.random.default_rng([n, 23])

@@ -214,6 +214,28 @@ def test_matrix_from_json_dict_rejects_data_that_is_not_a_list(data):
         matrix_from_json_dict({"rows": 2, "cols": 2, "data": data})
 
 
+@pytest.mark.parametrize("field", ("rows", "cols"))
+def test_matrix_from_json_dict_rejects_a_bool_size(field):
+    obj = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}
+    obj[field] = True
+    with pytest.raises(ValidationError, match="rows/cols must be positive integers"):
+        matrix_from_json_dict(obj)
+
+
+@pytest.mark.parametrize("pair", ([True, False], [1.0, False], ["1e0", "0"], [1.0, "0"],
+                                  [None, 0.0], [[1.0], 0.0]))
+def test_matrix_from_json_dict_rejects_entries_that_are_not_numbers(pair):
+    with pytest.raises(ValidationError, match="pairs of numbers"):
+        matrix_from_json_dict({"rows": 1, "cols": 1, "data": [pair]})
+
+
+def test_matrix_from_json_dict_takes_ints_and_floats_and_refuses_overflow():
+    m = matrix_from_json_dict({"rows": 1, "cols": 2, "data": [[1, 0], [0.5, -2]]})
+    np.testing.assert_array_equal(m, [[1.0, 0.5 - 2j]])
+    with pytest.raises(ValidationError, match="out of range"):
+        matrix_from_json_dict({"rows": 1, "cols": 1, "data": [[10 ** 400, 0]]})
+
+
 def test_matrix_from_json_dict_rejects_bad_shape():
     with pytest.raises(ValidationError):
         matrix_from_json_dict({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})

@@ -11,6 +11,7 @@ from rffqudit.linalg import dagger, identity, mat_exp_hermitian_generator, max_a
 from rffqudit.spinsys import (
     Permutation,
     SpinRegister,
+    _permutation_conjugates,
     all_permutations,
     collective_product_apply,
     cyclic_permutation,
@@ -199,6 +200,21 @@ def test_permutation_validates_images():
 
 def test_all_permutations_count():
     assert len(list(all_permutations(4))) == 24
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_permutation_conjugates_equal_the_dense_products(n):
+    # The gather moves entries and does no arithmetic, so it is exactly the
+    # dense W A W^dag of every permutation, for one matrix and for a stack.
+    reg, perms = SpinRegister(n), list(all_permutations(n))
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((2, reg.dim, reg.dim)) + 1j * rng.standard_normal((2, reg.dim, reg.dim))
+    dense = np.array([[permutation_operator(reg, p) @ m @ dagger(permutation_operator(reg, p))
+                       for p in perms] for m in a])
+    assert np.array_equal(_permutation_conjugates(reg, perms, a), dense)
+    assert np.array_equal(_permutation_conjugates(reg, perms, a[0]), dense[0])
+    with pytest.raises(ContractViolationError):
+        _permutation_conjugates(reg, [Permutation(tuple(range(1, n + 2)))], a)
 
 
 def test_cyclic_shift_moves_excitation_forward():

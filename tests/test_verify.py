@@ -1,6 +1,5 @@
 """The verification suites: green on the real code, loud on corrupted code."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -338,35 +337,41 @@ def test_a_corrupted_closed_form_fails_each_row_that_reads_it(monkeypatch):
             assert "transcription cross-check" in r.description
 
 
+CLOSED_FORM_FACTORIES = ("n3_q_operators", "n3_sector_projector", "n3_pauli", "n3_trine",
+                         "n4_akl", "n4_q_operators", "n4_hws", "n4_singlet_layer",
+                         "n4_sector_projectors")
+
+
 def test_reference_suite_builds_each_case_once(monkeypatch):
-    # The cross-checks read the built cases; they call no closed-form
-    # factory beyond what building every case once calls.
+    # One call runs each closed-form factory exactly once, and builds each
+    # single-site n = 3 Pauli once, however many cases rest on it; nothing
+    # survives the call, so the next call builds them all again.
     calls = []
-    for name in ("n3_q_operators", "n3_sector_projector", "n3_pauli", "n3_trine",
-                 "n4_akl", "n4_q_operators", "n4_hws", "n4_singlet_layer",
-                 "n4_sector_projectors"):
+    for name in CLOSED_FORM_FACTORIES:
         real = getattr(reference, name)
-        monkeypatch.setattr(reference, name,
-                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
-    for case in reference.REFERENCE_CASES.values():
-        case.build()
-    once = sorted(calls)
-    calls.clear()
+        monkeypatch.setattr(reference, name, lambda *a, _real=real, _name=name, **parts:
+                            calls.append(_name) or _real(*a, **parts))
+    real_sigma = reference.sigma
+    monkeypatch.setattr(reference, "sigma", lambda reg, site, axis:
+                        calls.append(("sigma", site, axis)) or real_sigma(reg, site, axis))
+    once = sorted(CLOSED_FORM_FACTORIES) + sorted(
+        ("sigma", site, axis) for site in (1, 2, 3) for axis in "xyz")
     assert all(r.passed for r in suite_reference())
-    assert sorted(calls) == once
+    assert sorted(calls, key=str) == sorted(once, key=str)
+    calls.clear()
+    assert all(r.passed for r in run_suite("all", n_values=(3, 4)))
+    assert sorted(calls, key=str) == sorted(once, key=str)
 
 
 def test_run_suite_builds_the_n3_paulis_once(monkeypatch):
     # The hws suite's d = 2 Pauli check reads the reference suite's built case.
     calls, real = [], reference.n3_pauli
 
-    def counting():
+    def counting(**parts):
         calls.append("n3-pauli")
-        return real()
+        return real(**parts)
 
     monkeypatch.setattr(reference, "n3_pauli", counting)
-    monkeypatch.setitem(reference.REFERENCE_CASES, "n3-pauli", dataclasses.replace(
-        reference.REFERENCE_CASES["n3-pauli"], build=counting))
     assert all(r.passed for r in run_suite("all", n_values=(3, 4)))
     assert calls == ["n3-pauli"]
     calls.clear()
