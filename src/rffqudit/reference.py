@@ -15,7 +15,6 @@ one traced-out constituent at a time, to the n=3 ones.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import sqrt
 from typing import Callable
@@ -470,29 +469,34 @@ _PARTS = {
 }
 
 
-def _closed_forms() -> Callable[[str], object]:
+class _ClosedForms:
     """forms(name): what the factory of that name in this module builds, run at
     most once per forms, its parts (_PARTS) read from forms.
 
     One forms serves one call (a verify run, a reference case), so each closed
     form is built and cross-checked once per call and nothing outlives it. A
-    factory that raises is not cached: each later read raises again.
+    factory that raises is not kept: each later read raises again. A class
+    rather than a cached closure, which would refer to itself: a cycle keeps
+    everything it built alive until the garbage collector runs.
     """
-    @functools.cache
-    def forms(name: str):
-        parts = {arg: forms(part) for arg, part in _PARTS.get(name, {}).items()}
-        # read by name at call time, so a factory rebound in this module is the one run
-        return globals()[name](**parts)
 
-    return forms
+    def __init__(self):
+        self._built: dict = {}
+
+    def __call__(self, name: str):
+        if name not in self._built:
+            parts = {arg: self(part) for arg, part in _PARTS.get(name, {}).items()}
+            # read by name at call time, so a factory rebound in this module is the one run
+            self._built[name] = globals()[name](**parts)
+        return self._built[name]
 
 
 def _built_by(factory: str, keys: tuple | None = None) -> Callable[..., dict]:
     """A case's build(forms=None): the dict the named factory builds (only its
-    entries keys, when given), read from forms (_closed_forms), or from a
+    entries keys, when given), read from forms (a _ClosedForms), or from a
     fresh one when forms is None."""
-    def build(forms: Callable[[str], object] | None = None) -> dict:
-        built = (_closed_forms() if forms is None else forms)(factory)
+    def build(forms: _ClosedForms | None = None) -> dict:
+        built = (_ClosedForms() if forms is None else forms)(factory)
         return built if keys is None else {key: built[key] for key in keys}
 
     return build

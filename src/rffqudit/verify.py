@@ -134,7 +134,7 @@ def reference_cases() -> Callable[[str], dict]:
     runs at most once per call, however many cases rest on it; a factory that
     raises is not cached, so every row that reads it fails.
     """
-    forms = ref._closed_forms()
+    forms = ref._ClosedForms()
     return functools.cache(lambda case_id: ref.REFERENCE_CASES[case_id].build(forms))
 
 

@@ -1,5 +1,6 @@
 """The verification suites: green on the real code, loud on corrupted code."""
 
+import gc
 import json
 
 import numpy as np
@@ -361,6 +362,20 @@ def test_reference_suite_builds_each_case_once(monkeypatch):
     calls.clear()
     assert all(r.passed for r in run_suite("all", n_values=(3, 4)))
     assert sorted(calls, key=str) == sorted(once, key=str)
+
+
+def test_a_call_leaves_no_cyclic_garbage():
+    # What a call builds is freed when it returns. A reference cycle, such as
+    # a memo that refers to itself, would keep it until the garbage collector
+    # runs, and the heap would grow with the calls a process makes.
+    run_suite("all", n_values=(3,))
+    gc.collect()
+    gc.disable()
+    try:
+        run_suite("all", n_values=(3, 4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_run_suite_builds_the_n3_paulis_once(monkeypatch):
