@@ -338,8 +338,8 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     frame K^dag P_rho K, compressed from the payload's lifted weight-class
     blocks (CoupledBasis.compress_lifted); and encoded after the rotation,
     Tr(Tr_m2(R F R^dag) Pi_k) for the state's frame F = rho/d (x) I_d and
-    R = K^dag u^(x n) K. All trials run as stacks: the lift in chunks of at
-    most coupling.ROW_BLOCK_BYTES of blocks, the rotations in the channel's.
+    R = K^dag u^(x n) K. All trials run as stacks, in chunks of at most
+    coupling.CHUNK_BYTES: of lifted blocks, and of U K as in the channel.
     A payload off the logical sector, or a rotation that leaves it, fails the gate
     of compress_lifted or of qs.rotations: ConsistencyError naming its trial.
     """

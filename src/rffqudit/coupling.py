@@ -71,23 +71,21 @@ SECTOR_TOL = 1e-9
 # Bytes of payload rows that CoupledBasis.compress, the walk decode_payload
 # takes over a raw payload, holds at a time: one strip read from the payload
 # and one formed beside it, half each, so it holds no second 2**n x 2**n
-# matrix beside the payload. Also the size of a chunk of trials in
-# CoupledBasis.compress_lifted: the lifted blocks of all classes of a chunk
-# fit in it, though the chunk is lifted and gated one class at a time. That is
-# all five trials of a verify row up to n = 9, one at a time from n = 10.
+# matrix beside the payload. It bounds those row strips and nothing else.
 ROW_BLOCK_BYTES = 4 * 2 ** 20
-# Bytes of U K (one K per trial) that one chunk of trials may hold; a chunk
-# holds at least one trial. Two arrays of its size are live while it is
-# rotated (a pass's input and its product), and beside U K the gate holds one
-# weight class's rows and their product, each smaller than U K. That is the
-# 20 trials of verify's rotation row in one chunk up to n = 5, ten at n = 6
-# and three at n = 7; from n = 8 on a chunk is one trial, as at 64 KiB. On
-# 2 shared vCPUs, one BLAS thread, 200 interleaved in-process runs: the
-# rotation rows of n = 3..7 took a median 7.0-7.1 ms against 8.4-8.7 ms at
-# 64 KiB and 7.3-7.4 ms at 1 MiB; channel --n 3 --trials 300 (one chunk
-# now, three at 64 KiB) did not move. The tracemalloc peak of
-# run_suite("all", n_values=range(3, 8)) is 1.20 MB (1.11 MB at 64 KiB,
-# 2.76 MB at 1 MiB).
+# Bytes that one chunk of a stack of trials may hold, at least one trial per
+# chunk: U K (one K per trial) in CoupledBasis.rotations, where a pass's input
+# and its product are live and the gate holds one weight class's rows and
+# their product beside them, and the lifted blocks of all classes in
+# CoupledBasis.compress_lifted, which lifts and gates a chunk one class at a
+# time. verify's 20 rotation trials go in one chunk up to n = 5, ten at n = 6
+# and three at n = 7, its five lifted trials in one chunk up to n = 6 and
+# 4 + 1 at n = 7; from n = 8 on a chunk is one trial. On 2 shared vCPUs,
+# one BLAS thread, 200 interleaved in-process runs: the rotation rows of
+# n = 3..7 took a median 7.0-7.1 ms against 8.4-8.7 ms at 64 KiB and
+# 7.3-7.4 ms at 1 MiB; channel --n 3 --trials 300 (one chunk now, three at
+# 64 KiB) did not move. The tracemalloc peak of run_suite("all",
+# n_values=range(3, 8)) is 1.20 MB (1.11 MB at 64 KiB, 2.76 MB at 1 MiB).
 CHUNK_BYTES = 256 * 2 ** 10
 
 
@@ -243,7 +241,7 @@ class CoupledBasis:
         """The class frames C_k = B_k^dag P_k B_k of the payload's blocks
         P_k = B_k A B_k^dag, for each A of a stack (T, d, d): shaped
         (T, 2 j2 + 1, d, d). The trials go in chunks whose lifted blocks hold at
-        most ROW_BLOCK_BYTES (at least one trial each), and a chunk holds one
+        most CHUNK_BYTES (at least one trial each), and a chunk holds one
         lifted class at a time, so no 2**n x 2**n array is formed.
 
         Each trial's residual max_k |P_k - B_k C_k B_k^dag| is held to
@@ -251,11 +249,10 @@ class CoupledBasis:
         ConsistencyError names the first such trial.
         """
         per_trial = 16 * (comb(2 * self.n, self.n) - 2)  # bytes of one trial's blocks
-        step = max(1, ROW_BLOCK_BYTES // per_trial)
         chunks = []
-        for first in range(0, len(logical), step):
+        for part in _chunks(len(logical), per_trial, CHUNK_BYTES):
             frames, worst = [], 0.0
-            for block, lifted in zip(self.blocks, self.lift_blocks(logical[first:first + step])):
+            for block, lifted in zip(self.blocks, self.lift_blocks(logical[part])):
                 frame = block.conj().T @ lifted @ block
                 back = block @ frame @ block.conj().T
                 back -= lifted
@@ -263,7 +260,7 @@ class CoupledBasis:
                 del back  # not held beside the next class's
                 frames.append(frame)
             require_none(worst > SECTOR_TOL, lambda t: (
-                f"the encoded payload of state {first + t} is not supported on the logical "
+                f"the encoded payload of state {part.start + t} is not supported on the logical "
                 f"sector (|P - K C K^dag| = {worst[t]:.3e} > {SECTOR_TOL:g})"), ConsistencyError)
             chunks.append(np.stack(frames, axis=1))
         return np.concatenate(chunks)
@@ -281,20 +278,19 @@ class CoupledBasis:
         """
         payload = np.asarray(payload, dtype=complex)
         k_all, size = self.isometry, len(self.weight_classes)
-        step = max(1, ROW_BLOCK_BYTES // (2 * payload.itemsize * payload.shape[1]))
+        row_bytes = 2 * payload.itemsize * payload.shape[1]  # a row read, a row formed
         top = np.zeros((k_all.shape[1], payload.shape[1]), dtype=complex)  # K^dag P
         for k, (rows, block) in enumerate(self.weight_classes):
-            for first in range(0, len(rows), step):
-                top[k::size] += (block[first:first + step].conj().T
-                                 @ payload.take(rows[first:first + step], axis=0))
+            for part in _chunks(len(rows), row_bytes, ROW_BLOCK_BYTES):
+                top[k::size] += block[part].conj().T @ payload.take(rows[part], axis=0)
         inner = top @ k_all
         back = np.matmul(inner.conj(), k_all.T, out=top)  # C K^dag, conjugated in place
         np.conjugate(back, out=back)
         worst = max(np.abs(payload[0]).max(), np.abs(payload[-1]).max())
         for k, (rows, block) in enumerate(self.weight_classes):
-            for first in range(0, len(rows), step):
-                strip = payload.take(rows[first:first + step], axis=0)
-                strip -= block[first:first + step] @ back[k::size]
+            for part in _chunks(len(rows), row_bytes, ROW_BLOCK_BYTES):
+                strip = payload.take(rows[part], axis=0)
+                strip -= block[part] @ back[k::size]
                 worst = max(worst, np.abs(strip).max())
         return inner, float(worst)
 
@@ -309,9 +305,8 @@ class CoupledBasis:
         and on the all-up and all-down kets, where K is zero, it is |U K|."""
         reg, size = SpinRegister(self.n), len(self.blocks)
         k = self.isometry
-        step = max(1, CHUNK_BYTES // k.nbytes)
-        for first in range(0, len(u), step):
-            uk = collective_product_apply(reg, u[first:first + step], k)
+        for part in _chunks(len(u), k.nbytes, CHUNK_BYTES):
+            uk = collective_product_apply(reg, u[part], k)
             r = np.empty((len(uk),) + (k.shape[1],) * 2, dtype=complex)
             escape = np.abs(uk[:, [0, -1]]).max(axis=(1, 2))
             for m, (rows, block) in enumerate(self.weight_classes):
@@ -322,7 +317,7 @@ class CoupledBasis:
                 del strip  # not held beside the next class's
             del uk  # not held while the caller works on r
             require_none(escape > SECTOR_TOL, lambda t: (
-                f"the collective rotation of trial {first + t} leaves the logical "
+                f"the collective rotation of trial {part.start + t} leaves the logical "
                 f"sector (|U K - K R| = {escape[t]:.3e} > {SECTOR_TOL:g})"), ConsistencyError)
             yield r, escape
 
@@ -339,6 +334,13 @@ class CoupledBasis:
         unit = np.zeros((self.d, self.d))
         unit[lam - 1, lamp - 1] = 1.0
         return self.lift(unit)
+
+
+def _chunks(count: int, item_bytes: int, budget: int) -> Iterator[slice]:
+    """Consecutive slices of range(count), each of at most budget // item_bytes
+    items and at least one."""
+    step = max(1, budget // item_bytes)
+    return (slice(first, first + step) for first in range(0, count, step))
 
 
 def hamming_weights(n: int) -> np.ndarray:

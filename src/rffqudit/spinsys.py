@@ -309,20 +309,30 @@ def seeded_generator(seed) -> np.random.Generator:
     return np.random.default_rng(require_seed(seed))
 
 
+class _ChildSeed(np.random.bit_generator.ISeedSequence):
+    """A spawned child's generate_state(4, uint64), the one request PCG64 makes."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if (n_words, np.dtype(dtype)) != (4, np.uint64):
+            raise ContractViolationError(
+                f"a child seed holds 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
 def spawned_generators(seed, trials: int) -> Iterator[np.random.Generator]:
     """The streams of the children SeedSequence(seed).spawn(trials), in order.
 
-    Yields one reused Generator whose bit generator is set to child t's
-    PCG64 state before the t-th yield, so each stream is read before the next
-    is taken; its draws are those of default_rng(child). The seed and trials
-    are checked, and every state computed, before the first yield.
+    Yields a fresh Generator per child t, the PCG64 of that child's state
+    words: its draws are those of default_rng(child). The seed and trials are
+    checked, and every child hashed, before the first yield.
 
     The children are hashed for every t at once, with no SeedSequence object
     per child: NumPy's SeedSequence hash of the seed's 32-bit words, padded to
     the pool size 4, with the spawn key (t,) appended, in uint32 arrays over t.
-    generate_state(4, uint64) then gives each child's 128-bit seed and
-    increment, which PCG64's srandom turns into its (state, inc) (O'Neill,
-    PCG, HMC-CS-2014-0905).
+    Each child's generate_state(4, uint64) is then handed to NumPy's PCG64.
     """
     seed = require_seed(seed)
     if not 0 <= trials < 2 ** 32:
@@ -361,18 +371,5 @@ def spawned_generators(seed, trials: int) -> Iterator[np.random.Generator]:
         hash_const = hash_const * 0x58F38DED & mask
         value = value * hash_const
         out.append((value ^ (value >> 16)).astype(np.uint64))
-    halves = [(out[2 * i] | out[2 * i + 1] << np.uint64(32)).tolist() for i in range(4)]
-    multiplier, mask128 = 2549297995355413924 << 64 | 4865540595714422341, 2 ** 128 - 1
-    states = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*halves):
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & mask128
-        # srandom: state 0, a step, state += initstate, another step
-        states.append((((inc + (seed_hi << 64 | seed_lo)) * multiplier + inc) & mask128, inc))
-    generator = np.random.Generator(np.random.PCG64(0))
-
-    def stream(state: int, inc: int) -> np.random.Generator:
-        generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                                         "uinteger": 0, "state": {"state": state, "inc": inc}}
-        return generator
-
-    return (stream(state, inc) for state, inc in states)
+    states = np.stack([out[2 * i] | out[2 * i + 1] << np.uint64(32) for i in range(4)], axis=1)
+    return (np.random.Generator(np.random.PCG64(_ChildSeed(state))) for state in states)

@@ -161,6 +161,44 @@ def test_every_stream_is_seeded_by_the_two_seeding_helpers():
     assert offenders == {}
 
 
+def _bytes_divisions(tree: ast.AST) -> list[int]:
+    """The line of each floor division in tree with a *_BYTES name in an operand."""
+    def operands(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
+            return node.left, node.right
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.FloorDiv):
+            return node.target, node.value
+        return ()
+
+    return [node.lineno for node in ast.walk(tree)
+            if any(str(getattr(name, "id", getattr(name, "attr", ""))).endswith("_BYTES")
+                   for side in operands(node) for name in ast.walk(side))]
+
+
+@pytest.mark.parametrize("source, flagged", (
+    ("step = max(1, ROW_BLOCK_BYTES // size)\n", [1]),
+    ("step = coupling.CHUNK_BYTES // size\n", [1]),
+    ("step = size // (2 * CHUNK_BYTES)\n", [1]),
+    ("step = 8\nstep //= CHUNK_BYTES\n", [2]),
+    ("step = max(1, budget // item_bytes)\n", []),
+    ("half = CHUNK_BYTES / 2\n", []),
+))
+def test_the_chunk_guard_flags_floor_divisions_by_a_byte_budget(source, flagged):
+    assert _bytes_divisions(ast.parse(source)) == flagged
+
+
+def test_chunk_arithmetic_lives_in_one_helper():
+    # "Chunks of at most so many bytes, at least one item each" is
+    # coupling._chunks, which takes its budget as an argument; a floor
+    # division by a *_BYTES budget anywhere else spells that rule again.
+    offenders = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        found = _bytes_divisions(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            offenders[str(path.relative_to(PACKAGE))] = found
+    assert offenders == {}
+
+
 def _argmax_calls(tree: ast.AST, exempt: str | None = None) -> list[int]:
     """The line of each argmax call in tree outside the function named exempt."""
     skipped = {id(node) for function in ast.walk(tree)

@@ -401,6 +401,20 @@ def test_spawned_streams_start_in_the_states_of_numpys_children(seed, trials):
     assert got == [np.random.PCG64(child).state for child in children]
 
 
+def test_each_spawned_stream_is_its_own_generator():
+    # Held all at once, each stream still draws what default_rng(child) draws.
+    for seed in (0, 11, 2 ** 100 + 7):
+        gens = list(spawned_generators(seed, 3))
+        assert len({id(gen) for gen in gens}) == 3
+        for gen, child in zip(gens, np.random.SeedSequence(seed).spawn(3)):
+            assert np.array_equal(gen.standard_normal(8),
+                                  np.random.default_rng(child).standard_normal(8))
+            words = gen.bit_generator.seed_seq.generate_state(4, np.uint64)
+            assert np.array_equal(words, child.generate_state(4, np.uint64))
+            with pytest.raises(ContractViolationError, match="4 uint64 words"):
+                gen.bit_generator.seed_seq.generate_state(8)
+
+
 def test_spawned_streams_refuse_what_one_spawn_key_word_cannot_hold():
     for trials in (2 ** 32, -1):
         with pytest.raises(ContractViolationError, match="2\\*\\*32"):

@@ -19,6 +19,7 @@ import pytest
 
 from rffqudit.channel import random_density, random_povm
 from rffqudit.coupling import (
+    CHUNK_BYTES,
     ROW_BLOCK_BYTES,
     SECTOR_TOL,
     CoupledBasis,
@@ -160,12 +161,12 @@ def test_n11_compression_holds_strips_and_one_k_sized_array():
     # decode_payload walks the dense payload in strips beside one K.
     extra = 4 * ROW_BLOCK_BYTES + qs.isometry.nbytes
     # The entropy row lifts one trial at a time at n = 11 (its blocks exceed
-    # ROW_BLOCK_BYTES) and lifts and compresses one class at a time: the
+    # CHUNK_BYTES) and lifts and compresses one class at a time: the
     # class's block, B C B^dag - P of it and its modulus (three arrays of the
     # largest class at most), plus small arrays; never all classes at once.
     blocks = 16 * (comb(22, 11) - 2)
     largest = 16 * comb(11, 5) ** 2
-    assert blocks > ROW_BLOCK_BYTES and 3 * largest < blocks
+    assert blocks > CHUNK_BYTES and 3 * largest < blocks
     for row, bound in ((lambda: decode_payload(qs, payload), extra),
                        (lambda: entropy_defect_residual(qs, 5), 3 * largest + 2 ** 20)):
         tracemalloc.start()
@@ -257,8 +258,8 @@ def test_a_stack_of_trials_equals_one_trial_at_a_time(dense_case, monkeypatch):
         blocks = list(basis.lift_blocks(single))
         assert all(max_abs_diff(a[t], b) <= 1e-15 for a, b in zip(stacked, blocks))
         assert max_abs_diff(frames[t], basis.compress_lifted(single[None])[0]) <= 1e-15
-    for chunk_bytes in (ROW_BLOCK_BYTES, 1):  # every trial in one chunk, one per chunk
-        monkeypatch.setattr("rffqudit.coupling.ROW_BLOCK_BYTES", chunk_bytes)
+    for chunk_bytes in (CHUNK_BYTES, 1):  # every trial in one chunk, one per chunk
+        monkeypatch.setattr("rffqudit.coupling.CHUNK_BYTES", chunk_bytes)
         assert max_abs_diff(basis.compress_lifted(logical), frames) <= 1e-15
         _with_stray(monkeypatch, 1e-6, trial=2)
         with pytest.raises(ConsistencyError, match=r"^the encoded payload of state 2 "):
@@ -266,8 +267,8 @@ def test_a_stack_of_trials_equals_one_trial_at_a_time(dense_case, monkeypatch):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("n, per_chunk", ((9, [5]), (10, [1] * 5)))
-def test_a_row_lifts_its_trials_in_chunks_of_row_block_bytes(n, per_chunk, monkeypatch):
+@pytest.mark.parametrize("n, per_chunk", ((6, [5]), (7, [4, 1]), (8, [1] * 5)))
+def test_a_row_lifts_its_trials_in_chunks_of_chunk_bytes(n, per_chunk, monkeypatch):
     qs = basis_for(n)
     sizes, real = [], CoupledBasis.lift_blocks
 
@@ -278,6 +279,20 @@ def test_a_row_lifts_its_trials_in_chunks_of_row_block_bytes(n, per_chunk, monke
     monkeypatch.setattr(CoupledBasis, "lift_blocks", recording)
     assert entropy_defect_residual(qs, 5) < 1e-8
     assert sizes == per_chunk
+
+
+def test_the_entropy_row_at_n9_holds_one_trial_of_lifted_blocks():
+    # One trial's lifted blocks at n = 9 are 0.78 MB, so a chunk is one trial;
+    # lifted and gated one class at a time, the row peaks near 0.7 MB. All
+    # five trials in one chunk would hold 3.9 MB of blocks.
+    qs = basis_for(9)
+    tracemalloc.start()
+    try:
+        entropy_defect_residual(qs, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def _rows_failed_by(monkeypatch, lift_blocks, n):
