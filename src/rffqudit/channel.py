@@ -12,7 +12,7 @@ trial; "fixed" applies one given axis/angle rotation every trial;
 "dephasing" draws a Gaussian collective z-rotation angle per trial (equal
 field strength at every site).
 
-Determinism: the per-trial random streams are spawned from the seed, so a
+Determinism: every trial's noise is drawn from the seed's one stream, so a
 report is a pure function of (config, state) and serializes to identical
 bytes on every run.
 """
@@ -56,7 +56,6 @@ from .spinsys import (
     haar_su2,
     require_seed,
     seeded_generator,
-    spawned_generators,
 )
 
 NOISE_MODES = ("haar", "fixed", "dephasing")
@@ -71,7 +70,10 @@ _NUMBER_TYPES = {float, int, type(None)}
 _NOISE_PARAMETERS = {"axis": "fixed", "angle": "fixed", "width": "dephasing"}
 
 
-def require_trials(trials: int) -> None:
+def require_trials(trials) -> None:
+    """ValidationError unless trials is an integer >= 1 (a bool or a float is not)."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValidationError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
 
@@ -199,22 +201,20 @@ def _series_stats(values: np.ndarray) -> dict:
 
 
 def _noise_unitaries(cfg: ChannelConfig) -> np.ndarray:
-    """The (trials, 2, 2) stack of noise draws, trial t drawn from seed child t.
+    """The (trials, 2, 2) stack of noise draws, all from the seed's one stream.
 
-    Trial t reads the stream of child t of SeedSequence(cfg.seed).spawn(trials)
-    that default_rng(child) would give, all children seeded in one hashed pass
-    (spinsys.spawned_generators), so the draws do not depend on how the trials
-    are grouped."""
+    Trial t reads the t-th draw of spinsys.seeded_generator(cfg.seed), made in
+    one call for every trial, so the draws do not depend on how the trials are
+    grouped and a shorter run's draws are a prefix of a longer run's."""
     if cfg.noise == "fixed":
         ax = np.asarray(cfg.axis, dtype=float)
         generator = (ax[0] * SIGMA_X + ax[1] * SIGMA_Y + ax[2] * SIGMA_Z) / 2
         return np.broadcast_to(mat_exp_hermitian_generator(generator, cfg.angle),
                                (cfg.trials, 2, 2))
-    rngs = spawned_generators(cfg.seed, cfg.trials)
+    rng = seeded_generator(cfg.seed)
     if cfg.noise == "haar":
-        return haar_su2(rngs)
-    theta = np.array([rng.normal(loc=0.0, scale=cfg.width) for rng in rngs])
-    return mat_exp_hermitian_generator(SIGMA_Z / 2, theta)
+        return haar_su2(rng, cfg.trials)
+    return mat_exp_hermitian_generator(SIGMA_Z / 2, rng.normal(0.0, cfg.width, cfg.trials))
 
 
 def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:

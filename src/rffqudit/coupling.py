@@ -55,6 +55,7 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial, sqrt
 from typing import Iterator
 
@@ -457,19 +458,31 @@ def gram_residual(basis: CoupledBasis) -> float:
     return basis.gate_residuals["gram"]
 
 
-def sector_membership_residual(basis: CoupledBasis) -> float:
+def sector_membership_residual(basis: CoupledBasis, positions=None) -> float:
     """Max residual of J^2 B = j2(j2+1) B over the weight blocks B, with
     J^2 = n(4-n)/4 + sum_{l<k} P_lk on each class. J_z B = m2 B holds by
-    construction: each block lives on its weight class alone."""
+    construction: each block lives on its weight class alone. positions is a
+    transposition_index(n), made here when not given; its classes w = 1 .. n-1
+    are read."""
     n = basis.n
+    positions = transposition_index(n) if positions is None else positions
     jj = float(basis.j2 * (basis.j2 + 1))
     worst = 0.0
-    for rows, block in basis.weight_classes:
+    for (_, block), pairs in zip(basis.weight_classes, islice(positions, 1, n), strict=True):
         j_squared = n * (4 - n) / 4 * block
-        for positions in _transposed_positions(n, rows):  # one P_lk at a time: flat memory
-            j_squared += block[positions]
+        for moved in pairs:  # one P_lk at a time: flat memory
+            j_squared += block[moved]
         worst = max(worst, max_abs_diff(j_squared, jj * block))
     return worst
+
+
+def transposition_index(n: int) -> Iterator[np.ndarray]:
+    """_transposed_positions of each weight class w = 0 .. n, in order, each made
+    as it is read, so a reader holds one class at a time: the index that
+    sector_census and sector_membership_residual read. It can be read once; a
+    caller that runs both keeps it (tuple(transposition_index(n))) and hands it
+    to each, as verify does once per n and call."""
+    return (_transposed_positions(n, rows) for rows in weight_rows(n))
 
 
 def _transposed_positions(n: int, rows: np.ndarray) -> np.ndarray:
@@ -519,12 +532,13 @@ def cg_singlets(reg: SpinRegister) -> list[np.ndarray]:
     return [s1, s2]
 
 
-def sector_census(reg: SpinRegister) -> list[SectorSpec]:
+def sector_census(reg: SpinRegister, positions=None) -> list[SectorSpec]:
     """Enumerate sectors by the multiplicity formula, cross-checked against J^2.
 
     On each magnetisation block (the product kets of weight w, m = n/2 - w),
     J^2 = n(4-n)/4 + sum_{l<k} P_lk is built from the transposition index
-    maps; its eigenvalues must be j(j+1) within 1e-8, c_j times for each j >= |m|.
+    maps, read from positions, a transposition_index(n) made here when not given;
+    its eigenvalues must be j(j+1) within 1e-8, c_j times for each j >= |m|.
     Raises ConsistencyError on any mismatch.
     """
     n = reg.n
@@ -540,11 +554,12 @@ def sector_census(reg: SpinRegister) -> list[SectorSpec]:
 
     j = np.array([float(s.j) for s in reversed(specs)])  # ascending
     copies = np.array([s.multiplicity for s in reversed(specs)])
-    for w, rows in enumerate(weight_rows(n)):
+    positions = transposition_index(n) if positions is None else positions
+    for w, pairs in zip(range(n + 1), positions, strict=True):
         m, kept = Fraction(n, 2) - w, j >= abs(n / 2 - w)
         predicted = np.repeat(j[kept] * (j[kept] + 1), copies[kept])
         # no name holds the block, so one block is live at a time
-        found = np.linalg.eigvalsh(_j_squared_block(n, rows))
+        found = np.linalg.eigvalsh(_j_squared_block(n, pairs))
         if len(found) != len(predicted) or max_abs_diff(found, predicted) > 1e-8:
             raise ConsistencyError(f"J^2 block m={m}: census predicts {len(predicted)} "
                                    f"eigenvalues in {np.unique(predicted).tolist()}, the block "
@@ -552,13 +567,13 @@ def sector_census(reg: SpinRegister) -> list[SectorSpec]:
     return specs
 
 
-def _j_squared_block(n: int, rows: np.ndarray) -> np.ndarray:
-    """J^2 = n(4-n)/4 + sum_{l<k} P_lk on a class of product-ket indices (see
-    _transposed_positions), from one count of every transposition's entries
+def _j_squared_block(n: int, positions: np.ndarray) -> np.ndarray:
+    """J^2 = n(4-n)/4 + sum_{l<k} P_lk on a class of product-ket indices, from its
+    _transposed_positions, by one count of every transposition's entries
     straight into float64. Every entry is a count plus a multiple of 1/4, so
     the sums are exact and do not depend on their order."""
-    size = len(rows)
-    flat = _transposed_positions(n, rows) * size + np.arange(size)
+    size = positions.shape[1]
+    flat = positions * size + np.arange(size)
     block = np.bincount(flat.ravel(), weights=np.ones(flat.size), minlength=size * size)
     block[::size + 1] += n * (4 - n) / 4
     return block.reshape(size, size)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .coupling import SECTOR_TOL, CoupledBasis, partial_trace_m2, require_sector_isometry
 from .errors import ConsistencyError, ContractViolationError, ValidationError, require_none
-from .linalg import dagger, hermitian_eig, identity, max_abs_diff
+from .linalg import dagger, hermitian_eigvals, identity, max_abs_diff
 
 PSD_TOL = 1e-10
 
@@ -90,7 +90,7 @@ def require_density(rho: np.ndarray, name: str = "state") -> None:
     require(deviation > 1e-12, lambda i: f"is not hermitian (deviation {deviation[i]:.3e})")
     trace = np.trace(stack, axis1=1, axis2=2)
     require(abs(trace - 1) > 1e-12, lambda i: f"trace is {trace[i]:.15g}, expected 1")
-    w, _ = hermitian_eig(stack)
+    w = hermitian_eigvals(stack)
     require(w[:, 0] < -PSD_TOL, lambda i: f"is not PSD: min eigenvalue {w[i, 0]:.3e}")
 
 
@@ -124,7 +124,7 @@ class QuditPovm:
         stack = np.stack(elems)
         require_none(_hermiticity_deviations(stack) > 1e-12,
                      lambda k: f"POVM element {k} is not hermitian", ValidationError)
-        w, _ = hermitian_eig(stack)
+        w = hermitian_eigvals(stack)
         require_none(w[:, 0] < -PSD_TOL,
                      lambda k: f"POVM element {k} is not PSD: min eigenvalue {w[k, 0]:.3e}",
                      ValidationError)
@@ -164,10 +164,10 @@ def decode_frame(d: int, frame: np.ndarray) -> QuditState:
 def _encoded(qs: CoupledBasis, kind: str, logical: np.ndarray) -> list[EncodedOperator]:
     """One operator with frame A (x) I_d per logical factor A of the stack (m, d, d).
 
-    spec(A (x) I_d) = spec(A), so one stacked eigh of the d x d factors checks
+    spec(A (x) I_d) = spec(A), so one stacked eigvalsh of the d x d factors checks
     every frame for PSD; the error names the first failing one.
     """
-    w, _ = hermitian_eig(logical)
+    w = hermitian_eigvals(logical)
     require_none(w[:, 0] < -PSD_TOL,
                  lambda i: f"encoded {kind} is not PSD: min eigenvalue {w[i, 0]:.3e}",
                  ConsistencyError)

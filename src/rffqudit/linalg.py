@@ -2,7 +2,7 @@
 
 All operators and kets in the package are dense row-major complex128 numpy
 arrays. This module provides construction, adjoints,
-hermitian eigendecomposition, partial traces, matrix exponentials of
+hermitian eigendecomposition and spectra, partial traces, matrix exponentials of
 hermitian generators, max-norm comparisons, entropy/fidelity helpers, and
 the JSON interchange format shared by every module and the CLI.
 
@@ -62,6 +62,21 @@ def hermitian_eig(a):
     A stack is checked as a whole: its worst hermiticity deviation must be
     within HERMITICITY_TOL.
     """
+    w, v = _checked_spectrum(np.linalg.eigh, a)
+    return w, v
+
+
+def hermitian_eigvals(a) -> np.ndarray:
+    """The eigenvalues of hermitian_eig(a), ascending, without the eigenvectors.
+
+    The same checks and errors as hermitian_eig, through one eigvalsh call.
+    """
+    return _checked_spectrum(np.linalg.eigvalsh, a)
+
+
+def _checked_spectrum(routine, a):
+    """routine (eigh or eigvalsh) of a square matrix or stack that is hermitian
+    within HERMITICITY_TOL; a failed or non-finite result is a NumericalError."""
     a = as_matrices(a)
     if a.shape[-2] != a.shape[-1]:
         raise ContractViolationError(f"matrix is not square: {a.shape}")
@@ -71,12 +86,13 @@ def hermitian_eig(a):
             f"matrix is not hermitian within {HERMITICITY_TOL:g} (deviation {deviation:.3e})"
         )
     try:
-        w, v = np.linalg.eigh(a)
+        result = routine(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    if not (np.isfinite(w).all() and np.isfinite(v).all()):
+    if not all(np.isfinite(part).all() for part in
+               (result if isinstance(result, tuple) else (result,))):
         raise NumericalError("eigendecomposition produced non-finite output")
-    return w, v
+    return result
 
 
 def mat_exp_hermitian_generator(h, t) -> np.ndarray:
@@ -120,7 +136,7 @@ def entropy_bits(rho):
     Eigenvalues in [-1e-10, 0) are clipped to 0; anything more negative is
     a contract violation (the input was not positive semidefinite).
     """
-    w, _ = hermitian_eig(rho)
+    w = hermitian_eigvals(rho)
     if w.min() < -1e-10:
         raise ContractViolationError(
             f"matrix is not PSD: min eigenvalue {w.min():.3e}"
@@ -164,7 +180,7 @@ def uhlmann_fidelity(rho, sigma):
     # Round-off leaves eigenvalues of either sign near zero in the product;
     # its scale is ||r||**2 ||sigma|| (Frobenius norms bound the 2-norms),
     # one scale per sigma.
-    w, _ = hermitian_eig((inner + dagger(inner)) / 2)
+    w = hermitian_eigvals((inner + dagger(inner)) / 2)
     w = _drop_round_off(w, np.linalg.norm(r) ** 2 * np.linalg.norm(s, axis=(-2, -1)))
     # float_power squares through pow(), as a scalar ** 2 does; an array's
     # ** 2 is x * x, which can differ in the last bit.
@@ -177,7 +193,7 @@ def trace_distance(rho, sigma):
 
     For a stack of sigmas (T, m, m), returns the T distances as an array.
     """
-    w, _ = hermitian_eig(as_matrix(rho) - as_matrices(sigma))
+    w = hermitian_eigvals(as_matrix(rho) - as_matrices(sigma))
     dist = np.abs(w).sum(axis=-1) / 2
     return float(dist) if dist.ndim == 0 else dist
 

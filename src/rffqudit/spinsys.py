@@ -269,19 +269,18 @@ def kron_power(reg: SpinRegister, u) -> np.ndarray:
     return op
 
 
-def haar_su2(rng) -> np.ndarray:
+def haar_su2(rng: np.random.Generator, trials: int | None = None) -> np.ndarray:
     """A Haar-distributed 2x2 special-unitary matrix, drawn from rng.
 
     Samples a 2x2 standard complex Gaussian matrix, orthonormalizes by QR,
     fixes the R-diagonal phases (making the draw Haar on U(2)), then removes
-    the determinant phase to land in SU(2). Given an iterable of generators
-    instead, returns the stack (T, 2, 2) of one draw from each, bit-identical
-    to drawing them one at a time. Each draw takes the real parts, then the
-    imaginary parts, of the Gaussian from one standard_normal call.
+    the determinant phase to land in SU(2). Given a trial count, returns the
+    stack (trials, 2, 2) from one standard_normal((trials, 2, 2, 2)) call,
+    bit-identical to drawing the matrices one at a time. Each draw takes the
+    real parts, then the imaginary parts, of its Gaussian.
     """
-    if isinstance(rng, np.random.Generator):
-        return _haar_su2_of(rng.standard_normal((2, 2, 2)))
-    return _haar_su2_of(np.array([gen.standard_normal((2, 2, 2)) for gen in rng]))
+    shape = (2, 2, 2) if trials is None else (trials, 2, 2, 2)
+    return _haar_su2_of(rng.standard_normal(shape))
 
 
 def _haar_su2_of(z: np.ndarray) -> np.ndarray:
@@ -307,69 +306,3 @@ def require_seed(seed) -> int:
 def seeded_generator(seed) -> np.random.Generator:
     """The one stream of a seed: default_rng(seed), the stream of SeedSequence(seed)."""
     return np.random.default_rng(require_seed(seed))
-
-
-class _ChildSeed(np.random.bit_generator.ISeedSequence):
-    """A spawned child's generate_state(4, uint64), the one request PCG64 makes."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if (n_words, np.dtype(dtype)) != (4, np.uint64):
-            raise ContractViolationError(
-                f"a child seed holds 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
-        return self.words
-
-
-def spawned_generators(seed, trials: int) -> Iterator[np.random.Generator]:
-    """The streams of the children SeedSequence(seed).spawn(trials), in order.
-
-    Yields a fresh Generator per child t, the PCG64 of that child's state
-    words: its draws are those of default_rng(child). The seed and trials are
-    checked, and every child hashed, before the first yield.
-
-    The children are hashed for every t at once, with no SeedSequence object
-    per child: NumPy's SeedSequence hash of the seed's 32-bit words, padded to
-    the pool size 4, with the spawn key (t,) appended, in uint32 arrays over t.
-    Each child's generate_state(4, uint64) is then handed to NumPy's PCG64.
-    """
-    seed = require_seed(seed)
-    if not 0 <= trials < 2 ** 32:
-        raise ContractViolationError(f"spawned streams take 0 <= trials < 2**32, got {trials}")
-    mask, pool_size = 2 ** 32 - 1, 4
-    words = [seed >> 32 * i & mask for i in range(max(1, -(-seed.bit_length() // 32)))]
-    words += [0] * (pool_size - len(words))
-    entropy = np.empty((len(words) + 1, trials), dtype=np.uint32)
-    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[-1] = np.arange(trials)  # the spawn key (t,)
-    # NumPy's INIT_A and MULT_A, MIX_MULT_L and MIX_MULT_R, then INIT_B and MULT_B
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * 0x931E8875 & mask
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = 0xCA01F9DD * x - 0x4973F715 * y
-        return result ^ (result >> 16)
-
-    pool = [hashmix(entropy[i]) for i in range(pool_size)]
-    for src in range(pool_size):
-        for dst in range(pool_size):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(pool_size, len(entropy)):
-        for dst in range(pool_size):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-    hash_const, out = 0x8B51F9DD, []
-    for i in range(8):  # generate_state(4, uint64): eight 32-bit words, low word first
-        value = pool[i % pool_size] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & mask
-        value = value * hash_const
-        out.append((value ^ (value >> 16)).astype(np.uint64))
-    states = np.stack([out[2 * i] | out[2 * i + 1] << np.uint64(32) for i in range(4)], axis=1)
-    return (np.random.Generator(np.random.PCG64(_ChildSeed(state))) for state in states)

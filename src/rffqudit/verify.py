@@ -44,6 +44,7 @@ from .coupling import (
     sector_census,
     sector_membership_residual,
     symmetric_singlets,
+    transposition_index,
 )
 from .encoder import (
     HwsPair,
@@ -205,7 +206,7 @@ def _round_trip(rho: np.ndarray, frames: np.ndarray) -> float:
 
 def _entropy_defect(rho: np.ndarray, frames: np.ndarray) -> float:
     """Worst |S(C) - S(rho) - log2 d|: the frame is block-diagonal in m2, so its
-    entropy is the sum of those of its class frames C_k, from one stacked eigh.
+    entropy is the sum of those of its class frames C_k, from one stacked eigvalsh.
     Frames that are not hermitian and PSD are a failed encoding (ConsistencyError)."""
     try:
         s_encoded = entropy_bits(frames).sum(axis=-1)
@@ -295,11 +296,14 @@ def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
                    census_n_values=(2, 3, 4, 5, 6, 7, 8),
                    bases: Callable | None = None) -> list[CheckResult]:
     bases = fourier_bases() if bases is None else bases
+    # One transposition index per n for the call, read by the census and the
+    # membership check; the census also runs where no basis is built (n = 2).
+    indices = functools.cache(lambda n: tuple(transposition_index(n)))
     results = [
         _check(f"coupling:census:n={n}",
                f"sector multiplicities for n={n} match the J^2 spectrum of every "
                "magnetisation block", 0.0, tol,
-               lambda: _built(sector_census(SpinRegister(n))))
+               lambda: _built(sector_census(SpinRegister(n), indices(n))))
         for n in census_n_values
     ]
     for n in n_values:
@@ -308,7 +312,7 @@ def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
              lambda: gram_residual(bases(n))),
             ("sector-membership",
              f"sector basis for n={n} satisfies the J^2 and Jz eigenvalue equations",
-             lambda: sector_membership_residual(bases(n))),
+             lambda: sector_membership_residual(bases(n), indices(n))),
             ("independence",
              "changing the coupling only remixes the degeneracy label unitarily",
              lambda: coupling_independence_residual(bases(n))),

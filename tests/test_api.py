@@ -143,15 +143,15 @@ def test_the_process_state_guard_allows_only_the_cli_parser_cache():
 SEEDING_NAMES = {"SeedSequence", "default_rng", "PCG64"}
 
 
-def test_every_stream_is_seeded_by_the_two_seeding_helpers():
-    # One path from a seed to its streams: spinsys.seeded_generator for one
-    # stream and spinsys.spawned_generators for one per trial.
+def test_every_stream_is_seeded_by_the_seeding_helper():
+    # One path from a seed to its stream: spinsys.seeded_generator. Every
+    # draw of a call, the channel's trials included, reads that one stream.
     offenders = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         helpers = {id(node) for function in ast.walk(tree)
                    if isinstance(function, ast.FunctionDef) and path.name == "spinsys.py"
-                   and function.name in ("seeded_generator", "spawned_generators")
+                   and function.name == "seeded_generator"
                    for node in ast.walk(function)}
         found = [node.lineno for node in ast.walk(tree) if id(node) not in helpers
                  and (getattr(node, "attr", None) in SEEDING_NAMES

@@ -303,6 +303,21 @@ def test_sector_census_rejects_swaps_that_do_nothing(monkeypatch):
         sector_census(SpinRegister(4))
 
 
+@pytest.mark.parametrize("n", (3, 6))
+def test_a_kept_index_gives_the_figures_of_a_fresh_one(n):
+    index = tuple(coupling.transposition_index(n))
+    assert [len(p[0]) if len(p) else 1 for p in index] == [len(r) for r in weight_rows(n)]
+    basis = build_coupled_basis(SpinRegister(n))
+    assert sector_membership_residual(basis, index) == sector_membership_residual(basis)
+    assert sector_census(SpinRegister(n), index) == sector_census(SpinRegister(n))
+    spent = coupling.transposition_index(n)
+    tuple(spent)  # an index can be read once: a spent one is refused, not read as empty
+    with pytest.raises(ValueError):
+        sector_membership_residual(basis, spent)
+    with pytest.raises(ValueError):
+        sector_census(SpinRegister(n), spent)
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_transposed_positions_are_the_permutation_maps(n):
     # Row (l k) of a class's positions, l < k in order, against the map of

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rffqudit.errors import ContractViolationError, ValidationError
+from rffqudit.errors import ContractViolationError, NumericalError, ValidationError
 from rffqudit.linalg import (
     dagger,
     entropy_bits,
     hermitian_eig,
+    hermitian_eigvals,
     identity,
     mat_exp_hermitian_generator,
     matrix_from_json_dict,
@@ -101,6 +102,44 @@ def test_hermitian_eig_and_dagger_take_stacks():
         hermitian_eig(h)
     with pytest.raises(ContractViolationError, match="NaN"):
         hermitian_eig(np.full((2, 2, 2), np.inf))
+
+
+@pytest.mark.parametrize("shape", ((6, 6), (300, 2, 2), (5, 36, 36)))
+def test_the_eigenvalue_only_spectrum_is_hermitian_eigs(shape):
+    rng = np.random.default_rng(len(shape))
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    h = (g + dagger(g)) / 2
+    w = hermitian_eigvals(h)
+    assert w.shape == shape[:-1]
+    assert max_abs_diff(w, hermitian_eig(h)[0]) < 1e-12
+    assert np.all(np.diff(w, axis=-1) >= 0)
+
+
+@pytest.mark.parametrize("bad, error, match", (
+    (np.ones((2, 3)), ContractViolationError, "not square"),
+    (np.ones((4, 2, 3)), ContractViolationError, "not square"),
+    (np.array([[0, 1], [0, 0]]), ContractViolationError, "not hermitian"),
+    (np.full((2, 2), np.nan), ContractViolationError, "NaN"),
+    (np.full((3, 2, 2), np.inf), ContractViolationError, "NaN"),
+))
+def test_the_eigenvalue_only_spectrum_refuses_what_hermitian_eig_refuses(bad, error, match):
+    for spectrum in (hermitian_eig, hermitian_eigvals):
+        with pytest.raises(error, match=match):
+            spectrum(bad)
+
+
+def test_a_failed_or_non_finite_spectrum_is_a_numerical_error(monkeypatch):
+    def fails(a):
+        raise np.linalg.LinAlgError("did not converge")
+
+    for routine, spectrum in (("eigh", hermitian_eig), ("eigvalsh", hermitian_eigvals)):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, routine, fails)
+            with pytest.raises(NumericalError, match="did not converge"):
+                spectrum(identity(2))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    with pytest.raises(NumericalError, match="non-finite"):
+        hermitian_eigvals(identity(2))
 
 
 def test_mat_exp_rotates_pauli():

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dense_oracle import collective_apply, collective_j_squared
 from rffqudit.errors import ContractViolationError, SizeLimitError, ValidationError
@@ -24,7 +22,6 @@ from rffqudit.spinsys import (
     sigma,
     seeded_generator,
     singlet_projector,
-    spawned_generators,
     spin_matrices,
     swap,
     total_J,
@@ -360,12 +357,16 @@ def test_collective_product_apply_rejects_non_2x2_input():
 
 
 def test_stacked_su2_draws_equal_one_draw_at_a_time():
-    children = np.random.SeedSequence(7).spawn(40)
-    singles = [haar_su2(np.random.default_rng(child)) for child in children]
-    stack = haar_su2(np.random.default_rng(child) for child in children)
-    assert stack.shape == (40, 2, 2)
-    assert np.array_equal(stack, np.array(singles))
-    assert max_abs_diff(np.linalg.det(stack), np.ones(40)) < 1e-14
+    # One standard_normal call for the stack reads the stream that 40 single
+    # draws read in turn, for seeds of one, two and four 64-bit words.
+    for seed in (7, 2 ** 64 + 5, 3 * 2 ** 100 + 1):
+        rng = seeded_generator(seed)
+        singles = [haar_su2(rng) for _ in range(40)]
+        stack = haar_su2(seeded_generator(seed), 40)
+        assert stack.shape == (40, 2, 2)
+        assert np.array_equal(stack, np.array(singles))
+        assert max_abs_diff(np.linalg.det(stack), np.ones(40)) < 1e-14
+    assert haar_su2(seeded_generator(7), 0).shape == (0, 2, 2)
 
 
 def test_collective_rotation_commutes_with_total_j_squared():
@@ -393,40 +394,10 @@ def test_haar_su2_is_seed_deterministic():
     assert max_abs_diff(a, c) > 1e-3
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 192 - 1), st.integers(1, 64))
-def test_spawned_streams_start_in_the_states_of_numpys_children(seed, trials):
-    children = np.random.SeedSequence(seed).spawn(trials)
-    got = [gen.bit_generator.state for gen in spawned_generators(seed, trials)]
-    assert got == [np.random.PCG64(child).state for child in children]
-
-
-def test_each_spawned_stream_is_its_own_generator():
-    # Held all at once, each stream still draws what default_rng(child) draws.
-    for seed in (0, 11, 2 ** 100 + 7):
-        gens = list(spawned_generators(seed, 3))
-        assert len({id(gen) for gen in gens}) == 3
-        for gen, child in zip(gens, np.random.SeedSequence(seed).spawn(3)):
-            assert np.array_equal(gen.standard_normal(8),
-                                  np.random.default_rng(child).standard_normal(8))
-            words = gen.bit_generator.seed_seq.generate_state(4, np.uint64)
-            assert np.array_equal(words, child.generate_state(4, np.uint64))
-            with pytest.raises(ContractViolationError, match="4 uint64 words"):
-                gen.bit_generator.seed_seq.generate_state(8)
-
-
-def test_spawned_streams_refuse_what_one_spawn_key_word_cannot_hold():
-    for trials in (2 ** 32, -1):
-        with pytest.raises(ContractViolationError, match="2\\*\\*32"):
-            spawned_generators(1, trials)
-    assert list(spawned_generators(1, 0)) == []
-
-
 @pytest.mark.parametrize("seed", (-1, 1.5, True, "3", None))
 def test_a_seed_that_is_not_a_non_negative_integer_is_refused(seed):
-    for make in (seeded_generator, lambda s: spawned_generators(s, 2)):
-        with pytest.raises(ValidationError, match="seed must be"):
-            make(seed)
+    with pytest.raises(ValidationError, match="seed must be"):
+        seeded_generator(seed)
 
 
 def test_a_seeded_stream_is_default_rngs():

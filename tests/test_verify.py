@@ -157,6 +157,22 @@ def test_run_suite_builds_each_fourier_basis_once_per_call(monkeypatch):
     assert [r.as_dict() for r in first] == [r.as_dict() for r in second]
 
 
+def test_a_verify_call_builds_each_position_array_once(monkeypatch, tmp_path):
+    # The census (n + 1 classes, n = 3 .. 7) and the membership check (its
+    # n - 1 inner classes) read one index per n: 30 arrays, where reading
+    # their own made 50.
+    calls, real = [], coupling._transposed_positions
+
+    def counting(n, rows):
+        calls.append((n, rows.tobytes()))
+        return real(n, rows)
+
+    monkeypatch.setattr(coupling, "_transposed_positions", counting)
+    assert cli.main(["verify", "--suite", "all", "--n-range", "3..7",
+                     "--output", str(tmp_path / "verify.json")]) == 0
+    assert len(calls) == 30 == len(set(calls))
+
+
 def _gate_fails_at_4(monkeypatch):
     real = verify.build_coupled_basis
 
@@ -417,7 +433,7 @@ def test_rotation_row_draws_match_one_at_a_time_draws_in_chunks(monkeypatch):
     rng = np.random.default_rng(np.random.SeedSequence(11))
     singles = np.array([haar_su2(rng) for _ in range(5)])
     rng = np.random.default_rng(np.random.SeedSequence(11))
-    assert np.array_equal(haar_su2([rng] * 5), singles)
+    assert np.array_equal(haar_su2(rng, 5), singles)
 
 
 def _old_random_density(rng, d):
