@@ -44,6 +44,7 @@ from .linalg import (
     dagger,
     matrix_to_json_dict,
     mat_exp_hermitian_generator,
+    stack_at_shared,
     trace_distance,
     uhlmann_fidelity,
 )
@@ -70,12 +71,14 @@ _NUMBER_TYPES = {float, int, type(None)}
 _NOISE_PARAMETERS = {"axis": "fixed", "angle": "fixed", "width": "dephasing"}
 
 
-def require_trials(trials) -> None:
-    """ValidationError unless trials is an integer >= 1 (a bool or a float is not)."""
+def require_trials(trials) -> int:
+    """trials as an int; ValidationError unless it is an integer >= 1 (a bool or a
+    float is not)."""
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
         raise ValidationError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    return int(trials)
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,9 @@ class ChannelConfig:
     width: float | None = None
 
     def __post_init__(self):
-        require_trials(self.trials)
-        require_seed(self.seed)
+        # Kept as Python ints, so a NumPy integer echoes into the report as an int.
+        object.__setattr__(self, "trials", require_trials(self.trials))
+        object.__setattr__(self, "seed", require_seed(self.seed))
         if self.noise not in NOISE_MODES:
             raise ValidationError(
                 f"unknown noise mode {self.noise!r}; expected one of {NOISE_MODES}"
@@ -241,12 +245,15 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
     start = perf_counter()
     u = _noise_unitaries(cfg)
     drawn = perf_counter()
-    decoded = np.concatenate([partial_trace_m2(basis.d, r @ enc.frame @ dagger(r))
+    # F and rho are shared by every trial: R F and u rho are one product each.
+    decoded = np.concatenate([partial_trace_m2(basis.d,
+                                               stack_at_shared(r, enc.frame) @ dagger(r))
                               for r, _ in basis.rotations(u)])
     rotated = perf_counter()
     decoded = require_decoded(decoded)
     # The bare qubit's states ride in the same stack, so sqrt(rho) is taken once.
-    compared = np.concatenate([decoded, u @ state.rho @ dagger(u)]) if bare_enabled else decoded
+    compared = (np.concatenate([decoded, stack_at_shared(u, state.rho) @ dagger(u)])
+                if bare_enabled else decoded)
     fidelities = uhlmann_fidelity(state.rho, compared)
     series = {
         "fidelity": fidelities[:cfg.trials],

@@ -62,7 +62,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConsistencyError, ContractViolationError, ValidationError, require_none
-from .linalg import dagger, identity, max_abs_diff
+from .linalg import dagger, identity, max_abs_diff, stack_at_shared
 from .spinsys import SpinRegister, collective_product_apply, product_ket
 
 ISOMETRY_TOL = 1e-10
@@ -82,11 +82,13 @@ ROW_BLOCK_BYTES = 4 * 2 ** 20
 # time. verify's 20 rotation trials go in one chunk up to n = 5, ten at n = 6
 # and three at n = 7, its five lifted trials in one chunk up to n = 6 and
 # 4 + 1 at n = 7; from n = 8 on a chunk is one trial. On 2 shared vCPUs,
-# one BLAS thread, 200 interleaved in-process runs: the rotation rows of
-# n = 3..7 took a median 7.0-7.1 ms against 8.4-8.7 ms at 64 KiB and
-# 7.3-7.4 ms at 1 MiB; channel --n 3 --trials 300 (one chunk now, three at
-# 64 KiB) did not move. The tracemalloc peak of run_suite("all",
-# n_values=range(3, 8)) is 1.20 MB (1.11 MB at 64 KiB, 2.76 MB at 1 MiB).
+# one BLAS thread, two sets of 200 interleaved in-process runs, with one BLAS
+# call per class and chunk in rotations: the rotation rows of n = 3..7 took
+# a median 6.6-6.8 ms against 9.0-9.3 ms at 64 KiB and 6.7-6.9 ms at 1 MiB;
+# run_channel at n = 3 with 300 trials (one chunk now, three at 64 KiB)
+# took 2.8-2.9 ms against 2.9-3.1 ms at 64 KiB and 3.0 ms at 1 MiB. The
+# tracemalloc peak of run_suite("all", n_values=range(3, 8)) is 1.22 MB
+# (1.12 MB at 64 KiB, 2.81 MB at 1 MiB).
 CHUNK_BYTES = 256 * 2 ** 10
 
 
@@ -301,9 +303,13 @@ class CoupledBasis:
         (ConsistencyError names the first trial over it). U K comes from
         collective_product_apply, four constituents per pass, in chunks of at
         most CHUNK_BYTES of U K (at least one trial each). R and the escape are
-        taken on the weight blocks: the rows of R in class m2 = j2 - k are
-        B_k^dag (U K)[rows_k], the escape there is |(U K)[rows_k] - B_k R[k rows]|,
-        and on the all-up and all-down kets, where K is zero, it is |U K|."""
+        taken on the weight blocks, transposed so that the chunk's trials stack
+        in the rows of one product with the shared block (linalg.stack_at_shared):
+        with S_k = (U K)[rows_k]^T, gathered once per class as (T, d**2, C_k),
+        the rows of R in class m2 = j2 - k are the transpose of S_k B_k^*, the
+        escape there is |S_k - R[k rows]^T B_k^T|, and on the all-up and
+        all-down kets, where K is zero, it is |U K|. Each is one BLAS call per
+        class and chunk, and a trial's bits do not depend on the chunk."""
         reg, size = SpinRegister(self.n), len(self.blocks)
         k = self.isometry
         for part in _chunks(len(u), k.nbytes, CHUNK_BYTES):
@@ -311,9 +317,10 @@ class CoupledBasis:
             r = np.empty((len(uk),) + (k.shape[1],) * 2, dtype=complex)
             escape = np.abs(uk[:, [0, -1]]).max(axis=(1, 2))
             for m, (rows, block) in enumerate(self.weight_classes):
-                strip = uk[:, rows]
-                r[:, m::size] = block.conj().T @ strip
-                strip -= block @ r[:, m::size]
+                strip = uk.transpose(0, 2, 1)[:, :, rows]  # (U K)[rows]^T, (T, d**2, C_k)
+                rows_t = stack_at_shared(strip, block.conj())  # (B_k^dag (U K)[rows])^T
+                r[:, m::size] = rows_t.transpose(0, 2, 1)
+                strip -= stack_at_shared(rows_t, block.T)
                 escape = np.maximum(escape, np.abs(strip).max(axis=(1, 2)))
                 del strip  # not held beside the next class's
             del uk  # not held while the caller works on r
@@ -449,8 +456,9 @@ def isometry_residuals(basis: CoupledBasis) -> dict:
 
 def partial_trace_m2(d: int, inner: np.ndarray) -> np.ndarray:
     """Trace out m2 from a d**2 x d**2 operator with indices (lambda, m2), or from
-    each operator of a stack (..., d**2, d**2)."""
-    return np.trace(inner.reshape(inner.shape[:-2] + (d, d, d, d)), axis1=-3, axis2=-1)
+    each operator of a stack (..., d**2, d**2): one einsum over the
+    (lambda, m2, lambda', m2') view."""
+    return np.einsum("...ambm->...ab", inner.reshape(inner.shape[:-2] + (d, d, d, d)))
 
 
 def gram_residual(basis: CoupledBasis) -> float:

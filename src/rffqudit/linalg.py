@@ -1,10 +1,11 @@
 """Dense complex linear algebra kernel.
 
 All operators and kets in the package are dense row-major complex128 numpy
-arrays. This module provides construction, adjoints,
-hermitian eigendecomposition and spectra, partial traces, matrix exponentials of
-hermitian generators, max-norm comparisons, entropy/fidelity helpers, and
-the JSON interchange format shared by every module and the CLI.
+arrays. This module provides construction, adjoints, products of a stack
+with one shared matrix, hermitian eigendecomposition and spectra, partial
+traces, matrix exponentials of hermitian generators, max-norm comparisons,
+entropy/fidelity helpers, and the JSON interchange format shared by every
+module and the CLI.
 
 Everything here is a pure function of its inputs; the module holds no state.
 """
@@ -47,6 +48,31 @@ def identity(dim: int) -> np.ndarray:
 def dagger(a) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return np.swapaxes(as_matrices(a).conj(), -1, -2)
+
+
+def stack_at_shared(stack, shared) -> np.ndarray:
+    """stack @ shared for a matrix or a stack (..., m, k) and one (k, p) matrix
+    that every matrix of the stack shares, as one product of the stack's rows.
+
+    A stacked @ calls BLAS once per matrix; here the stack is viewed as one
+    (T m, k) matrix, so a stack of small matrices costs one call. Each row
+    still meets the same columns of shared, so a matrix's entries do not
+    depend on how many matrices share the call, and they equal the stacked
+    @'s bit for bit (tests/test_linalg.py).
+    """
+    stack = np.asarray(stack)
+    rows = stack.reshape(-1, stack.shape[-1]) @ shared
+    return rows.reshape(stack.shape[:-1] + rows.shape[-1:])
+
+
+def shared_at_stack(shared, stack) -> np.ndarray:
+    """shared @ stack for one (m, k) matrix and a matrix or a stack (..., k, p),
+    as (stack^T shared^T)^T: one product of the transposed stack's rows
+    (stack_at_shared). The operands meet in the other order, so an entry may
+    differ from the stacked @'s in the last bit. Returns a transposed view.
+    """
+    return np.swapaxes(stack_at_shared(np.swapaxes(stack, -1, -2), np.transpose(shared)),
+                       -1, -2)
 
 
 def max_abs_diff(a, b) -> float:
@@ -172,11 +198,12 @@ def uhlmann_fidelity(rho, sigma):
     """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2.
 
     For a stack of sigmas (T, m, m), returns the T fidelities as an array,
-    with sqrt(rho) computed once.
+    with sqrt(rho) computed once and sqrt(rho) (sigma sqrt(rho)) taken as
+    two products over the whole stack, each the same for a stack of one.
     """
     r = sqrtm_psd(rho)
     s = as_matrices(sigma)
-    inner = r @ s @ r
+    inner = shared_at_stack(r, stack_at_shared(s, r))
     # Round-off leaves eigenvalues of either sign near zero in the product;
     # its scale is ||r||**2 ||sigma|| (Frobenius norms bound the 2-norms),
     # one scale per sigma.

@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, SizeLimitError, ValidationError
-from .linalg import as_matrices, as_matrix, identity, mat_exp_hermitian_generator
+from .linalg import as_matrices, as_matrix, identity, mat_exp_hermitian_generator, stack_at_shared
 
 # The largest register the package builds: its 2**n x 2**n operators are 4 GiB.
 MAX_CONSTITUENTS = 14
@@ -47,7 +47,10 @@ class SpinRegister:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int):
+            raise ContractViolationError(
+                f"register size must be an integer (a Python int), got {self.n!r}")
+        if self.n < 1:
             raise ContractViolationError(f"register size must be >= 1, got {self.n}")
         if self.n > MAX_CONSTITUENTS:
             raise SizeLimitError(
@@ -146,10 +149,13 @@ def collective_product_apply(reg: SpinRegister, u, vecs) -> np.ndarray:
 
     u is one 2x2 matrix, giving an array shaped like vecs, or a stack (T, 2, 2),
     giving (T, 2**n, cols) with one product per stacked u; one u is a stack of
-    one. Each pass views the data as (T, 2**a, 2**g, rest), a the slots done,
-    and multiplies it by the stacked u^(x g) (T, 2**g, 2**g) in place of the
-    g slots, so no axis is moved and each pass forms one array the size of the
-    result. The n mod 4 odd slots go first, where a pass is one product per u.
+    one. The first pass, on the n mod 4 odd slots (else on four), reads the
+    same vecs for every u, so it is one product of the stacked rows of
+    u^(x g), (T 2**g, 2**g), with vecs viewed as (2**g, rest)
+    (linalg.stack_at_shared). Each later pass views the data as
+    (T, 2**a, 2**g, rest), a the slots done, and multiplies it by the stacked
+    u^(x g) (T, 2**g, 2**g) in place of the g slots, so no axis is moved and
+    each pass forms one array the size of the result.
     """
     stack = as_matrices(u)
     if stack.ndim > 3 or stack.shape[-2:] != (2, 2):
@@ -163,8 +169,9 @@ def collective_product_apply(reg: SpinRegister, u, vecs) -> np.ndarray:
         power = (power[:, :, None, :, None] * stack[:, None, :, None, :]).reshape(
             len(stack), 2 ** g, 2 ** g)
         powers[g] = power
-    t, done = vecs.reshape(1, reg.dim, cols), 0
-    for g in legs:
+    done, *others = legs
+    t = stack_at_shared(powers[done], vecs.reshape(2 ** done, -1))  # every u reads vecs
+    for g in others:
         rest = 2 ** (reg.n - done - g) * cols
         t = powers[g][:, None] @ t.reshape(len(t), 2 ** done, 2 ** g, rest)
         done += g

@@ -58,10 +58,10 @@ from .errors import ConsistencyError, ContractViolationError, ValidationError
 from .linalg import dagger, entropy_bits, identity, max_abs_diff
 from .spinsys import (
     SpinRegister,
-    _haar_su2_of,
     _permutation_conjugates,
     all_permutations,
     cyclic_permutation,
+    haar_su2,
     permutation_indices,
     require_seed,
     seeded_generator,
@@ -173,8 +173,7 @@ def rotation_invariance_residual(qs: CoupledBasis, trials: int,
     Q(l,l') = K_l K_l'^dag survives U.
     """
     require_trials(trials)
-    # one standard_normal call, bit-identical to drawing the trials one at a time
-    u = _haar_su2_of(seeded_generator(seed).standard_normal((trials, 2, 2, 2)))
+    u = haar_su2(seeded_generator(seed), trials)
     expected = np.kron(identity(qs.d), wigner_d(qs.j2, u))
     worst, first = 0.0, 0
     for r, escape in qs.rotations(u):

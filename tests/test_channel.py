@@ -96,6 +96,18 @@ def test_every_entry_point_refuses_trials_that_are_not_an_integer(entry):
     call(qs, np.int64(2))  # a numpy integer is an integer
 
 
+@pytest.mark.parametrize("integer", (np.int64, np.uint32))
+def test_numpy_integer_trials_and_seed_give_the_python_int_report(integer):
+    state = QuditState(2, PLUS)
+    plain = run_channel(ChannelConfig(n=3, trials=5, seed=1), state)
+    for given in ({"trials": integer(5)}, {"seed": integer(1)}):
+        cfg = ChannelConfig(**{"n": 3, "trials": 5, "seed": 1, **given})
+        assert type(cfg.trials) is int and type(cfg.seed) is int
+        report = run_channel(cfg, state)
+        assert report.to_json() == plain.to_json()
+        assert report.to_csv() == plain.to_csv()
+
+
 def test_run_channel_rejects_mismatched_state():
     cfg = ChannelConfig(n=4, trials=1, seed=1)
     with pytest.raises(ValidationError, match="dimension"):
@@ -357,11 +369,17 @@ def test_figures_of_moved_decoded_states_match_linalg(make_state, monkeypatch):
 
 @pytest.mark.parametrize("noise", sorted(NOISE_CONFIGS))
 def test_channel_report_does_not_depend_on_the_chunk_size(noise, monkeypatch):
-    cfg = ChannelConfig(n=4, trials=9, seed=8, noise=noise, **NOISE_CONFIGS[noise])
-    state = QuditState(3, random_density(np.random.default_rng(3), 3))
-    whole = run_channel(cfg, state).to_json()
-    monkeypatch.setattr(coupling, "CHUNK_BYTES", 1)  # one trial per chunk
-    assert run_channel(cfg, state).to_json() == whole
+    # n = 3 is the benchmark's shape; at n = 7 the default splits the trials
+    # into three chunks. One trial per chunk, and all trials in one chunk.
+    default = coupling.CHUNK_BYTES
+    for n in (3, 4, 7):
+        cfg = ChannelConfig(n=n, trials=9, seed=8, noise=noise, **NOISE_CONFIGS[noise])
+        state = QuditState(n - 1, random_density(np.random.default_rng(3), n - 1))
+        monkeypatch.setattr(coupling, "CHUNK_BYTES", default)
+        whole = run_channel(cfg, state).to_json()
+        for chunk_bytes in (1, 16 * 2 ** 20):
+            monkeypatch.setattr(coupling, "CHUNK_BYTES", chunk_bytes)
+            assert run_channel(cfg, state).to_json() == whole, (n, chunk_bytes)
 
 
 def test_a_leaking_trial_is_named(monkeypatch):

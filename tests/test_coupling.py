@@ -18,6 +18,7 @@ from rffqudit.coupling import (
     fourier_coupling,
     gram_residual,
     multiplicity,
+    partial_trace_m2,
     sector_census,
     sector_index_set,
     sector_membership_residual,
@@ -365,6 +366,31 @@ def test_sector_membership_at_n12_adds_one_transposition_at_a_time():
     # A gather of all 66 transpositions at once would hold about 27 MB.
     basis = build_coupled_basis(SpinRegister(12))
     assert _traced_peak(lambda: sector_membership_residual(basis)) < 4e6
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_rotations_do_not_depend_on_the_chunk_size(monkeypatch, n):
+    # R and the escape bit for bit with one trial a chunk, the default chunks
+    # (three at n = 7) and every trial in one chunk.
+    qs = build_coupled_basis(SpinRegister(n))
+    u = haar_su2(np.random.default_rng([n, 28]), 9)
+    runs = []
+    for chunk_bytes in (1, coupling.CHUNK_BYTES, 16 * 2 ** 20):
+        monkeypatch.setattr(coupling, "CHUNK_BYTES", chunk_bytes)
+        runs.append([np.concatenate(part) for part in zip(*qs.rotations(u))])
+    for r, escape in runs[1:]:
+        assert np.array_equal(r, runs[0][0])
+        assert np.array_equal(escape, runs[0][1])
+
+
+@pytest.mark.parametrize("d", (2, 3, 6))
+def test_partial_trace_m2_is_the_trace_over_m2_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    inner = rng.normal(size=(7, d * d, d * d)) + 1j * rng.normal(size=(7, d * d, d * d))
+    # the former spelling: np.trace over the m2 axes of a (lambda, m2, lambda', m2') view
+    oracle = np.trace(inner.reshape(7, d, d, d, d), axis1=-3, axis2=-1)
+    assert np.array_equal(partial_trace_m2(d, inner), oracle)
+    assert np.array_equal(partial_trace_m2(d, inner[3]), oracle[3])
 
 
 # The default's id is a name, so retuning CHUNK_BYTES renames no test.

@@ -19,7 +19,9 @@ from rffqudit.linalg import (
     matrix_to_json_dict,
     max_abs_diff,
     partial_trace,
+    shared_at_stack,
     sqrtm_psd,
+    stack_at_shared,
     trace_distance,
     uhlmann_fidelity,
 )
@@ -220,6 +222,28 @@ def test_fidelity_and_distance_of_a_stack_equal_one_sigma_at_a_time():
         assert dists.tolist() == [trace_distance(rho_, s) for s in sigmas]
     assert isinstance(uhlmann_fidelity(rho, pure), float)
     assert isinstance(trace_distance(rho, pure), float)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_fidelity_of_a_stack_equals_one_call_per_matrix_bit_for_bit(d):
+    rng = np.random.default_rng([d, 28])
+    rho = random_density(rng, d)
+    sigmas = np.array([random_density(rng, d) for _ in range(40)])
+    assert uhlmann_fidelity(rho, sigmas).tolist() == [uhlmann_fidelity(rho, s) for s in sigmas]
+
+
+@pytest.mark.parametrize("lead", ((), (1,), (300,), (4, 5)))
+def test_products_with_a_shared_operand_match_the_stacked_products(lead):
+    rng = np.random.default_rng(len(lead))
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    stack, right, left = draw(*lead, 3, 4), draw(4, 2), draw(5, 3)
+    assert np.array_equal(stack_at_shared(stack, right), stack @ right)
+    assert stack_at_shared(stack, right).shape == lead + (3, 2)
+    assert shared_at_stack(left, stack).shape == lead + (5, 4)
+    assert max_abs_diff(shared_at_stack(left, stack), left @ stack) < 1e-14
 
 
 def test_mat_exp_of_an_array_of_times_equals_one_time_at_a_time():

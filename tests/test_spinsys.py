@@ -48,6 +48,12 @@ def test_register_rejects_tiny_and_huge():
         SpinRegister(99)
 
 
+@pytest.mark.parametrize("size", (np.int64(3), 3.0, "3"))
+def test_register_says_its_size_must_be_an_int(size):
+    with pytest.raises(ContractViolationError, match=r"must be an integer \(a Python int\)"):
+        SpinRegister(size)
+
+
 def test_ket_index_leftmost_most_significant():
     assert ket_index("100") == 4
     assert ket_index("001") == 1

@@ -507,8 +507,8 @@ def test_stacked_draws_equal_the_per_trial_draws_bit_for_bit(monkeypatch, n, see
     rng = np.random.default_rng(seed)
     states = np.array([_old_random_density(rng, qs.d) for _ in range(trials)])
     assert np.array_equal(verify.encoded_random_states(qs, trials, seed)[0], states)
-    seen = _recorded(monkeypatch, verify, ("_haar_su2_of",))
+    seen = _recorded(monkeypatch, verify, ("haar_su2",))
     rotation_invariance_residual(qs, trials, seed)
     rng = np.random.default_rng(seed)
-    assert np.array_equal(seen["_haar_su2_of"],
+    assert np.array_equal(seen["haar_su2"],
                           np.array([_old_haar_su2(rng) for _ in range(trials)]))
