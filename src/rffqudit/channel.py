@@ -19,12 +19,9 @@ bytes on every run.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
-from operator import itemgetter
 from time import perf_counter
 from typing import NamedTuple
 
@@ -39,7 +36,7 @@ from .encoder import (
     require_decoded,
     require_density,
 )
-from .errors import ConsistencyError, ValidationError, require_none
+from .errors import ConsistencyError, ValidationError, require_integer, require_none
 from .linalg import (
     dagger,
     matrix_to_json_dict,
@@ -55,30 +52,18 @@ from .spinsys import (
     SpinRegister,
     _haar_su2_of,
     haar_su2,
-    require_seed,
     seeded_generator,
 )
 
 NOISE_MODES = ("haar", "fixed", "dephasing")
+# The figures of each trial: the report's columns, in the order of its CSV header.
+_FIGURES = ("fidelity", "trace_distance", "leakage", "bare_fidelity")
 # One per_trial row as json.dumps(..., sort_keys=True, indent=2) writes it in
 # a report: its keys sorted, at nesting depth two.
-_ROW_KEYS = ("bare_fidelity", "fidelity", "leakage", "trace_distance", "trial")
-_ROW_TEMPLATE = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _ROW_KEYS) + "\n    }"
-# repr writes a float, an int or None as json does, except for these words.
-_JSON_WORDS = {"None": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_NUMBER_TYPES = {float, int, type(None)}
+_ROW_TEMPLATE = "    {\n" + ",\n".join(
+    f'      "{key}": %s' for key in sorted(_FIGURES + ("trial",))) + "\n    }"
 # The noise mode each optional parameter belongs to.
 _NOISE_PARAMETERS = {"axis": "fixed", "angle": "fixed", "width": "dephasing"}
-
-
-def require_trials(trials) -> int:
-    """trials as an int; ValidationError unless it is an integer >= 1 (a bool or a
-    float is not)."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise ValidationError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    return int(trials)
 
 
 @dataclass(frozen=True)
@@ -93,8 +78,8 @@ class ChannelConfig:
 
     def __post_init__(self):
         # Kept as Python ints, so a NumPy integer echoes into the report as an int.
-        object.__setattr__(self, "trials", require_trials(self.trials))
-        object.__setattr__(self, "seed", require_seed(self.seed))
+        object.__setattr__(self, "trials", require_integer(self.trials, "trials", 1))
+        object.__setattr__(self, "seed", require_integer(self.seed, "seed", 0))
         if self.noise not in NOISE_MODES:
             raise ValidationError(
                 f"unknown noise mode {self.noise!r}; expected one of {NOISE_MODES}"
@@ -130,78 +115,87 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class ChannelReport:
+    """A channel run. series maps each of _FIGURES to a read-only float64 column
+    of one value per trial, all of one length; bare_fidelity is None for d != 2."""
+
     config: dict
-    per_trial: list = field(repr=False)
+    series: dict = field(repr=False)
     aggregate: dict
     note: str | None
     # Wall time of the noise draws, the rotation and gate, and the figures;
     # it differs run to run, so the report output leaves it out.
     elapsed_ms: dict = field(default_factory=dict, compare=False, repr=False)
 
+    def __post_init__(self):
+        if self.series.keys() != set(_FIGURES):
+            raise ValidationError(f"a report's series are {_FIGURES}, got {tuple(self.series)}")
+        series = dict.fromkeys(_FIGURES)
+        for name in _FIGURES:
+            column = self.series[name]
+            if column is None and name == "bare_fidelity":
+                continue
+            column = np.asarray(column)
+            if column.ndim != 1 or column.dtype.kind not in "iuf":  # a bool is not a number
+                raise ValidationError(f"series {name!r} must be a column of numbers, "
+                                      f"got {column.dtype} of shape {column.shape}")
+            series[name] = column = column.astype(np.float64)
+            column.flags.writeable = False
+        lengths = {name: len(c) for name, c in series.items() if c is not None}
+        if len(set(lengths.values())) > 1:
+            raise ValidationError(f"the series differ in length: {lengths}")
+        object.__setattr__(self, "series", series)
+
+    def __eq__(self, other):  # equal when they write the same report
+        return isinstance(other, ChannelReport) and self.to_json() == other.to_json()
+
+    @property
+    def per_trial(self) -> list:
+        """One row per trial, {"trial": t, figure: value or None, ...}, built on each read."""
+        columns = [[None] * len(self.series["fidelity"]) if c is None else c.tolist()
+                   for c in self.series.values()]
+        return [{"trial": t, **dict(zip(self.series, row))}
+                for t, row in enumerate(zip(*columns))]
+
     def to_json(self) -> str:
-        """json.dumps(report, sort_keys=True, indent=2), the trial rows written directly."""
-        rows = _trial_rows_json(self.per_trial)
+        """json.dumps(report, sort_keys=True, indent=2) of the report with its
+        per_trial rows, the rows written from the columns' text."""
+        text = self._text(for_json=True)
+        lines = [_ROW_TEMPLATE % row for row in zip(*(text[key] for key in sorted(text)))]
+        rows = "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
         rest = json.dumps({"config": self.config, "aggregate": self.aggregate,
                            "note": self.note}, sort_keys=True, indent=2)
         # "per_trial" sorts last, so the rows close the report.
         return f'{rest[:-2]},\n  "per_trial": {rows}\n}}'
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-        writer.writerow(["trial", "fidelity", "trace_distance", "leakage", "bare_fidelity"])
-        for row in self.per_trial:
-            bare = row.get("bare_fidelity")
-            writer.writerow([
-                row["trial"],
-                repr(row["fidelity"]),
-                repr(row["trace_distance"]),
-                repr(row["leakage"]),
-                "" if bare is None else repr(bare),
-            ])
-        return buf.getvalue()
+        """RFC 4180 with CRLF line endings: a header, then one line per trial, each
+        number as repr writes it and "" for a None column."""
+        text = self._text(for_json=False)
+        header = ("trial",) + _FIGURES
+        return "".join(",".join(line) + "\r\n" for line in [header, *zip(*map(text.get, header))])
 
-
-def _is_trial_row(row) -> bool:
-    return (isinstance(row, dict) and row.keys() == set(_ROW_KEYS)
-            and set(map(type, row.values())) <= _NUMBER_TYPES)
-
-
-def _trial_rows_json(rows: list) -> str:
-    """The per_trial array as json.dumps(..., sort_keys=True, indent=2) writes it
-    in a report. A row that does not have exactly the _ROW_KEYS, each holding a
-    float, an int or None, raises TypeError.
-
-    Each column is written by one repr of a list, the floats formatted in C.
-    """
-    try:
-        ok = all(len(row) == len(_ROW_KEYS) for row in rows)
-        columns = list(zip(*map(itemgetter(*_ROW_KEYS), rows)))
-    except (KeyError, TypeError):
-        ok = False
-    if not (ok and all(set(map(type, c)) <= _NUMBER_TYPES for c in columns)):
-        bad = next(t for t, row in enumerate(rows) if not _is_trial_row(row))
-        raise TypeError(f"per_trial row {bad} needs exactly the keys {_ROW_KEYS}, "
-                        f"each a float, an int or None: {rows[bad]!r}")
-    cells = []
-    for column in columns:
-        text = repr(list(column))
-        words = text[1:-1].split(", ")  # no number's text holds ", "
-        # only None, nan and inf put an "n" in the text
-        cells.append([_JSON_WORDS.get(w, w) for w in words] if "n" in text else words)
-    lines = [_ROW_TEMPLATE % row for row in zip(*cells)]
-    return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
+    def _text(self, for_json: bool) -> dict:
+        """The trial index and each column as text, one word per trial: one repr of
+        the column's .tolist(), split on ", " (no number's repr holds one). JSON
+        writes repr's nan and inf as NaN and Infinity, and a None column as null;
+        CSV writes "" for it."""
+        trials = len(self.series["fidelity"])
+        text = {"trial": list(map(str, range(trials)))}
+        for name, column in self.series.items():
+            if column is None:
+                text[name] = ["null" if for_json else ""] * trials
+                continue
+            words = repr(column.tolist())[1:-1]
+            if for_json:  # only nan and inf put an "n" in a float's repr
+                words = words.replace("nan", "NaN").replace("inf", "Infinity")
+            text[name] = words.split(", ") if trials else []
+        return text
 
 
 def _series_stats(values: np.ndarray) -> dict:
-    arr = np.asarray(values, dtype=float)
-    stderr = float(arr.std(ddof=1) / sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return {
-        "mean": float(arr.mean()),
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "stderr": stderr,
-    }
+    stderr = float(values.std(ddof=1) / sqrt(len(values))) if len(values) > 1 else 0.0
+    return {"mean": float(values.mean()), "min": float(values.min()),
+            "max": float(values.max()), "stderr": stderr}
 
 
 def _noise_unitaries(cfg: ChannelConfig) -> np.ndarray:
@@ -260,22 +254,15 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
         "trace_distance": trace_distance(state.rho, decoded),
         # Tr(K K^dag U P U^dag), measured rather than assumed to be one
         "leakage": 1.0 - np.trace(decoded, axis1=1, axis2=2).real,
+        "bare_fidelity": fidelities[cfg.trials:] if bare_enabled else None,
     }
-    if bare_enabled:
-        series["bare_fidelity"] = fidelities[cfg.trials:]
     for name, values in series.items():
-        if name != "leakage":
+        if name != "leakage" and values is not None:
             require_none(~((values >= -1e-9) & (values <= 1 + 1e-9)), lambda t: (
                 f"{name} = {float(values[t])!r} escapes [0, 1] in trial {t}"), ConsistencyError)
 
-    columns = {name: values.tolist() for name, values in series.items()}
-    per_trial = [
-        {"trial": index, "bare_fidelity": None, **{name: column[index]
-                                                   for name, column in columns.items()}}
-        for index in range(cfg.trials)
-    ]
-    aggregate = {name: _series_stats(series[name]) if name in series else None
-                 for name in ("fidelity", "trace_distance", "leakage", "bare_fidelity")}
+    aggregate = {name: None if series[name] is None else _series_stats(series[name])
+                 for name in _FIGURES}
     config_echo = {
         "n": cfg.n,
         "d": state.d,
@@ -288,7 +275,7 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
     }
     elapsed_ms = {"noise": (drawn - start) * 1e3, "rotation": (rotated - drawn) * 1e3,
                   "figures": (perf_counter() - rotated) * 1e3}
-    return ChannelReport(config=config_echo, per_trial=per_trial, aggregate=aggregate,
+    return ChannelReport(config=config_echo, series=series, aggregate=aggregate,
                          note=note, elapsed_ms=elapsed_ms)
 
 
@@ -350,7 +337,7 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     A payload off the logical sector, or a rotation that leaves it, fails the gate
     of compress_lifted or of qs.rotations: ConsistencyError naming its trial.
     """
-    require_trials(trials)
+    require_integer(trials, "trials", 1)
     d = qs.d
     # per trial, from one standard_normal call: the state, then the POVM, then u
     z = seeded_generator(seed).standard_normal((trials, 2 * d * d * (d + 2) + 8))

@@ -44,7 +44,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import SECTOR_TOL, CoupledBasis, partial_trace_m2, require_sector_isometry
-from .errors import ConsistencyError, ContractViolationError, ValidationError, require_none
+from .errors import (
+    ConsistencyError,
+    ContractViolationError,
+    ValidationError,
+    require_integer,
+    require_none,
+)
 from .linalg import dagger, hermitian_eigvals, identity, max_abs_diff
 
 PSD_TOL = 1e-10
@@ -62,6 +68,8 @@ class QuditState:
     rho: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        # Kept as a Python int, so a NumPy integer echoes into a report as an int.
+        object.__setattr__(self, "d", require_integer(self.d, "d", 1))
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (self.d, self.d):
             raise ValidationError(
@@ -113,6 +121,7 @@ class QuditPovm:
     elements: tuple = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "d", require_integer(self.d, "d", 1))
         elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
         if not elems:
             raise ValidationError("POVM needs at least one element")

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError, SizeLimitError, ValidationError
+from .errors import ContractViolationError, SizeLimitError, require_integer
 from .linalg import as_matrices, as_matrix, identity, mat_exp_hermitian_generator, stack_at_shared
 
 # The largest register the package builds: its 2**n x 2**n operators are 4 GiB.
@@ -301,15 +301,6 @@ def _haar_su2_of(z: np.ndarray) -> np.ndarray:
     return q / np.sqrt(det)[..., None, None]
 
 
-def require_seed(seed) -> int:
-    """seed as an int; ValidationError unless it is a non-negative integer (a bool is not)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    return int(seed)
-
-
 def seeded_generator(seed) -> np.random.Generator:
     """The one stream of a seed: default_rng(seed), the stream of SeedSequence(seed)."""
-    return np.random.default_rng(require_seed(seed))
+    return np.random.default_rng(require_integer(seed, "seed", 0))

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import reference as ref
-from .channel import _random_density_of, born_rule_harness, random_density, require_trials
+from .channel import _random_density_of, born_rule_harness, random_density
 from .coupling import (
     CoupledBasis,
     block_mixing_residual,
@@ -54,7 +54,7 @@ from .encoder import (
     require_decoded,
     require_density,
 )
-from .errors import ConsistencyError, ContractViolationError, ValidationError
+from .errors import ConsistencyError, ContractViolationError, ValidationError, require_integer
 from .linalg import dagger, entropy_bits, identity, max_abs_diff
 from .spinsys import (
     SpinRegister,
@@ -63,7 +63,6 @@ from .spinsys import (
     cyclic_permutation,
     haar_su2,
     permutation_indices,
-    require_seed,
     seeded_generator,
     wigner_d,
 )
@@ -172,7 +171,7 @@ def rotation_invariance_residual(qs: CoupledBasis, trials: int,
     as the spin-j2 rotation, the same on every lambda, which is when every
     Q(l,l') = K_l K_l'^dag survives U.
     """
-    require_trials(trials)
+    require_integer(trials, "trials", 1)
     u = haar_su2(seeded_generator(seed), trials)
     expected = np.kron(identity(qs.d), wigner_d(qs.j2, u))
     worst, first = 0.0, 0
@@ -191,7 +190,7 @@ def encoded_random_states(qs: CoupledBasis, trials: int,
     (CoupledBasis.compress_lifted), whose gate raises ConsistencyError for a
     payload off the logical sector.
     """
-    require_trials(trials)
+    require_integer(trials, "trials", 1)
     rho = _random_density_of(seeded_generator(seed).standard_normal((trials, 2, qs.d, qs.d)))
     require_density(rho)
     return rho, qs.compress_lifted(rho / qs.d)
@@ -327,7 +326,7 @@ def suite_coupling(n_values=(3, 4, 5, 6, 7, 8), tol: float | None = None,
 def suite_encoder(n_values=(3, 4, 5, 6), seed: int = DEFAULT_SEED,
                   tol: float | None = None,
                   bases: Callable | None = None) -> list[CheckResult]:
-    require_seed(seed)
+    require_integer(seed, "seed", 0)
     bases = fourier_bases() if bases is None else bases
     algebra = functools.cache(lambda n: q_algebra_residuals(bases(n)))
     # The round-trip and entropy rows read one stacked lift of the same states.
@@ -495,7 +494,7 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
         )
     if tol is not None and not (isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be positive and finite, got {tol}")
-    require_seed(seed)
+    require_integer(seed, "seed", 0)
     sized, census = {}, {}
     if n_values is not None:
         sized = {"n_values": tuple(n for n in n_values if n >= 3)}

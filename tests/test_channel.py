@@ -1,5 +1,7 @@
 """Collective-noise channel runs: protection, statistics, reports."""
 
+import csv
+import io
 import json
 import tracemalloc
 
@@ -106,6 +108,17 @@ def test_numpy_integer_trials_and_seed_give_the_python_int_report(integer):
         report = run_channel(cfg, state)
         assert report.to_json() == plain.to_json()
         assert report.to_csv() == plain.to_csv()
+
+
+@pytest.mark.parametrize("integer", (np.int64, np.uint8))
+def test_a_numpy_integer_d_gives_the_python_int_report(integer):
+    # json.dumps refuses a NumPy integer, so the config echo must hold an int.
+    state = QuditState(integer(2), PLUS)
+    assert type(state.d) is int
+    report = run_channel(ChannelConfig(n=3, trials=2, seed=1), state)
+    plain = run_channel(ChannelConfig(n=3, trials=2, seed=1), QuditState(2, PLUS))
+    assert report == plain  # reports are equal when they write the same JSON
+    assert '\n    "d": 2,\n' in report.to_json()
 
 
 def test_run_channel_rejects_mismatched_state():
@@ -476,41 +489,105 @@ NUMBERS = st.one_of(
     st.sampled_from([5e-324, -0.0, 1e22, 1 - 2 ** -53, float("nan"), float("inf"),
                      -float("inf")]),
 )
+FIGURES = ("fidelity", "trace_distance", "leakage", "bare_fidelity")
+
+
+def _columns(trials: int):
+    """Equal-length columns of the four figures; bare_fidelity may be None."""
+    column = st.lists(NUMBERS, min_size=trials, max_size=trials)
+    return st.tuples(column, column, column, st.none() | column)
+
+
+COLUMNS = st.integers(0, 12).flatmap(_columns)
+
+
+def _report_of(columns, note=None) -> ChannelReport:
+    return ChannelReport(config={"n": 3}, series=dict(zip(FIGURES, columns)),
+                         aggregate={"fidelity": None}, note=note)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS, st.none() | NUMBERS), max_size=12),
-       st.none() | st.text(max_size=8))
-def test_report_json_writes_any_float_as_json_does(cells, note):
-    rows = [{"trial": t, "fidelity": f, "trace_distance": td, "leakage": lk,
-             "bare_fidelity": bare} for t, (f, td, lk, bare) in enumerate(cells)]
-    report = ChannelReport(config={"n": 3}, per_trial=rows,
-                           aggregate={"fidelity": None}, note=note)
+@given(COLUMNS, st.none() | st.text(max_size=8))
+def test_report_json_writes_any_float_as_json_does(columns, note):
+    fidelity, trace_distance, leakage, bare = columns
+    rows = [{"trial": t, "fidelity": fidelity[t], "trace_distance": trace_distance[t],
+             "leakage": leakage[t], "bare_fidelity": None if bare is None else bare[t]}
+            for t in range(len(fidelity))]
+    report = _report_of(columns, note)
     text = report.to_json()
-    assert text == json.dumps(_report_dict(report), sort_keys=True, indent=2)
+    assert text == json.dumps({"config": {"n": 3}, "per_trial": rows,
+                               "aggregate": {"fidelity": None}, "note": note},
+                              sort_keys=True, indent=2)
+    assert json.dumps(report.per_trial) == json.dumps(rows)
     assert "nan" not in text and "inf" not in text
 
 
-def _one_row_report(**changed) -> ChannelReport:
-    row = {"trial": 0, "fidelity": 1.0, "trace_distance": 0.0, "leakage": 0.0,
-           "bare_fidelity": None, **changed}
-    return ChannelReport(config={"n": 3}, per_trial=[row], aggregate={}, note=None)
+@settings(max_examples=200, deadline=None)
+@given(COLUMNS)
+def test_report_csv_writes_any_float_as_the_csv_module_does(columns):
+    report = _report_of(columns)
+    header = ("trial",) + FIGURES
+    oracle = io.StringIO()
+    writer = csv.writer(oracle, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in report.per_trial:
+        writer.writerow([row["trial"]] + ["" if row[name] is None else repr(row[name])
+                                          for name in FIGURES])
+    assert report.to_csv() == oracle.getvalue()
 
 
-@pytest.mark.parametrize("changed", [
-    {"trial": True},  # json writes true, not 1
-    {"fidelity": np.float64(0.1)},
-    {"fidelity": "1.0, 2.0"},
-    {"extra": 1.0},
-])
-def test_report_json_rejects_rows_run_channel_does_not_make(changed):
-    with pytest.raises(TypeError, match="per_trial row 0 needs exactly the keys"):
-        _one_row_report(**changed).to_json()
+def _one_trial_report(**changed) -> ChannelReport:
+    series = {"fidelity": [1.0], "trace_distance": [0.0], "leakage": [0.0],
+              "bare_fidelity": None, **changed}
+    return ChannelReport(config={"n": 3}, series=series, aggregate={}, note=None)
 
 
-def test_report_json_refuses_what_json_refuses():
-    with pytest.raises(TypeError, match="float32"):
-        _one_row_report(fidelity=np.float32(0.1)).to_json()
+@pytest.mark.parametrize("column", [
+    ["1.0", "2.0"],
+    "1.0",
+    [True],  # json writes true, not 1
+    [1j],
+    [[1.0]],
+    [None],
+    None,
+], ids=["strings", "string", "bool", "complex", "nested", "none-cell", "none"])
+def test_report_refuses_a_column_that_is_not_numbers(column):
+    with pytest.raises(ValidationError, match="'fidelity' must be a column of numbers"):
+        _one_trial_report(fidelity=column)
+
+
+def test_report_refuses_columns_of_unequal_length():
+    for changed in ({"leakage": [0.0, 0.0]}, {"bare_fidelity": []}, {"fidelity": []}):
+        with pytest.raises(ValidationError, match="the series differ in length"):
+            _one_trial_report(**changed)
+
+
+def test_report_refuses_a_series_it_does_not_know():
+    with pytest.raises(ValidationError, match="a report's series are"):
+        _one_trial_report(extra=[1.0])
+    series = {"fidelity": [1.0], "trace_distance": [0.0], "leakage": [0.0]}
+    with pytest.raises(ValidationError, match="a report's series are"):
+        ChannelReport(config={}, series=series, aggregate={}, note=None)
+
+
+@pytest.mark.parametrize("column", [
+    np.array([0.1, 2.5e-8, 1.0], dtype=np.float32),
+    [np.float64(0.1), np.float64(2.5e-8), np.float64(1.0)],
+    [np.float32(0.1), 2.5e-8, 1],
+    np.array([0, 1, 1], dtype=np.int64),
+], ids=["float32-array", "float64-scalars", "mixed-scalars", "int64-array"])
+def test_report_takes_a_numeric_column_as_read_only_float64(column):
+    report = _report_of([column, column, column, column])
+    for values in report.series.values():
+        assert values.dtype == np.float64 and not values.flags.writeable
+        assert values.tolist() == [float(x) for x in column]
+    assert report.to_json() == json.dumps(_report_dict(report), sort_keys=True, indent=2)
+    source = np.array(column)
+    held = _report_of([source, source, source, source])
+    source[0] = 7  # the report holds a copy
+    assert held.series["fidelity"][0] != 7
+    with pytest.raises(AttributeError):
+        report.per_trial = []
 
 
 def _old_haar_su2(gens) -> np.ndarray:
@@ -558,3 +635,4 @@ def test_a_shorter_run_is_a_prefix_of_a_longer_one(noise):
                                              **NOISE_CONFIGS[noise]), state)
                    for trials in (40, 300))
     assert short.per_trial == long.per_trial[:40]
+    assert short != long

@@ -103,6 +103,23 @@ def test_qudit_povm_validation():
         QuditPovm(2, (np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
 
 
+@pytest.mark.parametrize("d", (2.0, True, "2", None))
+def test_qudit_dimension_must_be_an_integer(d):
+    # The rule ChannelConfig has for trials: a bool or a float is no integer.
+    with pytest.raises(ValidationError, match="d must be an integer"):
+        QuditState(d, identity(2) / 2)
+    with pytest.raises(ValidationError, match="d must be an integer"):
+        QuditPovm(d, (identity(2),))
+
+
+@pytest.mark.parametrize("integer", (np.int64, np.uint32))
+def test_a_numpy_integer_dimension_is_kept_as_a_python_int(integer):
+    assert type(QuditState(integer(2), identity(2) / 2).d) is int
+    assert type(QuditPovm(integer(2), (identity(2),)).d) is int
+    with pytest.raises(ValidationError, match="d must be >= 1, got 0"):
+        QuditState(integer(0), np.zeros((0, 0)))
+
+
 def test_qudit_povm_validation_names_the_first_failing_element():
     third = identity(2) / 3
     skew = np.array([[0, 1], [0, 0]], dtype=complex)

@@ -23,6 +23,7 @@ def test_the_matrix_covers_every_command_in_both_formats(tmp_path):
     commands = {run[0] for run in runs}
     assert commands == {"verify", "channel", "census", "basis", "encode"}
     assert len([run for run in runs if run[0] == "verify"]) == 8  # four seeds, two formats
-    assert len([run for run in runs if run[0] == "channel"]) == 18  # 3 modes, 3 sizes, 2 formats
+    # 3 modes, 3 sizes, 2 formats, and one trial in 2 formats
+    assert len([run for run in runs if run[0] == "channel"]) == 20
     report_matrix.write_inputs(tmp_path)
     assert {p.name for p in tmp_path.iterdir()} == {"state.json", "povm.json"}

@@ -5,7 +5,7 @@
 Runs one matrix of reports twice: on the working tree's src, and on
 `git archive REF` unpacked in a temporary directory. The matrix is verify
 JSON and CSV at four seeds, channel in every noise mode at n = 3, 4 and 7 in
-JSON and CSV, census, basis, encode (of a state and a POVM this script
+JSON and CSV, one channel trial at n = 3 in JSON and CSV, census, basis, encode (of a state and a POVM this script
 writes) and every reference case. Each report is made by its own
 `python -m rffqudit` child with one BLAS thread. For each report whose bytes
 or exit code differ, or that fails on both sides, it prints the command and
@@ -60,7 +60,8 @@ def matrix(inputs: Path) -> list:
         runs += [["channel", "--n", str(n), "--trials", "60", "--seed", "11", *noise,
                   "--format", fmt] for noise in noises for fmt in ("json", "csv")]
     for fmt in ("json", "csv"):
-        runs += [["census", "--n", "7", "--format", fmt],
+        runs += [["channel", "--n", "3", "--trials", "1", "--format", fmt],
+                 ["census", "--n", "7", "--format", fmt],
                  ["basis", "--n", "5", "--format", fmt],
                  ["encode", "--n", "4", "--state", str(state), "--povm", str(povm),
                   "--format", fmt]]
