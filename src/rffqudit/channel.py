@@ -78,6 +78,7 @@ class ChannelConfig:
 
     def __post_init__(self):
         # Kept as Python ints, so a NumPy integer echoes into the report as an int.
+        object.__setattr__(self, "n", require_integer(self.n, "n", 1))
         object.__setattr__(self, "trials", require_integer(self.trials, "trials", 1))
         object.__setattr__(self, "seed", require_integer(self.seed, "seed", 0))
         if self.noise not in NOISE_MODES:

@@ -3,7 +3,7 @@
 Subcommands:
 
     census     sector table (formula cross-checked against per-block J^2 spectra)
-    basis      dump the logical-sector kets plus orthonormality residuals
+    basis      dump the logical-sector isometry's weight-class blocks plus residuals
     encode     encode a logical state (and optionally a POVM) into payloads
     verify     run named invariant suites, exit 0 only if everything passes
     channel    collective-noise Monte Carlo with a seed-deterministic report
@@ -23,7 +23,7 @@ import functools
 import io
 import json
 import sys
-from math import isfinite
+from math import comb, isfinite
 from time import perf_counter
 
 import numpy as np
@@ -52,12 +52,13 @@ from .verify import DEFAULT_SEED, SUITES, run_suite
 
 DEFAULT_TRIALS = 100
 DEFAULT_MAX_N = 12
-# Dense entries an encode or basis report may write: one n = 10 payload, whose
-# JSON report takes about 5 s and 500 MB of peak memory to write. Each payload
-# of a JSON report is 4**n entries of [re, im] text; CSV writes the state
-# payload's 4**n rows, or only the Born table when given a POVM. A basis report
-# writes (n-1)**2 kets of 2**n entries, so n = 12 is its largest.
+# Weight-class entries a basis or encode report may write. An operator is written
+# as its blocks on the product kets of weight 1 .. n-1: (2**n - 2) d entries for a
+# basis, which fits up to the n = 14 cap, and C(2n, n) - 2 for a payload, so encode
+# writes one state payload up to n = 11. Its JSON report writes the state payload
+# and one per POVM element; CSV the state payload, or only the Born table.
 MAX_REPORT_ENTRIES = 4 ** 10
+REPORT_LAYOUT = 2  # of basis and encode JSON: each operator as its class blocks
 
 
 def _add_global_flags(parser: argparse.ArgumentParser) -> None:
@@ -216,6 +217,28 @@ def _entry_rows(m) -> list:
             for idx, z in enumerate(m.reshape(-1).tolist())]
 
 
+def _require_class_entries(ns: argparse.Namespace, operators: int, each: int) -> None:
+    """Refuse, before anything is built, more than MAX_REPORT_ENTRIES class entries."""
+    if operators * each > MAX_REPORT_ENTRIES:
+        raise SizeLimitError(
+            f"{ns.command} --n {ns.n} would write {operators} operator(s) of {each} weight-class "
+            f"entries, {operators * each} in all, over the {MAX_REPORT_ENTRIES} a report may "
+            "hold; use a smaller --n" + (" or fewer POVM elements" if operators > 1 else ""))
+
+
+def _classes_json(blocks) -> dict:
+    """An operator's weight-class blocks, w = 1 .. n-1, as one report entry."""
+    return {"classes": [{"weight": w, "block": matrix_to_json_dict(block)}
+                        for w, block in enumerate(blocks, 1)]}
+
+
+def _classes_csv(operator: str, blocks, records=()) -> str:
+    """One row per entry of an operator's class blocks (weight, row, col), then records."""
+    rows = [[operator, w, *entry]
+            for w, block in enumerate(blocks, 1) for entry in _entry_rows(block)]
+    return _dump_csv(["operator", "weight", "row", "col", "re", "im"], rows + list(records))
+
+
 def _read_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -269,21 +292,11 @@ def cmd_census(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     return text, [] if agreement else [f"verification failure: {note}"]
 
 
-def _load_coupling(ns: argparse.Namespace):
-    if ns.coupling == "fourier":
-        return None
-    return matrix_from_json_dict(_read_json_file(ns.coupling))
-
-
 def cmd_basis(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     _require_register_size(ns.n, 3, ns.max_n)
-    kets = (ns.n - 1) ** 2
-    if kets * 2 ** ns.n > MAX_REPORT_ENTRIES:
-        raise SizeLimitError(
-            f"basis --n {ns.n} would write {kets} kets of 2**{ns.n} entries, "
-            f"{kets * 2 ** ns.n} in all, over the {MAX_REPORT_ENTRIES} a report may "
-            "hold; use a smaller --n")
-    coupling = _load_coupling(ns)
+    _require_class_entries(ns, 1, (2 ** ns.n - 2) * (ns.n - 1))
+    coupling = (None if ns.coupling == "fourier"
+                else matrix_from_json_dict(_read_json_file(ns.coupling)))
     clock.start()  # reading the coupling file is in no stage
     basis = build_coupled_basis(SpinRegister(ns.n), coupling)
     gram = gram_residual(basis)
@@ -291,10 +304,6 @@ def cmd_basis(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     clock.lap("basis:build")
 
     if ns.format == "json":
-        kets = {}
-        for m2 in basis.m2_values():
-            for lam in range(1, basis.d + 1):
-                kets[f"m2={m2},lambda={lam}"] = matrix_to_json_dict(basis.ket(m2, lam))
         text = _dump_json({
             "n": basis.n,
             "j2": str(basis.j2),
@@ -302,17 +311,13 @@ def cmd_basis(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
             "coupling_fingerprint": basis.fingerprint,
             "gram_residual": gram,
             "sector_membership_residual": membership,
-            "kets": kets,
+            "layout": REPORT_LAYOUT,
+            "isometry": _classes_json(basis.blocks),
         })
     else:
-        rows = []
-        for m2 in basis.m2_values():
-            for lam in range(1, basis.d + 1):
-                rows.extend(["ket", str(m2), lam, idx, re, im]
-                            for idx, _, re, im in _entry_rows(basis.ket(m2, lam)))
-        rows.append(["residual", "", "", "gram", repr(gram), ""])
-        rows.append(["residual", "", "", "sector_membership", repr(membership), ""])
-        text = _dump_csv(["record", "m2", "lambda", "index", "re", "im"], rows)
+        text = _classes_csv("isometry", basis.blocks, [
+            ["gram_residual", "", "", "", repr(gram), ""],
+            ["sector_membership_residual", "", "", "", repr(membership), ""]])
     clock.lap("basis:serialisation")
     return text, []
 
@@ -336,18 +341,15 @@ def cmd_encode(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     povm = _load_povm(ns.povm, d) if ns.povm else None
     writes_state = ns.format == "json" or not povm  # CSV with a POVM: the Born table alone
     payloads = writes_state + (len(povm.elements) if povm and ns.format == "json" else 0)
-    if payloads * 4 ** ns.n > MAX_REPORT_ENTRIES:
-        raise SizeLimitError(
-            f"encode --n {ns.n} would write {payloads} dense payload(s) of 4**{ns.n} "
-            f"entries, {payloads * 4 ** ns.n} in all, over the {MAX_REPORT_ENTRIES} "
-            "a report may hold; use a smaller --n or fewer POVM elements")
+    _require_class_entries(ns, payloads, comb(2 * ns.n, ns.n) - 2)
     clock.start()  # reading the input files is in no stage
     qs = build_coupled_basis(SpinRegister(ns.n))
     clock.lap("encode:build")
     encoded_state = encode_state(qs, state)
-    state_payload = encoded_state.payload if writes_state else None
     encoded = encode_povm(qs, povm) if povm else []
-    povm_payloads = [e.payload for e in encoded] if ns.format == "json" else []
+    # The class blocks of each payload counted above, from the A that .payload lifts.
+    written = [encoded_state, *encoded][:payloads]
+    blocks = [tuple(qs.lift_blocks(e.frame[::d, ::d])) for e in written]
     clock.lap("encode:encode")
 
     born_rows = []
@@ -372,10 +374,11 @@ def cmd_encode(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
             "n": ns.n,
             "d": d,
             "coupling_fingerprint": qs.fingerprint,
-            "state_payload": matrix_to_json_dict(state_payload),
+            "layout": REPORT_LAYOUT,
+            "state_payload": _classes_json(blocks[0]),
         }
         if povm:
-            payload["povm_payloads"] = [matrix_to_json_dict(p) for p in povm_payloads]
+            payload["povm_payloads"] = [_classes_json(b) for b in blocks[1:]]
             payload["born_table"] = born_rows
             payload["max_deviation"] = max(r["deviation"] for r in born_rows)
         text = _dump_json(payload)
@@ -386,7 +389,7 @@ def cmd_encode(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
               repr(r["deviation"])] for r in born_rows],
         )
     else:
-        text = _dump_csv(["row", "col", "re", "im"], _entry_rows(state_payload))
+        text = _classes_csv("state_payload", blocks[0])
     clock.lap("encode:serialisation")
     return text, []
 

@@ -18,7 +18,7 @@ class RffError(Exception):
 
 class SizeLimitError(RffError):
     """A requested register or report is larger than the package builds:
-    spinsys.MAX_CONSTITUENTS constituents, cli.MAX_REPORT_ENTRIES payload entries."""
+    spinsys.MAX_CONSTITUENTS constituents, cli.MAX_REPORT_ENTRIES weight-class entries."""
 
 
 class ContractViolationError(RffError):

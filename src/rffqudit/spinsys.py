@@ -47,11 +47,7 @@ class SpinRegister:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int):
-            raise ContractViolationError(
-                f"register size must be an integer (a Python int), got {self.n!r}")
-        if self.n < 1:
-            raise ContractViolationError(f"register size must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", require_integer(self.n, "n", 1))
         if self.n > MAX_CONSTITUENTS:
             raise SizeLimitError(
                 f"register size {self.n} exceeds the maximum {MAX_CONSTITUENTS}"

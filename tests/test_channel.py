@@ -121,6 +121,20 @@ def test_a_numpy_integer_d_gives_the_python_int_report(integer):
     assert '\n    "d": 2,\n' in report.to_json()
 
 
+@pytest.mark.parametrize("n", (True, 3.0))
+def test_a_channel_size_that_is_not_an_integer_is_refused(n):
+    with pytest.raises(ValidationError, match=f"^n must be an integer, got {n!r}$"):
+        ChannelConfig(n=n, trials=2, seed=1)
+
+
+def test_a_numpy_integer_n_gives_the_python_int_report():
+    cfg = ChannelConfig(n=np.int64(3), trials=2, seed=1)
+    assert type(cfg.n) is int
+    report = run_channel(cfg, QuditState(2, PLUS))
+    assert json.loads(report.to_json())["config"]["n"] == 3
+    assert report == run_channel(ChannelConfig(n=3, trials=2, seed=1), QuditState(2, PLUS))
+
+
 def test_run_channel_rejects_mismatched_state():
     cfg = ChannelConfig(n=4, trials=1, seed=1)
     with pytest.raises(ValidationError, match="dimension"):

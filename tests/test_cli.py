@@ -9,6 +9,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,15 @@ import pytest
 
 from rffqudit import cli
 from rffqudit.channel import random_density, random_povm
-from rffqudit.coupling import build_coupled_basis, fourier_coupling
-from rffqudit.encoder import build_q_set
+from rffqudit.coupling import CoupledBasis, build_coupled_basis, fourier_coupling
+from rffqudit.encoder import (
+    EncodedOperator,
+    QuditPovm,
+    QuditState,
+    build_q_set,
+    encode_povm,
+    encode_state,
+)
 from rffqudit.linalg import matrix_from_json_dict, matrix_to_json_dict
 from rffqudit.reference import n3_trine
 from rffqudit.spinsys import SpinRegister
@@ -40,6 +49,67 @@ def trine_povm_file(tmp_path):
         matrix_to_json_dict(trine[f"logical{k}"] * (2 / 3)) for k in (1, 2, 3)
     ]
     return write_json(tmp_path / "povm.json", {"elements": elements})
+
+
+# A basis or encode report writes each operator as its weight-class blocks: the
+# block of weight w sits on the product kets of Hamming weight w, ascending (its
+# rows, and a payload block's columns too), and the operator is zero elsewhere.
+
+def class_rows(n, weight):
+    """The product-ket indices of one Hamming weight, ascending."""
+    return np.array([i for i in range(2 ** n) if bin(i).count("1") == weight])
+
+
+def json_classes(operator):
+    """{weight: block} of one operator of a JSON report."""
+    return {c["weight"]: matrix_from_json_dict(c["block"]) for c in operator["classes"]}
+
+
+def csv_classes(text):
+    """({operator: {weight: block}}, the rows that hold no class entry) of a CSV report."""
+    cells, records = {}, []
+    for row in csv.DictReader(io.StringIO(text)):
+        if row["weight"] == "":
+            records.append(row)
+            continue
+        cells.setdefault(row["operator"], {}).setdefault(int(row["weight"]), {})[
+            int(row["row"]), int(row["col"])] = complex(float(row["re"]), float(row["im"]))
+    operators = {}
+    for operator, by_weight in cells.items():
+        operators[operator] = {}
+        for weight, entries in by_weight.items():
+            block = np.zeros(np.max(list(entries), axis=0) + 1, dtype=complex)
+            assert len(entries) == block.size  # every entry is written
+            for index, z in entries.items():
+                block[index] = z
+            operators[operator][weight] = block
+    return operators, records
+
+
+def scatter_payload(n, classes):
+    """The 2**n x 2**n operator of a payload's class blocks, zeros between them."""
+    out = np.zeros((2 ** n,) * 2, dtype=complex)
+    for weight, block in classes.items():
+        rows = class_rows(n, weight)
+        out[np.ix_(rows, rows)] = block
+    return out
+
+
+def scatter_kets(n, classes):
+    """{(m2, lambda): ket} of a basis's class blocks: column lambda - 1 of the
+    block of weight n/2 - m2 on its rows, zeros elsewhere."""
+    kets = {}
+    for weight, block in classes.items():
+        rows = class_rows(n, weight)
+        for lam, column in enumerate(block.T, 1):
+            ket = np.zeros(2 ** n, dtype=complex)
+            ket[rows] = column
+            kets[Fraction(n, 2) - weight, lam] = ket
+    return kets
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +210,15 @@ def test_basis_json_keys_and_residuals(capsys):
     code, out, _ = run_cli(capsys, "basis", "--n", "3")
     assert code == 0
     payload = json.loads(out)
-    assert payload["d"] == 2 and payload["j2"] == "1/2"
+    assert payload["d"] == 2 and payload["j2"] == "1/2" and payload["layout"] == 2
     assert payload["gram_residual"] < 1e-12
     assert payload["sector_membership_residual"] < 1e-12
-    assert sorted(payload["kets"]) == [
-        "m2=-1/2,lambda=1",
-        "m2=-1/2,lambda=2",
-        "m2=1/2,lambda=1",
-        "m2=1/2,lambda=2",
-    ]
-    ket = matrix_from_json_dict(payload["kets"]["m2=1/2,lambda=1"])
-    assert ket.shape == (8, 1)
-    assert np.linalg.norm(ket) == pytest.approx(1.0, abs=1e-12)
+    classes = json_classes(payload["isometry"])
+    assert {w: block.shape for w, block in classes.items()} == {1: (3, 2), 2: (3, 2)}
+    kets = scatter_kets(3, classes)
+    half = Fraction(1, 2)
+    assert sorted(kets) == [(-half, 1), (-half, 2), (half, 1), (half, 2)]
+    assert np.linalg.norm(kets[half, 1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_basis_accepts_coupling_file(capsys, tmp_path):
@@ -179,24 +246,107 @@ def test_basis_missing_coupling_file(capsys):
     assert "error:" in err
 
 
-def test_basis_report_over_the_entry_budget_is_refused_before_the_build(capsys, monkeypatch):
-    # 12**2 kets of 2**13 entries; the refusal comes before any basis build.
+def test_an_encode_state_payload_over_the_entry_budget_is_refused_before_the_build(
+        capsys, tmp_path, monkeypatch):
+    # One n = 12 payload has C(24, 12) - 2 class entries; the refusal comes before
+    # any basis build.
     built = []
     monkeypatch.setattr(cli, "build_coupled_basis", lambda *args: built.append(args))
-    code, out, err = run_cli(capsys, "basis", "--n", "13", "--max-n", "13")
+    state = write_json(tmp_path / "state.json", matrix_to_json_dict(np.eye(11) / 11))
+    code, out, err = run_cli(capsys, "encode", "--n", "12", "--state", state)
     assert code == 2 and out == "" and built == []
-    assert err == ("error: basis --n 13 would write 144 kets of 2**13 entries, 1179648 in "
-                   "all, over the 1048576 a report may hold; use a smaller --n\n")
+    assert err == ("error: encode --n 12 would write 1 operator(s) of 2704154 weight-class "
+                   "entries, 2704154 in all, over the 1048576 a report may hold; use a "
+                   "smaller --n\n")
 
 
-def test_basis_report_at_n12_fits_the_entry_budget(capsys, tmp_path):
-    # 11**2 kets of 2**12 entries, the largest basis report under the budget.
-    code, out, err = run_cli(capsys, "basis", "--n", "12", "--format", "csv",
+def test_basis_report_at_n13_fits_the_entry_budget(capsys, tmp_path):
+    # (2**13 - 2) * 12 class entries: every basis report up to the n = 14 cap fits.
+    code, out, err = run_cli(capsys, "basis", "--n", "13", "--max-n", "13", "--format", "csv",
                              "--output", str(tmp_path / "basis.csv"))
     assert code == 0 and out == "" and err == ""
     with open(tmp_path / "basis.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert len(rows) == 1 + 11 ** 2 * 2 ** 12 + 2  # header, ket entries, residuals
+    assert len(rows) == 1 + (2 ** 13 - 2) * 12 + 2  # header, class entries, residuals
+
+
+def _mixed_coupling(n):
+    """[W F[:-1]; F[-1]] for a random unitary W: a valid coupling that is not Fourier's."""
+    rng = np.random.default_rng([20261021, n])
+    w, _ = np.linalg.qr(rng.normal(size=(n - 1, n - 1)) + 1j * rng.normal(size=(n - 1, n - 1)))
+    fourier = fourier_coupling(n)
+    return np.vstack([w @ fourier[:-1], fourier[-1:]])
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("coupling", ("fourier", "mixed"))
+@pytest.mark.parametrize("n", range(3, 9))
+def test_basis_class_blocks_rebuild_the_kets_bit_for_bit(capsys, tmp_path, n, coupling, fmt):
+    u = _mixed_coupling(n) if coupling == "mixed" else None
+    argv = ["basis", "--n", str(n), "--format", fmt]
+    if u is not None:
+        argv += ["--coupling", write_json(tmp_path / "coupling.json", matrix_to_json_dict(u))]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        classes = json_classes(json.loads(out)["isometry"])
+    else:
+        operators, records = csv_classes(out)
+        assert [r["operator"] for r in records] == ["gram_residual", "sector_membership_residual"]
+        classes = operators.pop("isometry")
+        assert operators == {}
+    basis = build_coupled_basis(SpinRegister(n), u)
+    kets = scatter_kets(n, classes)
+    assert sorted(kets) == sorted((m2, lam) for m2 in basis.m2_values() for lam in range(1, n))
+    for (m2, lam), ket in kets.items():
+        assert same_bits(ket, basis.ket(m2, lam)), (m2, lam)
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("n", range(3, 9))
+def test_encode_class_blocks_rebuild_the_payloads_bit_for_bit(capsys, tmp_path, n, fmt):
+    d = n - 1
+    rng = np.random.default_rng([20261021, n])
+    state, povm = QuditState(d, random_density(rng, d)), random_povm(rng, d, d + 1)
+    argv = ["encode", "--n", str(n), "--format", fmt,
+            "--state", write_json(tmp_path / "state.json", matrix_to_json_dict(state.rho))]
+    if fmt == "json":  # a CSV report given a POVM writes only the Born table
+        argv += ["--povm", write_json(tmp_path / "povm.json", {"elements": [
+            matrix_to_json_dict(e) for e in povm.elements]})]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    qs = build_coupled_basis(SpinRegister(n))
+    if fmt == "json":
+        report = json.loads(out)
+        written = [json_classes(p) for p in [report["state_payload"], *report["povm_payloads"]]]
+        expected = [encode_state(qs, state), *encode_povm(qs, povm)]
+    else:
+        operators, records = csv_classes(out)
+        assert records == [] and list(operators) == ["state_payload"]
+        written, expected = [operators["state_payload"]], [encode_state(qs, state)]
+    assert len(written) == len(expected)
+    for classes, encoded in zip(written, expected):
+        assert sorted(classes) == list(range(1, n))
+        assert same_bits(scatter_payload(n, classes), encoded.payload)
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+def test_basis_and_encode_form_no_dense_operator(capsys, tmp_path, monkeypatch, fmt):
+    def dense(*_):
+        raise AssertionError("a dense operator was formed")
+
+    monkeypatch.setattr(CoupledBasis, "isometry", property(dense))
+    monkeypatch.setattr(CoupledBasis, "ket", dense)
+    monkeypatch.setattr(CoupledBasis, "lift", dense)
+    monkeypatch.setattr(EncodedOperator, "payload", property(dense))
+    rng = np.random.default_rng([20261021, 5])
+    state = write_json(tmp_path / "state.json", matrix_to_json_dict(random_density(rng, 4)))
+    povm = write_json(tmp_path / "povm.json", {"elements": [
+        matrix_to_json_dict(e) for e in random_povm(rng, 4, 5).elements]})
+    for argv in (["basis", "--n", "5"], ["encode", "--n", "5", "--state", state],
+                 ["encode", "--n", "5", "--state", state, "--povm", povm]):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0 and err == "" and out, argv
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +359,7 @@ def test_encode_completely_mixed_state(capsys, tmp_path):
     )
     code, out, _ = run_cli(capsys, "encode", "--n", "3", "--state", state)
     assert code == 0
-    payload = json.loads(out)
-    got = matrix_from_json_dict(payload["state_payload"])
+    got = scatter_payload(3, json_classes(json.loads(out)["state_payload"]))
     qs = build_q_set(build_coupled_basis(SpinRegister(3)))
     np.testing.assert_allclose(got, qs.sector_projector / 4, atol=1e-13)
 
@@ -244,8 +393,8 @@ def test_encode_born_table_matches_the_dense_traces(capsys, tmp_path, n):
                            "--povm", povm)
     assert code == 0
     report = json.loads(out)
-    state_payload = matrix_from_json_dict(report["state_payload"])
-    dense = [np.trace(state_payload @ matrix_from_json_dict(p)).real
+    state_payload = scatter_payload(n, json_classes(report["state_payload"]))
+    dense = [np.trace(state_payload @ scatter_payload(n, json_classes(p))).real
              for p in report["povm_payloads"]]
     encoded = [row["encoded"] for row in report["born_table"]]
     assert len(encoded) == d + 1
@@ -253,7 +402,8 @@ def test_encode_born_table_matches_the_dense_traces(capsys, tmp_path, n):
 
 
 def test_encode_report_over_the_entry_budget_is_refused_before_the_build(capsys, tmp_path):
-    # 12 payloads of 4**11 entries in JSON; the refusal comes before any basis build.
+    # 12 payloads of C(22, 11) - 2 class entries in JSON; the refusal comes before any
+    # basis build.
     n, d = 11, 10
     rng = np.random.default_rng([20261019, n])
     state = write_json(tmp_path / "state.json", matrix_to_json_dict(random_density(rng, d)))
@@ -264,10 +414,11 @@ def test_encode_report_over_the_entry_budget_is_refused_before_the_build(capsys,
                              "--povm", povm)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
-    assert err.startswith("error: encode --n 11 would write 12 dense payload(s)")
-    assert "Traceback" not in err
-    # One n = 10 payload, the largest report encode wrote before the budget, fits.
-    assert cli.MAX_REPORT_ENTRIES >= 4 ** 10
+    assert err.startswith("error: encode --n 11 would write 12 operator(s) of 705430 "
+                          "weight-class entries, 8465160 in all")
+    assert err.endswith("use a smaller --n or fewer POVM elements\n")
+    # One n = 11 state payload, the largest that encode writes, fits.
+    assert comb(22, 11) - 2 <= cli.MAX_REPORT_ENTRIES < comb(24, 12) - 2
 
 
 def _encode_csv_born_table(capsys, tmp_path, n):

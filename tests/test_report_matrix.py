@@ -25,5 +25,8 @@ def test_the_matrix_covers_every_command_in_both_formats(tmp_path):
     assert len([run for run in runs if run[0] == "verify"]) == 8  # four seeds, two formats
     # 3 modes, 3 sizes, 2 formats, and one trial in 2 formats
     assert len([run for run in runs if run[0] == "channel"]) == 20
+    # a state alone and a state with a POVM, two formats: the CSV of the first is
+    # its state payload, that of the second the Born table alone
+    assert len([run for run in runs if run[0] == "encode"]) == 4
     report_matrix.write_inputs(tmp_path)
     assert {p.name for p in tmp_path.iterdir()} == {"state.json", "povm.json"}

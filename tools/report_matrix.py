@@ -5,8 +5,9 @@
 Runs one matrix of reports twice: on the working tree's src, and on
 `git archive REF` unpacked in a temporary directory. The matrix is verify
 JSON and CSV at four seeds, channel in every noise mode at n = 3, 4 and 7 in
-JSON and CSV, one channel trial at n = 3 in JSON and CSV, census, basis, encode (of a state and a POVM this script
-writes) and every reference case. Each report is made by its own
+JSON and CSV, one channel trial at n = 3 in JSON and CSV, census, basis, encode
+(of a state alone, and of the state and a POVM, both of which this script writes)
+and every reference case. Each report is made by its own
 `python -m rffqudit` child with one BLAS thread. For each report whose bytes
 or exit code differ, or that fails on both sides, it prints the command and
 the largest move of a number in it. Exit 0 when every report matches, 1 when
@@ -63,6 +64,7 @@ def matrix(inputs: Path) -> list:
         runs += [["channel", "--n", "3", "--trials", "1", "--format", fmt],
                  ["census", "--n", "7", "--format", fmt],
                  ["basis", "--n", "5", "--format", fmt],
+                 ["encode", "--n", "4", "--state", str(state), "--format", fmt],
                  ["encode", "--n", "4", "--state", str(state), "--povm", str(povm),
                   "--format", fmt]]
     return runs
