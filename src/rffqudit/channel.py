@@ -282,6 +282,7 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
     """A random full-rank density matrix (normalized Wishart draw)."""
+    d = require_integer(d, "d", 1)
     return _random_density_of(rng.standard_normal((2, d, d)))
 
 
@@ -299,8 +300,7 @@ def random_povm(rng: np.random.Generator, d: int, elements: int) -> QuditPovm:
     The real and imaginary parts of every G_k come from one standard_normal
     call, in the order of drawing them element by element; A_k = G_k G_k^dag.
     """
-    if elements < 1:
-        raise ValidationError("a POVM needs at least one element")
+    d, elements = require_integer(d, "d", 1), require_integer(elements, "elements", 1)
     z = rng.standard_normal((elements, 2, d, d))
     return QuditPovm(d=d, elements=tuple(_random_povm_of(z)))
 
@@ -330,11 +330,11 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     collective rotation u, and the probabilities of all elements are checked
     three ways: logical Tr(rho Pi_k); encoded Tr(P_rho P_k) of the state's
     payload, taken as Tr(C Pi_k) with C = sum_m2 C_m2 the partial trace of its
-    frame K^dag P_rho K, compressed from the payload's lifted weight-class
-    blocks (CoupledBasis.compress_lifted); and encoded after the rotation,
-    Tr(Tr_m2(R F R^dag) Pi_k) for the state's frame F = rho/d (x) I_d and
-    R = K^dag u^(x n) K. All trials run as stacks, in chunks of at most
-    coupling.CHUNK_BYTES: of lifted blocks, and of U K as in the channel.
+    frame K^dag P_rho K, compressed from the rank-d factors of the payload's
+    weight-class blocks (CoupledBasis.compress_lifted); and encoded after the
+    rotation, Tr(Tr_m2(R F R^dag) Pi_k) for the state's frame F = rho/d (x) I_d
+    and R = K^dag u^(x n) K. All trials run as stacks, in chunks of at most
+    coupling.CHUNK_BYTES: of class factors, and of U K as in the channel.
     A payload off the logical sector, or a rotation that leaves it, fails the gate
     of compress_lifted or of qs.rotations: ConsistencyError naming its trial.
     """

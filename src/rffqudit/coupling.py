@@ -33,13 +33,17 @@ a matrix-unit algebra commuting with the total angular momentum. Both facts
 are checked on the blocks when the basis is built: B_k^dag B_k = I, and
 J_minus B_k = c_k B_{k+1} with its J_plus partner (J_z holds by
 construction). Every payload K (A (x) I_d) K^dag is zero off the weight
-classes, so CoupledBasis.lift_blocks builds only its blocks B_k A B_k^dag, of
-one A or a stack of trials, one class at a time, and
-CoupledBasis.compress_lifted takes a stack's back to the class frames
-B_k^dag P_k B_k, gating each trial's residual on SECTOR_TOL: verify's encoder
-rows and encode's Born table read encoded payloads this way, and no 2**n x 2**n
-array is formed. CoupledBasis.rotations gates each collective rotation's
-escape |U K - K R| on the same bound. The dense entry points stay dense:
+classes, and its block on class k, P_k = B_k A B_k^dag, has rank at most d:
+CoupledBasis.lift_factors gives it as the factors X_k = B_k A and Y_k = B_k
+with P_k = X_k Y_k^dag, of one A or a stack of trials, one class at a time.
+CoupledBasis.compress_lifted takes a stack's factors to the class frames
+B_k^dag P_k B_k = (B_k^dag X_k)(B_k^dag Y_k)^dag, and holds each trial's bound
+on |P_k - B_k C_k B_k^dag|, read from the factors' row norms (factor_frames),
+to SECTOR_TOL: verify's encoder rows and encode's Born table read encoded
+payloads this way, in O(C(n, k+1) d**2) per class, and no C(n, k+1)**2 block
+is formed. CoupledBasis.lift_blocks forms the blocks as X_k Y_k^dag for the
+readers that need them whole. CoupledBasis.rotations gates each collective
+rotation's escape |U K - K R| on the same bound. The dense entry points stay dense:
 lift is the scatter of lift_blocks, and compress takes the full K^dag P K of
 a raw P, coherences between m2 values included, for decode_payload. These
 ladder operators, and the J^2 = n(4-n)/4 + sum_{l<k} P_lk of the membership
@@ -61,7 +65,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConsistencyError, ContractViolationError, ValidationError, require_none
+from .errors import (
+    ConsistencyError,
+    ContractViolationError,
+    ValidationError,
+    require_integer,
+    require_none,
+)
 from .linalg import dagger, identity, max_abs_diff, stack_at_shared
 from .spinsys import SpinRegister, collective_product_apply, product_ket
 
@@ -77,11 +87,12 @@ ROW_BLOCK_BYTES = 4 * 2 ** 20
 # Bytes that one chunk of a stack of trials may hold, at least one trial per
 # chunk: U K (one K per trial) in CoupledBasis.rotations, where a pass's input
 # and its product are live and the gate holds one weight class's rows and
-# their product beside them, and the lifted blocks of all classes in
+# their product beside them, and the factors X_k of all classes in
 # CoupledBasis.compress_lifted, which lifts and gates a chunk one class at a
 # time. verify's 20 rotation trials go in one chunk up to n = 5, ten at n = 6
-# and three at n = 7, its five lifted trials in one chunk up to n = 6 and
-# 4 + 1 at n = 7; from n = 8 on a chunk is one trial. On 2 shared vCPUs,
+# and three at n = 7, and one trial a chunk from n = 8 on; its five lifted
+# trials go in one chunk up to n = 8, 4 + 1 at n = 9, and one a chunk from
+# n = 10 on. On 2 shared vCPUs,
 # one BLAS thread, two sets of 200 interleaved in-process runs, with one BLAS
 # call per class and chunk in rotations: the rotation rows of n = 3..7 took
 # a median 6.6-6.8 ms against 9.0-9.3 ms at 64 KiB and 6.7-6.9 ms at 1 MiB;
@@ -104,7 +115,7 @@ class SectorSpec:
 
 def sector_index_set(n: int) -> list[Fraction]:
     """All j values for n constituents: n/2, n/2-1, ..., down to 0 or 1/2."""
-    j = Fraction(n, 2)
+    j = Fraction(require_integer(n, "n", 0), 2)
     out = []
     while j >= 0:
         out.append(j)
@@ -114,7 +125,7 @@ def sector_index_set(n: int) -> list[Fraction]:
 
 def multiplicity(n: int, j) -> int:
     """Exact sector multiplicity c_j = n!(2j+1)/((n/2+j+1)!(n/2-j)!)."""
-    j = Fraction(j)
+    n, j = require_integer(n, "n", 0), Fraction(j)
     if j not in sector_index_set(n):
         raise ContractViolationError(
             f"j={j} is not in the sector index set for n={n}"
@@ -131,6 +142,7 @@ def multiplicity(n: int, j) -> int:
 
 def fourier_coupling(n: int) -> np.ndarray:
     """The default coupling: U_{lambda,l} = omega_n**(lambda*l)/sqrt(n)."""
+    n = require_integer(n, "n", 1)
     omega = np.exp(2j * np.pi / n)
     lam = np.arange(1, n + 1).reshape(-1, 1)
     ell = np.arange(1, n + 1).reshape(1, -1)
@@ -176,14 +188,16 @@ class CoupledBasis:
     k + 1, the only ones it touches. isometry is the dense 2**n x d**2 K,
     column (lambda-1)(2 j2+1) + (j2-m2) the ket (lambda, m2), assembled from
     the blocks on first use for the readers that need all of K. Every operator
-    K (A (x) I_d) K^dag is block-diagonal in the weight: lift_blocks builds
-    its blocks and compress_lifted takes them back to gated class frames; lift
+    K (A (x) I_d) K^dag is block-diagonal in the weight, and its block on a
+    class has rank at most d: lift_factors gives each block's factors
+    (B_k A, B_k), compress_lifted takes them to gated class frames without
+    forming a block, and lift_blocks forms the blocks from them; lift
     scatters the blocks into the dense operator, and compress takes
     K^dag P K of a raw dense P one weight class at a time; the dense projector
     K K^dag and each Q_{lambda lambda'} = basis(lambda, lambda') are lifts
-    built on every access. The weight
-    classes, the dense K and the gate's residuals are computed once per
-    object; a dataclasses.replace'd copy computes its own.
+    built on every access. The weight classes, the dense K and the gate's
+    residuals are computed once per object; a dataclasses.replace'd copy
+    computes its own.
     """
 
     n: int
@@ -224,13 +238,18 @@ class CoupledBasis:
         k_all.setflags(write=False)
         return k_all
 
+    def lift_factors(self, logical) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(X_k, Y_k) = (B_k A, B_k) of each weight class k (m2 = j2 - k), built
+        one class at a time as they are read: the rank-d factors of the class's
+        block P_k = X_k Y_k^dag of K (A (x) I_d) K^dag. X_k is C(n, k+1) x d for
+        one d x d matrix A, or (T, C(n, k+1), d) for a stack (T, d, d)."""
+        return ((block @ logical, block) for block in self.blocks)
+
     def lift_blocks(self, logical) -> Iterator[np.ndarray]:
-        """B_k A B_k^dag of each weight class k (m2 = j2 - k): the only nonzero
-        blocks of K (A (x) I_d) K^dag, built one class at a time as they are
-        read. A is one d x d matrix, giving one C(n, k+1) x C(n, k+1) array per
-        class, or a stack (T, d, d), giving a (T, C(n, k+1), C(n, k+1)) stack
-        per class."""
-        return (block @ logical @ block.conj().T for block in self.blocks)
+        """P_k = X_k Y_k^dag of each weight class k, from lift_factors: the only
+        nonzero blocks of K (A (x) I_d) K^dag, built one class at a time as they
+        are read, C(n, k+1) x C(n, k+1) for one A and a (T, ...) stack for a stack."""
+        return (x @ y.conj().T for x, y in self.lift_factors(logical))
 
     def lift(self, logical) -> np.ndarray:
         """The 2**n x 2**n operator K (A (x) I_d) K^dag of a d x d A: lift_blocks
@@ -241,26 +260,23 @@ class CoupledBasis:
         return out
 
     def compress_lifted(self, logical) -> np.ndarray:
-        """The class frames C_k = B_k^dag P_k B_k of the payload's blocks
-        P_k = B_k A B_k^dag, for each A of a stack (T, d, d): shaped
-        (T, 2 j2 + 1, d, d). The trials go in chunks whose lifted blocks hold at
-        most CHUNK_BYTES (at least one trial each), and a chunk holds one
-        lifted class at a time, so no 2**n x 2**n array is formed.
+        """The class frames C_k = (B_k^dag X_k)(B_k^dag Y_k)^dag of the payload's
+        blocks P_k = X_k Y_k^dag (lift_factors), for each A of a stack (T, d, d):
+        shaped (T, 2 j2 + 1, d, d). The trials go in chunks whose factors X_k
+        hold at most CHUNK_BYTES (at least one trial each), and a chunk holds one
+        class's factors at a time; no C(n, k+1)**2 block is formed.
 
-        Each trial's residual max_k |P_k - B_k C_k B_k^dag| is held to
-        SECTOR_TOL: a payload off the sector is a failed encoding, and
+        Each trial's bound on max_k |P_k - B_k C_k B_k^dag| (factor_frames) is
+        held to SECTOR_TOL: a payload off the sector is a failed encoding, and
         ConsistencyError names the first such trial.
         """
-        per_trial = 16 * (comb(2 * self.n, self.n) - 2)  # bytes of one trial's blocks
+        per_trial = 16 * self.d * (2 ** self.n - 2)  # bytes of one trial's X_k
         chunks = []
         for part in _chunks(len(logical), per_trial, CHUNK_BYTES):
             frames, worst = [], 0.0
-            for block, lifted in zip(self.blocks, self.lift_blocks(logical[part])):
-                frame = block.conj().T @ lifted @ block
-                back = block @ frame @ block.conj().T
-                back -= lifted
-                worst = np.maximum(worst, np.abs(back).max(axis=(1, 2)))
-                del back  # not held beside the next class's
+            for block, (x, y) in zip(self.blocks, self.lift_factors(logical[part])):
+                frame, bound = factor_frames(block, x, y)
+                worst = np.maximum(worst, bound)
                 frames.append(frame)
             require_none(worst > SECTOR_TOL, lambda t: (
                 f"the encoded payload of state {part.start + t} is not supported on the logical "
@@ -342,6 +358,32 @@ class CoupledBasis:
         unit = np.zeros((self.d, self.d))
         unit[lam - 1, lamp - 1] = 1.0
         return self.lift(unit)
+
+
+def factor_frames(block, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """(C, bound) of one weight class with block B, for a payload block
+    P = X Y^dag given by its factors: X a stack (T, C_k, d), Y one C_k x d
+    matrix. C = (B^dag X)(B^dag Y)^dag, shaped (T, d, d), is B^dag P B, and
+    bound, one per trial, is at least max |P - B C B^dag|: with H = B B^dag (.)
+    and E = (.) - H, P - B C B^dag = E_X Y^dag + H_X E_Y^dag, so no entry exceeds
+    max_i |E_X,i| max_j |Y_j| + max_i |H_X,i| max_j |E_Y,j| over row 2-norms.
+    It costs O(C_k d**2) per trial; the trials stack in the rows of each product
+    with B (linalg.stack_at_shared), so a trial's bits do not depend on its chunk."""
+    half_x, inside_x, off_x = _split_on_span(block, x)
+    half_y, _, off_y = _split_on_span(block, y)
+    bound = off_x * np.linalg.norm(y, axis=-1).max() + inside_x * off_y
+    return stack_at_shared(half_x, dagger(half_y)), bound
+
+
+def _split_on_span(block, factor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B^dag F, max_i |H_i|, max_i |E_i|) of a factor F (C_k x d, or a stack of
+    them) split as H + E, H = B B^dag F on the span of B: its frame half, and the
+    largest row 2-norm of each part, per matrix of the stack."""
+    rows = np.swapaxes(factor, -1, -2)  # F^T: its rows meet the shared block
+    half = stack_at_shared(rows, block.conj())  # (B^dag F)^T
+    inside = stack_at_shared(half, block.T)  # H^T
+    off = np.linalg.norm(rows - inside, axis=-2).max(axis=-1)
+    return np.swapaxes(half, -1, -2), np.linalg.norm(inside, axis=-2).max(axis=-1), off
 
 
 def _chunks(count: int, item_bytes: int, budget: int) -> Iterator[slice]:

@@ -23,10 +23,11 @@ w = n/2 - m2 alone, and the basis stores K as those d weight blocks B_m2 of
 C(n, w) x d each (CoupledBasis.blocks, paired with their rows in
 CoupledBasis.weight_classes), so a payload K (A (x) I_d) K^dag is
 block-diagonal in w: B A B^dag on each class, zero between classes and on
-the all-up and all-down kets. CoupledBasis.lift_blocks builds those blocks
-alone, one class at a time, for one A or a stack of trials, and
-CoupledBasis.compress_lifted takes them back to the class frames B^dag P B,
-each trial's residual held to SECTOR_TOL: verify's round-trip, entropy and
+the all-up and all-down kets. That block has rank at most d, and
+CoupledBasis.lift_factors gives it as its factors (B A, B), one class at a
+time, for one A or a stack of trials; CoupledBasis.compress_lifted takes
+them to the class frames B^dag P B without forming the block, each trial's
+bound on |P - B C B^dag| held to SECTOR_TOL: verify's round-trip, entropy and
 Born rows and encode's Born table read encoded payloads that way. The
 entry points of this module stay dense: EncodedOperator.payload, HwsPair.u/.v,
 and the sector projector and matrix units of the basis are the blocks

@@ -78,7 +78,8 @@ def sigma(reg: SpinRegister, site: int, which: str) -> np.ndarray:
         raise ContractViolationError(
             f"unknown operator label {which!r}; expected one of x,y,z,-"
         )
-    if not 1 <= site <= reg.n:
+    site = require_integer(site, "site", 1)
+    if site > reg.n:
         raise ContractViolationError(f"site {site} out of range 1..{reg.n}")
     op = identity(1)
     for ell in range(1, reg.n + 1):

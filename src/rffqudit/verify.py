@@ -150,14 +150,25 @@ def q_algebra_residuals(qs: CoupledBasis) -> dict:
     computed once per basis. The pairing is max |P - P^dag| for P = lift(H) of
     one generic hermitian H drawn from DEFAULT_SEED: P = sum H_{ll'} Q(l,l'),
     so P is hermitian exactly when Q(l,l')^dag = Q(l',l) for all pairs at
-    once. P is zero off its weight-class blocks P_k = B_k H B_k^dag, so the
-    pairing is max_k |P_k - P_k^dag| over the blocks of lift_blocks.
+    once. P is zero off its weight-class blocks P_k = X_k Y_k^dag, whose
+    factors (X_k, Y_k) = (B_k H, B_k) come from lift_factors. With
+    E = X - Y H, P_k - P_k^dag = Y (H - H^dag) Y^dag + E Y^dag - Y E^dag, so the
+    pairing reads the bound max_j |Y_j| (max_i |(Y (H - H^dag)^dag)_i| +
+    2 max_i |E_i|) over row 2-norms, and no C(n, k+1)**2 block is formed.
     """
-    blocks = qs.lift_blocks(random_density(seeded_generator(DEFAULT_SEED), qs.d))
+    h = random_density(seeded_generator(DEFAULT_SEED), qs.d)
+    skew = dagger(h - dagger(h))  # (H - H^dag)^dag
     isometry = qs.gate_residuals
-    return {"hermitian-pairing": max(max_abs_diff(p, dagger(p)) for p in blocks),
+    return {"hermitian-pairing": max(_largest_row(y) * (_largest_row(y @ skew)
+                                                        + 2 * _largest_row(x - y @ h))
+                                     for x, y in qs.lift_factors(h)),
             "trace": isometry["trace"], "closure": isometry["gram"],
             "j-commutation": isometry["covariance"]}
+
+
+def _largest_row(a: np.ndarray) -> float:
+    """The largest 2-norm of a row of the matrix a."""
+    return float(np.linalg.norm(a, axis=-1).max())
 
 
 def rotation_invariance_residual(qs: CoupledBasis, trials: int,
@@ -185,10 +196,10 @@ def rotation_invariance_residual(qs: CoupledBasis, trials: int,
 def encoded_random_states(qs: CoupledBasis, trials: int,
                           seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
     """(rho, C): trials random logical states drawn from seed, shaped (T, d, d),
-    and the class frames C_k = B_k^dag P_k B_k of their payloads' lifted blocks,
-    shaped (T, 2 j2 + 1, d, d), from one stacked lift and compression
-    (CoupledBasis.compress_lifted), whose gate raises ConsistencyError for a
-    payload off the logical sector.
+    and the class frames C_k = B_k^dag P_k B_k of their payloads, shaped
+    (T, 2 j2 + 1, d, d), taken from the rank-d factors of each class block
+    P_k in one stacked compression (CoupledBasis.compress_lifted), whose gate
+    raises ConsistencyError for a payload off the logical sector.
     """
     require_integer(trials, "trials", 1)
     rho = _random_density_of(seeded_generator(seed).standard_normal((trials, 2, qs.d, qs.d)))
@@ -216,7 +227,7 @@ def _entropy_defect(rho: np.ndarray, frames: np.ndarray) -> float:
 def round_trip_residual(qs: CoupledBasis, trials: int,
                         seed: int = DEFAULT_SEED) -> float:
     """Worst encode -> decode deviation over random logical states, on the
-    lifted blocks of their payloads (encoded_random_states)."""
+    class frames of their payloads (encoded_random_states)."""
     return _round_trip(*encoded_random_states(qs, trials, seed))
 
 
@@ -232,7 +243,7 @@ def born_probability_residual(qs: CoupledBasis, trials: int,
 def entropy_defect_residual(qs: CoupledBasis, trials: int,
                             seed: int = DEFAULT_SEED) -> float:
     """Worst |S(payload) - S(logical) - log2 d| over random logical states, on
-    the lifted blocks of their payloads (encoded_random_states)."""
+    the class frames of their payloads (encoded_random_states)."""
     return _entropy_defect(*encoded_random_states(qs, trials, seed))
 
 

@@ -98,3 +98,39 @@ def membership_residual(n: int, k: np.ndarray) -> float:
         max_abs_diff(collective_j_squared(reg, k), float(j2 * (j2 + 1)) * k),
         max_abs_diff(collective_apply(reg, SIGMA_Z / 2, k), k * column_m2),
     )
+
+
+def dense_class_frames(block, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The dense class walk that coupling.factor_frames replaces: (C, residual)
+    of one weight class with block B for its payload block P = X Y^dag formed
+    whole, C_k x C_k per trial, with C = B^dag P B and residual
+    max |P - B C B^dag| per trial."""
+    lifted = x @ y.conj().T
+    frame = block.conj().T @ lifted @ block
+    back = block @ frame @ block.conj().T
+    return frame, np.abs(back - lifted).max(axis=(-2, -1))
+
+
+def dense_compress_lifted(basis, logical) -> tuple[np.ndarray, np.ndarray]:
+    """(frames, residual) of the dense class walk over every class of a stack
+    (T, d, d): the frames (T, 2 j2 + 1, d, d) and each trial's worst class
+    residual, from the factors of basis.lift_factors."""
+    walked = [dense_class_frames(block, x, y)
+              for block, (x, y) in zip(basis.blocks, basis.lift_factors(logical))]
+    return np.stack([f for f, _ in walked], axis=1), np.max([r for _, r in walked], axis=0)
+
+
+def dense_hermitian_pairing(basis, h) -> float:
+    """max_k |P_k - P_k^dag| over the class blocks of lift(H), each formed whole."""
+    return max(max_abs_diff(p, dagger(p)) for p in basis.lift_blocks(h))
+
+
+def symmetric_stray(block, delta: float) -> np.ndarray:
+    """A C_k x d addition to a class factor X that moves P = X B^dag off the
+    sector while the factor gate reads delta: the class's all-ones column
+    (its symmetric ket, in the largest-j sector and so orthogonal to the
+    span of B) times delta / max_j |B_j|, in column 0. The frames
+    (B^dag X)(B^dag B)^dag do not move beyond rounding."""
+    stray = np.zeros(block.shape, dtype=complex)
+    stray[:, 0] = delta / np.linalg.norm(block, axis=-1).max()
+    return stray

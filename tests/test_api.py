@@ -9,9 +9,21 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rffqudit
+from rffqudit import (
+    QuditPovm,
+    SpinRegister,
+    ValidationError,
+    fourier_coupling,
+    multiplicity,
+    random_density,
+    random_povm,
+    sector_index_set,
+    sigma,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(rffqudit.__file__).resolve().parent
@@ -219,3 +231,37 @@ def test_first_failing_index_checks_share_one_spelling():
         if found:
             offenders[str(path.relative_to(PACKAGE))] = found
     assert offenders == {}
+
+
+# Public sizes that go through errors.require_integer: the call on one value,
+# the parameter it names, and a valid value.
+PUBLIC_SIZES = {
+    "random_density:d": (lambda v: random_density(np.random.default_rng(0), v), "d", 2),
+    "random_povm:d": (lambda v: random_povm(np.random.default_rng(0), v, 3), "d", 2),
+    "random_povm:elements": (lambda v: random_povm(np.random.default_rng(0), 2, v),
+                             "elements", 3),
+    "fourier_coupling:n": (fourier_coupling, "n", 3),
+    "multiplicity:n": (lambda v: multiplicity(v, 0.5), "n", 3),
+    "sector_index_set:n": (sector_index_set, "n", 3),
+    "sigma:site": (lambda v: sigma(SpinRegister(3), v, "x"), "site", 2),
+}
+
+
+def _kept(value):
+    """value with NumPy arrays, POVMs and Fractions as nested lists and tuples, whose
+    repr shows any NumPy scalar."""
+    if isinstance(value, list):  # sector_index_set's Fractions
+        return [(j.numerator, j.denominator) for j in value]
+    if isinstance(value, QuditPovm):
+        return [e.tolist() for e in value.elements]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@pytest.mark.parametrize("bad", (3.0, True, "3", None))
+@pytest.mark.parametrize("size", PUBLIC_SIZES)
+def test_public_sizes_follow_the_one_integer_rule(size, bad):
+    call, name, valid = PUBLIC_SIZES[size]
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {bad!r}$"):
+        call(bad)
+    # A NumPy integer is kept as a Python int: the same result, no NumPy scalar in it.
+    assert repr(_kept(call(np.int64(valid)))) == repr(_kept(call(valid)))

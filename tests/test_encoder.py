@@ -35,6 +35,8 @@ from rffqudit.linalg import (
 )
 from rffqudit.spinsys import SIGMA_X, SIGMA_Y, SIGMA_Z, SpinRegister, kron_power
 
+from dense_oracle import symmetric_stray
+
 SEED = 20260819
 
 
@@ -154,16 +156,19 @@ def test_a_non_psd_logical_operator_fails_the_encoded_psd_check(qs3, monkeypatch
 
 @pytest.fixture
 def off_sector_lift(monkeypatch):
-    # 1e-6 on every entry of the first class's lifted block is 1e-6 times the
-    # projector onto that class's symmetric ket, scaled by the class size: it
-    # lies in the largest-j sector, so C is unchanged and |P - K C K^dag| is 1e-6.
-    real = CoupledBasis.lift_blocks
+    # symmetric_stray(B, 1e-6) on the first class's factor X of each stack of
+    # trials lies along that class's symmetric ket, in the largest-j sector: C
+    # is unchanged and the gate's bound on |P - K C K^dag| reads 1e-6. The
+    # pairing lifts one matrix and is left exact.
+    real = CoupledBasis.lift_factors
 
     def off_sector(self, logical):
-        first, *rest = real(self, logical)
-        return (first + 1e-6, *rest)
+        (x, y), *rest = real(self, logical)
+        if np.ndim(logical) == 3:
+            x = x + symmetric_stray(y, 1e-6)
+        return ((x, y), *rest)
 
-    monkeypatch.setattr(CoupledBasis, "lift_blocks", off_sector)
+    monkeypatch.setattr(CoupledBasis, "lift_factors", off_sector)
 
 
 def test_an_off_sector_payload_fails_the_entropy_row(off_sector_lift):

@@ -193,13 +193,13 @@ def test_frame_entropy_matches_the_dense_payload_entropy(case):
 
 
 def test_harness_probabilities_match_the_dense_traces(case, monkeypatch):
-    # The harness's Tr(sum_m2 C_m2 Pi), C compressed from the lifted blocks of
-    # the state payload, against Tr(P_rho P_Pi) with P_rho those blocks
-    # scattered and P_Pi = K (Pi (x) I_d) K^dag, dense.
+    # The harness's Tr(sum_m2 C_m2 Pi), C compressed from the class factors of
+    # the state payload, against Tr(P_rho P_Pi) with P_rho the blocks X Y^dag
+    # of those factors scattered and P_Pi = K (Pi (x) I_d) K^dag, dense.
     _, _, qs, _ = case
     d, trials = qs.d, 3
     lifts, compressions = [], []
-    real_lift, real_compress = CoupledBasis.lift_blocks, CoupledBasis.compress_lifted
+    real_lift, real_compress = CoupledBasis.lift_factors, CoupledBasis.compress_lifted
 
     def lift_recording(basis, logical):
         lifts.append(tuple(real_lift(basis, logical)))  # read again below
@@ -209,7 +209,7 @@ def test_harness_probabilities_match_the_dense_traces(case, monkeypatch):
         compressions.append(real_compress(basis, logical))
         return compressions[-1]
 
-    monkeypatch.setattr(CoupledBasis, "lift_blocks", lift_recording)
+    monkeypatch.setattr(CoupledBasis, "lift_factors", lift_recording)
     monkeypatch.setattr(CoupledBasis, "compress_lifted", compress_recording)
     report = born_rule_harness(qs, trials, SEED)
     assert report.max_encoded_deviation < 1e-12
@@ -219,12 +219,12 @@ def test_harness_probabilities_match_the_dense_traces(case, monkeypatch):
         random_density(rng, d)
         povms.append(random_povm(rng, d, d + 1).elements)
         haar_su2(rng)
-    [blocks], [frames] = lifts, compressions  # one chunk holds every trial at small n
+    [factors], [frames] = lifts, compressions  # one chunk holds every trial at small n
     k = qs.isometry
     for t, elements in enumerate(povms):
         payload = np.zeros((2 ** qs.n,) * 2, dtype=complex)
-        for (rows, _), block in zip(qs.weight_classes, blocks):
-            payload[np.ix_(rows, rows)] = block[t]
+        for (rows, _), (x, y) in zip(qs.weight_classes, factors):
+            payload[np.ix_(rows, rows)] = x[t] @ y.conj().T
         dense = [np.trace(payload @ k @ np.kron(e, np.eye(d)) @ k.conj().T).real
                  for e in elements]
         harness = [np.trace(frames[t].sum(axis=0) @ e).real for e in elements]
@@ -261,15 +261,15 @@ def test_frame_hermitian_pairing_matches_the_dense_one(case):
 
 
 def test_q_hermitian_row_rejects_a_lift_without_the_conjugate(monkeypatch):
-    # B A B^T in place of B A B^dag: the blocks of P = lift(H) are then not
-    # hermitian, as the Fourier blocks are complex, though every frame
-    # G_l G_l'^dag still pairs.
-    def transposed_lift_blocks(self, logical):
-        return tuple(block @ logical @ block.T for block in self.blocks)
+    # Factors (B H, conj B), so P = B H B^T in place of B H B^dag: the blocks of
+    # P = lift(H) are then not hermitian, as the Fourier blocks are complex,
+    # though every frame G_l G_l'^dag still pairs.
+    def transposed_lift_factors(self, logical):
+        return tuple((block @ logical, block.conj()) for block in self.blocks)
 
     row = suite_encoder(n_values=(3,))[0]
     assert row.id == "encoder:q-hermitian:n=3" and row.passed
-    monkeypatch.setattr(CoupledBasis, "lift_blocks", transposed_lift_blocks)
+    monkeypatch.setattr(CoupledBasis, "lift_factors", transposed_lift_factors)
     residual = q_algebra_residuals(build_coupled_basis(SpinRegister(3)))["hermitian-pairing"]
     assert residual > 0.01 > row.tolerance
 

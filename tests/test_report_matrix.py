@@ -22,7 +22,8 @@ def test_the_matrix_covers_every_command_in_both_formats(tmp_path):
     runs = report_matrix.matrix(tmp_path)
     commands = {run[0] for run in runs}
     assert commands == {"verify", "channel", "census", "basis", "encode"}
-    assert len([run for run in runs if run[0] == "verify"]) == 8  # four seeds, two formats
+    # four seeds of every suite and the encoder suite at n = 8..9, two formats each
+    assert len([run for run in runs if run[0] == "verify"]) == 10
     # 3 modes, 3 sizes, 2 formats, and one trial in 2 formats
     assert len([run for run in runs if run[0] == "channel"]) == 20
     # a state alone and a state with a POVM, two formats: the CSV of the first is

@@ -312,17 +312,18 @@ def test_an_off_sector_payload_fails_its_rows_in_a_written_report(monkeypatch, c
                                                                   tmp_path):
     argv = ["verify", "--suite", "all", "--n-range", "3..4", "--output"]
     assert cli.main(argv + [str(tmp_path / "pass.json")]) == 0
-    real = coupling.CoupledBasis.lift_blocks
+    real = coupling.CoupledBasis.lift_factors
 
     def off_sector(basis, logical):
         # The rows lift stacks of trials; the dense views (sector projector,
-        # matrix units, clock and shift) lift one matrix and stay exact.
-        blocks = list(real(basis, logical))
+        # matrix units, clock and shift) and the pairing lift one matrix and
+        # stay exact.
+        factors = list(real(basis, logical))
         if np.ndim(logical) == 3:
-            blocks[0][..., 0, 0] += 1e-6
-        return blocks
+            factors[0][0][..., 0, 0] += 1e-6
+        return factors
 
-    monkeypatch.setattr(coupling.CoupledBasis, "lift_blocks", off_sector)
+    monkeypatch.setattr(coupling.CoupledBasis, "lift_factors", off_sector)
     capsys.readouterr()
     assert cli.main(argv + [str(tmp_path / "fail.json")]) == 1
     passing = json.loads((tmp_path / "pass.json").read_text())["checks"]

@@ -39,6 +39,8 @@ from rffqudit.linalg import dagger, max_abs_diff
 from rffqudit.spinsys import SpinRegister
 from rffqudit.verify import entropy_defect_residual, suite_encoder
 
+from dense_oracle import symmetric_stray
+
 SEED = 20261018
 
 
@@ -160,13 +162,11 @@ def test_n11_compression_holds_strips_and_one_k_sized_array():
     qs.weight_classes  # cached with the basis, like its gate residuals
     # decode_payload walks the dense payload in strips beside one K.
     extra = 4 * ROW_BLOCK_BYTES + qs.isometry.nbytes
-    # The entropy row lifts one trial at a time at n = 11 (its blocks exceed
-    # CHUNK_BYTES) and lifts and compresses one class at a time: the
-    # class's block, B C B^dag - P of it and its modulus (three arrays of the
-    # largest class at most), plus small arrays; never all classes at once.
-    blocks = 16 * (comb(22, 11) - 2)
+    # The entropy row compresses one trial at a time at n = 11 (its factors
+    # exceed CHUNK_BYTES) and one class's factors at a time, never a class
+    # block: well under three blocks of the largest class, plus small arrays.
     largest = 16 * comb(11, 5) ** 2
-    assert blocks > CHUNK_BYTES and 3 * largest < blocks
+    assert 16 * qs.d * (2 ** 11 - 2) > CHUNK_BYTES
     for row, bound in ((lambda: decode_payload(qs, payload), extra),
                        (lambda: entropy_defect_residual(qs, 5), 3 * largest + 2 ** 20)):
         tracemalloc.start()
@@ -209,22 +209,21 @@ def test_lifted_blocks_scatter_to_the_plain_product_payload(dense_case):
 
 
 def _with_stray(monkeypatch, delta, trial=None):
-    """Patch lift_blocks to add delta to every entry of the first class's block,
-    of every trial or of the given trial of the whole stack alone. That adds
-    delta times the projector onto the class's symmetric ket, scaled by the
-    class size: it lies in the largest-j sector, so each frame C is unchanged
-    and the residual |P - K C K^dag| is delta."""
-    real, seen = CoupledBasis.lift_blocks, [0]  # trials lifted so far
+    """Patch lift_factors to add symmetric_stray(B, delta) to the first class's
+    factor X, of every trial or of the given trial of the whole stack alone.
+    The stray lies along the class's symmetric ket, in the largest-j sector, so
+    each frame C is unchanged and the gate's bound on |P - K C K^dag| reads delta."""
+    real, seen = CoupledBasis.lift_factors, [0]  # trials lifted so far
 
     def stray(basis, logical):
-        first, *rest = real(basis, logical)
+        (x, y), *rest = real(basis, logical)
         hit = slice(None) if trial is None else trial - seen[0]
         seen[0] += len(logical)
         if trial is None or 0 <= hit < len(logical):
-            first[hit] += delta
-        return (first, *rest)
+            x[hit] += symmetric_stray(y, delta)
+        return ((x, y), *rest)
 
-    monkeypatch.setattr(CoupledBasis, "lift_blocks", stray)
+    monkeypatch.setattr(CoupledBasis, "lift_factors", stray)
 
 
 def test_compressed_blocks_are_the_weight_diagonal_blocks_of_the_dense_frame(
@@ -257,35 +256,47 @@ def test_a_stack_of_trials_equals_one_trial_at_a_time(dense_case, monkeypatch):
     for t, single in enumerate(logical):
         blocks = list(basis.lift_blocks(single))
         assert all(max_abs_diff(a[t], b) <= 1e-15 for a, b in zip(stacked, blocks))
-        assert max_abs_diff(frames[t], basis.compress_lifted(single[None])[0]) <= 1e-15
-    for chunk_bytes in (CHUNK_BYTES, 1):  # every trial in one chunk, one per chunk
+        assert np.array_equal(frames[t], basis.compress_lifted(single[None])[0])
+    # every trial in one chunk, one per chunk, and room for far more trials
+    for chunk_bytes in (CHUNK_BYTES, 1, 16 * 2 ** 20):
         monkeypatch.setattr("rffqudit.coupling.CHUNK_BYTES", chunk_bytes)
-        assert max_abs_diff(basis.compress_lifted(logical), frames) <= 1e-15
+        assert np.array_equal(basis.compress_lifted(logical), frames)
         _with_stray(monkeypatch, 1e-6, trial=2)
         with pytest.raises(ConsistencyError, match=r"^the encoded payload of state 2 "):
             basis.compress_lifted(logical)
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("n, per_chunk", ((6, [5]), (7, [4, 1]), (8, [1] * 5)))
+@pytest.mark.parametrize("n, per_chunk", (
+    (6, [5]), (7, [5]), (8, [5]), (9, [4, 1]), (10, [1] * 5)))
 def test_a_row_lifts_its_trials_in_chunks_of_chunk_bytes(n, per_chunk, monkeypatch):
+    # One trial's factors X_k are 16 d (2**n - 2) bytes: 28 KB at n = 8, 65 KB
+    # at n = 9 and 147 KB at n = 10, against CHUNK_BYTES = 256 KiB.
     qs = basis_for(n)
-    sizes, real = [], CoupledBasis.lift_blocks
+    sizes, real = [], CoupledBasis.lift_factors
 
     def recording(basis, logical):
         sizes.append(len(logical))
         return real(basis, logical)
 
-    monkeypatch.setattr(CoupledBasis, "lift_blocks", recording)
+    monkeypatch.setattr(CoupledBasis, "lift_factors", recording)
     assert entropy_defect_residual(qs, 5) < 1e-8
     assert sizes == per_chunk
 
 
-def test_the_entropy_row_at_n9_holds_one_trial_of_lifted_blocks():
-    # One trial's lifted blocks at n = 9 are 0.78 MB, so a chunk is one trial;
-    # lifted and gated one class at a time, the row peaks near 0.7 MB. All
-    # five trials in one chunk would hold 3.9 MB of blocks.
+def test_the_entropy_row_at_n9_holds_rank_d_factors_alone(monkeypatch):
+    # At n = 9 a chunk holds four trials; each class is read as its factors,
+    # C(9, k+1) x 8 per trial, never as one C(9, k+1)**2 block. The row peaks
+    # well under one trial's lifted blocks (0.78 MB), which it held before.
     qs = basis_for(9)
+    shapes, real = [], CoupledBasis.lift_factors
+
+    def recording(basis, logical):
+        for x, y in real(basis, logical):
+            shapes.append((x.shape, y.shape))
+            yield x, y
+
+    monkeypatch.setattr(CoupledBasis, "lift_factors", recording)
     tracemalloc.start()
     try:
         entropy_defect_residual(qs, 5)
@@ -293,21 +304,23 @@ def test_the_entropy_row_at_n9_holds_one_trial_of_lifted_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+    classes = [(len(rows), qs.d) for rows, _ in qs.weight_classes]
+    assert shapes == [((t,) + c, c) for t in (4, 1) for c in classes]
 
 
-def _rows_failed_by(monkeypatch, lift_blocks, n):
-    monkeypatch.setattr(CoupledBasis, "lift_blocks", lift_blocks)
+def _rows_failed_by(monkeypatch, lift_factors, n):
+    monkeypatch.setattr(CoupledBasis, "lift_factors", lift_factors)
     rows = suite_encoder(n_values=(n,))
     return {r.id.split(":")[1] for r in rows if not r.passed}
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_a_lift_without_the_conjugate_fails_every_row_that_reads_lifted_blocks(n, monkeypatch):
-    # B A B^T in place of B A B^dag. For the Fourier coupling conj(B) = B W for
-    # a permutation W of lambda, so P stays on the sector and the gate passes;
-    # P is not hermitian, and its frames are A W^dag, not A.
+    # Y = conj(B), so P = B A B^T in place of B A B^dag. For the Fourier
+    # coupling conj(B) = B W for a permutation W of lambda, so P stays on the
+    # sector and the gate passes; P is not hermitian, and its frames are A W^dag, not A.
     def transposed(basis, logical):
-        return tuple(block @ logical @ block.T for block in basis.blocks)
+        return tuple((block @ logical, block.conj()) for block in basis.blocks)
 
     assert _rows_failed_by(monkeypatch, transposed, n) == {
         "q-hermitian", "round-trip", "entropy", "born"}
@@ -315,12 +328,12 @@ def test_a_lift_without_the_conjugate_fails_every_row_that_reads_lifted_blocks(n
 
 def test_swapped_class_blocks_fail_the_round_trip_entropy_and_born_rows(monkeypatch):
     # At n = 5 the classes m2 = j2 - 1 and j2 - 2 both hold C(5, 2) = 10 kets;
-    # each block lifted with the other class's B is off the sector.
-    real = CoupledBasis.lift_blocks
+    # each class's factors, read with the other class's B, are off the sector.
+    real = CoupledBasis.lift_factors
 
     def swapped(basis, logical):
-        blocks = list(real(basis, logical))
-        blocks[1], blocks[2] = blocks[2], blocks[1]
-        return tuple(blocks)
+        factors = list(real(basis, logical))
+        factors[1], factors[2] = factors[2], factors[1]
+        return tuple(factors)
 
     assert _rows_failed_by(monkeypatch, swapped, 5) == {"round-trip", "entropy", "born"}

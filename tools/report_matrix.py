@@ -4,10 +4,10 @@
 
 Runs one matrix of reports twice: on the working tree's src, and on
 `git archive REF` unpacked in a temporary directory. The matrix is verify
-JSON and CSV at four seeds, channel in every noise mode at n = 3, 4 and 7 in
-JSON and CSV, one channel trial at n = 3 in JSON and CSV, census, basis, encode
-(of a state alone, and of the state and a POVM, both of which this script writes)
-and every reference case. Each report is made by its own
+JSON and CSV at four seeds and its encoder suite at n = 8..9, channel in
+every noise mode at n = 3, 4 and 7 in JSON and CSV, one channel trial at n = 3
+in JSON and CSV, census, basis, encode (of a state alone, and of the state
+and a POVM, both of which this script writes) and every reference case. Each report is made by its own
 `python -m rffqudit` child with one BLAS thread. For each report whose bytes
 or exit code differ, or that fails on both sides, it prints the command and
 the largest move of a number in it. Exit 0 when every report matches, 1 when
@@ -54,6 +54,9 @@ def matrix(inputs: Path) -> list:
     for seed in (0, 7, 1234, 2 ** 32 - 1):
         runs += [["verify", "--suite", "all", "--n-range", "3..7", "--seed", str(seed),
                   "--format", fmt] for fmt in ("json", "csv")]
+    # the encoder rows at sizes where a rotation chunk holds one trial
+    runs += [["verify", "--suite", "encoder", "--n-range", "8..9", "--seed", "7",
+              "--format", fmt] for fmt in ("json", "csv")]
     noises = (["--noise", "haar"],
               ["--noise", "fixed", "--axis", "0.6,0,0.8", "--angle", "1.3"],
               ["--noise", "dephasing", "--width", "0.7"])
