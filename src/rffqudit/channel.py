@@ -27,16 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import CoupledBasis, build_coupled_basis, partial_trace_m2
-from .encoder import (
-    QuditPovm,
-    QuditState,
-    encode_state,
-    encoded_frames,
-    require_decoded,
-    require_density,
-)
-from .errors import ConsistencyError, ValidationError, require_integer, require_none
+from .coupling import CoupledBasis, build_coupled_basis, logical_image
+from .encoder import QuditPovm, QuditState, encode_state, require_decoded, require_density
+from .errors import ConsistencyError, ValidationError, require_integer, require_none, require_real
 from .linalg import (
     dagger,
     matrix_to_json_dict,
@@ -95,13 +88,16 @@ class ChannelConfig:
         if self.noise == "fixed":
             if self.axis is None or self.angle is None:
                 raise ValidationError("fixed noise needs an axis and an angle")
-            axis = np.asarray(self.axis, dtype=float)
+            axis = np.array([require_real(a, "fixed-noise axis") for a in
+                             (self.axis if np.iterable(self.axis) else [self.axis])])
             if axis.shape != (3,) or not abs(np.linalg.norm(axis) - 1) <= 1e-12:  # NaN fails
                 raise ValidationError("fixed-noise axis must be a unit 3-vector")
-            if not isfinite(self.angle):
+            if not isfinite(require_real(self.angle, "fixed-noise angle")):
                 raise ValidationError(f"fixed-noise angle must be finite, got {self.angle}")
         if self.noise == "dephasing":
-            if self.width is None or not (isfinite(self.width) and self.width >= 0):
+            width = None if self.width is None else require_real(self.width,
+                                                                 "dephasing-noise width")
+            if width is None or not (isfinite(width) and width >= 0):
                 raise ValidationError("dephasing noise needs a finite width >= 0")
 
     def noise_echo(self) -> dict:
@@ -240,10 +236,8 @@ def run_channel(cfg: ChannelConfig, state: QuditState) -> ChannelReport:
     start = perf_counter()
     u = _noise_unitaries(cfg)
     drawn = perf_counter()
-    # F and rho are shared by every trial: R F and u rho are one product each.
-    decoded = np.concatenate([partial_trace_m2(basis.d,
-                                               stack_at_shared(r, enc.frame) @ dagger(r))
-                              for r, _ in basis.rotations(u)])
+    # A and rho are shared by every trial: R A and u rho are one product each.
+    decoded = np.concatenate([logical_image(r, enc.logical) for r, _ in basis.rotations(u)])
     rotated = perf_counter()
     decoded = require_decoded(decoded)
     # The bare qubit's states ride in the same stack, so sqrt(rho) is taken once.
@@ -329,17 +323,17 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     Each trial draws a random state, then a random POVM, then a random
     collective rotation u, and the probabilities of all elements are checked
     three ways: logical Tr(rho Pi_k); encoded Tr(P_rho P_k) of the state's
-    payload, taken as Tr(C Pi_k) with C = sum_m2 C_m2 the partial trace of its
-    frame K^dag P_rho K, compressed from the rank-d factors of the payload's
+    payload, taken as Tr(C Pi_k) with C = sum_m2 C_m2 the partial trace of
+    K^dag P_rho K, compressed from the rank-d factors of the payload's
     weight-class blocks (CoupledBasis.compress_lifted); and encoded after the
-    rotation, Tr(Tr_m2(R F R^dag) Pi_k) for the state's frame F = rho/d (x) I_d
-    and R = K^dag u^(x n) K. All trials run as stacks, in chunks of at most
-    coupling.CHUNK_BYTES: of class factors, and of U K as in the channel.
+    rotation, Tr(Tr_m2(R (A (x) I_d) R^dag) Pi_k) for the state's factor A = rho/d
+    and R = K^dag u^(x n) K (coupling.logical_image). All trials run as stacks,
+    in chunks of at most coupling.CHUNK_BYTES: of class factors, and of U K as
+    in the channel.
     A payload off the logical sector, or a rotation that leaves it, fails the gate
     of compress_lifted or of qs.rotations: ConsistencyError naming its trial.
     """
-    require_integer(trials, "trials", 1)
-    d = qs.d
+    trials, d = require_integer(trials, "trials", 1), qs.d
     # per trial, from one standard_normal call: the state, then the POVM, then u
     z = seeded_generator(seed).standard_normal((trials, 2 * d * d * (d + 2) + 8))
     rho = _random_density_of(z[:, :2 * d * d].reshape(trials, 2, d, d))
@@ -349,7 +343,7 @@ def born_rule_harness(qs: CoupledBasis, trials: int, seed: int) -> BornReport:
     logical = rho / qs.d
     frames = qs.compress_lifted(logical)
     rotations = np.concatenate([r for r, _ in qs.rotations(u)])
-    moved = partial_trace_m2(qs.d, rotations @ encoded_frames(logical) @ dagger(rotations))
+    moved = logical_image(rotations, logical)
 
     def probabilities(states: np.ndarray) -> np.ndarray:
         return np.einsum("tij,tkji->tk", states, elements).real

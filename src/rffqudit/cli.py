@@ -349,7 +349,7 @@ def cmd_encode(ns: argparse.Namespace, clock: _Clock) -> tuple[str, list]:
     encoded = encode_povm(qs, povm) if povm else []
     # The class blocks of each payload counted above, from the A that .payload lifts.
     written = [encoded_state, *encoded][:payloads]
-    blocks = [tuple(qs.lift_blocks(e.frame[::d, ::d])) for e in written]
+    blocks = [tuple(qs.lift_blocks(e.logical)) for e in written]
     clock.lap("encode:encode")
 
     born_rows = []

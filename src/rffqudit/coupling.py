@@ -157,14 +157,14 @@ def validate_coupling(u, n: int) -> np.ndarray:
             f"coupling matrix must be {n}x{n}, got {u.shape}"
         )
     unitarity = max_abs_diff(u @ u.conj().T, identity(n))
-    if unitarity > COUPLING_TOL:
+    if not unitarity <= COUPLING_TOL:  # NaN fails
         raise ValidationError(
             f"coupling matrix is not unitary within {COUPLING_TOL:g} "
             f"(deviation {unitarity:.3e})"
         )
     symmetric_row = np.full(n, 1 / sqrt(n), dtype=complex)
     row_dev = max_abs_diff(u[n - 1], symmetric_row)
-    if row_dev > COUPLING_TOL:
+    if not row_dev <= COUPLING_TOL:
         raise ValidationError(
             f"coupling matrix row {n} must be identically {n}**-1/2 "
             f"(deviation {row_dev:.3e})"
@@ -211,8 +211,8 @@ class CoupledBasis:
         return [self.j2 - k for k in range(int(2 * self.j2) + 1)]
 
     def ket(self, m2, lam: int) -> np.ndarray:
-        k = self.j2 - Fraction(m2)
-        if not (1 <= lam <= self.d and 0 <= k <= 2 * self.j2 and k.denominator == 1):
+        lam, k = require_integer(lam, "lambda", 1), self.j2 - Fraction(m2)
+        if not (lam <= self.d and 0 <= k <= 2 * self.j2 and k.denominator == 1):
             raise ContractViolationError(f"no sector ket (m2={m2}, lambda={lam})")
         return self.isometry[:, (lam - 1) * int(2 * self.j2 + 1) + int(k)]
 
@@ -355,6 +355,9 @@ class CoupledBasis:
         return self.lift(identity(self.d))
 
     def __call__(self, lam: int, lamp: int) -> np.ndarray:
+        lam, lamp = require_integer(lam, "lambda", 1), require_integer(lamp, "lambda'", 1)
+        if max(lam, lamp) > self.d:
+            raise ContractViolationError(f"no matrix unit (lambda={lam}, lambda'={lamp})")
         unit = np.zeros((self.d, self.d))
         unit[lam - 1, lamp - 1] = 1.0
         return self.lift(unit)
@@ -503,6 +506,19 @@ def partial_trace_m2(d: int, inner: np.ndarray) -> np.ndarray:
     return np.einsum("...ambm->...ab", inner.reshape(inner.shape[:-2] + (d, d, d, d)))
 
 
+def logical_image(r, a) -> np.ndarray:
+    """Tr_m2(R (A (x) I_d) R^dag) = sum_{m2, m2'} R_{m2 m2'} A R_{m2 m2'}^dag over the
+    d x d blocks of each R of a stack (T, d**2, d**2), indices (lambda, m2), for
+    one shared d x d A or a stack (T, d, d). R goes once to (T, d**3, d), rows
+    (lambda, m2, m2'), then two products: 2 d**5 flops per trial, against 2 d**6
+    with A (x) I_d formed. A shared A meets the stack's rows in one product
+    (linalg.stack_at_shared), so a trial's bits do not depend on the stack."""
+    lead, d = r.shape[:-2], a.shape[-1]
+    blocks = r.reshape(lead + (d,) * 4).swapaxes(-1, -2).reshape(lead + (d ** 3, d))
+    moved = stack_at_shared(blocks, a) if a.ndim == 2 else blocks @ a
+    return moved.reshape(lead + (d, d ** 3)) @ dagger(blocks.reshape(lead + (d, d ** 3)))
+
+
 def gram_residual(basis: CoupledBasis) -> float:
     """Max-norm deviation of the sector-basis Gram matrix K^dag K from identity."""
     return basis.gate_residuals["gram"]
@@ -624,7 +640,10 @@ def _j_squared_block(n: int, positions: np.ndarray) -> np.ndarray:
     the sums are exact and do not depend on their order."""
     size = positions.shape[1]
     flat = positions * size + np.arange(size)
-    block = np.bincount(flat.ravel(), weights=np.ones(flat.size), minlength=size * size)
+    # float64 also for n = 1, where a class has no transposition and bincount
+    # of no entries is int64
+    block = np.bincount(flat.ravel(), weights=np.ones(flat.size),
+                        minlength=size * size).astype(float, copy=False)
     block[::size + 1] += n * (4 - n) / 4
     return block.reshape(size, size)
 

@@ -11,12 +11,13 @@ K_lambda'^dag. A logical d-dimensional state rho encodes into the
 
 (trace one: the rotation-sensitive degree of freedom is held maximally
 mixed), and POVM elements encode without the 1/d so that a logical POVM sums
-to the sector projector K K^dag. An encoded operator stores its d**2 x d**2
-sector frame K^dag payload K = A (x) I_d (A = rho/d or the POVM element) and
-builds the payload on request; decoding is the partial trace over m2 of the
-frame. Outcome probabilities and (up to the additive log2(d) from the mixed
-factor) entropies survive the round trip, which is what makes the
-construction a faithful qudit.
+to the sector projector K K^dag. With m2 mixed, everything logical in
+K^dag payload K = A (x) I_d is in its d x d factor A (rho/d or the POVM
+element): an encoded operator stores A alone, lifts its payload on request
+and decodes to Tr_m2(A (x) I_d) = d A, and a rotation R = K^dag u^(x n) K
+takes A to coupling.logical_image. Outcome probabilities and (up to the
+additive log2(d) from the mixed factor) entropies survive the round trip,
+which is what makes the construction a faithful qudit.
 
 Column (lambda, m2) of K lives on the product kets of Hamming weight
 w = n/2 - m2 alone, and the basis stores K as those d weight blocks B_m2 of
@@ -148,49 +149,35 @@ class QuditPovm:
 
 @dataclass(frozen=True)
 class EncodedOperator:
-    """A logical state or POVM element held as its sector frame
-    A (x) I_d = K^dag payload K (A = rho/d for a state)."""
+    """A logical state or POVM element held as its d x d logical factor A, the
+    payload K (A (x) I_d) K^dag (A = rho/d for a state)."""
 
     n: int
     d: int
     kind: str  # "state" | "povm-element"
     fingerprint: str
-    frame: np.ndarray = field(repr=False)
+    logical: np.ndarray = field(repr=False)
     basis: CoupledBasis = field(repr=False)  # shares its read-only K
 
     @property
     def payload(self) -> np.ndarray:
-        """The 2**n x 2**n physical operator K (A (x) I_d) K^dag, lifted from A:
-        the frame's entries at m2 = j2, as every m2 block of A (x) I_d is A."""
-        return self.basis.lift(self.frame[::self.d, ::self.d])
-
-
-def decode_frame(d: int, frame: np.ndarray) -> QuditState:
-    """The logical state of a d**2 x d**2 sector frame: its partial trace over m2."""
-    rho = partial_trace_m2(d, frame)
-    return QuditState(d=d, rho=(rho + dagger(rho)) / 2)
+        """The 2**n x 2**n physical operator K (A (x) I_d) K^dag, lifted from A."""
+        return self.basis.lift(self.logical)
 
 
 def _encoded(qs: CoupledBasis, kind: str, logical: np.ndarray) -> list[EncodedOperator]:
-    """One operator with frame A (x) I_d per logical factor A of the stack (m, d, d).
+    """One operator per logical factor A of the stack (m, d, d).
 
     spec(A (x) I_d) = spec(A), so one stacked eigvalsh of the d x d factors checks
-    every frame for PSD; the error names the first failing one.
+    every encoded operator for PSD; the error names the first failing one.
     """
     w = hermitian_eigvals(logical)
     require_none(w[:, 0] < -PSD_TOL,
                  lambda i: f"encoded {kind} is not PSD: min eigenvalue {w[i, 0]:.3e}",
                  ConsistencyError)
     return [EncodedOperator(n=qs.n, d=qs.d, kind=kind, fingerprint=qs.fingerprint,
-                            frame=frame, basis=qs)
-            for frame in encoded_frames(logical)]
-
-
-def encoded_frames(logical: np.ndarray) -> np.ndarray:
-    """The sector frames A (x) I_d of the logical factors A of a stack (m, d, d)."""
-    m, d = logical.shape[:2]
-    # np.kron(A, I_d) of each factor, as one product per entry
-    return np.einsum("mij,kl->mikjl", logical, identity(d)).reshape(m, d * d, d * d)
+                            logical=a, basis=qs)
+            for a in logical]
 
 
 def encode_state(qs: CoupledBasis, state: QuditState) -> EncodedOperator:
@@ -211,18 +198,25 @@ def decode_state(qs: CoupledBasis, enc: EncodedOperator) -> QuditState:
             "encoded operator was built with a different coupling "
             f"(fingerprint {enc.fingerprint} != {qs.fingerprint})"
         )
-    return decode_frame(qs.d, enc.frame)
+    rho = qs.d * enc.logical  # Tr_m2(A (x) I_d)
+    return QuditState(d=qs.d, rho=(rho + dagger(rho)) / 2)
 
 
 def decode_payload(qs: CoupledBasis, payload) -> QuditState:
     """Decode a raw payload matrix, insisting it lives on the logical sector (SECTOR_TOL)."""
+    payload, dim = np.asarray(payload, dtype=complex), 2 ** qs.n
+    if payload.shape != (dim, dim):
+        raise ValidationError(
+            f"payload must be {dim}x{dim} (2**n for n={qs.n}), got {payload.shape}"
+        )
     inner, residual = qs.compress(payload)
-    if residual > SECTOR_TOL:
+    if not residual <= SECTOR_TOL:  # NaN fails
         raise ValidationError(
             f"payload is not supported on the logical sector "
             f"(residual {residual:.3e} > {SECTOR_TOL:g})"
         )
-    return decode_frame(qs.d, inner)
+    rho = partial_trace_m2(qs.d, inner)
+    return QuditState(d=qs.d, rho=(rho + dagger(rho)) / 2)
 
 
 def encode_povm(qs: CoupledBasis, povm: QuditPovm) -> list[EncodedOperator]:
@@ -232,7 +226,7 @@ def encode_povm(qs: CoupledBasis, povm: QuditPovm) -> list[EncodedOperator]:
         )
     logical = np.stack(povm.elements)
     encoded = _encoded(qs, "povm-element", logical)
-    # The frames are A (x) I_d: they sum to I_(d**2) as closely as the A sum to I_d.
+    # The payloads sum to K K^dag as closely as the A sum to I_d.
     if max_abs_diff(logical.sum(axis=0), identity(qs.d)) > 1e-10:
         raise ConsistencyError(
             "encoded POVM elements do not sum to the sector projector"

@@ -3,13 +3,14 @@
 Every error raised by the library derives from RffError so callers (and the
 CLI) can map failures onto the documented exit codes: validation/usage
 problems versus failed mathematical checks. require_none is the one spelling
-of "raise for the first failing index" that every module's checks share, and
-require_integer the one rule for an integer argument.
+of "raise for the first failing index" that every module's checks share,
+require_integer the one rule for an integer argument and require_real the
+one for a real one.
 """
 
 from __future__ import annotations
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class RffError(Exception):
@@ -55,3 +56,11 @@ def require_integer(value, name: str, least: int) -> int:
     if value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def require_real(value, name: str) -> float:
+    """value as a Python float; ValidationError unless it is a real number. A NumPy
+    float or integer is one; a bool or a string is not. Its range is the caller's."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalError, ValidationError
+from .errors import ContractViolationError, NumericalError, ValidationError, require_integer
 
 HERMITICITY_TOL = 1e-12
 
@@ -140,6 +140,8 @@ def partial_trace(a, n_factors: int, traced_factor: int) -> np.ndarray:
     tensor slot; the remaining factors keep their relative order.
     """
     a = as_matrix(a)
+    n_factors = require_integer(n_factors, "n_factors", 1)
+    traced_factor = require_integer(traced_factor, "traced_factor", 1)
     dim = 2 ** n_factors
     if a.shape != (dim, dim):
         raise ContractViolationError(

@@ -54,7 +54,13 @@ from .encoder import (
     require_decoded,
     require_density,
 )
-from .errors import ConsistencyError, ContractViolationError, ValidationError, require_integer
+from .errors import (
+    ConsistencyError,
+    ContractViolationError,
+    ValidationError,
+    require_integer,
+    require_real,
+)
 from .linalg import dagger, entropy_bits, identity, max_abs_diff
 from .spinsys import (
     SpinRegister,
@@ -182,7 +188,7 @@ def rotation_invariance_residual(qs: CoupledBasis, trials: int,
     as the spin-j2 rotation, the same on every lambda, which is when every
     Q(l,l') = K_l K_l'^dag survives U.
     """
-    require_integer(trials, "trials", 1)
+    trials = require_integer(trials, "trials", 1)
     u = haar_su2(seeded_generator(seed), trials)
     expected = np.kron(identity(qs.d), wigner_d(qs.j2, u))
     worst, first = 0.0, 0
@@ -201,7 +207,7 @@ def encoded_random_states(qs: CoupledBasis, trials: int,
     P_k in one stacked compression (CoupledBasis.compress_lifted), whose gate
     raises ConsistencyError for a payload off the logical sector.
     """
-    require_integer(trials, "trials", 1)
+    trials = require_integer(trials, "trials", 1)
     rho = _random_density_of(seeded_generator(seed).standard_normal((trials, 2, qs.d, qs.d)))
     require_density(rho)
     return rho, qs.compress_lifted(rho / qs.d)
@@ -503,8 +509,10 @@ def run_suite(name: str, tol: float | None = None, seed: int = DEFAULT_SEED,
         raise ValidationError(
             f"unknown suite {name!r}; expected one of {sorted(SUITES)}"
         )
-    if tol is not None and not (isfinite(tol) and tol > 0):
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
+    if tol is not None:
+        tol = require_real(tol, "tol")
+        if not (isfinite(tol) and tol > 0):
+            raise ValidationError(f"tol must be positive and finite, got {tol}")
     require_integer(seed, "seed", 0)
     sized, census = {}, {}
     if n_values is not None:

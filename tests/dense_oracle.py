@@ -134,3 +134,12 @@ def symmetric_stray(block, delta: float) -> np.ndarray:
     stray = np.zeros(block.shape, dtype=complex)
     stray[:, 0] = delta / np.linalg.norm(block, axis=-1).max()
     return stray
+
+
+def dense_logical_image(r, a) -> np.ndarray:
+    """The frame form that coupling.logical_image replaces: Tr_m2(R F R^dag) with
+    F = A (x) I_d formed whole, for a stack R (T, d**2, d**2) and one d x d A or
+    a stack (T, d, d)."""
+    d = a.shape[-1]
+    frames = np.array([np.kron(m, identity(d)) for m in a.reshape(-1, d, d)])
+    return partial_trace_m2(d, r @ frames.reshape(a.shape[:-2] + (d * d, d * d)) @ dagger(r))

@@ -14,16 +14,25 @@ import pytest
 
 import rffqudit
 from rffqudit import (
+    ChannelConfig,
+    ContractViolationError,
     QuditPovm,
     SpinRegister,
     ValidationError,
+    born_rule_harness,
+    build_coupled_basis,
+    decode_payload,
     fourier_coupling,
     multiplicity,
+    partial_trace,
     random_density,
     random_povm,
+    run_suite,
     sector_index_set,
     sigma,
+    validate_coupling,
 )
+from rffqudit.verify import encoded_random_states, rotation_invariance_residual
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(rffqudit.__file__).resolve().parent
@@ -265,3 +274,80 @@ def test_public_sizes_follow_the_one_integer_rule(size, bad):
         call(bad)
     # A NumPy integer is kept as a Python int: the same result, no NumPy scalar in it.
     assert repr(_kept(call(np.int64(valid)))) == repr(_kept(call(valid)))
+
+
+def _qs3():
+    return build_coupled_basis(SpinRegister(3))
+
+
+def _fixed(axis=(0, 0, 1), angle=1.0):
+    return ChannelConfig(n=3, trials=1, seed=0, noise="fixed", axis=axis, angle=angle)
+
+
+# Public inputs refused by name: the call on a basis at n = 3, the error and its text.
+REFUSED = {
+    "matrix-unit:lambda=0": (lambda qs: qs(0, 1), ValidationError,
+                             r"lambda must be >= 1, got 0"),
+    "matrix-unit:lambda'=0": (lambda qs: qs(1, 0), ValidationError,
+                              r"lambda' must be >= 1, got 0"),
+    "matrix-unit:lambda=True": (lambda qs: qs(True, 1), ValidationError,
+                                r"lambda must be an integer, got True"),
+    "matrix-unit:lambda=3": (lambda qs: qs(3, 1), ContractViolationError,
+                             r"no matrix unit \(lambda=3, lambda'=1\)"),
+    "ket:lambda=True": (lambda qs: qs.ket(0.5, True), ValidationError,
+                        r"lambda must be an integer, got True"),
+    "ket:lambda=1.0": (lambda qs: qs.ket(0.5, 1.0), ValidationError,
+                       r"lambda must be an integer, got 1\.0"),
+    "born_rule_harness:trials": (lambda qs: born_rule_harness(qs, 2.0, 1), ValidationError,
+                                 r"trials must be an integer, got 2\.0"),
+    "rotation_invariance_residual:trials": (
+        lambda qs: rotation_invariance_residual(qs, True), ValidationError,
+        r"trials must be an integer, got True"),
+    "encoded_random_states:trials": (lambda qs: encoded_random_states(qs, "2"), ValidationError,
+                                     r"trials must be an integer, got '2'"),
+    "validate_coupling:nan": (lambda qs: validate_coupling(np.full((3, 3), np.nan), 3),
+                              ValidationError,
+                              r"coupling matrix is not unitary within 1e-12 \(deviation nan\)"),
+    "ChannelConfig:angle=True": (lambda qs: _fixed(angle=True), ValidationError,
+                                 r"fixed-noise angle must be a real number, got True"),
+    "ChannelConfig:angle='1'": (lambda qs: _fixed(angle="1"), ValidationError,
+                                r"fixed-noise angle must be a real number, got '1'"),
+    "ChannelConfig:axis='abc'": (lambda qs: _fixed(axis="abc"), ValidationError,
+                                 r"fixed-noise axis must be a real number, got 'a'"),
+    "ChannelConfig:axis=bools": (lambda qs: _fixed(axis=(False, False, True)), ValidationError,
+                                 r"fixed-noise axis must be a real number, got False"),
+    "ChannelConfig:width=True": (
+        lambda qs: ChannelConfig(n=3, trials=1, seed=0, noise="dephasing", width=True),
+        ValidationError, r"dephasing-noise width must be a real number, got True"),
+    "ChannelConfig:width='1'": (
+        lambda qs: ChannelConfig(n=3, trials=1, seed=0, noise="dephasing", width="1"),
+        ValidationError, r"dephasing-noise width must be a real number, got '1'"),
+    "run_suite:tol=True": (lambda qs: run_suite("hws", tol=True, n_values=[3]),
+                           ValidationError, r"tol must be a real number, got True"),
+    "run_suite:tol='1'": (lambda qs: run_suite("hws", tol="1", n_values=[3]),
+                          ValidationError, r"tol must be a real number, got '1'"),
+    "decode_payload:shape": (lambda qs: decode_payload(qs, np.eye(4)), ValidationError,
+                             r"payload must be 8x8 \(2\*\*n for n=3\), got \(4, 4\)"),
+    "partial_trace:n_factors": (lambda qs: partial_trace(np.eye(4), 2.0, 1), ValidationError,
+                                r"n_factors must be an integer, got 2\.0"),
+    "partial_trace:traced_factor": (lambda qs: partial_trace(np.eye(4), 2, 1.0),
+                                    ValidationError,
+                                    r"traced_factor must be an integer, got 1\.0"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_public_inputs_are_refused_by_name(case):
+    call, error, text = REFUSED[case]
+    with pytest.raises(error, match=f"^{text}$"):
+        call(_qs3())
+
+
+def test_numpy_integer_labels_and_counts_are_kept_as_ints():
+    qs = _qs3()
+    assert np.array_equal(qs(np.int64(1), 2), qs(1, 2))
+    assert np.array_equal(qs.ket(0.5, np.int64(2)), qs.ket(0.5, 2))
+    report = born_rule_harness(qs, np.int64(2), 1)
+    assert type(report.trials) is int and report == born_rule_harness(qs, 2, 1)
+    assert rotation_invariance_residual(qs, np.int64(2)) == rotation_invariance_residual(qs, 2)
+    assert type(run_suite("hws", tol=np.float64(1e-9), n_values=[3])[0].tolerance) is float

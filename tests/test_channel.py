@@ -375,15 +375,15 @@ def test_figures_of_moved_decoded_states_match_linalg(make_state, monkeypatch):
     # Mixing each decoded state with a random one makes the figures large.
     rng = np.random.default_rng(12)
     state = QuditState(2, make_state(rng, 2))
-    real, moved = channel.partial_trace_m2, []
+    real, moved = channel.logical_image, []
 
-    def mixed_in(d, frames):
-        traced = real(d, frames)
-        others = np.array([random_density(rng, d) for _ in traced])
+    def mixed_in(r, a):
+        traced = real(r, a)
+        others = np.array([random_density(rng, len(a)) for _ in traced])
         moved.append(0.6 * traced + 0.4 * others)
         return moved[-1]
 
-    monkeypatch.setattr(channel, "partial_trace_m2", mixed_in)
+    monkeypatch.setattr(channel, "logical_image", mixed_in)
     report = run_channel(ChannelConfig(n=3, trials=300, seed=5), state)
     decoded = np.concatenate(moved)
     decoded = (decoded + decoded.conj().transpose(0, 2, 1)) / 2
@@ -412,14 +412,14 @@ def test_channel_report_does_not_depend_on_the_chunk_size(noise, monkeypatch):
 def test_a_leaking_trial_is_named(monkeypatch):
     # A decoded trace below one fails the trace check of that trial alone, as
     # a failed claim: the decoded states come from the library's own payload.
-    real = channel.partial_trace_m2
+    real = channel.logical_image
 
-    def leak_in_trial_two(d, frames):
-        traced = real(d, frames)
+    def leak_in_trial_two(r, a):
+        traced = real(r, a)
         traced[2:3] *= 0.9
         return traced
 
-    monkeypatch.setattr(channel, "partial_trace_m2", leak_in_trial_two)
+    monkeypatch.setattr(channel, "logical_image", leak_in_trial_two)
     with pytest.raises(ConsistencyError, match=r"decoded state \[2\] trace is 0\.9\+0j"):
         run_channel(ChannelConfig(n=3, trials=4, seed=1), QuditState(2, ZERO))
 

@@ -8,6 +8,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from dense_oracle import dense_logical_image
 from rffqudit import coupling
 from rffqudit.coupling import (
     basis_overlap_blocks,
@@ -17,6 +18,7 @@ from rffqudit.coupling import (
     coupling_fingerprint,
     fourier_coupling,
     gram_residual,
+    logical_image,
     multiplicity,
     partial_trace_m2,
     sector_census,
@@ -277,6 +279,11 @@ def test_singlet_families_span_the_same_subspace():
     assert max_abs_diff(proj_sym, proj_cg) < 1e-12
 
 
+def test_the_one_constituent_census_is_one_doublet():
+    assert sector_census(SpinRegister(1)) == [
+        coupling.SectorSpec(n=1, j=Fraction(1, 2), multiplicity=1, dimension=2)]
+
+
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 9, 10, 11, 12))
 def test_sector_census_agrees_with_spectrum(n):
     specs = sector_census(SpinRegister(n))
@@ -391,6 +398,23 @@ def test_partial_trace_m2_is_the_trace_over_m2_bit_for_bit(d):
     oracle = np.trace(inner.reshape(7, d, d, d, d), axis1=-3, axis2=-1)
     assert np.array_equal(partial_trace_m2(d, inner), oracle)
     assert np.array_equal(partial_trace_m2(d, inner[3]), oracle[3])
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_logical_image_is_the_frame_partial_trace(d):
+    # Random non-unitary R, scaled so every entry of the image is O(1).
+    rng = np.random.default_rng([d, 35])
+    r = (rng.normal(size=(6, d * d, d * d)) + 1j * rng.normal(size=(6, d * d, d * d))) / d
+    a = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
+    stack = (rng.normal(size=(6, d, d)) + 1j * rng.normal(size=(6, d, d))) / d
+    for logical in (a, stack):
+        image = logical_image(r, logical)
+        assert image.shape == (6, d, d)
+        assert max_abs_diff(image, dense_logical_image(r, logical)) <= 1e-13
+        # a stack equals one trial at a time, bit for bit
+        for t in range(6):
+            one = logical if logical.ndim == 2 else logical[t:t + 1]
+            assert np.array_equal(logical_image(r[t:t + 1], one)[0], image[t]), t
 
 
 # The default's id is a name, so retuning CHUNK_BYTES renames no test.

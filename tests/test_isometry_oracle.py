@@ -25,7 +25,7 @@ from rffqudit.coupling import (
     CoupledBasis,
     build_coupled_basis,
     isometry_residuals,
-    partial_trace_m2,
+    logical_image,
 )
 from rffqudit.encoder import (
     QuditState,
@@ -161,17 +161,18 @@ def test_encode_and_decode_match_the_dense_forms(case):
 
 
 def test_channel_trial_matches_the_dense_rotation(case, monkeypatch):
-    # The frame route (R = K^dag U K, Tr_m2 R F R^dag) against U P U^dag decoded densely.
+    # The logical route (R = K^dag U K, Tr_m2 R (A (x) I_d) R^dag for A = rho/d)
+    # against U P U^dag decoded densely.
     n, basis, qs, _ = case
     d = basis.d
     state = QuditState(d, random_density(np.random.default_rng([SEED, n, 1]), d))
     traced = []
 
-    def recording_partial_trace_m2(*args):
-        traced.append(partial_trace_m2(*args))
+    def recording_logical_image(*args):
+        traced.append(logical_image(*args))
         return traced[-1]
 
-    monkeypatch.setattr("rffqudit.channel.partial_trace_m2", recording_partial_trace_m2)
+    monkeypatch.setattr("rffqudit.channel.logical_image", recording_logical_image)
     report = run_channel(ChannelConfig(n=n, trials=1, seed=SEED), state)
     u = haar_su2(np.random.default_rng(np.random.SeedSequence(SEED).spawn(1)[0]))
     big = kron_power(SpinRegister(n), u)
@@ -379,5 +380,5 @@ def test_n12_channel_and_encode_never_form_a_dense_matrix():
         tracemalloc.stop()
     assert report.aggregate["fidelity"]["min"] > 1 - 1e-9
     assert channel_peak < 100 * 1024 * 1024
-    assert enc.frame.shape == (121, 121)
+    assert enc.logical.shape == (11, 11)
     assert encode_peak < 20 * 1024 * 1024

@@ -24,8 +24,8 @@ def test_the_matrix_covers_every_command_in_both_formats(tmp_path):
     assert commands == {"verify", "channel", "census", "basis", "encode"}
     # four seeds of every suite and the encoder suite at n = 8..9, two formats each
     assert len([run for run in runs if run[0] == "verify"]) == 10
-    # 3 modes, 3 sizes, 2 formats, and one trial in 2 formats
-    assert len([run for run in runs if run[0] == "channel"]) == 20
+    # 3 modes, 3 sizes, 2 formats, one trial in 2 formats, and the written state in 2
+    assert len([run for run in runs if run[0] == "channel"]) == 22
     # a state alone and a state with a POVM, two formats: the CSV of the first is
     # its state payload, that of the second the Born table alone
     assert len([run for run in runs if run[0] == "encode"]) == 4

@@ -4,15 +4,18 @@
 
 Runs one matrix of reports twice: on the working tree's src, and on
 `git archive REF` unpacked in a temporary directory. The matrix is verify
-JSON and CSV at four seeds and its encoder suite at n = 8..9, channel in
-every noise mode at n = 3, 4 and 7 in JSON and CSV, one channel trial at n = 3
-in JSON and CSV, census, basis, encode (of a state alone, and of the state
-and a POVM, both of which this script writes) and every reference case. Each report is made by its own
-`python -m rffqudit` child with one BLAS thread. For each report whose bytes
-or exit code differ, or that fails on both sides, it prints the command and
-the largest move of a number in it. Exit 0 when every report matches, 1 when
-one does not, 2 when the ref cannot be read. It uses the standard library
-only and writes nothing in the repository.
+JSON and CSV at four seeds and its encoder suite at n = 8..9; channel in
+every noise mode at n = 3, 4 and 7, one channel trial at n = 3, and haar
+noise at n = 4 on the mixed qutrit with coherences that this script writes
+(every other channel row decodes the command's diagonal default state);
+census, basis, encode (of that state alone, and of the state and a POVM,
+which this script also writes) and every reference case; each in JSON and
+CSV. Each report is made by its own `python -m rffqudit` child with one BLAS
+thread. For each report whose bytes or exit code differ, or that fails on
+both sides, it prints the command and the largest move of a number in it.
+Exit 0 when every report matches, 1 when one does not, 2 when the ref cannot
+be read. It uses the standard library only and writes nothing in the
+repository.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ def matrix(inputs: Path) -> list:
                   "--format", fmt] for noise in noises for fmt in ("json", "csv")]
     for fmt in ("json", "csv"):
         runs += [["channel", "--n", "3", "--trials", "1", "--format", fmt],
+                 ["channel", "--n", "4", "--trials", "60", "--seed", "11", "--state",
+                  str(state), "--format", fmt],
                  ["census", "--n", "7", "--format", fmt],
                  ["basis", "--n", "5", "--format", fmt],
                  ["encode", "--n", "4", "--state", str(state), "--format", fmt],
